@@ -395,8 +395,11 @@ def _cmd_surgery(args: argparse.Namespace) -> int:
         print(summary_table(result.rows))
         return result.exit_code
     name, d = _domain_from_args(args, settings)
+    f = solve_torsion(d, tol=settings["cg_tol"])
+    s = eigenvalues(d, k=settings["k"], tol=settings["eig_tol"], seed=settings["seed"])
     result, report = strip_surgery(
-        d,
+        f,
+        s,
         K=settings["K"],
         k=settings["k"],
         P=settings["P"],
@@ -555,7 +558,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, RuntimeError) as exc:
         logger.error("%s", exc)
         return 2
 

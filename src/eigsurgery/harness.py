@@ -199,7 +199,8 @@ def run_one(spec: CorpusSpec, config: RunConfig = RunConfig()) -> dict[str, Any]
     row["inequalities"] = [r.to_dict() for r in checks]
 
     _, report = strip_surgery(
-        d,
+        f,
+        s,
         K=config.K,
         k=config.k,
         P=config.P,

@@ -24,9 +24,7 @@ from eigsurgery.domain import GridDomain, measure
 from eigsurgery.pde import (
     Spectrum,
     TorsionField,
-    eigenvalues,
     gamma_distance,
-    solve_torsion,
     torsion_energy,
     unit_ball_volume,
 )
@@ -139,18 +137,13 @@ def _context(d: GridDomain, **extra: Any) -> dict[str, Any]:
     return ctx
 
 
-def _field(d: GridDomain, f: TorsionField | None) -> TorsionField:
-    return f if f is not None else solve_torsion(d)
-
-
 def check_saint_venant(
-    d: GridDomain, f: TorsionField | None = None, rel_tol: float | None = None
+    d: GridDomain, f: TorsionField, rel_tol: float | None = None
 ) -> IneqReport:
     """Saint-Venant: the ball maximizes the L1 norm of the torsion function.
 
     ``integral(w) <= |O|^{(N+2)/N} * omega_N^{-2/N} / (N (N+2))``.
     """
-    f = _field(d, f)
     N = d.N
     vol = measure(d)
     omega = unit_ball_volume(N)
@@ -165,10 +158,9 @@ def check_saint_venant(
 
 
 def check_talenti(
-    d: GridDomain, f: TorsionField | None = None, rel_tol: float | None = None
+    d: GridDomain, f: TorsionField, rel_tol: float | None = None
 ) -> IneqReport:
     """Talenti: ``max w <= (|O| / omega_N)^{2/N} / (2N)``."""
-    f = _field(d, f)
     N = d.N
     rhs = (measure(d) / unit_ball_volume(N)) ** (2 / N) / (2 * N)
     return IneqReport.compare(
@@ -182,8 +174,8 @@ def check_talenti(
 
 def check_vdb(
     d: GridDomain,
-    f: TorsionField | None = None,
-    spectrum: Spectrum | None = None,
+    f: TorsionField,
+    spectrum: Spectrum,
     rel_tol: float | None = None,
 ) -> IneqReport:
     """Double-sided torsion/eigenvalue bound.
@@ -193,8 +185,6 @@ def check_vdb(
     (the minimum of the two margins decides the verdict) and recorded in the
     context.
     """
-    f = _field(d, f)
-    spectrum = spectrum if spectrum is not None else eigenvalues(d, k=1)
     lam1 = spectrum[1]
     lower = 1.0 / lam1
     upper = (4 + 3 * d.N * math.log(2)) / lam1
@@ -226,12 +216,11 @@ def li_yau_constant(N: int) -> float:
 def check_berezin_li_yau(
     d: GridDomain,
     k: int,
-    spectrum: Spectrum | None = None,
+    spectrum: Spectrum,
     constant: float | None = None,
     rel_tol: float | None = None,
 ) -> IneqReport:
     """Berezin-Li-Yau: ``lambda_k >= C_N (k / |O|)^{2/N}``."""
-    spectrum = spectrum if spectrum is not None else eigenvalues(d, k=k)
     C = constant if constant is not None else li_yau_constant(d.N)
     lhs = C * (k / measure(d)) ** (2 / d.N)
     return IneqReport.compare(
@@ -282,15 +271,14 @@ def default_m_table(k_max: int, N: int = 2) -> dict[int, float]:
 def check_ratio_bound(
     d: GridDomain,
     k: int,
+    spectrum: Spectrum,
     m_table: Mapping[int, float] | None = None,
-    spectrum: Spectrum | None = None,
     rel_tol: float | None = None,
 ) -> IneqReport:
     """Ratio bound ``1 <= lambda_k / lambda_1 <= M_k``."""
     table = dict(m_table) if m_table is not None else default_m_table(k, d.N)
     if k not in table:
         raise KeyError(f"no ratio bound M_{k} available; provide it in m_table")
-    spectrum = spectrum if spectrum is not None else eigenvalues(d, k=k)
     ratio = spectrum[k] / spectrum[1]
     return IneqReport.compare(
         "ratio_bound",
@@ -318,26 +306,25 @@ def check_gamma_stability(
     d1: GridDomain,
     d2: GridDomain,
     k: int,
+    s1: Spectrum,
+    s2: Spectrum,
+    f1: TorsionField,
+    f2: TorsionField,
     rel_tol: float | None = None,
     constant: float | None = None,
-    s1: Spectrum | None = None,
-    s2: Spectrum | None = None,
-    f1: TorsionField | None = None,
-    f2: TorsionField | None = None,
 ) -> IneqReport:
     """Gamma-stability of eigenvalues for nested domains ``d1 <= d2``:
 
     ``|1/lambda_k(d1) - 1/lambda_k(d2)|
-        <= 2 k^2 e^{1/(4 pi)} lambda_k(d2)^{N/2} d_gamma(d1, d2)``.
+        <= 2 k^2 e^{1/(4 pi)} lambda_k(d2)^{N/2} d_gamma(d1, d2)``
+    on the spectra ``s1``, ``s2`` and torsion functions ``f1``, ``f2``.
     """
     from eigsurgery.pde import embed_union
 
     a1, a2 = embed_union(d1, d2, d1.occupancy, d2.occupancy)
     if (a1 & ~a2).any():
         raise ValueError("gamma stability requires d1 to be contained in d2")
-    s1 = s1 if s1 is not None else eigenvalues(d1, k=k)
-    s2 = s2 if s2 is not None else eigenvalues(d2, k=k)
-    dg = gamma_distance(d1, d2, f1=f1, f2=f2)
+    dg = gamma_distance(d1, d2, f1, f2)
     const = constant if constant is not None else gamma_stability_constant()
     lhs = abs(1 / s1[k] - 1 / s2[k])
     rhs = 2 * k**2 * const * s2[k] ** (d1.N / 2) * dg
@@ -396,6 +383,7 @@ def check_density_lemma(
 
 def check_positive_energy(
     dA: GridDomain,
+    f: TorsionField,
     parent_field: TorsionField,
     c: float,
     C0r0: float,
@@ -404,7 +392,7 @@ def check_positive_energy(
     """Positive penalized energy of low-torsion subsets.
 
     If ``A`` is a subset of the parent domain with ``max_A w_parent <= C0 r0``
-    then ``E(A) + c |A| >= 0``.
+    then ``E(A) + c |A| >= 0``; ``f`` is the torsion function of ``A``.
     """
     from eigsurgery.pde import embed_union
 
@@ -423,8 +411,7 @@ def check_positive_energy(
             ctx,
             f"max w on A = {w_on_A:g} exceeds C0 r0 = {C0r0:g}",
         )
-    energy = torsion_energy(solve_torsion(dA))
-    value = energy + c * measure(dA)
+    value = torsion_energy(f) + c * measure(dA)
     return IneqReport.compare(
         "positive_energy",
         0.0,

@@ -252,20 +252,14 @@ def embed_union(
 
 
 def gamma_distance(
-    d1: GridDomain,
-    d2: GridDomain,
-    tol: float = DEFAULT_CG_TOL,
-    f1: TorsionField | None = None,
-    f2: TorsionField | None = None,
+    d1: GridDomain, d2: GridDomain, f1: TorsionField, f2: TorsionField
 ) -> float:
-    """L1 distance between the torsion functions of two domains.
+    """L1 distance between the torsion functions ``f1``, ``f2`` of two domains.
 
     Both lattices must share the spacing ``h`` (rescale first otherwise);
     windows may differ as long as they are grid-aligned.  For nested domains
     this equals ``2 (E(d1) - E(d2))`` up to solver tolerance.
     """
-    f1 = f1 if f1 is not None else solve_torsion(d1, tol)
-    f2 = f2 if f2 is not None else solve_torsion(d2, tol)
     w1, w2 = embed_union(d1, d2, f1.values, f2.values)
     return float(np.abs(w1 - w2).sum()) * d1.h**d1.N
 

@@ -683,6 +683,7 @@ def component_cleanup(
     r0: float,
     K: float,
     m_hat: float,
+    cg_tol: float,
     c: float | None = None,
 ) -> tuple[GridDomain, dict[str, Any]]:
     """Replace components whose projection misses the active region by one ball.
@@ -691,7 +692,8 @@ def component_cleanup(
     the parent field, which dominates the component's own torsion exactly);
     a violating component is kept and flagged.  For each replaced component
     the spectral floor ``(1/max w) (1 - m_hat)^{2/N} >= K`` and, when ``c``
-    is given, the positive penalized energy ``E + c|.|  >= 0`` are recorded.
+    is given, the positive penalized energy ``E + c|.|  >= 0`` are recorded;
+    the energy needs the component's own torsion, solved to ``cg_tol``.
     """
 
     def projection_hits_active(sub: GridDomain) -> bool:
@@ -739,7 +741,8 @@ def component_cleanup(
             )
         )
         if c is not None:
-            checks.append(check_positive_energy(comp, f, c, threshold))
+            fA = solve_torsion(comp, tol=cg_tol)
+            checks.append(check_positive_energy(comp, fA, f, c, threshold))
 
     if discarded == 0:
         return d, {
@@ -772,17 +775,14 @@ def component_cleanup(
 # reports
 
 
-def measure_domain(
-    d: GridDomain, k: int, eig_tol: float = DEFAULT_EIG_TOL, seed: int = 0
-) -> dict[str, Any]:
-    """Geometry and low spectrum of a domain, as a plain dictionary."""
-    s = eigenvalues(d, k=k, tol=eig_tol, seed=seed)
+def measure_domain(d: GridDomain, s: Spectrum, k: int) -> dict[str, Any]:
+    """Geometry of a domain and the lowest ``k`` values of its spectrum ``s``."""
     return {
         "measure": measure(d),
         "perimeter": perimeter(d),
         "diam_e1": diam_e(d, 0),
         "diameter": diameter(d),
-        "spectrum": [float(v) for v in s.eigenvalues],
+        "spectrum": [s[i] for i in range(1, k + 1)],
     }
 
 
@@ -824,8 +824,10 @@ class SurgeryReport:
         }
 
 
-def _normalized(d: GridDomain) -> GridDomain:
-    return rescale(d, measure(d) ** (-1 / d.N))
+def _normalized(d: GridDomain) -> tuple[GridDomain, float]:
+    """The unit-measure copy of ``d`` and the scale factor that makes it."""
+    t = measure(d) ** (-1 / d.N)
+    return rescale(d, t), t
 
 
 def _occupied_extent(d: GridDomain) -> float:
@@ -840,7 +842,8 @@ def _occupied_extent(d: GridDomain) -> float:
 
 
 def strip_surgery(
-    d: GridDomain,
+    f: TorsionField,
+    s: Spectrum,
     K: float,
     k: int,
     P: float | None = None,
@@ -856,13 +859,18 @@ def strip_surgery(
 ) -> tuple[GridDomain, SurgeryReport]:
     """Cut low-torsion strips, replace far components by a ball, rescale.
 
-    Returns the surgered unit-measure domain and a report that verifies the
+    Takes the torsion function ``f`` of the input ``f.domain`` and a spectrum
+    ``s`` of it with at least ``k`` eigenvalues, rescaled exactly to unit
+    measure; only a surgery that changes the occupancy solves again.  Returns
+    the surgered unit-measure domain and a report that verifies the
     guarantees directly: exact unit measure, perimeter non-increase (on
     unflagged cut depths), eigenvalue non-increase for every index whose
     starting eigenvalue is at most ``K``, and the directional-diameter bound
     computed from the plan.  A run that changes nothing is a verified no-op.
     """
-    d0 = _normalized(d)
+    d0, t0 = _normalized(f.domain)
+    f = f.rescaled(t0, d0)
+    s0 = s.rescaled(t0)
     per0 = perimeter(d0)
     if P is None:
         P = per0 * 1.02
@@ -885,7 +893,6 @@ def strip_surgery(
         k_power=k_power,
         N=d0.N,
     )
-    f = solve_torsion(d0, tol=cg_tol)
     X, n_active = detect_active_region(f, constants.C0, constants.r0)
     logger.info("active region: %d interval(s)", n_active)
     plan = plan_cuts(d0, X, constants)
@@ -941,14 +948,18 @@ def strip_surgery(
 
     d_clean, cleanup = component_cleanup(
         d_cut, plan.active_region, f, constants.C0, constants.r0, K,
-        constants.m_hat, c=constants.c,
+        constants.m_hat, cg_tol, c=constants.c,
     )
     checks.extend(cleanup["checks"])
     flags.extend(cleanup["flags"])
-    d_out = _normalized(d_clean)
+    d_out, t1 = _normalized(d_clean)
+    if np.array_equal(d_clean.occupancy, d0.occupancy):
+        s_out = s0.rescaled(t1)
+    else:
+        s_out = eigenvalues(d_out, k=k, tol=eig_tol, seed=seed)
 
-    before = measure_domain(d0, k, eig_tol, seed)
-    after = measure_domain(d_out, k, eig_tol, seed)
+    before = measure_domain(d0, s0, k)
+    after = measure_domain(d_out, s_out, k)
 
     n_gaps = len(plan.segments)
     h1_active = sum(hi - lo for lo, hi in plan.active_region)
@@ -1062,26 +1073,28 @@ def strip_surgery(
 
 
 def subsolution_truncate(
-    d: GridDomain,
+    f: TorsionField,
     c: float,
     r0: float | None = None,
     tol: float = DEFAULT_CG_TOL,
     max_moves: int = 50,
-) -> tuple[GridDomain, tuple[dict[str, Any], ...]]:
+) -> tuple[TorsionField, tuple[dict[str, Any], ...]]:
     """Greedy monotone descent of E + c|.| over sublevel and edge-strip moves.
 
-    Per iteration the candidate moves are the removal of the sublevel set
+    Starts from the torsion function ``f`` of ``f.domain``.  Per iteration
+    the candidate moves are the removal of the sublevel set
     {w < tau} for tau on the geometric ladder ``max(w)/2, max(w)/4, ...``
     (capping tau at half the maximum keeps the torsion peak within a factor
     two per move) and the removal of either boundary strip of width ``r0``
-    along the first axis.  The best strictly-decreasing move is accepted;
-    descent stops when none exists or after ``max_moves`` accepted moves.
-    The result is a subsolution with respect to this move class only.
+    along the first axis; each candidate is solved to ``tol``.  The best
+    strictly-decreasing move is accepted; descent stops when none exists or
+    after ``max_moves`` accepted moves.  Returns the torsion function of the
+    final domain, a subsolution with respect to this move class only, and
+    the move log.
     """
     if c < 0:
         raise ValueError("penalty constant c must be nonnegative")
-    current = d
-    f = solve_torsion(current, tol=tol)
+    current = f.domain
     value = torsion_energy(f) + c * measure(current)
     log: list[dict[str, Any]] = []
     for _ in range(max_moves):
@@ -1140,7 +1153,7 @@ def subsolution_truncate(
         )
         current, f, value = cand, fc, val
     logger.info("descent accepted %d move(s)", len(log))
-    return current, tuple(log)
+    return f, tuple(log)
 
 
 def verify_choicec(
@@ -1148,9 +1161,9 @@ def verify_choicec(
     after: GridDomain,
     k: int,
     K: float,
+    s_before: Spectrum,
+    s_after: Spectrum,
     m_table: Mapping[int, float] | None = None,
-    s_before: Spectrum | None = None,
-    s_after: Spectrum | None = None,
     rel_tol: float = 1e-6,
 ) -> list[IneqReport]:
     """Eigenvalue guarantees of the penalized minimizer, per index 1..k.
@@ -1159,7 +1172,8 @@ def verify_choicec(
     ``lambda_i(after) |after|^{2/N} <= lambda_i(before) |before|^{2/N}``
     (reported only while ``lambda_i(before) <= K``) and the growth sandwich
     ``lambda_i(before) <= lambda_i(after) <= (8 + 6 N log 2) M_i
-    lambda_i(before)`` are checked.  Requires ``after`` to be contained in
+    lambda_i(before)`` are checked on the given spectra ``s_before`` and
+    ``s_after`` of the two domains.  Requires ``after`` to be contained in
     ``before`` cell-wise (both pre-rescale).
     """
     a_mask, b_mask = embed_union(after, before, after.occupancy, before.occupancy)
@@ -1167,21 +1181,19 @@ def verify_choicec(
         raise ValueError("after-domain must be contained in the before-domain")
     N = before.N
     table = dict(m_table) if m_table is not None else default_m_table(k, N)
-    sb = s_before if s_before is not None else eigenvalues(before, k=k)
-    sa = s_after if s_after is not None else eigenvalues(after, k=k)
     vol_b, vol_a = measure(before), measure(after)
     chain = 8 + 6 * N * math.log(2)
     reports: list[IneqReport] = []
     for i in range(1, k + 1):
         if i not in table:
             raise KeyError(f"no ratio bound M_{i} available; provide it in m_table")
-        ctx = {"index": i, "K": K, "before": sb[i], "after": sa[i]}
-        if sb[i] <= K:
+        ctx = {"index": i, "K": K, "before": s_before[i], "after": s_after[i]}
+        if s_before[i] <= K:
             reports.append(
                 IneqReport.compare(
                     f"rescaled_eigenvalue_{i}",
-                    sa[i] * vol_a ** (2 / N),
-                    sb[i] * vol_b ** (2 / N),
+                    s_after[i] * vol_a ** (2 / N),
+                    s_before[i] * vol_b ** (2 / N),
                     rel_tol,
                     ctx,
                 )
@@ -1194,11 +1206,11 @@ def verify_choicec(
                     f"eigenvalue {i} starts above K: outside the guarantee",
                 )
             )
-        upper = chain * table[i] * sb[i]
-        lower_margin = sa[i] - sb[i]
+        upper = chain * table[i] * s_before[i]
+        lower_margin = s_after[i] - s_before[i]
         upper_report = IneqReport.compare(
             f"eigenvalue_growth_{i}",
-            sa[i],
+            s_after[i],
             upper,
             rel_tol,
             {**ctx, "chain_factor": chain, "M_i": table[i], "lower_margin": lower_margin},
@@ -1242,7 +1254,7 @@ def bounded_surgery(
     per-index eigenvalue guarantees of :func:`verify_choicec`.  Diameter and
     perimeter are measured and reported without an a-priori bound.
     """
-    d0 = _normalized(d)
+    d0, _ = _normalized(d)
     per0 = perimeter(d0)
     constants = derive_constants(
         K,
@@ -1259,14 +1271,16 @@ def bounded_surgery(
         N=d0.N,
     )
     f0 = solve_torsion(d0, tol=cg_tol)
-    d_desc, log = subsolution_truncate(
-        d0, constants.c, r0=constants.r0, tol=cg_tol, max_moves=max_moves
+    s0 = eigenvalues(d0, k=k, tol=eig_tol, seed=seed)
+    f1, log = subsolution_truncate(
+        f0, constants.c, r0=constants.r0, tol=cg_tol, max_moves=max_moves
     )
-    f1 = solve_torsion(d_desc, tol=cg_tol)
-    d_out = _normalized(d_desc)
+    d_desc = f1.domain
+    s1 = eigenvalues(d_desc, k=k, tol=eig_tol, seed=seed) if log else s0
+    d_out, t1 = _normalized(d_desc)
 
-    before = measure_domain(d0, k, eig_tol, seed)
-    after = measure_domain(d_out, k, eig_tol, seed)
+    before = measure_domain(d0, s0, k)
+    after = measure_domain(d_out, s1.rescaled(t1), k)
 
     checks: list[IneqReport] = []
     if log:
@@ -1318,7 +1332,7 @@ def bounded_surgery(
         )
     )
     checks.extend(
-        verify_choicec(d0, d_desc, k, K, m_table=m_table, s_before=None, s_after=None)
+        verify_choicec(d0, d_desc, k, K, s0, s1, m_table=m_table)
     )
 
     all_pass = all(c.passed for c in checks)

@@ -6,7 +6,9 @@ import json
 import math
 
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from eigsurgery import cli
 from eigsurgery.cli import main
 from eigsurgery.corpus import CorpusSpec, generate
 from eigsurgery.domain import save_domain
@@ -276,6 +278,23 @@ class TestCli:
         save_domain(generate(BALL), tmp_path / "d")
         assert main(["gen", "--spec", "ball",
                      "--domain", str(tmp_path / "d")]) == 2
+
+    @pytest.mark.parametrize(
+        "solver, command, exc",
+        [
+            ("solve_torsion", "torsion",
+             RuntimeError("torsion solve did not converge within 1000 iterations")),
+            ("eigenvalues", "spectrum",
+             ArpackNoConvergence("ARPACK did not converge", [], [])),
+        ],
+    )
+    def test_solver_failure_exits_2(self, monkeypatch, caplog, solver, command, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, solver, fail)
+        assert main([command, "--spec", "ball", "--h", "1/16"]) == 2
+        assert [r.getMessage() for r in caplog.records] == [str(exc)]
 
 
 class TestCliPrecedence:

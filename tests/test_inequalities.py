@@ -28,17 +28,24 @@ from eigsurgery.inequalities import (
     reports_to_csv,
     reports_to_jsonl,
 )
-from eigsurgery.pde import eigenvalues, solve_torsion
+from eigsurgery.pde import TorsionField, eigenvalues, solve_torsion
 
 
 def single_cell(h: float = 0.02) -> GridDomain:
     return from_mask(np.ones((1, 1), dtype=bool), h)
 
 
+def gamma_report(d1: GridDomain, d2: GridDomain, k: int) -> IneqReport:
+    return check_gamma_stability(
+        d1, d2, k, eigenvalues(d1, k=k), eigenvalues(d2, k=k),
+        solve_torsion(d1), solve_torsion(d2),
+    )
+
+
 class TestSaintVenant:
     def test_unit_square(self):
         d = square(1 / 128, aligned="node")
-        r = check_saint_venant(d)
+        r = check_saint_venant(d, solve_torsion(d))
         assert r.passed
         assert r.lhs == pytest.approx(0.03514, rel=0.02)
         # exact formula against the raster measure, loose against continuum
@@ -46,7 +53,8 @@ class TestSaintVenant:
         assert r.rhs == pytest.approx(1 / (8 * math.pi), rel=0.04)
 
     def test_disk_near_extremal(self):
-        r = check_saint_venant(ball(1 / 256))
+        d = ball(1 / 256)
+        r = check_saint_venant(d, solve_torsion(d))
         assert r.passed
         assert abs(r.relative_margin) < 0.03
 
@@ -55,7 +63,8 @@ class TestSaintVenant:
         # integral h^4/4 overshoots the continuum bound |A|^2/(8 pi) at any h,
         # so the checker must report an honest failure.
         h = 0.02
-        r = check_saint_venant(single_cell(h))
+        d = single_cell(h)
+        r = check_saint_venant(d, solve_torsion(d))
         assert not r.passed
         assert r.lhs == pytest.approx(h**4 / 4, rel=1e-9)
         assert r.rhs == pytest.approx(h**4 / (8 * math.pi), rel=1e-9)
@@ -63,13 +72,14 @@ class TestSaintVenant:
 
 class TestTalenti:
     def test_disk_near_extremal(self):
-        r = check_talenti(ball(1 / 256))
+        d = ball(1 / 256)
+        r = check_talenti(d, solve_torsion(d))
         assert r.passed
         assert abs(r.relative_margin) < 0.02
 
     def test_unit_square(self):
         d = square(1 / 128, aligned="node")
-        r = check_talenti(d)
+        r = check_talenti(d, solve_torsion(d))
         assert r.passed
         assert r.lhs == pytest.approx(0.07367, rel=0.02)
         assert r.rhs == pytest.approx(measure(d) / (4 * math.pi), rel=1e-12)
@@ -80,7 +90,8 @@ class TestTalenti:
         # bound h^2/(4 pi): a scale-independent factor-of-pi violation that
         # the checker reports faithfully rather than masking.
         h = 0.02
-        r = check_talenti(single_cell(h))
+        d = single_cell(h)
+        r = check_talenti(d, solve_torsion(d))
         assert not r.passed
         assert r.lhs == pytest.approx(h**2 / 4, rel=1e-9)
         assert r.rhs == pytest.approx((h**2 / math.pi) / 4, rel=1e-9)
@@ -89,7 +100,7 @@ class TestTalenti:
 class TestVdb:
     def test_unit_square_margins(self):
         d = square(1 / 128, aligned="node")
-        r = check_vdb(d)
+        r = check_vdb(d, solve_torsion(d), eigenvalues(d, k=1))
         assert r.passed
         lam1 = r.context["lambda1"]
         assert lam1 == pytest.approx(2 * math.pi**2, rel=0.01)
@@ -97,11 +108,13 @@ class TestVdb:
         assert r.context["lower"] < r.lhs < r.rhs
 
     def test_disk(self):
-        r = check_vdb(ball(1 / 128))
+        d = ball(1 / 128)
+        r = check_vdb(d, solve_torsion(d), eigenvalues(d, k=1))
         assert r.passed
 
     def test_dumbbell(self):
-        r = check_vdb(dumbbell(1 / 96))
+        d = dumbbell(1 / 96)
+        r = check_vdb(d, solve_torsion(d), eigenvalues(d, k=1))
         assert r.passed
 
 
@@ -123,7 +136,7 @@ class TestBerezinLiYau:
 
     def test_custom_constant(self):
         d = square(1 / 64)
-        r = check_berezin_li_yau(d, 1, constant=1.0)
+        r = check_berezin_li_yau(d, 1, eigenvalues(d, k=1), constant=1.0)
         assert r.lhs == pytest.approx(1.0)
 
 
@@ -141,17 +154,20 @@ class TestMaxIndexBelow:
 
 class TestRatioBound:
     def test_k1_trivial(self):
-        r = check_ratio_bound(square(1 / 64), 1)
+        d = square(1 / 64)
+        r = check_ratio_bound(d, 1, eigenvalues(d, k=1))
         assert r.passed and r.lhs == pytest.approx(1.0)
 
     def test_square_k2(self):
-        r = check_ratio_bound(square(1 / 96, aligned="node"), 2)
+        d = square(1 / 96, aligned="node")
+        r = check_ratio_bound(d, 2, eigenvalues(d, k=2))
         assert r.passed
         assert r.lhs == pytest.approx(2.5, rel=0.01)
         assert r.rhs == pytest.approx(2.5387, rel=1e-3)
 
     def test_disk_k2_at_bound(self):
-        r = check_ratio_bound(ball(1 / 128), 2)
+        d = ball(1 / 128)
+        r = check_ratio_bound(d, 2, eigenvalues(d, k=2))
         assert r.passed
         assert r.lhs == pytest.approx(r.rhs, rel=0.02)
 
@@ -163,14 +179,15 @@ class TestRatioBound:
         assert table[4] == pytest.approx(table[2] * 9.0, rel=1e-12)
 
     def test_missing_entry_raises(self):
+        d = square(1 / 32)
         with pytest.raises(KeyError):
-            check_ratio_bound(square(1 / 32), 3, m_table={1: 1.0, 2: 2.54})
+            check_ratio_bound(d, 3, eigenvalues(d, k=3), m_table={1: 1.0, 2: 2.54})
 
 
 class TestGammaStability:
     def test_equal_domains(self):
         d = ball(1 / 48, normalize=False)
-        r = check_gamma_stability(d, d, k=1)
+        r = gamma_report(d, d, k=1)
         assert r.passed
         assert r.lhs == pytest.approx(0.0, abs=1e-10)
 
@@ -179,21 +196,21 @@ class TestGammaStability:
         occ = d2.occupancy.copy()
         occ[10:13, :] = False
         d1 = GridDomain(h=d2.h, origin=d2.origin, occupancy=occ)
-        r = check_gamma_stability(d1, d2, k=1)
+        r = gamma_report(d1, d2, k=1)
         assert r.passed
         assert r.lhs > 0
 
     def test_nested_disks(self):
         d2 = ball(1 / 96, radius=0.55, normalize=False)
         d1 = ball(1 / 96, radius=0.50, normalize=False)
-        r = check_gamma_stability(d1, d2, k=1)
+        r = gamma_report(d1, d2, k=1)
         assert r.passed
 
     def test_inclusion_enforced(self):
         d2 = ball(1 / 48, radius=0.3, normalize=False)
         d1 = ball(1 / 48, radius=0.4, normalize=False)
         with pytest.raises(ValueError, match="contained"):
-            check_gamma_stability(d1, d2, k=1)
+            gamma_report(d1, d2, k=1)
 
     def test_constant_interpretations(self):
         assert gamma_stability_constant() == pytest.approx(math.exp(1 / (4 * math.pi)))
@@ -235,7 +252,8 @@ class TestPositiveEnergy:
         empty = GridDomain(
             h=parent.h, origin=parent.origin, occupancy=np.zeros(parent.shape, bool)
         )
-        r = check_positive_energy(empty, f, c=1e-6, C0r0=1e-5)
+        f_empty = TorsionField(empty, np.zeros(empty.shape), 0.0)
+        r = check_positive_energy(empty, f_empty, f, c=1e-6, C0r0=1e-5)
         assert r.passed and r.note == "empty A"
 
     def test_low_torsion_subset_passes(self):
@@ -247,14 +265,16 @@ class TestPositiveEnergy:
         occ = d.occupancy & neck_cols[:, None]
         sub = GridDomain(h=d.h, origin=d.origin, occupancy=occ)
         w_on_A = float(f.values[occ].max())
-        r = check_positive_energy(sub, f, c=2 * w_on_A, C0r0=w_on_A * 1.5)
+        r = check_positive_energy(
+            sub, solve_torsion(sub), f, c=2 * w_on_A, C0r0=w_on_A * 1.5
+        )
         assert r.passed and r.note == ""
         assert r.rhs >= 0
 
     def test_precondition_violated(self):
         d = ball(1 / 48, normalize=False)
         f = solve_torsion(d)
-        r = check_positive_energy(d, f, c=1e-6, C0r0=f.max / 2)
+        r = check_positive_energy(d, f, f, c=1e-6, C0r0=f.max / 2)
         assert r.passed and "exceeds C0 r0" in r.note
 
 
@@ -270,10 +290,9 @@ class TestReportPlumbing:
         assert default_tolerance(1e-9) == 1e-6
 
     def test_jsonl_round_trip(self, tmp_path):
-        reports = [
-            check_talenti(square(1 / 32)),
-            check_saint_venant(square(1 / 32)),
-        ]
+        d = square(1 / 32)
+        f = solve_torsion(d)
+        reports = [check_talenti(d, f), check_saint_venant(d, f)]
         path = reports_to_jsonl(reports, tmp_path / "r.jsonl")
         lines = path.read_text().splitlines()
         assert len(lines) == 2
@@ -281,7 +300,8 @@ class TestReportPlumbing:
         assert rec["name"] == "talenti" and rec["pass"] is True
 
     def test_csv_columns(self, tmp_path):
-        reports = [check_talenti(square(1 / 32))]
+        d = square(1 / 32)
+        reports = [check_talenti(d, solve_torsion(d))]
         reports[0].context["domain"] = "sq"
         path = reports_to_csv(reports, tmp_path / "r.csv")
         header, row = path.read_text().splitlines()

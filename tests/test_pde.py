@@ -182,7 +182,8 @@ class TestEigenvalues:
 class TestGammaDistance:
     def test_identical_domains(self):
         d = ball(1 / 64, normalize=False)
-        assert gamma_distance(d, d) == pytest.approx(0.0, abs=1e-10)
+        f = solve_torsion(d)
+        assert gamma_distance(d, d, f, f) == pytest.approx(0.0, abs=1e-10)
 
     def test_nested_identity(self):
         rng = np.random.default_rng(7)
@@ -202,11 +203,13 @@ class TestGammaDistance:
         occ = d2.occupancy.copy()
         occ[occ.shape[0] // 2, : occ.shape[1] // 2] = False
         d1 = GridDomain(h=h, origin=d2.origin, occupancy=occ)
-        assert gamma_distance(d1, d2) > 0
+        assert gamma_distance(d1, d2, solve_torsion(d1), solve_torsion(d2)) > 0
 
     def test_mismatched_spacing_rejected(self):
+        d1, d2 = ball(1 / 32), ball(1 / 48)
+        f1, f2 = solve_torsion(d1), solve_torsion(d2)
         with pytest.raises(ValueError, match="spacing"):
-            gamma_distance(ball(1 / 32), ball(1 / 48))
+            gamma_distance(d1, d2, f1, f2)
 
 
 class TestStripMax:

@@ -1,0 +1,90 @@
+"""Each raster is solved once, with the configured tolerances.
+
+The ``solves`` fixture records every torsion solve and eigensolve made from
+inside the package, keyed by the occupancy bits, so a rescaled copy of a
+raster counts as the same raster.  The solvers this module imports by name
+are bound before the fixture patches the package, so the tests' own solves
+of their inputs are not recorded.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import pytest
+
+import eigsurgery
+from eigsurgery import cli, corpus, domain, harness, inequalities, pde, surgery
+from eigsurgery.corpus import CorpusSpec, blob_union, square, tube
+from eigsurgery.harness import RunConfig, run_one
+from eigsurgery.pde import eigenvalues, solve_torsion
+
+MODULES = (eigsurgery, cli, corpus, domain, harness, inequalities, pde, surgery)
+
+
+def occupancy_key(d):
+    return (d.occupancy.shape, d.occupancy.tobytes())
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Package solves as ``(solver, occupancy key, keyword arguments)``."""
+    calls = []
+    for name in ("solve_torsion", "eigenvalues"):
+        original = getattr(pde, name)
+
+        def recording(d, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, occupancy_key(d), kwargs))
+            return _original(d, *args, **kwargs)
+
+        for mod in MODULES:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, recording)
+    return calls
+
+
+def test_run_one_solves_each_raster_once(solves):
+    config = RunConfig(K=200.0, k=2, mode="practical:1e12")
+    row = run_one(CorpusSpec("ball", "ball", 1 / 64), config)
+    assert row["passed"]
+    per_raster = Counter((name, key) for name, key, _ in solves)
+    assert per_raster and max(per_raster.values()) == 1
+
+
+def test_noop_descent_solves_once(solves):
+    d = square(1 / 32)
+    _, report = surgery.bounded_surgery(d, K=100.0, k=1)
+    assert report.verdict == "no-op"
+    # the rejected descent candidates are other rasters, each solved once
+    per_raster = Counter((name, key) for name, key, _ in solves)
+    assert per_raster[("solve_torsion", occupancy_key(d))] == 1
+    assert per_raster[("eigenvalues", occupancy_key(d))] == 1
+    assert max(per_raster.values()) == 1
+
+
+def test_descent_checks_the_reported_spectra(solves):
+    _, report = surgery.bounded_surgery(
+        blob_union(1 / 64, seed=3), K=100.0, k=2, mode="practical:1e6",
+        eig_tol=1e-9, seed=5,
+    )
+    assert report.log
+    eig_calls = [kwargs for name, _, kwargs in solves if name == "eigenvalues"]
+    assert eig_calls == [{"k": 2, "tol": 1e-9, "seed": 5}] * 2
+    # the descended domain's spectrum, rescaled to unit measure, is the report's
+    by_name = {c.name: c for c in report.checks}
+    t = by_name["volume_floor"].rhs ** (-1 / 2)
+    for i in (1, 2):
+        ctx = by_name[f"eigenvalue_growth_{i}"].context
+        assert ctx["before"] == report.before["spectrum"][i - 1]
+        assert ctx["after"] / t**2 == report.after["spectrum"][i - 1]
+
+
+def test_component_energy_solve_uses_cg_tol(solves):
+    d = tube(1 / 128)  # no active region: the whole tube is replaced by a ball
+    _, report = surgery.strip_surgery(
+        solve_torsion(d), eigenvalues(d, k=2), K=200.0, k=2, mode="practical:1e12",
+        cg_tol=1e-7,
+    )
+    assert "positive_energy" in {c.name for c in report.checks}
+    torsion_calls = [kwargs for name, _, kwargs in solves if name == "solve_torsion"]
+    assert torsion_calls == [{"tol": 1e-7}]

@@ -20,6 +20,7 @@ from eigsurgery.domain import (
     remove_strips,
 )
 from eigsurgery.pde import (
+    DEFAULT_CG_TOL,
     TorsionField,
     eigenvalues,
     solve_torsion,
@@ -52,7 +53,9 @@ from eigsurgery.surgery import (
 def cut_dumbbell():
     """A dumbbell whose neck actually gets cut: grid fine enough for slide 0."""
     d = dumbbell(1 / 192, bulb_radius=0.42, neck_length=1.8)
-    out, report = strip_surgery(d, K=200.0, k=3, mode="practical:1e12")
+    out, report = strip_surgery(
+        solve_torsion(d), eigenvalues(d, k=3), K=200.0, k=3, mode="practical:1e12"
+    )
     return d, out, report
 
 
@@ -406,7 +409,9 @@ class TestComponentCleanup:
         d, n, gap = self._two_squares()
         f = solve_torsion(d)
         X = ((0.0, 0.5),)  # covers the left square only
-        out, info = component_cleanup(d, X, f, C0=1.0, r0=0.1, K=1.0, m_hat=0.1, c=1.0)
+        out, info = component_cleanup(
+            d, X, f, C0=1.0, r0=0.1, K=1.0, m_hat=0.1, cg_tol=DEFAULT_CG_TOL, c=1.0
+        )
         assert info["discarded_components"] == 1
         assert info["discarded_measure"] == pytest.approx(0.4 * 0.4, rel=0.1)
         assert measure(out) == pytest.approx(measure(d), rel=1e-9)
@@ -421,7 +426,7 @@ class TestComponentCleanup:
         f = solve_torsion(d)
         X = ((0.0, 0.5),)
         out, info = component_cleanup(
-            d, X, f, C0=1e-6, r0=0.1, K=1.0, m_hat=0.1
+            d, X, f, C0=1e-6, r0=0.1, K=1.0, m_hat=0.1, cg_tol=DEFAULT_CG_TOL
         )
         assert out.equals(d)
         assert info["discarded_components"] == 0
@@ -432,7 +437,9 @@ class TestComponentCleanup:
         d, _, _ = self._two_squares()
         f = solve_torsion(d)
         X = ((-1.0, 10.0),)
-        out, info = component_cleanup(d, X, f, C0=1.0, r0=0.1, K=1.0, m_hat=0.1)
+        out, info = component_cleanup(
+            d, X, f, C0=1.0, r0=0.1, K=1.0, m_hat=0.1, cg_tol=DEFAULT_CG_TOL
+        )
         assert out is d
         assert info["discarded_components"] == 0
 
@@ -454,14 +461,18 @@ class TestStripSurgery:
 
     def test_disk_is_verified_noop(self):
         d = ball(1 / 96)
-        out, report = strip_surgery(d, K=100.0, k=1, mode="practical:1e9")
+        out, report = strip_surgery(
+            solve_torsion(d), eigenvalues(d, k=1), K=100.0, k=1, mode="practical:1e9"
+        )
         assert report.verdict == "no-op"
         assert out.equals(normalized(d))
         assert all(c.passed for c in report.checks)
 
     def test_tube_becomes_ball(self):
         d = tube(1 / 128)
-        out, report = strip_surgery(d, K=200.0, k=2, mode="practical:1e12")
+        out, report = strip_surgery(
+            solve_torsion(d), eigenvalues(d, k=2), K=200.0, k=2, mode="practical:1e12"
+        )
         assert report.verdict == "pass"
         assert "empty_active_region" in report.flags
         assert len(connected_components(out)) == 1
@@ -472,8 +483,10 @@ class TestStripSurgery:
         assert eig_checks and all("outside the guarantee" in c.note for c in eig_checks)
 
     def test_perimeter_bound_guard(self):
+        d = ball(1 / 96)
+        f, s = solve_torsion(d), eigenvalues(d, k=1)
         with pytest.raises(ValueError, match="perimeter"):
-            strip_surgery(ball(1 / 96), K=100.0, k=1, P=1.0)
+            strip_surgery(f, s, K=100.0, k=1, P=1.0)
 
     def test_report_serializes(self, cut_dumbbell):
         _, _, report = cut_dumbbell
@@ -483,12 +496,14 @@ class TestStripSurgery:
 
 class TestSubsolutionTruncate:
     def test_zero_penalty_is_identity(self, blob):
-        out, log = subsolution_truncate(blob, 0.0)
-        assert out.equals(blob)
+        f = solve_torsion(blob)
+        out, log = subsolution_truncate(f, 0.0)
+        assert out is f
         assert log == ()
 
     def test_strict_descent(self, blob):
-        out, log = subsolution_truncate(blob, 0.01, r0=4 / 64)
+        f, log = subsolution_truncate(solve_torsion(blob), 0.01, r0=4 / 64)
+        out = f.domain
         assert len(log) >= 1
         assert all(entry["delta"] < 0 for entry in log)
         values = [log[0]["value_before"]] + [entry["value_after"] for entry in log]
@@ -500,13 +515,14 @@ class TestSubsolutionTruncate:
 
     def test_negative_penalty_rejected(self, blob):
         with pytest.raises(ValueError):
-            subsolution_truncate(blob, -1.0)
+            subsolution_truncate(solve_torsion(blob), -1.0)
 
 
 class TestVerifyChoicec:
     def test_equal_domains_equalities(self):
         d = square(1 / 64)
-        reports = verify_choicec(d, d, k=2, K=100.0)
+        s = eigenvalues(d, k=2)
+        reports = verify_choicec(d, d, k=2, K=100.0, s_before=s, s_after=s)
         assert all(r.passed for r in reports)
         rescaled = [r for r in reports if r.name.startswith("rescaled")]
         assert all(r.margin == 0.0 for r in rescaled)
@@ -521,7 +537,10 @@ class TestVerifyChoicec:
         mask[n:, n // 2 - 1 : n // 2 + 1] = True
         whiskered = from_mask(mask, h)
         bare = from_mask(mask[:n], h)
-        reports = verify_choicec(whiskered, bare, k=2, K=100.0)
+        reports = verify_choicec(
+            whiskered, bare, k=2, K=100.0,
+            s_before=eigenvalues(whiskered, k=2), s_after=eigenvalues(bare, k=2),
+        )
         assert all(r.passed for r in reports)
         rescaled = [r for r in reports if r.name.startswith("rescaled")]
         assert all(r.margin > 0 for r in rescaled)
@@ -529,8 +548,9 @@ class TestVerifyChoicec:
     def test_non_subset_rejected(self):
         a = square(1 / 64)
         b = from_mask(np.ones((32, 32), dtype=bool), 1 / 64, origin=(5.0, 5.0))
+        s_a, s_b = eigenvalues(a, k=1), eigenvalues(b, k=1)
         with pytest.raises(ValueError, match="contained"):
-            verify_choicec(a, b, k=1, K=100.0)
+            verify_choicec(a, b, k=1, K=100.0, s_before=s_a, s_after=s_b)
 
 
 class TestBoundedSurgery:
@@ -557,7 +577,7 @@ class TestBoundedSurgery:
         assert all(c.passed for c in report.checks)
 
     def test_measure_domain_fields(self, blob):
-        info = measure_domain(blob, k=2)
+        info = measure_domain(blob, eigenvalues(blob, k=3), k=2)
         assert set(info) == {"measure", "perimeter", "diam_e1", "diameter", "spectrum"}
         assert len(info["spectrum"]) == 2
         assert info["spectrum"][0] < info["spectrum"][1]
