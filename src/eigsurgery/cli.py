@@ -2,12 +2,12 @@
 
 Subcommands: ``gen``, ``torsion``, ``spectrum``, ``check``, ``surgery``,
 ``bounded-surgery``, ``study``.  Repeated settings (K, k, P, h, seed, mode,
-solver tolerances, output directory) resolve in precedence order:
+eigensolver tolerance, output directory) resolve in precedence order:
 
 1. command-line flags,
 2. ``EIGSURGERY_``-prefixed environment variables (variable name = setting
    name with its case preserved, e.g. ``EIGSURGERY_K``, ``EIGSURGERY_k``,
-   ``EIGSURGERY_mode``, ``EIGSURGERY_cg_tol``),
+   ``EIGSURGERY_mode``, ``EIGSURGERY_eig_tol``),
 3. a ``key=value`` config file passed with ``--config`` (``#`` comments),
 4. built-in defaults.
 
@@ -56,7 +56,6 @@ from eigsurgery.inequalities import (
     default_m_table,
 )
 from eigsurgery.pde import (
-    DEFAULT_CG_TOL,
     DEFAULT_EIG_TOL,
     eigenvalues,
     save_field,
@@ -99,7 +98,6 @@ _SETTINGS: dict[str, tuple[Callable[[str], Any], Any]] = {
     "seed": (int, 0),
     "mode": (str, "faithful"),
     "out": (_optional(str), None),
-    "cg_tol": (float, DEFAULT_CG_TOL),
     "eig_tol": (float, DEFAULT_EIG_TOL),
     "r0": (_optional(float), None),
     "r0_fraction": (float, 0.01),
@@ -161,7 +159,6 @@ def _add_setting_flags(p: argparse.ArgumentParser, names: Sequence[str]) -> None
         "seed": "seed for generators and eigensolver start vectors",
         "mode": "faithful | practical:<factor>",
         "out": "output directory",
-        "cg_tol": "torsion solver tolerance",
         "eig_tol": "eigenvalue solver tolerance",
         "r0": "strip half-width scale (default: derived from the window)",
         "r0_fraction": "r0 as a fraction of the window extent",
@@ -278,7 +275,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_torsion(args: argparse.Namespace) -> int:
     settings = Settings(args)
     name, d = _domain_from_args(args, settings)
-    f = solve_torsion(d, tol=settings["cg_tol"])
+    f = solve_torsion(d)
     info: dict[str, Any] = {
         "id": name,
         "max": f.max,
@@ -311,7 +308,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _battery(d: GridDomain, settings: Settings) -> list[IneqReport]:
-    f = solve_torsion(d, tol=settings["cg_tol"])
+    f = solve_torsion(d)
     s = eigenvalues(d, k=5, tol=settings["eig_tol"], seed=settings["seed"])
     reports = [
         check_saint_venant(d, f),
@@ -353,7 +350,6 @@ def _run_config(settings: Settings, out: Path | None) -> RunConfig:
         k=settings["k"],
         P=settings["P"],
         mode=settings["mode"],
-        cg_tol=settings["cg_tol"],
         eig_tol=settings["eig_tol"],
         r0=settings["r0"],
         r0_fraction=settings["r0_fraction"],
@@ -395,7 +391,7 @@ def _cmd_surgery(args: argparse.Namespace) -> int:
         print(summary_table(result.rows))
         return result.exit_code
     name, d = _domain_from_args(args, settings)
-    f = solve_torsion(d, tol=settings["cg_tol"])
+    f = solve_torsion(d)
     s = eigenvalues(d, k=settings["k"], tol=settings["eig_tol"], seed=settings["seed"])
     result, report = strip_surgery(
         f,
@@ -407,7 +403,6 @@ def _cmd_surgery(args: argparse.Namespace) -> int:
         r0=settings["r0"],
         r0_fraction=settings["r0_fraction"],
         k_power=settings["k_power"],
-        cg_tol=settings["cg_tol"],
         eig_tol=settings["eig_tol"],
         seed=settings["seed"],
     )
@@ -425,7 +420,6 @@ def _cmd_bounded_surgery(args: argparse.Namespace) -> int:
         r0=settings["r0"],
         r0_fraction=settings["r0_fraction"],
         k_power=settings["k_power"],
-        cg_tol=settings["cg_tol"],
         eig_tol=settings["eig_tol"],
         seed=settings["seed"],
     )
@@ -445,7 +439,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
     study = convergence_study(
         spec,
         h_list,
-        cg_tol=settings["cg_tol"],
         eig_tol=settings["eig_tol"],
         seed=settings["seed"],
     )
@@ -491,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
         "torsion",
         parents=[common], help="solve the torsion problem on a domain")
     _add_domain_source(p)
-    _add_setting_flags(p, ["h", "seed", "cg_tol", "out"])
+    _add_setting_flags(p, ["h", "seed", "out"])
     p.set_defaults(func=_cmd_torsion)
 
     p = sub.add_parser(
@@ -506,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common], help="run the inequality battery")
     _add_domain_source(p)
     p.add_argument("--corpus", help="run on a whole corpus: default or surgery")
-    _add_setting_flags(p, ["h", "seed", "cg_tol", "eig_tol"])
+    _add_setting_flags(p, ["h", "seed", "eig_tol"])
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser(
@@ -517,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_setting_flags(
         p,
         ["K", "k", "P", "h", "seed", "mode", "r0", "r0_fraction", "k_power",
-         "cg_tol", "eig_tol", "workers", "out"],
+         "eig_tol", "workers", "out"],
     )
     p.set_defaults(func=_cmd_surgery)
 
@@ -529,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_setting_flags(
         p,
         ["K", "k", "h", "seed", "mode", "r0", "r0_fraction", "k_power",
-         "cg_tol", "eig_tol", "out"],
+         "eig_tol", "out"],
     )
     p.set_defaults(func=_cmd_bounded_surgery)
 
@@ -544,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="1/64,1/128,1/256",
         help="comma-separated grid spacings, e.g. 1/64,1/128,1/256",
     )
-    _add_setting_flags(p, ["seed", "cg_tol", "eig_tol", "out"])
+    _add_setting_flags(p, ["seed", "eig_tol", "out"])
     p.set_defaults(func=_cmd_study)
 
     return parser

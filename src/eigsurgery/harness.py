@@ -36,12 +36,7 @@ from eigsurgery.inequalities import (
     check_vdb,
     default_m_table,
 )
-from eigsurgery.pde import (
-    DEFAULT_CG_TOL,
-    DEFAULT_EIG_TOL,
-    eigenvalues,
-    solve_torsion,
-)
+from eigsurgery.pde import DEFAULT_EIG_TOL, eigenvalues, solve_torsion
 from eigsurgery.surgery import parse_mode, strip_surgery
 
 logger = logging.getLogger(__name__)
@@ -78,7 +73,6 @@ class RunConfig:
     P: float | None = None
     m_table: Mapping[int, float] | None = None
     mode: str = "faithful"
-    cg_tol: float = DEFAULT_CG_TOL
     eig_tol: float = DEFAULT_EIG_TOL
     r0: float | None = None
     r0_fraction: float = 0.01
@@ -96,8 +90,8 @@ class RunConfig:
             raise ValueError(f"eigenvalue count k must be >= 1, got {self.k}")
         if self.P is not None and not self.P > 0:
             raise ValueError(f"perimeter bound P must be positive, got {self.P}")
-        if not self.cg_tol > 0 or not self.eig_tol > 0:
-            raise ValueError("solver tolerances must be positive")
+        if not self.eig_tol > 0:
+            raise ValueError("eigensolver tolerance must be positive")
         factor = parse_mode(self.mode)
         if self.mode != "faithful" and factor == 1.0:
             raise ValueError(
@@ -121,7 +115,6 @@ class RunConfig:
             "P": self.P,
             "m_table": None if self.m_table is None else dict(self.m_table),
             "mode": self.mode,
-            "cg_tol": self.cg_tol,
             "eig_tol": self.eig_tol,
             "r0": self.r0,
             "r0_fraction": self.r0_fraction,
@@ -157,7 +150,7 @@ def run_one(spec: CorpusSpec, config: RunConfig = RunConfig()) -> dict[str, Any]
     surgery.  Exceptions propagate; :func:`run_suite` isolates them.
     """
     d = generate(spec)
-    f = solve_torsion(d, tol=config.cg_tol)
+    f = solve_torsion(d)
     k_need = max((config.k, 1, *config.bly_orders, *config.ratio_orders))
     s = eigenvalues(d, k=k_need, tol=config.eig_tol, seed=config.seed)
 
@@ -209,7 +202,6 @@ def run_one(spec: CorpusSpec, config: RunConfig = RunConfig()) -> dict[str, Any]
         r0=config.r0,
         r0_fraction=config.r0_fraction,
         k_power=config.k_power,
-        cg_tol=config.cg_tol,
         eig_tol=config.eig_tol,
         seed=config.seed,
     )
@@ -404,7 +396,6 @@ _STUDY_FIELDS = ("lambda_1", "torsion_max", "torsion_integral")
 def convergence_study(
     spec: CorpusSpec,
     h_list: Sequence[float],
-    cg_tol: float = DEFAULT_CG_TOL,
     eig_tol: float = DEFAULT_EIG_TOL,
     seed: int = 0,
 ) -> dict[str, Any]:
@@ -422,7 +413,7 @@ def convergence_study(
     rows: list[dict[str, Any]] = []
     for h in hs:
         d = generate(dc_replace(spec, h=h))
-        f = solve_torsion(d, tol=cg_tol)
+        f = solve_torsion(d)
         s = eigenvalues(d, k=1, tol=eig_tol, seed=seed)
         rows.append(
             {

@@ -675,6 +675,25 @@ def select_cut_depth(
 # component cleanup
 
 
+def _component_field(comp: GridDomain, f: TorsionField) -> TorsionField:
+    """Torsion function of ``comp``, a component of a subdomain of ``f.domain``.
+
+    A whole component of ``f.domain`` (no face neighbour there outside it)
+    takes ``f`` restricted to it, since the stencil decouples components
+    exactly; its relative residual is at most the parent's times
+    ``sqrt(parent cells / component cells)``.  Any other is solved.
+    """
+    occ = comp.occupancy
+    grown = ndimage.binary_dilation(occ, ndimage.generate_binary_structure(occ.ndim, 1))
+    if (grown & ~occ & f.domain.occupancy).any():
+        return solve_torsion(comp)
+    return TorsionField(
+        domain=comp,
+        values=np.where(occ, f.values, 0.0),
+        residual=f.residual * math.sqrt(f.domain.cell_count / comp.cell_count),
+    )
+
+
 def component_cleanup(
     d: GridDomain,
     X: Sequence[tuple[float, float]],
@@ -683,7 +702,6 @@ def component_cleanup(
     r0: float,
     K: float,
     m_hat: float,
-    cg_tol: float,
     c: float | None = None,
 ) -> tuple[GridDomain, dict[str, Any]]:
     """Replace components whose projection misses the active region by one ball.
@@ -693,7 +711,7 @@ def component_cleanup(
     a violating component is kept and flagged.  For each replaced component
     the spectral floor ``(1/max w) (1 - m_hat)^{2/N} >= K`` and, when ``c``
     is given, the positive penalized energy ``E + c|.|  >= 0`` are recorded;
-    the energy needs the component's own torsion, solved to ``cg_tol``.
+    the energy needs the component's own torsion (:func:`_component_field`).
     """
 
     def projection_hits_active(sub: GridDomain) -> bool:
@@ -741,7 +759,7 @@ def component_cleanup(
             )
         )
         if c is not None:
-            fA = solve_torsion(comp, tol=cg_tol)
+            fA = _component_field(comp, f)
             checks.append(check_positive_energy(comp, fA, f, c, threshold))
 
     if discarded == 0:
@@ -852,7 +870,6 @@ def strip_surgery(
     r0: float | None = None,
     r0_fraction: float = 0.01,
     k_power: int = 4,
-    cg_tol: float = DEFAULT_CG_TOL,
     eig_tol: float = DEFAULT_EIG_TOL,
     seed: int = 0,
     eig_guard: float = 1e-3,
@@ -948,7 +965,7 @@ def strip_surgery(
 
     d_clean, cleanup = component_cleanup(
         d_cut, plan.active_region, f, constants.C0, constants.r0, K,
-        constants.m_hat, cg_tol, c=constants.c,
+        constants.m_hat, c=constants.c,
     )
     checks.extend(cleanup["checks"])
     flags.extend(cleanup["flags"])
@@ -1076,7 +1093,6 @@ def subsolution_truncate(
     f: TorsionField,
     c: float,
     r0: float | None = None,
-    tol: float = DEFAULT_CG_TOL,
     max_moves: int = 50,
 ) -> tuple[TorsionField, tuple[dict[str, Any], ...]]:
     """Greedy monotone descent of E + c|.| over sublevel and edge-strip moves.
@@ -1086,7 +1102,7 @@ def subsolution_truncate(
     {w < tau} for tau on the geometric ladder ``max(w)/2, max(w)/4, ...``
     (capping tau at half the maximum keeps the torsion peak within a factor
     two per move) and the removal of either boundary strip of width ``r0``
-    along the first axis; each candidate is solved to ``tol``.  The best
+    along the first axis; each candidate is solved.  The best
     strictly-decreasing move is accepted; descent stops when none exists or
     after ``max_moves`` accepted moves.  Returns the torsion function of the
     final domain, a subsolution with respect to this move class only, and
@@ -1134,7 +1150,7 @@ def subsolution_truncate(
 
         best: tuple[str, float | None, GridDomain, TorsionField, float] | None = None
         for kind, tau, cand in candidates:
-            fc = solve_torsion(cand, tol=tol)
+            fc = solve_torsion(cand)
             val = torsion_energy(fc) + c * measure(cand)
             if val < value and (best is None or val < best[4]):
                 best = (kind, tau, cand, fc, val)
@@ -1241,7 +1257,6 @@ def bounded_surgery(
     r0: float | None = None,
     r0_fraction: float = 0.01,
     k_power: int = 4,
-    cg_tol: float = DEFAULT_CG_TOL,
     eig_tol: float = DEFAULT_EIG_TOL,
     seed: int = 0,
     max_moves: int = 50,
@@ -1252,7 +1267,8 @@ def bounded_surgery(
     penalized-energy comparison against the input, the torsion-peak floor
     ``max w(after) >= max w(before) / 2``, the volume floor ``beta``, and the
     per-index eigenvalue guarantees of :func:`verify_choicec`.  Diameter and
-    perimeter are measured and reported without an a-priori bound.
+    perimeter are measured and reported without an a-priori bound.  When no
+    move is accepted the normalized input itself is returned (a no-op).
     """
     d0, _ = _normalized(d)
     per0 = perimeter(d0)
@@ -1270,17 +1286,19 @@ def bounded_surgery(
         k_power=k_power,
         N=d0.N,
     )
-    f0 = solve_torsion(d0, tol=cg_tol)
+    f0 = solve_torsion(d0)
     s0 = eigenvalues(d0, k=k, tol=eig_tol, seed=seed)
     f1, log = subsolution_truncate(
-        f0, constants.c, r0=constants.r0, tol=cg_tol, max_moves=max_moves
+        f0, constants.c, r0=constants.r0, max_moves=max_moves
     )
     d_desc = f1.domain
-    s1 = eigenvalues(d_desc, k=k, tol=eig_tol, seed=seed) if log else s0
-    d_out, t1 = _normalized(d_desc)
-
     before = measure_domain(d0, s0, k)
-    after = measure_domain(d_out, s1.rescaled(t1), k)
+    if log:
+        s1 = eigenvalues(d_desc, k=k, tol=eig_tol, seed=seed)
+        d_out, t1 = _normalized(d_desc)
+        after = measure_domain(d_out, s1.rescaled(t1), k)
+    else:
+        s1, d_out, after = s0, d0, before
 
     checks: list[IneqReport] = []
     if log:
@@ -1309,7 +1327,7 @@ def bounded_surgery(
             "energy_comparison",
             value_after,
             value_before,
-            max(2 * cg_tol, 1e-12),
+            max(2 * DEFAULT_CG_TOL, 1e-12),
             {"c": constants.c},
         )
     )
@@ -1336,8 +1354,7 @@ def bounded_surgery(
     )
 
     all_pass = all(c.passed for c in checks)
-    no_op = d_out.equals(d0)
-    verdict = ("no-op" if no_op else "pass") if all_pass else "fail"
+    verdict = ("pass" if log else "no-op") if all_pass else "fail"
     report = SurgeryReport(
         kind="bounded",
         mode=mode,

@@ -44,7 +44,6 @@ class TestRunConfig:
             {"K": 0.0},
             {"k": 0},
             {"P": -1.0},
-            {"cg_tol": 0.0},
             {"eig_tol": -1e-8},
             {"mode": "practical:0.5"},
             {"mode": "nonsense"},

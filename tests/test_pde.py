@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from eigsurgery.corpus import ball, square
+from eigsurgery import pde
+from eigsurgery.corpus import ball, default_corpus, generate, square
 from eigsurgery.domain import GridDomain, Strip, from_mask, measure, rescale
 from eigsurgery.pde import (
     Spectrum,
@@ -66,11 +67,18 @@ class TestTorsion:
         assert f.max == pytest.approx(SQUARE_MAX_W, rel=0.01)
         assert f.integral == pytest.approx(SQUARE_INT_W, rel=0.01)
 
-    def test_values_nonnegative_and_zero_outside(self):
-        d = ball(1 / 64, normalize=False)
+    @pytest.mark.parametrize("spec", default_corpus(1 / 64), ids=lambda s: s.name)
+    def test_values_nonnegative_and_zero_outside(self, spec):
+        d = generate(spec)
         f = solve_torsion(d)
-        assert (f.values >= 0).all()
+        assert (f.values[d.occupancy] > 0).all()
         assert (f.values[~d.occupancy] == 0).all()
+        assert f.residual <= 1e-12
+
+    def test_residual_above_bound_raises(self, monkeypatch):
+        monkeypatch.setattr(pde, "DEFAULT_CG_TOL", 0.0)
+        with pytest.raises(RuntimeError, match="residual"):
+            solve_torsion(ball(1 / 16))
 
     def test_distributional_subsolution(self):
         # -Lap w <= 1 at every lattice cell once w is extended by zero
@@ -188,11 +196,11 @@ class TestGammaDistance:
     def test_nested_identity(self):
         rng = np.random.default_rng(7)
         d2 = ball(1 / 48, normalize=False)
-        f2 = solve_torsion(d2, tol=1e-12)
+        f2 = solve_torsion(d2)
         e2 = torsion_energy(f2)
         for _ in range(5):
             d1 = random_subdomain(d2, rng)
-            f1 = solve_torsion(d1, tol=1e-12)
+            f1 = solve_torsion(d1)
             dg = gamma_distance(d1, d2, f1=f1, f2=f2)
             e1 = torsion_energy(f1)
             assert dg == pytest.approx(2 * (e1 - e2), abs=2e-12 * f2.integral + 1e-14)

@@ -1,33 +1,49 @@
-"""The benchmark's span recorder still fits the package's public functions.
+"""The benchmark still fits the package's public functions and constants.
 
 ``perfbench/tracing.py`` rebinds the functions it names in ``LAYERS`` and
-reads a few results by position; a renamed function or a changed return
-shape breaks the traced benchmark run.  These tests load the recorder from
-its file, as the benchmark does, and exercise it against the package.
+reads a few results by position; ``perfbench/workloads.py`` calls the
+pipelines with keyword arguments and reads ``pde.DEFAULT_CG_TOL`` to check
+outputs against ``perfbench/reference.json``.  A renamed function or
+constant, a removed keyword or a changed return shape breaks the benchmark.
+These tests load its modules from their files, as the benchmark does, and
+exercise them against the package.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
+import pytest
+
 from eigsurgery import pde, surgery
-from eigsurgery.corpus import blob_union
+from eigsurgery.corpus import blob_union, generate, surgery_corpus
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+WORKLOAD_NAMES = [
+    w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
+]
 
 
-def load_tracing(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(monkeypatch, name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py"
+    )
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
 
 
+def references():
+    return json.loads((PERFBENCH / "reference.json").read_text())["items"]
+
+
 def test_every_layer_installs_and_uninstalls(monkeypatch):
-    tracing = load_tracing(monkeypatch)
+    tracing = load_perfbench(monkeypatch, "tracing")
     original = pde.solve_torsion
     recorder = tracing.Recorder()
     recorder.install()  # raises AttributeError if a LAYERS name is gone
@@ -39,7 +55,7 @@ def test_every_layer_installs_and_uninstalls(monkeypatch):
 
 
 def test_traced_descent_records_its_moves(monkeypatch):
-    tracing = load_tracing(monkeypatch)
+    tracing = load_perfbench(monkeypatch, "tracing")
     recorder = tracing.Recorder()
     recorder.install()
     try:
@@ -52,3 +68,31 @@ def test_traced_descent_records_its_moves(monkeypatch):
     counts = tracing.counts(recorder.spans)
     assert counts["surgery.bounded_surgery.calls"] == 1
     assert counts["surgery.descent.moves"] == len(report.log)
+
+
+def test_suite_solves_match_the_references(monkeypatch):
+    workloads = load_perfbench(monkeypatch, "workloads")
+    refs = references()
+    for spec in surgery_corpus(1 / 64):
+        ref = refs[f"{spec.name}@{spec.h!r}"]
+        d = generate(spec)
+        f = pde.solve_torsion(d)
+        s = pde.eigenvalues(d, k=len(ref["spectrum"]))
+        failure = workloads.reference_failure(
+            ref,
+            d.h,
+            spectrum=s.eigenvalues,
+            torsion_max=f.max,
+            torsion_integral=f.integral,
+        )
+        assert failure is None, (spec.name, failure)
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_workload_warms_up_and_closes(monkeypatch, tmp_path, name):
+    workloads = load_perfbench(monkeypatch, "workloads")
+    workload = workloads.WORKLOADS[name](0, tmp_path, references(), h=1 / 32)
+    try:
+        workload.warm_up()
+    finally:
+        workload.close()

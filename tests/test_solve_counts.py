@@ -79,12 +79,18 @@ def test_descent_checks_the_reported_spectra(solves):
         assert ctx["after"] / t**2 == report.after["spectrum"][i - 1]
 
 
-def test_component_energy_solve_uses_cg_tol(solves):
+def test_whole_component_takes_the_parent_field(solves):
     d = tube(1 / 128)  # no active region: the whole tube is replaced by a ball
     _, report = surgery.strip_surgery(
-        solve_torsion(d), eigenvalues(d, k=2), K=200.0, k=2, mode="practical:1e12",
-        cg_tol=1e-7,
+        solve_torsion(d), eigenvalues(d, k=2), K=200.0, k=2, mode="practical:1e12"
     )
     assert "positive_energy" in {c.name for c in report.checks}
-    torsion_calls = [kwargs for name, _, kwargs in solves if name == "solve_torsion"]
-    assert torsion_calls == [{"tol": 1e-7}]
+    assert [name for name, _, _ in solves if name == "solve_torsion"] == []
+
+
+def test_run_one_solves_the_replaced_tube_once(solves):
+    config = RunConfig(K=200.0, k=2, mode="practical:1e12")
+    row = run_one(CorpusSpec("tube", "tube", 1 / 128), config)
+    assert "empty_active_region" in row["surgery"]["flags"]
+    per_raster = Counter((name, key) for name, key, _ in solves)
+    assert per_raster and max(per_raster.values()) == 1
