@@ -228,23 +228,33 @@ def _component_masks(occ: np.ndarray) -> list[np.ndarray]:
     return [labels == i for i in range(1, n + 1)]
 
 
+def _hull_vertices(pts: np.ndarray) -> np.ndarray:
+    """Indices of a subset of ``pts`` that holds every extreme point."""
+    try:
+        return spatial.ConvexHull(pts).vertices
+    except spatial.QhullError:
+        # Degenerate (lower-dimensional) set: take the hull within its affine
+        # span, or the extremes of the principal direction on a line.
+        centered = pts - pts.mean(axis=0)
+        _, sv, vt = np.linalg.svd(centered, full_matrices=False)
+        rank = int(np.count_nonzero(sv > 1e-9 * sv[0]))
+        if rank <= 1:
+            proj = centered @ vt[0]
+            return np.array([np.argmin(proj), np.argmax(proj)])
+        if rank == pts.shape[1]:
+            raise
+        return _hull_vertices(centered @ vt[:rank].T)
+
+
 def _pointset_diameter(pts: np.ndarray) -> float:
-    """Largest pairwise distance in a finite point set."""
+    """Largest pairwise distance in a finite point set.
+
+    The farthest pair is a pair of convex-hull vertices, so only those are
+    compared.
+    """
     if len(pts) == 1:
         return 0.0
-    if len(pts) <= 1024:
-        diff = pts[:, None, :] - pts[None, :, :]
-        return float(np.sqrt((diff**2).sum(axis=-1)).max())
-    try:
-        hull = spatial.ConvexHull(pts)
-        verts = pts[hull.vertices]
-    except spatial.QhullError:
-        # Degenerate (lower-dimensional) set: extremes of the principal
-        # direction realize the diameter.
-        centered = pts - pts.mean(axis=0)
-        _, _, vt = np.linalg.svd(centered, full_matrices=False)
-        proj = centered @ vt[0]
-        verts = pts[[int(np.argmin(proj)), int(np.argmax(proj))]]
+    verts = pts[_hull_vertices(pts)]
     diff = verts[:, None, :] - verts[None, :, :]
     return float(np.sqrt((diff**2).sum(axis=-1)).max())
 

@@ -9,7 +9,6 @@ not met report ``precondition unmet`` instead of a failure.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import math
@@ -46,7 +45,6 @@ __all__ = [
     "gamma_stability_constant",
     "li_yau_constant",
     "max_index_below",
-    "reports_to_csv",
     "reports_to_jsonl",
 ]
 
@@ -427,25 +425,4 @@ def reports_to_jsonl(reports: Iterable[IneqReport], path: str | Path) -> Path:
     with open(out, "w", encoding="ascii") as fh:
         for r in reports:
             fh.write(json.dumps(r.to_dict(), sort_keys=True) + "\n")
-    return out
-
-
-def reports_to_csv(reports: Iterable[IneqReport], path: str | Path) -> Path:
-    """Summary CSV with one row per report."""
-    out = Path(path)
-    with open(out, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["name", "domain", "h", "lhs", "rhs", "margin", "pass"])
-        for r in reports:
-            writer.writerow(
-                [
-                    r.name,
-                    r.context.get("domain", ""),
-                    repr(r.context.get("h", "")),
-                    repr(r.lhs),
-                    repr(r.rhs),
-                    repr(r.margin),
-                    r.passed,
-                ]
-            )
     return out

@@ -36,7 +36,6 @@ __all__ = [
     "build_laplacian",
     "eigenvalues",
     "gamma_distance",
-    "load_field",
     "save_field",
     "save_spectrum",
     "solve_torsion",
@@ -116,32 +115,29 @@ def build_laplacian(d: GridDomain) -> tuple[sparse.csr_matrix, np.ndarray]:
     occupied cell and -1 elsewhere.
     """
     occ = d.occupancy
-    n = int(occ.sum())
+    cells = np.flatnonzero(occ)
+    n = cells.size
     if n == 0:
         raise EmptyDomainError("cannot assemble a Laplacian on an empty domain")
-    index = -np.ones(occ.shape, dtype=np.int64)
-    index[occ] = np.arange(n)
+    index = np.full(occ.size, -1, dtype=np.int64)
+    index[cells] = np.arange(n)
+    # Flat offsets of the stencil in ascending order: the -axis neighbours
+    # (outermost axis first), the cell, the +axis neighbours (innermost
+    # first).  Row-major numbering keeps that order, so each row's columns
+    # come out sorted; the empty margin keeps every neighbour in the window.
+    strides = [int(np.prod(occ.shape[axis + 1 :])) for axis in range(occ.ndim)]
+    offsets = np.array([-s for s in strides] + [0] + strides[::-1])
+    cols = index[cells + offsets[:, None]]  # one row per offset, -1 if empty
+    keep = cols >= 0
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(keep.sum(axis=0), out=indptr[1:])
     h2 = d.h * d.h
-    rows = [np.arange(n)]
-    cols = [np.arange(n)]
-    vals = [np.full(n, 2.0 * d.N / h2)]
-    for axis in range(occ.ndim):
-        lead = [slice(None)] * occ.ndim
-        trail = [slice(None)] * occ.ndim
-        lead[axis] = slice(1, None)
-        trail[axis] = slice(None, -1)
-        pair = occ[tuple(lead)] & occ[tuple(trail)]
-        a = index[tuple(trail)][pair]
-        b = index[tuple(lead)][pair]
-        off = np.full(a.shape, -1.0 / h2)
-        rows += [a, b]
-        cols += [b, a]
-        vals += [off, off]
-    A = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+    vals = np.where(offsets == 0, 2.0 * d.N / h2, -1.0 / h2)
+    A = sparse.csr_matrix(
+        (np.broadcast_to(vals, (n, offsets.size))[keep.T], cols.T[keep.T], indptr),
         shape=(n, n),
     )
-    return A.tocsr(), index
+    return A, index.reshape(occ.shape)
 
 
 def solve_torsion(d: GridDomain) -> TorsionField:
@@ -315,17 +311,6 @@ def save_field(f: TorsionField, path: str | Path) -> tuple[Path, Path]:
     }
     hdr_path.write_text(json.dumps(header, sort_keys=True) + "\n", encoding="ascii")
     return bin_path, hdr_path
-
-
-def load_field(path: str | Path, domain: GridDomain) -> TorsionField:
-    """Load a field written by :func:`save_field` onto its domain."""
-    bin_path = Path(path).with_suffix(".bin")
-    hdr_path = Path(path).with_suffix(".json")
-    header = json.loads(hdr_path.read_text(encoding="ascii"))
-    values = np.frombuffer(bin_path.read_bytes(), dtype=header["dtype"]).reshape(
-        header["shape"]
-    )
-    return TorsionField(domain=domain, values=values.copy(), residual=header["residual"])
 
 
 def save_spectrum(s: Spectrum, path: str | Path) -> Path:

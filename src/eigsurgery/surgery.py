@@ -1089,6 +1089,80 @@ def strip_surgery(
 # descent pipeline
 
 
+def _descent_candidates(
+    f: TorsionField, r0: float | None
+) -> list[tuple[str, float | None, GridDomain]]:
+    """One descent step's moves from ``f.domain``: ``(kind, tau, candidate)``.
+
+    The removal of the sublevel set {w < tau} for tau on the geometric
+    ladder ``max(w)/2, max(w)/4, ...`` (capping tau at half the maximum keeps
+    the torsion peak within a factor two per move), then the removal of
+    either boundary strip of width ``r0`` along the first axis.  Every
+    candidate is a strict, nonempty subset of ``f.domain`` on its window.
+    """
+    current = f.domain
+    wmax = f.max
+    candidates: list[tuple[str, float | None, GridDomain]] = []
+    prev_removed = -1
+    for j in range(20):
+        tau = wmax / 2 * 2.0 ** (-j)
+        occ_new = current.occupancy & (f.values >= tau)
+        removed = current.cell_count - int(occ_new.sum())
+        if removed == 0:
+            break
+        if removed == prev_removed or not occ_new.any():
+            prev_removed = removed
+            continue
+        prev_removed = removed
+        candidates.append(
+            ("sublevel", tau, GridDomain(current.h, current.origin, occ_new))
+        )
+    if r0 is not None and r0 >= 4 * current.h * (1 - 1e-12):
+        other_axes = tuple(range(1, current.occupancy.ndim))
+        cols = current.occupancy.any(axis=other_axes)
+        xs = current.centers(0)[cols]
+        edge_strips = (
+            ("edge_strip_low", Strip(float(xs.min()) + r0 / 2, r0 / 2)),
+            ("edge_strip_high", Strip(float(xs.max()) - r0 / 2, r0 / 2)),
+        )
+        for kind, strip in edge_strips:
+            try:
+                trimmed = remove_strips(current, [strip])
+            except (ValueError, EmptyDomainError):
+                continue
+            if trimmed.cell_count < current.cell_count:
+                candidates.append((kind, None, trimmed))
+    return candidates
+
+
+def _energy_bound(f: TorsionField, cand: GridDomain) -> float:
+    """Lower bound on the torsion energy of a subdomain of ``f.domain``.
+
+    Removing cells leaves a principal submatrix of the M-matrix, so the
+    candidate's torsion function is at most ``f`` on the cells it keeps
+    and its energy is at least ``-1/2`` times the integral of ``f`` there.
+    """
+    d = f.domain
+    return -0.5 * float(f.values[cand.occupancy].sum()) * d.h**d.N
+
+
+def _descent_slack(f: TorsionField, value: float) -> float:
+    """How far a computed candidate value may fall below its computed bound.
+
+    ``value`` is the penalized energy ``E + c|.|`` of ``f.domain``.  A solve
+    with relative residual ``r <= DEFAULT_CG_TOL`` shifts the sum of any
+    subset of the field by at most ``|1^T A^-1 r| <= |w|_2 |r|_2``
+    (``A^-1 >= 0``), that is by ``DEFAULT_CG_TOL * sqrt(n) |E|`` in energy;
+    this holds for both the candidate's solve and ``f``, and each sum and
+    the final addition round by at most ``n`` ulps of the value's terms,
+    which are at most ``|E| + c|.| = value - 2E`` in size.
+    """
+    n = f.domain.cell_count
+    eps = float(np.finfo(float).eps)
+    scale = value - 2 * torsion_energy(f)
+    return 4 * (DEFAULT_CG_TOL * math.sqrt(n) + n * eps) * scale
+
+
 def subsolution_truncate(
     f: TorsionField,
     c: float,
@@ -1097,66 +1171,55 @@ def subsolution_truncate(
 ) -> tuple[TorsionField, tuple[dict[str, Any], ...]]:
     """Greedy monotone descent of E + c|.| over sublevel and edge-strip moves.
 
-    Starts from the torsion function ``f`` of ``f.domain``.  Per iteration
-    the candidate moves are the removal of the sublevel set
-    {w < tau} for tau on the geometric ladder ``max(w)/2, max(w)/4, ...``
-    (capping tau at half the maximum keeps the torsion peak within a factor
-    two per move) and the removal of either boundary strip of width ``r0``
-    along the first axis; each candidate is solved.  The best
-    strictly-decreasing move is accepted; descent stops when none exists or
-    after ``max_moves`` accepted moves.  Returns the torsion function of the
-    final domain, a subsolution with respect to this move class only, and
-    the move log.
+    Starts from the torsion function ``f`` of ``f.domain``.  Each step
+    accepts the candidate move (see :func:`_descent_candidates`) of least
+    penalized energy, the first in candidate order among equals, if it
+    strictly decreases the energy; descent stops when none does or after
+    ``max_moves`` accepted moves.
+
+    A candidate is solved only when it can win.  Every candidate is a subset
+    of the current domain, so its energy is at least the bound of
+    :func:`_energy_bound`; candidates are visited in ascending bound and
+    the rest are skipped once a bound exceeds the smaller of the current
+    value and the best candidate value by more than :func:`_descent_slack`.
+    An occupancy solved earlier in the descent is not solved again: it lost
+    to its first copy in the same step, or to the move accepted in an
+    earlier step, so it cannot beat the current value, which only decreased
+    since.  Returns the torsion function of the final domain, a subsolution with
+    respect to this move class only, and the move log.
     """
     if c < 0:
         raise ValueError("penalty constant c must be nonnegative")
-    current = f.domain
-    value = torsion_energy(f) + c * measure(current)
+    value = torsion_energy(f) + c * measure(f.domain)
+    solved: set[tuple[tuple[int, ...], bytes]] = set()
     log: list[dict[str, Any]] = []
     for _ in range(max_moves):
-        wmax = f.max
-        if wmax <= 0:
+        if f.max <= 0:
             break
-        candidates: list[tuple[str, float | None, GridDomain]] = []
-        prev_removed = -1
-        for j in range(20):
-            tau = wmax / 2 * 2.0 ** (-j)
-            occ_new = current.occupancy & (f.values >= tau)
-            removed = current.cell_count - int(occ_new.sum())
-            if removed == 0:
-                break
-            if removed == prev_removed or not occ_new.any():
-                prev_removed = removed
+        candidates = _descent_candidates(f, r0)
+        penalties = [c * measure(cand) for _, _, cand in candidates]
+        bounds = [
+            _energy_bound(f, cand) + p for (_, _, cand), p in zip(candidates, penalties)
+        ]
+        slack = _descent_slack(f, value)
+        best: tuple[float, int, TorsionField] | None = None
+        for i in sorted(range(len(candidates)), key=lambda i: (bounds[i], i)):
+            target = value if best is None else min(value, best[0])
+            if bounds[i] > target + slack:
+                break  # every later bound is at least as large
+            cand = candidates[i][2]
+            key = (cand.shape, np.packbits(cand.occupancy).tobytes())
+            if key in solved:
                 continue
-            prev_removed = removed
-            candidates.append(
-                ("sublevel", tau, GridDomain(current.h, current.origin, occ_new))
-            )
-        if r0 is not None and r0 >= 4 * current.h * (1 - 1e-12):
-            other_axes = tuple(range(1, current.occupancy.ndim))
-            cols = current.occupancy.any(axis=other_axes)
-            xs = current.centers(0)[cols]
-            edge_strips = (
-                ("edge_strip_low", Strip(float(xs.min()) + r0 / 2, r0 / 2)),
-                ("edge_strip_high", Strip(float(xs.max()) - r0 / 2, r0 / 2)),
-            )
-            for kind, strip in edge_strips:
-                try:
-                    trimmed = remove_strips(current, [strip])
-                except (ValueError, EmptyDomainError):
-                    continue
-                if trimmed.cell_count < current.cell_count:
-                    candidates.append((kind, None, trimmed))
-
-        best: tuple[str, float | None, GridDomain, TorsionField, float] | None = None
-        for kind, tau, cand in candidates:
+            solved.add(key)
             fc = solve_torsion(cand)
-            val = torsion_energy(fc) + c * measure(cand)
-            if val < value and (best is None or val < best[4]):
-                best = (kind, tau, cand, fc, val)
+            val = torsion_energy(fc) + penalties[i]
+            if val < value and (best is None or (val, i) < best[:2]):
+                best = (val, i, fc)
         if best is None:
             break
-        kind, tau, cand, fc, val = best
+        val, i, fc = best
+        kind, tau, cand = candidates[i]
         log.append(
             {
                 "move": kind,
@@ -1164,10 +1227,10 @@ def subsolution_truncate(
                 "value_before": value,
                 "value_after": val,
                 "delta": val - value,
-                "cells_removed": current.cell_count - cand.cell_count,
+                "cells_removed": f.domain.cell_count - cand.cell_count,
             }
         )
-        current, f, value = cand, fc, val
+        f, value = fc, val
     logger.info("descent accepted %d move(s)", len(log))
     return f, tuple(log)
 

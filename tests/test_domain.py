@@ -6,11 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eigsurgery.domain import (
     EmptyDomainError,
     GridDomain,
     Strip,
+    _pointset_diameter,
     connected_components,
     diam_e,
     diameter,
@@ -149,9 +151,51 @@ class TestDiameters:
         assert diameter(raster_disk(h, r)) == pytest.approx(2 * r, abs=2 * h)
 
     def test_large_component_hull_path(self):
-        # more cells than the brute-force cutoff
         d = cell_square(1 / 64)
         assert diameter(d) == pytest.approx(math.sqrt(2), abs=3 / 64)
+
+
+def brute_force_diameter(pts: np.ndarray) -> float:
+    diff = pts[:, None, :] - pts[None, :, :]
+    return float(np.sqrt((diff**2).sum(axis=-1)).max())
+
+
+def cell_centers(cells, h: float, origin) -> np.ndarray:
+    return (np.asarray(cells, dtype=float) + 0.5) * h + np.asarray(origin)
+
+
+class TestPointsetDiameter:
+    """The hull-vertex diameter equals the all-pairs maximum exactly."""
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            [(3, 4)],
+            [(0, 0), (5, 2)],
+            [(i, 7) for i in range(9)],  # a row
+            [(2, j) for j in range(1, 30, 3)],  # a column with gaps
+            [(i, 2 * i) for i in range(12)],  # a slanted line
+            [(1, 1, 1), (4, 4, 4), (2, 2, 2), (9, 9, 9)],  # a line in 3-D
+            [(0, 0, 0), (3, 0, 0), (0, 5, 0), (3, 5, 0)],  # a plane in 3-D
+        ],
+        ids=["one", "two", "row", "column", "slanted", "line-3d", "plane-3d"],
+    )
+    def test_degenerate_sets(self, cells):
+        pts = cell_centers(cells, 1 / 64, [-0.37, 0.21, 0.05][: len(cells[0])])
+        assert _pointset_diameter(pts) == brute_force_diameter(pts)
+
+    @given(
+        cells=st.integers(2, 3).flatmap(
+            lambda n: st.lists(
+                st.tuples(*[st.integers(0, 24)] * n), min_size=1, max_size=80, unique=True
+            )
+        ),
+        h=st.sampled_from([1 / 32, 1 / 64, 0.1]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_small_sets(self, cells, h):
+        pts = cell_centers(cells, h, [-0.37, 0.21, 0.05][: len(cells[0])])
+        assert _pointset_diameter(pts) == brute_force_diameter(pts)
 
 
 class TestComponents:

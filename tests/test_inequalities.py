@@ -25,7 +25,6 @@ from eigsurgery.inequalities import (
     gamma_stability_constant,
     li_yau_constant,
     max_index_below,
-    reports_to_csv,
     reports_to_jsonl,
 )
 from eigsurgery.pde import TorsionField, eigenvalues, solve_torsion
@@ -298,12 +297,3 @@ class TestReportPlumbing:
         assert len(lines) == 2
         rec = json.loads(lines[0])
         assert rec["name"] == "talenti" and rec["pass"] is True
-
-    def test_csv_columns(self, tmp_path):
-        d = square(1 / 32)
-        reports = [check_talenti(d, solve_torsion(d))]
-        reports[0].context["domain"] = "sq"
-        path = reports_to_csv(reports, tmp_path / "r.csv")
-        header, row = path.read_text().splitlines()
-        assert header == "name,domain,h,lhs,rhs,margin,pass"
-        assert row.startswith("talenti,sq,")

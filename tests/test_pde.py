@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from eigsurgery import pde
-from eigsurgery.corpus import ball, default_corpus, generate, square
+from eigsurgery.corpus import ball, default_corpus, generate, square, surgery_corpus
 from eigsurgery.domain import GridDomain, Strip, from_mask, measure, rescale
 from eigsurgery.pde import (
     Spectrum,
@@ -16,7 +18,6 @@ from eigsurgery.pde import (
     build_laplacian,
     eigenvalues,
     gamma_distance,
-    load_field,
     save_field,
     save_spectrum,
     solve_torsion,
@@ -249,10 +250,11 @@ class TestExports:
     def test_field_round_trip(self, tmp_path):
         d = ball(1 / 32, normalize=False)
         f = solve_torsion(d)
-        save_field(f, tmp_path / "w")
-        back = load_field(tmp_path / "w", d)
-        assert np.array_equal(back.values, f.values)
-        assert back.residual == f.residual
+        bin_path, hdr_path = save_field(f, tmp_path / "w")
+        header = json.loads(hdr_path.read_text())
+        back = np.frombuffer(bin_path.read_bytes(), dtype=header["dtype"])
+        assert np.array_equal(back.reshape(header["shape"]), f.values)
+        assert header["residual"] == f.residual
 
     def test_spectrum_json(self, tmp_path):
         s = eigenvalues(ball(1 / 32), k=2)
@@ -265,3 +267,46 @@ class TestExports:
         A, _ = build_laplacian(d)
         assert A.shape == (1, 1)
         assert A[0, 0] == pytest.approx(4 / 0.25)
+
+
+def coo_laplacian(d: GridDomain) -> sparse.csr_matrix:
+    """The stencil assembled pair by pair in COO form, then converted."""
+    occ = d.occupancy
+    n = int(occ.sum())
+    index = -np.ones(occ.shape, dtype=np.int64)
+    index[occ] = np.arange(n)
+    h2 = d.h * d.h
+    rows, cols, vals = [np.arange(n)], [np.arange(n)], [np.full(n, 2.0 * d.N / h2)]
+    for axis in range(occ.ndim):
+        lead = [slice(None)] * occ.ndim
+        trail = [slice(None)] * occ.ndim
+        lead[axis] = slice(1, None)
+        trail[axis] = slice(None, -1)
+        pair = occ[tuple(lead)] & occ[tuple(trail)]
+        a = index[tuple(trail)][pair]
+        b = index[tuple(lead)][pair]
+        off = np.full(a.shape, -1.0 / h2)
+        rows += [a, b]
+        cols += [b, a]
+        vals += [off, off]
+    A = sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    )
+    return A.tocsr()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    list(default_corpus(1 / 64)) + list(surgery_corpus(1 / 64)),
+    ids=lambda spec: spec.name,
+)
+def test_csr_assembly_matches_coo(spec):
+    d = generate(spec)
+    A, index = build_laplacian(d)
+    ref = coo_laplacian(d)
+    assert np.array_equal(A.indptr, ref.indptr)
+    assert np.array_equal(A.indices, ref.indices)
+    assert np.array_equal(A.data, ref.data)
+    assert np.array_equal(index[d.occupancy], np.arange(A.shape[0]))
+    assert (index[~d.occupancy] == -1).all()

@@ -68,6 +68,7 @@ def test_traced_descent_records_its_moves(monkeypatch):
     counts = tracing.counts(recorder.spans)
     assert counts["surgery.bounded_surgery.calls"] == 1
     assert counts["surgery.descent.moves"] == len(report.log)
+    assert counts["pde.solve_torsion.calls_per_raster"] == 1.0
 
 
 def test_suite_solves_match_the_references(monkeypatch):

@@ -62,6 +62,15 @@ def test_noop_descent_solves_once(solves):
     assert max(per_raster.values()) == 1
 
 
+def test_descent_solves_each_occupancy_once(solves):
+    _, report = surgery.bounded_surgery(
+        blob_union(1 / 64, seed=10), K=100.0, k=2, mode="practical:1e6"
+    )
+    assert report.log
+    per_raster = Counter((name, key) for name, key, _ in solves)
+    assert max(per_raster.values()) == 1
+
+
 def test_descent_checks_the_reported_spectra(solves):
     _, report = surgery.bounded_surgery(
         blob_union(1 / 64, seed=3), K=100.0, k=2, mode="practical:1e6",

@@ -29,6 +29,9 @@ from eigsurgery.pde import (
 from eigsurgery.surgery import (
     SurgeryConstants,
     SurgeryPlan,
+    _descent_candidates,
+    _descent_slack,
+    _energy_bound,
     bounded_surgery,
     choose_c,
     choose_cut_constants,
@@ -515,6 +518,64 @@ class TestSubsolutionTruncate:
     def test_negative_penalty_rejected(self, blob):
         with pytest.raises(ValueError):
             subsolution_truncate(solve_torsion(blob), -1.0)
+
+    @pytest.mark.parametrize(
+        "mode", ["faithful", "practical:1e3", "practical:1e6", "practical:1e12"]
+    )
+    @pytest.mark.parametrize("seed", [3, 10, 12, 16, 18])
+    def test_skips_change_nothing(self, monkeypatch, seed, mode):
+        blob = blob_union(1 / 64, seed=seed)
+        _, report = bounded_surgery(blob, K=100.0, k=2, mode=mode)
+        d = normalized(blob)  # the raster the report's descent starts from
+        c, r0 = report.constants.c, report.constants.r0
+        f0 = solve_torsion(d)
+        ref_field, ref_log, ref_solves = solve_every_candidate(f0, c, r0)
+        solves = []
+
+        def counting(cand):
+            solves.append(cand)
+            return solve_torsion(cand)
+
+        monkeypatch.setattr("eigsurgery.surgery.solve_torsion", counting)
+        field, log = subsolution_truncate(f0, c, r0=r0)
+        assert log == ref_log == report.log
+        assert field.domain.equals(ref_field.domain)
+        assert np.array_equal(field.values, ref_field.values)
+        assert len(solves) <= ref_solves
+
+
+def solve_every_candidate(f, c, r0=None, max_moves=50):
+    """Reference descent: solves every candidate and checks its bound."""
+    value = torsion_energy(f) + c * measure(f.domain)
+    log = []
+    solves = 0
+    for _ in range(max_moves):
+        if f.max <= 0:
+            break
+        slack = _descent_slack(f, value)
+        best = None
+        for kind, tau, cand in _descent_candidates(f, r0):
+            fc = solve_torsion(cand)
+            solves += 1
+            val = torsion_energy(fc) + c * measure(cand)
+            assert val >= _energy_bound(f, cand) + c * measure(cand) - slack
+            if val < value and (best is None or val < best[3]):
+                best = (kind, tau, fc, val)
+        if best is None:
+            break
+        kind, tau, fc, val = best
+        log.append(
+            {
+                "move": kind,
+                "tau": tau,
+                "value_before": value,
+                "value_after": val,
+                "delta": val - value,
+                "cells_removed": f.domain.cell_count - fc.domain.cell_count,
+            }
+        )
+        f, value = fc, val
+    return f, tuple(log), solves
 
 
 class TestVerifyChoicec:
