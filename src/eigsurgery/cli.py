@@ -41,20 +41,14 @@ from eigsurgery.domain import (
     save_domain,
 )
 from eigsurgery.harness import (
+    BATTERY_K,
     RunConfig,
     convergence_study,
+    inequality_battery,
     run_suite,
     summary_table,
 )
-from eigsurgery.inequalities import (
-    IneqReport,
-    check_berezin_li_yau,
-    check_ratio_bound,
-    check_saint_venant,
-    check_talenti,
-    check_vdb,
-    default_m_table,
-)
+from eigsurgery.inequalities import IneqReport
 from eigsurgery.pde import (
     DEFAULT_EIG_TOL,
     eigenvalues,
@@ -63,7 +57,7 @@ from eigsurgery.pde import (
     solve_torsion,
     torsion_energy,
 )
-from eigsurgery.surgery import bounded_surgery, parse_mode, strip_surgery
+from eigsurgery.surgery import bounded_surgery, strip_surgery
 
 logger = logging.getLogger(__name__)
 
@@ -100,8 +94,6 @@ _SETTINGS: dict[str, tuple[Callable[[str], Any], Any]] = {
     "out": (_optional(str), None),
     "eig_tol": (float, DEFAULT_EIG_TOL),
     "r0": (_optional(float), None),
-    "r0_fraction": (float, 0.01),
-    "k_power": (int, 4),
     "workers": (int, 1),
 }
 
@@ -160,9 +152,7 @@ def _add_setting_flags(p: argparse.ArgumentParser, names: Sequence[str]) -> None
         "mode": "faithful | practical:<factor>",
         "out": "output directory",
         "eig_tol": "eigenvalue solver tolerance",
-        "r0": "strip half-width scale (default: derived from the window)",
-        "r0_fraction": "r0 as a fraction of the window extent",
-        "k_power": "k exponent in the spectral-chain bound (2 or 4)",
+        "r0": "strip half-width scale (default: max(4h, 0.01 x window extent))",
         "workers": "thread-pool size for corpus runs",
     }
     for name in names:
@@ -307,41 +297,30 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     return 0
 
 
-def _battery(d: GridDomain, settings: Settings) -> list[IneqReport]:
-    f = solve_torsion(d)
-    s = eigenvalues(d, k=5, tol=settings["eig_tol"], seed=settings["seed"])
-    reports = [
-        check_saint_venant(d, f),
-        check_talenti(d, f),
-        check_vdb(d, f, spectrum=s),
-    ]
-    reports += [check_berezin_li_yau(d, j, spectrum=s) for j in range(1, 6)]
-    reports.append(check_ratio_bound(d, 2, m_table=default_m_table(2, d.N), spectrum=s))
-    return reports
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     settings = Settings(args)
     if args.corpus:
         specs = _corpus(args.corpus, settings["h"])
-        failed = 0
-        for spec in specs:
-            reports = _battery(generate(spec), settings)
-            ok = all(r.passed for r in reports)
-            failed += not ok
-            print(f"{'PASS' if ok else 'FAIL'} {spec.name} "
+        domains = ((spec.name, generate(spec)) for spec in specs)
+    else:
+        domains = [_domain_from_args(args, settings)]
+    failed = 0
+    for name, d in domains:
+        f = solve_torsion(d)
+        s = eigenvalues(d, k=BATTERY_K, tol=settings["eig_tol"], seed=settings["seed"])
+        sanity, battery = inequality_battery(d, f, s)
+        reports = sanity + battery
+        ok = all(r.passed for r in reports)
+        failed += not ok
+        if args.corpus:
+            print(f"{'PASS' if ok else 'FAIL'} {name} "
                   f"({sum(r.passed for r in reports)}/{len(reports)} checks)")
-            if not ok:
-                for r in reports:
-                    if not r.passed:
-                        _print_report_line(r)
+        for r in reports:
+            if not (args.corpus and r.passed):
+                _print_report_line(r)
+    if args.corpus:
         print(f"{len(specs) - failed}/{len(specs)} domains passed")
-        return 0 if failed == 0 else 1
-    name, d = _domain_from_args(args, settings)
-    reports = _battery(d, settings)
-    for r in reports:
-        _print_report_line(r)
-    return 0 if all(r.passed for r in reports) else 1
+    return 0 if failed == 0 else 1
 
 
 def _run_config(settings: Settings, out: Path | None) -> RunConfig:
@@ -352,8 +331,6 @@ def _run_config(settings: Settings, out: Path | None) -> RunConfig:
         mode=settings["mode"],
         eig_tol=settings["eig_tol"],
         r0=settings["r0"],
-        r0_fraction=settings["r0_fraction"],
-        k_power=settings["k_power"],
         seed=settings["seed"],
         workers=settings["workers"],
         out_dir=None if out is None else str(out),
@@ -401,8 +378,6 @@ def _cmd_surgery(args: argparse.Namespace) -> int:
         P=settings["P"],
         mode=settings["mode"],
         r0=settings["r0"],
-        r0_fraction=settings["r0_fraction"],
-        k_power=settings["k_power"],
         eig_tol=settings["eig_tol"],
         seed=settings["seed"],
     )
@@ -418,8 +393,6 @@ def _cmd_bounded_surgery(args: argparse.Namespace) -> int:
         k=settings["k"],
         mode=settings["mode"],
         r0=settings["r0"],
-        r0_fraction=settings["r0_fraction"],
-        k_power=settings["k_power"],
         eig_tol=settings["eig_tol"],
         seed=settings["seed"],
     )
@@ -475,7 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "gen",
-        parents=[common], help="rasterize a domain and save npz/pbm snapshots")
+        parents=[common],
+        help="rasterize a domain and save it as PBM plus a JSON sidecar",
+    )
     _add_domain_source(p)
     _add_setting_flags(p, ["h", "seed", "out"])
     p.set_defaults(func=_cmd_gen)
@@ -509,8 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", help="run the batch suite: default or surgery")
     _add_setting_flags(
         p,
-        ["K", "k", "P", "h", "seed", "mode", "r0", "r0_fraction", "k_power",
-         "eig_tol", "workers", "out"],
+        ["K", "k", "P", "h", "seed", "mode", "r0", "eig_tol", "workers", "out"],
     )
     p.set_defaults(func=_cmd_surgery)
 
@@ -521,8 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_domain_source(p)
     _add_setting_flags(
         p,
-        ["K", "k", "h", "seed", "mode", "r0", "r0_fraction", "k_power",
-         "eig_tol", "out"],
+        ["K", "k", "h", "seed", "mode", "r0", "eig_tol", "out"],
     )
     p.set_defaults(func=_cmd_bounded_surgery)
 

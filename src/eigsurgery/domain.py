@@ -327,7 +327,14 @@ def connected_components(d: GridDomain) -> list[GridDomain]:
     ]
 
 
-def _raster_ball_mask(shape: tuple[int, int], center_idx: np.ndarray, n_cells: int) -> np.ndarray:
+def unit_ball_volume(N: int) -> float:
+    """Volume of the unit ball in R^N."""
+    return math.pi ** (N / 2) / math.gamma(N / 2 + 1)
+
+
+def _raster_ball_mask(
+    shape: tuple[int, ...], center_idx: np.ndarray, n_cells: int
+) -> np.ndarray:
     """Mask of the ``n_cells`` cells closest to ``center_idx`` (deterministic)."""
     grids = np.indices(shape).reshape(len(shape), -1).T
     dist2 = ((grids - center_idx) ** 2).sum(axis=1)
@@ -363,26 +370,29 @@ def replace_components_with_ball(
         return d
 
     per_before = perimeter(d)
-    radius_cells = math.sqrt(n_discard / math.pi)
+    radius_cells = (n_discard / unit_ball_volume(d.N)) ** (1 / d.N)
     ball_r = int(math.ceil(radius_cells)) + 2
 
     if keep.any():
         occ_idx = np.argwhere(keep)
         x_hi = int(occ_idx[:, 0].max())
-        y_mid = int(round(occ_idx[:, 1].mean()))
+        mids = [int(round(m)) for m in occ_idx[:, 1:].mean(axis=0)]
     else:
         x_hi = 0
-        y_mid = d.shape[1] // 2
+        mids = [n // 2 for n in d.shape[1:]]
     cx = x_hi + 2 + ball_r  # two empty columns between kept cells and the ball
 
-    pad_x_hi = max(0, cx + ball_r + 2 - d.shape[0])
-    pad_y_lo = max(0, ball_r + 2 - y_mid)
-    pad_y_hi = max(0, (y_mid + pad_y_lo) + ball_r + 2 - (d.shape[1] + pad_y_lo))
-    occ = np.pad(keep, ((0, pad_x_hi), (pad_y_lo, pad_y_hi)))
-    origin = (d.origin[0], d.origin[1] - pad_y_lo * d.h)
-    cy = y_mid + pad_y_lo
+    # pad every axis so the ball's bounding box plus two cells fits
+    pads = [(0, max(0, cx + ball_r + 2 - d.shape[0]))]
+    center = [cx]
+    for mid, n in zip(mids, d.shape[1:]):
+        lo = max(0, ball_r + 2 - mid)
+        pads.append((lo, max(0, mid + ball_r + 2 - n)))
+        center.append(mid + lo)
+    occ = np.pad(keep, pads)
+    origin = tuple(o - lo * d.h for o, (lo, _) in zip(d.origin, pads))
 
-    ball = _raster_ball_mask(occ.shape, np.array([cx, cy]), n_discard)
+    ball = _raster_ball_mask(occ.shape, np.array(center), n_discard)
     if (occ & ball).any():  # pragma: no cover - placement leaves a gap by design
         raise RuntimeError("ball placement overlaps kept cells")
     occ |= ball

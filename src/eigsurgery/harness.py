@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from eigsurgery.corpus import CorpusSpec, generate
-from eigsurgery.domain import measure, perimeter
+from eigsurgery.domain import GridDomain, measure, perimeter
 from eigsurgery.inequalities import (
     IneqReport,
     check_berezin_li_yau,
@@ -34,16 +34,26 @@ from eigsurgery.inequalities import (
     check_saint_venant,
     check_talenti,
     check_vdb,
-    default_m_table,
 )
-from eigsurgery.pde import DEFAULT_EIG_TOL, eigenvalues, solve_torsion
+from eigsurgery.pde import (
+    DEFAULT_EIG_TOL,
+    Spectrum,
+    TorsionField,
+    eigenvalues,
+    solve_torsion,
+)
 from eigsurgery.surgery import parse_mode, strip_surgery
 
 logger = logging.getLogger(__name__)
 
+# Eigenvalues the battery reads: Berezin-Li-Yau orders 1..5, ratio order 2.
+BATTERY_K = 5
+
 __all__ = [
+    "BATTERY_K",
     "RunConfig",
     "SuiteResult",
+    "inequality_battery",
     "run_one",
     "run_suite",
     "write_reports",
@@ -71,15 +81,10 @@ class RunConfig:
     K: float = 100.0
     k: int = 3
     P: float | None = None
-    m_table: Mapping[int, float] | None = None
     mode: str = "faithful"
     eig_tol: float = DEFAULT_EIG_TOL
     r0: float | None = None
-    r0_fraction: float = 0.01
-    k_power: int = 4
     seed: int = 0
-    bly_orders: tuple[int, ...] = (1, 2, 3, 4, 5)
-    ratio_orders: tuple[int, ...] = (2,)
     workers: int = 1
     out_dir: str | None = None
 
@@ -101,34 +106,30 @@ class RunConfig:
             raise ValueError(f"practical factor must be >= 1, got {factor}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if any(j < 1 for j in self.bly_orders) or any(
-            j < 1 for j in self.ratio_orders
-        ):
-            raise ValueError("inequality orders must be >= 1")
-        if self.k_power not in (2, 4):
-            raise ValueError(f"k_power must be 2 or 4, got {self.k_power}")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "K": self.K,
-            "k": self.k,
-            "P": self.P,
-            "m_table": None if self.m_table is None else dict(self.m_table),
-            "mode": self.mode,
-            "eig_tol": self.eig_tol,
-            "r0": self.r0,
-            "r0_fraction": self.r0_fraction,
-            "k_power": self.k_power,
-            "seed": self.seed,
-            "bly_orders": list(self.bly_orders),
-            "ratio_orders": list(self.ratio_orders),
-            "workers": self.workers,
-            "out_dir": self.out_dir,
-        }
 
 
 # --------------------------------------------------------------------------
 # single-domain run
+
+
+def inequality_battery(
+    d: GridDomain, f: TorsionField, s: Spectrum
+) -> tuple[list[IneqReport], list[IneqReport]]:
+    """The sanity gate and the inequality battery of ``d``.
+
+    Takes the torsion function ``f`` of ``d`` and a spectrum ``s`` of it with
+    at least :data:`BATTERY_K` eigenvalues.  Returns the gate (Saint-Venant,
+    Talenti, torsion vs lambda_1 bracket) and the battery (Berezin-Li-Yau of
+    orders 1..5, eigenvalue ratio of order 2).
+    """
+    sanity = [
+        check_saint_venant(d, f),
+        check_talenti(d, f),
+        check_vdb(d, f, spectrum=s),
+    ]
+    battery = [check_berezin_li_yau(d, j, spectrum=s) for j in range(1, BATTERY_K + 1)]
+    battery.append(check_ratio_bound(d, 2, spectrum=s))
+    return sanity, battery
 
 
 def _spec_dict(spec: CorpusSpec) -> dict[str, Any]:
@@ -151,14 +152,8 @@ def run_one(spec: CorpusSpec, config: RunConfig = RunConfig()) -> dict[str, Any]
     """
     d = generate(spec)
     f = solve_torsion(d)
-    k_need = max((config.k, 1, *config.bly_orders, *config.ratio_orders))
-    s = eigenvalues(d, k=k_need, tol=config.eig_tol, seed=config.seed)
-
-    sanity = [
-        check_saint_venant(d, f),
-        check_talenti(d, f),
-        check_vdb(d, f, spectrum=s),
-    ]
+    s = eigenvalues(d, k=max(config.k, BATTERY_K), tol=config.eig_tol, seed=config.seed)
+    sanity, checks = inequality_battery(d, f, s)
     row: dict[str, Any] = {
         "id": spec.name,
         "spec": _spec_dict(spec),
@@ -178,17 +173,6 @@ def run_one(spec: CorpusSpec, config: RunConfig = RunConfig()) -> dict[str, Any]
         row["status"] = "sanity_failed"
         logger.error("domain %s failed the sanity gate", spec.name)
         return row
-
-    m_table = (
-        dict(config.m_table)
-        if config.m_table is not None
-        else default_m_table(max((config.k, *config.ratio_orders)), d.N)
-    )
-    checks = [check_berezin_li_yau(d, j, spectrum=s) for j in config.bly_orders]
-    checks += [
-        check_ratio_bound(d, j, m_table=m_table, spectrum=s)
-        for j in config.ratio_orders
-    ]
     row["inequalities"] = [r.to_dict() for r in checks]
 
     _, report = strip_surgery(
@@ -197,11 +181,8 @@ def run_one(spec: CorpusSpec, config: RunConfig = RunConfig()) -> dict[str, Any]
         K=config.K,
         k=config.k,
         P=config.P,
-        m_table=m_table,
         mode=config.mode,
         r0=config.r0,
-        r0_fraction=config.r0_fraction,
-        k_power=config.k_power,
         eig_tol=config.eig_tol,
         seed=config.seed,
     )

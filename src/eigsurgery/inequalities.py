@@ -17,20 +17,20 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import special
-
-from eigsurgery.domain import GridDomain, measure
+from eigsurgery.domain import GridDomain, measure, unit_ball_volume
 from eigsurgery.pde import (
     Spectrum,
     TorsionField,
+    _bessel_first_zero,
+    embed_union,
     gamma_distance,
     torsion_energy,
-    unit_ball_volume,
 )
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
+    "GAMMA_STABILITY_CONSTANT",
     "IneqReport",
     "check_berezin_li_yau",
     "check_density_lemma",
@@ -42,7 +42,6 @@ __all__ = [
     "check_vdb",
     "default_m_table",
     "default_tolerance",
-    "gamma_stability_constant",
     "li_yau_constant",
     "max_index_below",
     "reports_to_jsonl",
@@ -135,9 +134,7 @@ def _context(d: GridDomain, **extra: Any) -> dict[str, Any]:
     return ctx
 
 
-def check_saint_venant(
-    d: GridDomain, f: TorsionField, rel_tol: float | None = None
-) -> IneqReport:
+def check_saint_venant(d: GridDomain, f: TorsionField) -> IneqReport:
     """Saint-Venant: the ball maximizes the L1 norm of the torsion function.
 
     ``integral(w) <= |O|^{(N+2)/N} * omega_N^{-2/N} / (N (N+2))``.
@@ -150,14 +147,12 @@ def check_saint_venant(
         "saint_venant",
         f.integral,
         rhs,
-        rel_tol if rel_tol is not None else default_tolerance(d.h),
+        default_tolerance(d.h),
         _context(d),
     )
 
 
-def check_talenti(
-    d: GridDomain, f: TorsionField, rel_tol: float | None = None
-) -> IneqReport:
+def check_talenti(d: GridDomain, f: TorsionField) -> IneqReport:
     """Talenti: ``max w <= (|O| / omega_N)^{2/N} / (2N)``."""
     N = d.N
     rhs = (measure(d) / unit_ball_volume(N)) ** (2 / N) / (2 * N)
@@ -165,17 +160,12 @@ def check_talenti(
         "talenti",
         f.max,
         rhs,
-        rel_tol if rel_tol is not None else default_tolerance(d.h),
+        default_tolerance(d.h),
         _context(d),
     )
 
 
-def check_vdb(
-    d: GridDomain,
-    f: TorsionField,
-    spectrum: Spectrum,
-    rel_tol: float | None = None,
-) -> IneqReport:
+def check_vdb(d: GridDomain, f: TorsionField, spectrum: Spectrum) -> IneqReport:
     """Double-sided torsion/eigenvalue bound.
 
     ``1/lambda_1 <= max w <= (4 + 3 N log 2) / lambda_1``.  The report's
@@ -186,7 +176,7 @@ def check_vdb(
     lam1 = spectrum[1]
     lower = 1.0 / lam1
     upper = (4 + 3 * d.N * math.log(2)) / lam1
-    rel = rel_tol if rel_tol is not None else default_tolerance(d.h)
+    rel = default_tolerance(d.h)
     up = IneqReport.compare("vdb", f.max, upper, rel, _context(d, lambda1=lam1, lower=lower))
     low = IneqReport.compare("vdb_lower", lower, f.max, rel)
     margin = min(up.margin, low.margin)
@@ -211,33 +201,24 @@ def li_yau_constant(N: int) -> float:
     return (N / (N + 2)) * 4 * math.pi**2 * unit_ball_volume(N) ** (-2 / N)
 
 
-def check_berezin_li_yau(
-    d: GridDomain,
-    k: int,
-    spectrum: Spectrum,
-    constant: float | None = None,
-    rel_tol: float | None = None,
-) -> IneqReport:
+def check_berezin_li_yau(d: GridDomain, k: int, spectrum: Spectrum) -> IneqReport:
     """Berezin-Li-Yau: ``lambda_k >= C_N (k / |O|)^{2/N}``."""
-    C = constant if constant is not None else li_yau_constant(d.N)
+    C = li_yau_constant(d.N)
     lhs = C * (k / measure(d)) ** (2 / d.N)
     return IneqReport.compare(
         "berezin_li_yau",
         lhs,
         spectrum[k],
-        rel_tol if rel_tol is not None else default_tolerance(d.h),
+        default_tolerance(d.h),
         _context(d, k=k, constant=C),
     )
 
 
-def max_index_below(
-    K: float, volume: float, N: int = 2, constant: float | None = None
-) -> int:
+def max_index_below(K: float, volume: float, N: int = 2) -> int:
     """Counting bound: at most ``(K / C_N)^{N/2} |O|`` eigenvalues below K."""
     if K <= 0:
         return 0
-    C = constant if constant is not None else li_yau_constant(N)
-    return int(math.floor((K / C) ** (N / 2) * volume))
+    return int(math.floor((K / li_yau_constant(N)) ** (N / 2) * volume))
 
 
 def default_m_table(k_max: int, N: int = 2) -> dict[int, float]:
@@ -247,17 +228,9 @@ def default_m_table(k_max: int, N: int = 2) -> dict[int, float]:
     Ashbaugh-Benguria bound.  For k > 2 no sharp constants are available and
     the documented literature default chains the Payne-Polya-Weinberger
     neighbor bound ``lambda_{k+1}/lambda_k <= 1 + 4/N``:
-    ``M_k = M_2 * (1 + 4/N)^{k-2}``.  Callers may override any entry.
+    ``M_k = M_2 * (1 + 4/N)^{k-2}``.
     """
-    if N == 2:
-        j_upper = float(special.jn_zeros(1, 1)[0])
-        j_lower = float(special.jn_zeros(0, 1)[0])
-    else:
-        from eigsurgery.pde import _bessel_first_zero
-
-        j_upper = _bessel_first_zero(N / 2)
-        j_lower = _bessel_first_zero(N / 2 - 1)
-    m2 = (j_upper / j_lower) ** 2
+    m2 = (_bessel_first_zero(N / 2) / _bessel_first_zero(N / 2 - 1)) ** 2
     table = {1: 1.0}
     if k_max >= 2:
         table[2] = m2
@@ -271,9 +244,11 @@ def check_ratio_bound(
     k: int,
     spectrum: Spectrum,
     m_table: Mapping[int, float] | None = None,
-    rel_tol: float | None = None,
 ) -> IneqReport:
-    """Ratio bound ``1 <= lambda_k / lambda_1 <= M_k``."""
+    """Ratio bound ``1 <= lambda_k / lambda_1 <= M_k``.
+
+    ``M_k`` comes from ``m_table``, by default :func:`default_m_table`.
+    """
     table = dict(m_table) if m_table is not None else default_m_table(k, d.N)
     if k not in table:
         raise KeyError(f"no ratio bound M_{k} available; provide it in m_table")
@@ -282,22 +257,14 @@ def check_ratio_bound(
         "ratio_bound",
         ratio,
         table[k],
-        rel_tol if rel_tol is not None else default_tolerance(d.h),
+        default_tolerance(d.h),
         _context(d, k=k, M_k=table[k]),
     )
 
 
-def gamma_stability_constant(interpretation: str = "e**(1/(4*pi))") -> float:
-    """The eigenvalue-stability constant written ``e^{1/4pi}`` in the source.
-
-    The notation is ambiguous; the default reads it as ``e^(1/(4*pi))``
-    (about 1.0828), with ``e^(1/4) * pi`` selectable.
-    """
-    if interpretation == "e**(1/(4*pi))":
-        return math.exp(1 / (4 * math.pi))
-    if interpretation == "e**(1/4)*pi":
-        return math.exp(0.25) * math.pi
-    raise ValueError(f"unknown interpretation {interpretation!r}")
+# The eigenvalue-stability constant written ``e^{1/4pi}`` in the source,
+# read as ``e^(1/(4 pi))`` (about 1.0828).
+GAMMA_STABILITY_CONSTANT = math.exp(1 / (4 * math.pi))
 
 
 def check_gamma_stability(
@@ -308,8 +275,6 @@ def check_gamma_stability(
     s2: Spectrum,
     f1: TorsionField,
     f2: TorsionField,
-    rel_tol: float | None = None,
-    constant: float | None = None,
 ) -> IneqReport:
     """Gamma-stability of eigenvalues for nested domains ``d1 <= d2``:
 
@@ -317,20 +282,17 @@ def check_gamma_stability(
         <= 2 k^2 e^{1/(4 pi)} lambda_k(d2)^{N/2} d_gamma(d1, d2)``
     on the spectra ``s1``, ``s2`` and torsion functions ``f1``, ``f2``.
     """
-    from eigsurgery.pde import embed_union
-
     a1, a2 = embed_union(d1, d2, d1.occupancy, d2.occupancy)
     if (a1 & ~a2).any():
         raise ValueError("gamma stability requires d1 to be contained in d2")
     dg = gamma_distance(d1, d2, f1, f2)
-    const = constant if constant is not None else gamma_stability_constant()
     lhs = abs(1 / s1[k] - 1 / s2[k])
-    rhs = 2 * k**2 * const * s2[k] ** (d1.N / 2) * dg
+    rhs = 2 * k**2 * GAMMA_STABILITY_CONSTANT * s2[k] ** (d1.N / 2) * dg
     return IneqReport.compare(
         "gamma_stability",
         lhs,
         rhs,
-        rel_tol if rel_tol is not None else default_tolerance(d1.h),
+        default_tolerance(d1.h),
         _context(d1, k=k, gamma_distance=dg),
     )
 
@@ -340,7 +302,6 @@ def check_density_lemma(
     x: Sequence[float],
     theta: float,
     delta: float,
-    rel_tol: float | None = None,
 ) -> IneqReport:
     """Density of torsion mass near a point where the function is large.
 
@@ -374,7 +335,7 @@ def check_density_lemma(
         "density_lemma",
         lhs,
         integral,
-        rel_tol if rel_tol is not None else default_tolerance(d.h),
+        default_tolerance(d.h),
         ctx,
     )
 
@@ -385,15 +346,12 @@ def check_positive_energy(
     parent_field: TorsionField,
     c: float,
     C0r0: float,
-    rel_tol: float | None = None,
 ) -> IneqReport:
     """Positive penalized energy of low-torsion subsets.
 
     If ``A`` is a subset of the parent domain with ``max_A w_parent <= C0 r0``
     then ``E(A) + c |A| >= 0``; ``f`` is the torsion function of ``A``.
     """
-    from eigsurgery.pde import embed_union
-
     parent = parent_field.domain
     ctx = _context(dA, c=c, C0r0=C0r0)
     if dA.cell_count == 0:
@@ -414,7 +372,7 @@ def check_positive_energy(
         "positive_energy",
         0.0,
         value,
-        rel_tol if rel_tol is not None else default_tolerance(dA.h),
+        default_tolerance(dA.h),
         ctx,
     )
 

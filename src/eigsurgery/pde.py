@@ -22,8 +22,9 @@ import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sparse_linalg
 from scipy import special
+from scipy.optimize import brentq
 
-from eigsurgery.domain import EmptyDomainError, GridDomain, Strip
+from eigsurgery.domain import EmptyDomainError, GridDomain, Strip, unit_ball_volume
 
 DEFAULT_CG_TOL = 1e-10  # bound on the torsion solve's relative residual
 DEFAULT_EIG_TOL = 1e-8
@@ -77,7 +78,11 @@ class TorsionField:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Lowest-k Dirichlet eigenvalues, ascending, with certified accuracy."""
+    """Lowest-k Dirichlet eigenvalues, ascending.
+
+    Accurate to the requested relative tolerance ``rel_tol``; nothing
+    certifies that no eigenvalue below the k-th was missed.
+    """
 
     eigenvalues: tuple[float, ...]
     k: int
@@ -270,8 +275,6 @@ def _bessel_first_zero(nu: float) -> float:
         return float(special.jn_zeros(int(nu), 1)[0])
     # Bracket the first zero; j_{nu,1} is increasing in nu and lies in
     # (nu, nu + pi + 2) for the orders used here.
-    from scipy.optimize import brentq
-
     lo = max(nu, 1e-6)
     hi = nu + math.pi + 2.0
     while special.jv(nu, hi) > 0:  # pragma: no cover - safety margin
@@ -290,11 +293,6 @@ def ball_lambda1(N: int = 2) -> float:
     omega = unit_ball_volume(N)
     j = _bessel_first_zero(N / 2 - 1)
     return omega ** (2.0 / N) * j**2
-
-
-def unit_ball_volume(N: int) -> float:
-    """Volume of the unit ball in R^N."""
-    return math.pi ** (N / 2) / math.gamma(N / 2 + 1)
 
 
 def save_field(f: TorsionField, path: str | Path) -> tuple[Path, Path]:

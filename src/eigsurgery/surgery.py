@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace as dc_replace
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 from scipy import ndimage, optimize
@@ -36,12 +36,13 @@ from eigsurgery.domain import (
     remove_strips,
     replace_components_with_ball,
     rescale,
+    unit_ball_volume,
 )
 from eigsurgery.inequalities import (
+    GAMMA_STABILITY_CONSTANT,
     IneqReport,
     check_positive_energy,
     default_m_table,
-    gamma_stability_constant,
 )
 from eigsurgery.pde import (
     DEFAULT_CG_TOL,
@@ -54,10 +55,12 @@ from eigsurgery.pde import (
     solve_torsion,
     strip_max,
     torsion_energy,
-    unit_ball_volume,
 )
 
 logger = logging.getLogger(__name__)
+
+# Accepted moves after which the descent stops.
+DESCENT_MOVE_LIMIT = 50
 
 __all__ = [
     "SurgeryConstants",
@@ -92,8 +95,8 @@ def parse_mode(mode: str) -> float:
         return 1.0
     if mode.startswith("practical:"):
         factor = float(mode[len("practical:") :])
-        if not factor > 0:
-            raise ValueError("practical-mode factor must be positive")
+        if not (math.isfinite(factor) and factor > 0):
+            raise ValueError("practical-mode factor must be positive and finite")
         return factor
     raise ValueError(f"mode must be 'faithful' or 'practical:<factor>', got {mode!r}")
 
@@ -104,52 +107,38 @@ def energy_volume_constant(N: int) -> float:
 
 
 def choose_c(
-    K: float,
-    k: int,
-    volume: float = 1.0,
-    m_table: Mapping[int, float] | None = None,
-    N: int = 2,
-    k_power: int = 4,
-    gamma_constant: float | None = None,
+    K: float, k: int, volume: float = 1.0, N: int = 2
 ) -> tuple[float, dict[str, Any]]:
     """Energy-penalty constant: the minimum of four admissible bounds.
 
     The four bounds control, in order: the penalized-energy excess against
     the domain volume, the bare threshold scale, the eigenvalue chain through
-    the ratio bound ``M_k``, and the gamma-stability remainder.  The trace
-    names the active bound.  ``k_power`` is 4 as written in the source
-    formula (the factor ``k^2`` appears twice); pass 2 if the duplication is
-    to be read as a typo.
+    the ratio bound ``M_k`` of :func:`default_m_table`, and the
+    gamma-stability remainder.  The trace names the active bound.  The chain
+    bound carries ``k^4``, as written in the source formula (the factor
+    ``k^2`` appears twice).
     """
     if not (K > 0 and volume > 0):
         raise ValueError("K and volume must be positive")
     if k < 1:
         raise ValueError("k must be at least 1")
-    if k_power not in (2, 4):
-        raise ValueError("k_power must be 2 or 4")
-    table = dict(m_table) if m_table is not None else default_m_table(k, N)
-    if k not in table:
-        raise KeyError(f"no ratio bound M_{k} available; provide it in m_table")
-    M_k = float(table[k])
-    e_const = (
-        gamma_constant if gamma_constant is not None else gamma_stability_constant()
-    )
+    M_k = float(default_m_table(k, N)[k])
     chain = 8 + 6 * N * math.log(2)
     C_N = energy_volume_constant(N)
     bounds = {
         "energy_volume": C_N / (2 * volume * (2 * K) ** ((N + 2) / 2)),
         "scale_threshold": C_N * K ** (-(N + 2) / 2),
         "spectral_chain": ball_lambda1(N)
-        / (2 * M_k * chain * e_const * k**k_power * K ** (N / 2 + 2)),
-        "stability": 1.0 / (8 * k**2 * e_const * K ** (N / 2 + 1)),
+        / (2 * M_k * chain * GAMMA_STABILITY_CONSTANT * k**4 * K ** (N / 2 + 2)),
+        "stability": 1.0 / (8 * k**2 * GAMMA_STABILITY_CONSTANT * K ** (N / 2 + 1)),
     }
     active = min(bounds, key=lambda name: (bounds[name], name))
     trace = {
         "bounds": {name: float(v) for name, v in sorted(bounds.items())},
         "active": active,
         "M_k": M_k,
-        "k_power": k_power,
-        "gamma_constant": float(e_const),
+        "k_power": 4,
+        "gamma_constant": GAMMA_STABILITY_CONSTANT,
         "chain_factor": float(chain),
         "ball_lambda1": ball_lambda1(N),
         "energy_volume_constant": float(C_N),
@@ -163,11 +152,10 @@ def choose_strip_constants(
     h: float,
     r0: float | None = None,
     window_extent: float | None = None,
-    r0_fraction: float = 0.01,
 ) -> tuple[float, float]:
     """Strip-test constants with ``C0 * r0 = min(c/2, 1/(2K))`` exact.
 
-    ``r0`` defaults to ``max(4h, r0_fraction * window_extent)`` so a strip is
+    ``r0`` defaults to ``max(4h, 0.01 * window_extent)`` so a strip is
     always at least four cells wide; an explicit ``r0`` below the grid floor
     is rejected rather than silently coarsened.
     """
@@ -175,7 +163,7 @@ def choose_strip_constants(
         raise ValueError("c, K and h must be positive")
     grid_floor = 4 * h
     if r0 is None:
-        geom = r0_fraction * window_extent if window_extent is not None else 0.0
+        geom = 0.01 * window_extent if window_extent is not None else 0.0
         r0 = max(grid_floor, geom)
     elif r0 < grid_floor * (1 - 1e-12):
         raise ValueError(
@@ -296,21 +284,16 @@ def derive_constants(
     P: float,
     h: float,
     volume: float = 1.0,
-    m_table: Mapping[int, float] | None = None,
     mode: str = "faithful",
     r0: float | None = None,
     window_extent: float | None = None,
-    r0_fraction: float = 0.01,
-    k_power: int = 4,
     N: int = 2,
 ) -> SurgeryConstants:
     """Full constant chain for one run; the practical factor scales c only."""
     factor = parse_mode(mode)
-    c_base, trace = choose_c(K, k, volume=volume, m_table=m_table, N=N, k_power=k_power)
+    c_base, trace = choose_c(K, k, volume=volume, N=N)
     c = c_base * factor
-    C0, r0_val = choose_strip_constants(
-        c, K, h, r0=r0, window_extent=window_extent, r0_fraction=r0_fraction
-    )
+    C0, r0_val = choose_strip_constants(c, K, h, r0=r0, window_extent=window_extent)
     m_hat, l0, p = choose_cut_constants(P, C0, r0_val, K, N=N)
     beta = unit_ball_volume(N) * (N / K) ** (N / 2) * volume
     trace = dict(trace)
@@ -865,14 +848,10 @@ def strip_surgery(
     K: float,
     k: int,
     P: float | None = None,
-    m_table: Mapping[int, float] | None = None,
     mode: str = "faithful",
     r0: float | None = None,
-    r0_fraction: float = 0.01,
-    k_power: int = 4,
     eig_tol: float = DEFAULT_EIG_TOL,
     seed: int = 0,
-    eig_guard: float = 1e-3,
 ) -> tuple[GridDomain, SurgeryReport]:
     """Cut low-torsion strips, replace far components by a ball, rescale.
 
@@ -902,12 +881,9 @@ def strip_surgery(
         P,
         d0.h,
         volume=measure(d0),
-        m_table=m_table,
         mode=mode,
         r0=r0,
         window_extent=_occupied_extent(d0),
-        r0_fraction=r0_fraction,
-        k_power=k_power,
         N=d0.N,
     )
     X, n_active = detect_active_region(f, constants.C0, constants.r0)
@@ -1035,7 +1011,7 @@ def strip_surgery(
                     name,
                     after["spectrum"][i - 1],
                     lam_before,
-                    eig_guard,
+                    1e-3,  # relative guard against the two solves' error
                     {"index": i, "K": K},
                 )
             )
@@ -1167,7 +1143,6 @@ def subsolution_truncate(
     f: TorsionField,
     c: float,
     r0: float | None = None,
-    max_moves: int = 50,
 ) -> tuple[TorsionField, tuple[dict[str, Any], ...]]:
     """Greedy monotone descent of E + c|.| over sublevel and edge-strip moves.
 
@@ -1175,7 +1150,7 @@ def subsolution_truncate(
     accepts the candidate move (see :func:`_descent_candidates`) of least
     penalized energy, the first in candidate order among equals, if it
     strictly decreases the energy; descent stops when none does or after
-    ``max_moves`` accepted moves.
+    ``DESCENT_MOVE_LIMIT`` accepted moves.
 
     A candidate is solved only when it can win.  Every candidate is a subset
     of the current domain, so its energy is at least the bound of
@@ -1193,7 +1168,7 @@ def subsolution_truncate(
     value = torsion_energy(f) + c * measure(f.domain)
     solved: set[tuple[tuple[int, ...], bytes]] = set()
     log: list[dict[str, Any]] = []
-    for _ in range(max_moves):
+    for _ in range(DESCENT_MOVE_LIMIT):
         if f.max <= 0:
             break
         candidates = _descent_candidates(f, r0)
@@ -1242,8 +1217,6 @@ def verify_choicec(
     K: float,
     s_before: Spectrum,
     s_after: Spectrum,
-    m_table: Mapping[int, float] | None = None,
-    rel_tol: float = 1e-6,
 ) -> list[IneqReport]:
     """Eigenvalue guarantees of the penalized minimizer, per index 1..k.
 
@@ -1252,20 +1225,20 @@ def verify_choicec(
     (reported only while ``lambda_i(before) <= K``) and the growth sandwich
     ``lambda_i(before) <= lambda_i(after) <= (8 + 6 N log 2) M_i
     lambda_i(before)`` are checked on the given spectra ``s_before`` and
-    ``s_after`` of the two domains.  Requires ``after`` to be contained in
+    ``s_after`` of the two domains, with ``M_i`` from :func:`default_m_table`
+    and relative tolerance 1e-6.  Requires ``after`` to be contained in
     ``before`` cell-wise (both pre-rescale).
     """
     a_mask, b_mask = embed_union(after, before, after.occupancy, before.occupancy)
     if (a_mask & ~b_mask).any():
         raise ValueError("after-domain must be contained in the before-domain")
     N = before.N
-    table = dict(m_table) if m_table is not None else default_m_table(k, N)
+    table = default_m_table(k, N)
+    rel_tol = 1e-6
     vol_b, vol_a = measure(before), measure(after)
     chain = 8 + 6 * N * math.log(2)
     reports: list[IneqReport] = []
     for i in range(1, k + 1):
-        if i not in table:
-            raise KeyError(f"no ratio bound M_{i} available; provide it in m_table")
         ctx = {"index": i, "K": K, "before": s_before[i], "after": s_after[i]}
         if s_before[i] <= K:
             reports.append(
@@ -1315,14 +1288,10 @@ def bounded_surgery(
     d: GridDomain,
     K: float,
     k: int,
-    m_table: Mapping[int, float] | None = None,
     mode: str = "faithful",
     r0: float | None = None,
-    r0_fraction: float = 0.01,
-    k_power: int = 4,
     eig_tol: float = DEFAULT_EIG_TOL,
     seed: int = 0,
-    max_moves: int = 50,
 ) -> tuple[GridDomain, SurgeryReport]:
     """Energy descent with the derived penalty, then rescale to unit measure.
 
@@ -1341,19 +1310,14 @@ def bounded_surgery(
         per0 * 1.02,
         d0.h,
         volume=measure(d0),
-        m_table=m_table,
         mode=mode,
         r0=r0,
         window_extent=_occupied_extent(d0),
-        r0_fraction=r0_fraction,
-        k_power=k_power,
         N=d0.N,
     )
     f0 = solve_torsion(d0)
     s0 = eigenvalues(d0, k=k, tol=eig_tol, seed=seed)
-    f1, log = subsolution_truncate(
-        f0, constants.c, r0=constants.r0, max_moves=max_moves
-    )
+    f1, log = subsolution_truncate(f0, constants.c, r0=constants.r0)
     d_desc = f1.domain
     before = measure_domain(d0, s0, k)
     if log:
@@ -1412,9 +1376,7 @@ def bounded_surgery(
             {"beta": constants.beta, "mode": mode},
         )
     )
-    checks.extend(
-        verify_choicec(d0, d_desc, k, K, s0, s1, m_table=m_table)
-    )
+    checks.extend(verify_choicec(d0, d_desc, k, K, s0, s1))
 
     all_pass = all(c.passed for c in checks)
     verdict = ("pass" if log else "no-op") if all_pass else "fail"

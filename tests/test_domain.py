@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 from eigsurgery.domain import (
     EmptyDomainError,
@@ -25,6 +26,7 @@ from eigsurgery.domain import (
     rescale,
     save_domain,
 )
+from eigsurgery.pde import embed_union
 
 
 def cell_square(h: float, side: float = 1.0) -> GridDomain:
@@ -291,6 +293,25 @@ class TestBallReplacement:
         # face-count perimeter of the ball = (4/pi) * Euclidean
         assert perimeter(out) == pytest.approx(8 * ball_r, rel=0.05)
         assert perimeter(out) < perimeter(d)
+
+    def test_three_dimensional(self):
+        # a kept 6x5x4 box and a discarded 3x3x3 cube, off-centre in y and z
+        h = 1 / 16
+        occ = np.zeros((14, 9, 8), dtype=bool)
+        occ[:6, :5, :4] = True
+        occ[10:13, 5:8, 4:7] = True
+        d = from_mask(occ, h)
+        kept = max(connected_components(d), key=lambda c: c.cell_count)
+        out = replace_components_with_ball(d, lambda c: c.cell_count > 27)
+        k_mask, o_mask = embed_union(kept, out, kept.occupancy, out.occupancy)
+        ball = o_mask & ~k_mask
+        assert out.cell_count == d.cell_count
+        assert not (k_mask & ~o_mask).any()
+        assert ball.sum() == 27
+        assert len(connected_components(out)) == 2
+        # at least one empty cell between the ball and the kept box
+        grown = ndimage.binary_dilation(ball, np.ones((3, 3, 3), dtype=bool))
+        assert not (grown & k_mask).any()
 
 
 class TestRescale:

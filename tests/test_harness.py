@@ -48,8 +48,7 @@ class TestRunConfig:
             {"mode": "practical:0.5"},
             {"mode": "nonsense"},
             {"workers": 0},
-            {"bly_orders": (0,)},
-            {"k_power": 3},
+            {"mode": "practical:inf"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -59,12 +58,6 @@ class TestRunConfig:
     def test_practical_factor_one_must_be_spelled_faithful(self):
         with pytest.raises(ValueError, match="faithful"):
             RunConfig(mode="practical:1")
-
-    def test_to_dict_round_trips_through_json(self):
-        d = PRACTICAL.to_dict()
-        assert json.loads(json.dumps(d, sort_keys=True)) == json.loads(
-            json.dumps(d, sort_keys=True)
-        )
 
 
 class TestRunOne:
@@ -269,6 +262,26 @@ class TestCli:
                      "--param", "normalize=true", "--h", "1/64"]) == 0
         info = _json_out(capsys)
         assert abs(info["measure"] - 1.0) < 1e-12
+
+    def test_non_finite_practical_factor_exits_2(self, tmp_path):
+        code = main(["bounded-surgery", "--spec", "blob_union", "--seed", "3",
+                     "--h", "1/32", "--K", "100", "--k", "2",
+                     "--mode", "practical:inf", "--out", str(tmp_path)])
+        assert code == 2
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag", ["--k-power", "--r0-fraction"])
+    def test_removed_flags_exit_2(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["surgery", "--spec", "tube", "--h", "1/64", flag, "2"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("key", ["k_power", "r0_fraction"])
+    def test_removed_config_keys_exit_2(self, tmp_path, key):
+        cfg = tmp_path / "eigsurgery.cfg"
+        cfg.write_text(f"{key} = 2\n")
+        assert main(["surgery", "--spec", "tube", "--h", "1/64",
+                     "--config", str(cfg)]) == 2
 
     def test_unknown_generator_exits_2(self, capsys):
         assert main(["gen", "--spec", "pentagon", "--h", "1/64"]) == 2

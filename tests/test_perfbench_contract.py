@@ -97,3 +97,14 @@ def test_workload_warms_up_and_closes(monkeypatch, tmp_path, name):
         workload.warm_up()
     finally:
         workload.close()
+
+
+def test_suite_parallel_pass_runs_its_cli_argv(monkeypatch, tmp_path):
+    workloads = load_perfbench(monkeypatch, "workloads")
+    workload = workloads.SuiteParallel(0, tmp_path, references(), h=1 / 32)
+    try:
+        results = workload.run_pass(0)
+    finally:
+        workload.close()
+    assert len(results) == len(surgery_corpus(1 / 32))
+    assert [r.failure for r in results] == [None] * len(results)

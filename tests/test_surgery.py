@@ -27,6 +27,7 @@ from eigsurgery.pde import (
     torsion_energy,
 )
 from eigsurgery.surgery import (
+    DESCENT_MOVE_LIMIT,
     SurgeryConstants,
     SurgeryPlan,
     _descent_candidates,
@@ -88,6 +89,8 @@ class TestChooseC:
         assert b["stability"] == pytest.approx(1.1543830896538855e-05, rel=1e-13)
         assert trace["active"] == "spectral_chain"
         assert c == b["spectral_chain"]
+        assert trace["k_power"] == 4
+        assert trace["gamma_constant"] == math.exp(1 / (4 * math.pi))
 
     def test_planar_energy_volume_constant(self):
         assert energy_volume_constant(2) == pytest.approx(2 * math.pi, rel=1e-14)
@@ -105,18 +108,7 @@ class TestChooseC:
         for name in ("scale_threshold", "spectral_chain", "stability"):
             assert t2["bounds"][name] == t1["bounds"][name]
 
-    def test_k_power_switch(self):
-        _, t4 = choose_c(100.0, 3, k_power=4)
-        _, t2 = choose_c(100.0, 3, k_power=2)
-        assert t2["bounds"]["spectral_chain"] == pytest.approx(
-            t4["bounds"]["spectral_chain"] * 9, rel=1e-13
-        )
-
     def test_errors(self):
-        with pytest.raises(KeyError):
-            choose_c(100.0, 2, m_table={1: 1.0})
-        with pytest.raises(ValueError):
-            choose_c(100.0, 1, k_power=3)
         with pytest.raises(ValueError):
             choose_c(-1.0, 1)
         with pytest.raises(ValueError):
@@ -226,7 +218,14 @@ class TestParseMode:
         assert parse_mode("practical:1e9") == 1e9
 
     def test_errors(self):
-        for bad in ("practical:-1", "practical:0", "practical:abc", "bogus"):
+        for bad in (
+            "practical:-1",
+            "practical:0",
+            "practical:abc",
+            "practical:inf",
+            "practical:nan",
+            "bogus",
+        ):
             with pytest.raises(ValueError):
                 parse_mode(bad)
 
@@ -544,12 +543,12 @@ class TestSubsolutionTruncate:
         assert len(solves) <= ref_solves
 
 
-def solve_every_candidate(f, c, r0=None, max_moves=50):
+def solve_every_candidate(f, c, r0=None):
     """Reference descent: solves every candidate and checks its bound."""
     value = torsion_energy(f) + c * measure(f.domain)
     log = []
     solves = 0
-    for _ in range(max_moves):
+    for _ in range(DESCENT_MOVE_LIMIT):
         if f.max <= 0:
             break
         slack = _descent_slack(f, value)
