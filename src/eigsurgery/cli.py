@@ -120,6 +120,16 @@ class Settings:
     """Layered setting lookup: CLI over environment over config over default."""
 
     def __init__(self, args: argparse.Namespace) -> None:
+        unknown = sorted(
+            name
+            for name in os.environ
+            if name.startswith(ENV_PREFIX) and name[len(ENV_PREFIX) :] not in _SETTINGS
+        )
+        if unknown:
+            raise ValueError(
+                f"unknown environment setting(s) {unknown}; choose from "
+                f"{sorted(ENV_PREFIX + key for key in _SETTINGS)}"
+            )
         self._cli = vars(args)
         self._file = (
             _read_config_file(args.config) if getattr(args, "config", None) else {}
@@ -323,7 +333,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if failed == 0 else 1
 
 
-def _run_config(settings: Settings, out: Path | None) -> RunConfig:
+def _run_config(settings: Settings) -> RunConfig:
     return RunConfig(
         K=settings["K"],
         k=settings["k"],
@@ -333,7 +343,7 @@ def _run_config(settings: Settings, out: Path | None) -> RunConfig:
         r0=settings["r0"],
         seed=settings["seed"],
         workers=settings["workers"],
-        out_dir=None if out is None else str(out),
+        out_dir=settings["out"],
     )
 
 
@@ -361,10 +371,9 @@ def _finish_surgery(
 
 def _cmd_surgery(args: argparse.Namespace) -> int:
     settings = Settings(args)
-    out = _out_dir(settings)
     if args.corpus:
         specs = _corpus(args.corpus, settings["h"])
-        result = run_suite(specs, _run_config(settings, out))
+        result = run_suite(specs, _run_config(settings))
         print(summary_table(result.rows))
         return result.exit_code
     name, d = _domain_from_args(args, settings)
@@ -381,7 +390,7 @@ def _cmd_surgery(args: argparse.Namespace) -> int:
         eig_tol=settings["eig_tol"],
         seed=settings["seed"],
     )
-    return _finish_surgery(name, result, report, out)
+    return _finish_surgery(name, result, report, _out_dir(settings))
 
 
 def _cmd_bounded_surgery(args: argparse.Namespace) -> int:

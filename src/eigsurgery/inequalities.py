@@ -9,12 +9,10 @@ not met report ``precondition unmet`` instead of a failure.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 from eigsurgery.domain import GridDomain, measure, unit_ball_volume
@@ -44,7 +42,6 @@ __all__ = [
     "default_tolerance",
     "li_yau_constant",
     "max_index_below",
-    "reports_to_jsonl",
 ]
 
 
@@ -376,11 +373,3 @@ def check_positive_energy(
         ctx,
     )
 
-
-def reports_to_jsonl(reports: Iterable[IneqReport], path: str | Path) -> Path:
-    """Append-friendly JSON-lines serialization (one report per line)."""
-    out = Path(path)
-    with open(out, "w", encoding="ascii") as fh:
-        for r in reports:
-            fh.write(json.dumps(r.to_dict(), sort_keys=True) + "\n")
-    return out

@@ -113,11 +113,17 @@ class Spectrum:
         )
 
 
-def build_laplacian(d: GridDomain) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """Sparse SPD Dirichlet Laplacian and the cell index map.
+def _stencil(
+    d: GridDomain,
+) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """Occupied cells, the cell index map and the face-neighbour pairs.
 
-    Returns ``(A, index)`` where ``index`` holds the row number of each
-    occupied cell and -1 elsewhere.
+    Returns ``(cells, index, pairs)``: ``cells`` holds the flat window
+    position of each occupied cell in row-major order, ``index`` the row
+    number of each window cell (-1 if empty), and ``pairs`` one ``(j, i)``
+    pair of row arrays per axis: cell ``i`` is cell ``j``'s occupied
+    neighbour one step along +axis, so ``i > j``.  The empty margin keeps
+    every neighbour inside the window.
     """
     occ = d.occupancy
     cells = np.flatnonzero(occ)
@@ -126,47 +132,78 @@ def build_laplacian(d: GridDomain) -> tuple[sparse.csr_matrix, np.ndarray]:
         raise EmptyDomainError("cannot assemble a Laplacian on an empty domain")
     index = np.full(occ.size, -1, dtype=np.int64)
     index[cells] = np.arange(n)
-    # Flat offsets of the stencil in ascending order: the -axis neighbours
-    # (outermost axis first), the cell, the +axis neighbours (innermost
-    # first).  Row-major numbering keeps that order, so each row's columns
-    # come out sorted; the empty margin keeps every neighbour in the window.
-    strides = [int(np.prod(occ.shape[axis + 1 :])) for axis in range(occ.ndim)]
-    offsets = np.array([-s for s in strides] + [0] + strides[::-1])
-    cols = index[cells + offsets[:, None]]  # one row per offset, -1 if empty
+    pairs = []
+    for axis in range(occ.ndim):
+        up = index[cells + int(np.prod(occ.shape[axis + 1 :]))]
+        j = np.flatnonzero(up >= 0)
+        pairs.append((j, up[j]))
+    return cells, index, pairs
+
+
+def build_laplacian(d: GridDomain) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """Sparse SPD Dirichlet Laplacian and the cell index map.
+
+    Returns ``(A, index)`` where ``index`` holds the row number of each
+    occupied cell and -1 elsewhere.
+    """
+    cells, index, pairs = _stencil(d)
+    n = cells.size
+    up = np.full((d.N, n), -1, dtype=np.int64)
+    down = np.full_like(up, -1)
+    for axis, (j, i) in enumerate(pairs):
+        up[axis, j] = i
+        down[axis, i] = j
+    # Columns in ascending order: the -axis neighbours (outermost axis
+    # first), the cell, the +axis neighbours (innermost first).  Row-major
+    # numbering keeps that order, so each row's columns come out sorted.
+    cols = np.vstack([down, np.arange(n)[None], up[::-1]])  # -1 if empty
     keep = cols >= 0
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(keep.sum(axis=0), out=indptr[1:])
     h2 = d.h * d.h
-    vals = np.where(offsets == 0, 2.0 * d.N / h2, -1.0 / h2)
+    vals = np.full(cols.shape[0], -1.0 / h2)
+    vals[d.N] = 2.0 * d.N / h2
     A = sparse.csr_matrix(
-        (np.broadcast_to(vals, (n, offsets.size))[keep.T], cols.T[keep.T], indptr),
+        (np.broadcast_to(vals, (n, vals.size))[keep.T], cols.T[keep.T], indptr),
         shape=(n, n),
     )
-    return A, index.reshape(occ.shape)
+    return A, index.reshape(d.shape)
 
 
 def solve_torsion(d: GridDomain) -> TorsionField:
-    """Solve ``-Lap w = 1`` on occupied cells, w = 0 outside, by sparse LU.
+    """Solve ``-Lap w = 1`` on occupied cells, w = 0 outside, by band Cholesky.
 
-    One minimum-degree factorization and one back-solve.  ``A`` is an
-    M-matrix, so ``w = A^-1 1`` is positive on every occupied cell.
+    In row-major order the Laplacian is an SPD band matrix whose bandwidth
+    ``b`` is the largest row distance between face neighbours, about the
+    occupied cells per row (per plane in 3-D).  Its lower band is assembled
+    straight from the stencil and factored by LAPACK ``pbsv``: ``n b^2``
+    time and ``(b + 1) n`` memory, so 3-D rasters pay far more than 2-D
+    ones.  ``A`` is an M-matrix, so ``w = A^-1 1`` is positive on every
+    occupied cell.
     """
-    A, _ = build_laplacian(d)
-    b = np.ones(A.shape[0])
-    lu = sparse_linalg.splu(
-        A.tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
+    cells, _, pairs = _stencil(d)
+    n = cells.size
+    diag = 2.0 * d.N / (d.h * d.h)
+    off = -1.0 / (d.h * d.h)
+    band = max((int((i - j).max()) for j, i in pairs if j.size), default=0)
+    ab = np.zeros((band + 1, n), order="F")  # ab[i - j, j] = A[i, j], i >= j
+    ab[0] = diag
+    for j, i in pairs:
+        ab[i - j, j] = off
+    w = scipy.linalg.solveh_banded(
+        ab, np.ones(n), lower=True, overwrite_ab=True, check_finite=False
     )
-    x = lu.solve(b)
-    residual = float(np.linalg.norm(A @ x - b) / np.linalg.norm(b))
+    r = diag * w - 1.0  # A w - 1, one stencil axis at a time
+    for j, i in pairs:
+        r[j] += off * w[i]
+        r[i] += off * w[j]
+    residual = float(np.linalg.norm(r) / math.sqrt(n))
     if residual > DEFAULT_CG_TOL:
         raise RuntimeError(
             f"torsion solve residual {residual:.3e} above {DEFAULT_CG_TOL:g}"
         )
     values = np.zeros(d.shape)
-    values[d.occupancy] = x
+    values.flat[cells] = w
     return TorsionField(domain=d, values=values, residual=residual)
 
 

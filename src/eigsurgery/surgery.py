@@ -899,7 +899,7 @@ def strip_surgery(
     kept_strips = []
     for s in strips:
         top = strip_max(f, Strip(center=s.center, half_width=2 * constants.r0))
-        ok = top <= constants.C0 * constants.r0
+        ok = strip_removal_test(f, s.center, constants.r0, constants.C0, constants.r0)
         checks.append(
             IneqReport.compare(
                 "strip_test",

@@ -270,6 +270,13 @@ class TestCli:
         assert code == 2
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("source", [["--spec", "tube"], ["--corpus", "surgery"]])
+    def test_surgery_usage_error_leaves_no_out_dir(self, tmp_path, source):
+        out = tmp_path / "out"
+        assert main(["surgery", *source, "--h", "1/32",
+                     "--mode", "practical:inf", "--out", str(out)]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--k-power", "--r0-fraction"])
     def test_removed_flags_exit_2(self, flag):
         with pytest.raises(SystemExit) as exc:
@@ -339,6 +346,10 @@ class TestCliPrecedence:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("resolution = 1/8\n")
         assert main(["gen", "--spec", "square", "--config", str(cfg)]) == 2
+
+    def test_unknown_env_setting_exits_2(self, monkeypatch):
+        monkeypatch.setenv("EIGSURGERY_k_power", "2")
+        assert main(["torsion", "--spec", "ball", "--h", "1/16"]) == 2
 
     def test_fraction_flags_accept_decimals(self, capsys):
         assert self._gen_h(capsys, "--h", "0.125") == 0.125

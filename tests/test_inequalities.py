@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -25,7 +24,6 @@ from eigsurgery.inequalities import (
     default_tolerance,
     li_yau_constant,
     max_index_below,
-    reports_to_jsonl,
 )
 from eigsurgery.pde import TorsionField, eigenvalues, solve_torsion
 
@@ -279,13 +277,3 @@ class TestReportPlumbing:
     def test_default_tolerance(self):
         assert default_tolerance(1 / 256) == pytest.approx(5 / 256)
         assert default_tolerance(1e-9) == 1e-6
-
-    def test_jsonl_round_trip(self, tmp_path):
-        d = square(1 / 32)
-        f = solve_torsion(d)
-        reports = [check_talenti(d, f), check_saint_venant(d, f)]
-        path = reports_to_jsonl(reports, tmp_path / "r.jsonl")
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        rec = json.loads(lines[0])
-        assert rec["name"] == "talenti" and rec["pass"] is True

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+import scipy.sparse.linalg as sparse_linalg
 
 from eigsurgery import pde
 from eigsurgery.corpus import ball, default_corpus, generate, square, surgery_corpus
@@ -269,6 +270,9 @@ class TestExports:
         assert A[0, 0] == pytest.approx(4 / 0.25)
 
 
+BOTH_CORPORA_64 = list(default_corpus(1 / 64)) + list(surgery_corpus(1 / 64))
+
+
 def coo_laplacian(d: GridDomain) -> sparse.csr_matrix:
     """The stencil assembled pair by pair in COO form, then converted."""
     occ = d.occupancy
@@ -296,11 +300,7 @@ def coo_laplacian(d: GridDomain) -> sparse.csr_matrix:
     return A.tocsr()
 
 
-@pytest.mark.parametrize(
-    "spec",
-    list(default_corpus(1 / 64)) + list(surgery_corpus(1 / 64)),
-    ids=lambda spec: spec.name,
-)
+@pytest.mark.parametrize("spec", BOTH_CORPORA_64, ids=lambda spec: spec.name)
 def test_csr_assembly_matches_coo(spec):
     d = generate(spec)
     A, index = build_laplacian(d)
@@ -310,3 +310,30 @@ def test_csr_assembly_matches_coo(spec):
     assert np.array_equal(A.data, ref.data)
     assert np.array_equal(index[d.occupancy], np.arange(A.shape[0]))
     assert (index[~d.occupancy] == -1).all()
+
+
+def assert_torsion_matches_sparse_lu(d: GridDomain) -> None:
+    """Band Cholesky against SuperLU on the same matrix, and its residual."""
+    f = solve_torsion(d)
+    A, _ = build_laplacian(d)
+    ones = np.ones(A.shape[0])
+    ref = sparse_linalg.spsolve(A.tocsc(), ones)
+    w = f.values[d.occupancy]
+    np.testing.assert_allclose(w, ref, rtol=1e-12, atol=0)
+    assert (f.values[~d.occupancy] == 0).all()
+    # the stencil residual is the matrix residual up to rounding
+    residual = np.linalg.norm(A @ w - ones) / np.linalg.norm(ones)
+    assert f.residual == pytest.approx(residual, abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", BOTH_CORPORA_64, ids=lambda spec: spec.name)
+def test_band_solve_matches_sparse_lu(spec):
+    assert_torsion_matches_sparse_lu(generate(spec))
+
+
+def test_band_solve_matches_sparse_lu_in_3d():
+    # unequal window sides give each axis its own stride
+    x, y, z = np.indices((14, 9, 8))
+    occ = (x - 6.5) ** 2 + (y - 4.0) ** 2 + (z - 3.5) ** 2 <= 2.9**2
+    d = GridDomain(h=1 / 8, origin=(0.0, 0.0, 0.0), occupancy=occ)
+    assert_torsion_matches_sparse_lu(d)
