@@ -44,6 +44,7 @@ from eigsurgery.pde import (
     TorsionField,
     ball_lambda1,
     eigenvalues,
+    factor_laplacian,
     gamma_distance,
     solve_torsion,
     strip_max,
@@ -95,6 +96,7 @@ __all__ = [
     "diam_e",
     "diameter",
     "eigenvalues",
+    "factor_laplacian",
     "from_mask",
     "gamma_distance",
     "load_domain",

@@ -52,6 +52,7 @@ from eigsurgery.inequalities import IneqReport
 from eigsurgery.pde import (
     DEFAULT_EIG_TOL,
     eigenvalues,
+    factor_laplacian,
     save_field,
     save_spectrum,
     solve_torsion,
@@ -316,8 +317,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
         domains = [_domain_from_args(args, settings)]
     failed = 0
     for name, d in domains:
-        f = solve_torsion(d)
-        s = eigenvalues(d, k=BATTERY_K, tol=settings["eig_tol"], seed=settings["seed"])
+        band = factor_laplacian(d)
+        f = solve_torsion(d, band)
+        s = eigenvalues(
+            d, band, k=BATTERY_K, tol=settings["eig_tol"], seed=settings["seed"]
+        )
         sanity, battery = inequality_battery(d, f, s)
         reports = sanity + battery
         ok = all(r.passed for r in reports)
@@ -377,8 +381,11 @@ def _cmd_surgery(args: argparse.Namespace) -> int:
         print(summary_table(result.rows))
         return result.exit_code
     name, d = _domain_from_args(args, settings)
-    f = solve_torsion(d)
-    s = eigenvalues(d, k=settings["k"], tol=settings["eig_tol"], seed=settings["seed"])
+    band = factor_laplacian(d)
+    f = solve_torsion(d, band)
+    s = eigenvalues(
+        d, band, k=settings["k"], tol=settings["eig_tol"], seed=settings["seed"]
+    )
     result, report = strip_surgery(
         f,
         s,

@@ -40,6 +40,7 @@ from eigsurgery.pde import (
     Spectrum,
     TorsionField,
     eigenvalues,
+    factor_laplacian,
     solve_torsion,
 )
 from eigsurgery.surgery import parse_mode, strip_surgery
@@ -151,8 +152,11 @@ def run_one(spec: CorpusSpec, config: RunConfig = RunConfig()) -> dict[str, Any]
     surgery.  Exceptions propagate; :func:`run_suite` isolates them.
     """
     d = generate(spec)
-    f = solve_torsion(d)
-    s = eigenvalues(d, k=max(config.k, BATTERY_K), tol=config.eig_tol, seed=config.seed)
+    band = factor_laplacian(d)
+    f = solve_torsion(d, band)
+    s = eigenvalues(
+        d, band, k=max(config.k, BATTERY_K), tol=config.eig_tol, seed=config.seed
+    )
     sanity, checks = inequality_battery(d, f, s)
     row: dict[str, Any] = {
         "id": spec.name,
@@ -394,8 +398,9 @@ def convergence_study(
     rows: list[dict[str, Any]] = []
     for h in hs:
         d = generate(dc_replace(spec, h=h))
-        f = solve_torsion(d)
-        s = eigenvalues(d, k=1, tol=eig_tol, seed=seed)
+        band = factor_laplacian(d)
+        f = solve_torsion(d, band)
+        s = eigenvalues(d, band, k=1, tol=eig_tol, seed=seed)
         rows.append(
             {
                 "h": h,

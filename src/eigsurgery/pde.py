@@ -12,16 +12,19 @@ eigenvalue increases (Cauchy interlacing).
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sparse_linalg
 from scipy import special
+from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.optimize import brentq
 
 from eigsurgery.domain import EmptyDomainError, GridDomain, Strip, unit_ball_volume
@@ -29,13 +32,19 @@ from eigsurgery.domain import EmptyDomainError, GridDomain, Strip, unit_ball_vol
 DEFAULT_CG_TOL = 1e-10  # bound on the torsion solve's relative residual
 DEFAULT_EIG_TOL = 1e-8
 _DENSE_CUTOFF = 400  # below this many cells the dense eigensolver is used
+_SHIFT_FACTOR = 10  # the certificate's shift sits 10 tol below lambda_k
+_CERTIFY_ROUNDS = 3  # Lanczos runs before a failed certificate raises
+
+logger = logging.getLogger(__name__)
 
 __all__ = [
+    "BandFactor",
     "Spectrum",
     "TorsionField",
     "ball_lambda1",
     "build_laplacian",
     "eigenvalues",
+    "factor_laplacian",
     "gamma_distance",
     "save_field",
     "save_spectrum",
@@ -80,13 +89,19 @@ class TorsionField:
 class Spectrum:
     """Lowest-k Dirichlet eigenvalues, ascending.
 
-    Accurate to the requested relative tolerance ``rel_tol``; nothing
-    certifies that no eigenvalue below the k-th was missed.
+    Accurate to the requested relative tolerance ``rel_tol``.  A spectrum
+    from :func:`eigenvalues` is certified: ``inertia_count`` is the number
+    of eigenvalues of the Laplacian below ``shift``, counted by Sylvester's
+    law of inertia (or by the full dense spectrum), and equals the number
+    of listed eigenvalues below it, so none below lambda_k's cluster was
+    missed.  Both are ``None`` on a spectrum built by hand.
     """
 
     eigenvalues: tuple[float, ...]
     k: int
     rel_tol: float
+    shift: float | None = None
+    inertia_count: int | None = None
 
     def __post_init__(self) -> None:
         vals = tuple(float(v) for v in self.eigenvalues)
@@ -110,6 +125,8 @@ class Spectrum:
             eigenvalues=tuple(v / t**2 for v in self.eigenvalues),
             k=self.k,
             rel_tol=self.rel_tol,
+            shift=None if self.shift is None else self.shift / t**2,
+            inertia_count=self.inertia_count,
         )
 
 
@@ -170,31 +187,84 @@ def build_laplacian(d: GridDomain) -> tuple[sparse.csr_matrix, np.ndarray]:
     return A, index.reshape(d.shape)
 
 
-def solve_torsion(d: GridDomain) -> TorsionField:
-    """Solve ``-Lap w = 1`` on occupied cells, w = 0 outside, by band Cholesky.
+@dataclass(eq=False)
+class BandFactor:
+    """Band Cholesky factor of one raster's Dirichlet Laplacian.
+
+    Built by :func:`factor_laplacian` and passed explicitly, first to
+    :func:`solve_torsion` and then to :func:`eigenvalues`, so a raster that
+    needs both a torsion field and a spectrum is factored once.
+    :func:`eigenvalues` releases the band when its Lanczos run ends; a
+    released factor can no longer solve.  ``cells`` and ``pairs`` are the
+    raster's :func:`_stencil`.
+    """
+
+    occupancy: np.ndarray
+    h: float
+    cells: np.ndarray
+    pairs: list[tuple[np.ndarray, np.ndarray]]
+    band: np.ndarray | None  # LAPACK lower band storage of the Cholesky factor
+
+    def check(self, d: GridDomain) -> None:
+        """Raise ``ValueError`` unless the factor was built for ``d``'s raster."""
+        if d.h != self.h or not np.array_equal(d.occupancy, self.occupancy):
+            raise ValueError("the band factor was built for a different raster")
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """``A^-1 b`` by two triangular band solves."""
+        if self.band is None:
+            raise ValueError("the band factor was released")
+        return cho_solve_banded((self.band, True), b, check_finite=False)
+
+    def release(self) -> None:
+        """Drop the band; its ``(b + 1) n`` doubles dominate the memory."""
+        self.band = None
+
+
+def factor_laplacian(d: GridDomain) -> BandFactor:
+    """Band Cholesky factor of ``d``'s Laplacian, for both solvers.
 
     In row-major order the Laplacian is an SPD band matrix whose bandwidth
     ``b`` is the largest row distance between face neighbours, about the
     occupied cells per row (per plane in 3-D).  Its lower band is assembled
-    straight from the stencil and factored by LAPACK ``pbsv``: ``n b^2``
+    straight from the stencil and factored by LAPACK ``pbtrf``: ``n b^2``
     time and ``(b + 1) n`` memory, so 3-D rasters pay far more than 2-D
-    ones.  ``A`` is an M-matrix, so ``w = A^-1 1`` is positive on every
-    occupied cell.
+    ones.
     """
     cells, _, pairs = _stencil(d)
-    n = cells.size
+    band = max((int((i - j).max()) for j, i in pairs if j.size), default=0)
+    # ab[i - j, j] = A[i, j] for i >= j
+    ab = np.zeros((band + 1, cells.size), order="F")
+    ab[0] = 2.0 * d.N / (d.h * d.h)
+    for j, i in pairs:
+        ab[i - j, j] = -1.0 / (d.h * d.h)
+    return BandFactor(
+        occupancy=d.occupancy,
+        h=d.h,
+        cells=cells,
+        pairs=pairs,
+        band=cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False),
+    )
+
+
+def solve_torsion(d: GridDomain, factor: BandFactor | None = None) -> TorsionField:
+    """Solve ``-Lap w = 1`` on occupied cells, w = 0 outside, by band Cholesky.
+
+    ``factor`` is :func:`factor_laplacian` of ``d``; without it the band is
+    factored here.  ``A`` is an M-matrix, so ``w = A^-1 1`` is positive on
+    every occupied cell.  Raises ``ValueError`` for a factor of another
+    raster.
+    """
+    if factor is None:
+        factor = factor_laplacian(d)
+    else:
+        factor.check(d)
+    n = factor.cells.size
     diag = 2.0 * d.N / (d.h * d.h)
     off = -1.0 / (d.h * d.h)
-    band = max((int((i - j).max()) for j, i in pairs if j.size), default=0)
-    ab = np.zeros((band + 1, n), order="F")  # ab[i - j, j] = A[i, j], i >= j
-    ab[0] = diag
-    for j, i in pairs:
-        ab[i - j, j] = off
-    w = scipy.linalg.solveh_banded(
-        ab, np.ones(n), lower=True, overwrite_ab=True, check_finite=False
-    )
+    w = factor.solve(np.ones(n))
     r = diag * w - 1.0  # A w - 1, one stencil axis at a time
-    for j, i in pairs:
+    for j, i in factor.pairs:
         r[j] += off * w[i]
         r[i] += off * w[j]
     residual = float(np.linalg.norm(r) / math.sqrt(n))
@@ -203,7 +273,7 @@ def solve_torsion(d: GridDomain) -> TorsionField:
             f"torsion solve residual {residual:.3e} above {DEFAULT_CG_TOL:g}"
         )
     values = np.zeros(d.shape)
-    values.flat[cells] = w
+    values.flat[factor.cells] = w
     return TorsionField(domain=d, values=values, residual=residual)
 
 
@@ -212,38 +282,133 @@ def torsion_energy(f: TorsionField) -> float:
     return -0.5 * f.integral
 
 
+def _ldlt(A: sparse.csr_matrix, sigma: float) -> sparse_linalg.SuperLU:
+    """Sparse LDL^T of ``A - sigma I``, as a symmetric-mode LU.
+
+    Minimum-degree ordering on ``A + A^T`` and diagonal pivots only, so the
+    row and column permutations agree and the diagonal of ``U`` is ``D``.
+    Raises ``RuntimeError`` if SuperLU permuted rows and columns apart.
+    """
+    M = A - sigma * sparse.identity(A.shape[0], format="csr") if sigma else A
+    lu = sparse_linalg.splu(
+        M.T,  # the CSC form of a symmetric CSR matrix, without a copy
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise RuntimeError("symmetric-mode LU pivoted off the diagonal")
+    return lu
+
+
+def _inertia_below(A: sparse.csr_matrix, sigma: float) -> int:
+    """Eigenvalues of ``A`` below ``sigma``: the negative pivots of ``A - sigma I``.
+
+    By Sylvester's law of inertia ``A - sigma I = P^T L D L^T P`` has as many
+    negative entries in ``D`` as ``A`` has eigenvalues below ``sigma``.
+    """
+    return int(np.count_nonzero(_ldlt(A, sigma).U.diagonal() < 0))
+
+
+def _lanczos(
+    solve: Callable[[np.ndarray], np.ndarray],
+    n: int,
+    k: int,
+    v0: np.ndarray,
+    tol: float,
+) -> np.ndarray:
+    """The ``k`` eigenvalues nearest 0, ascending, by shift-invert Lanczos.
+
+    ``solve`` applies ``A^-1``.  In shift-invert mode ARPACK applies only
+    ``OPinv``; the operator passed as ``A`` just gives the shape, so the
+    Laplacian itself need not exist while Lanczos runs.
+    """
+    inverse = sparse_linalg.LinearOperator((n, n), matvec=solve, dtype=float)
+    vals = sparse_linalg.eigsh(
+        inverse,
+        k=k,
+        sigma=0.0,
+        which="LM",
+        v0=v0,
+        tol=tol,
+        maxiter=max(5000, 20 * n),
+        OPinv=inverse,
+        return_eigenvectors=False,
+    )
+    return np.sort(vals)
+
+
 def eigenvalues(
     d: GridDomain,
+    factor: BandFactor | None = None,
+    *,
     k: int,
     tol: float = DEFAULT_EIG_TOL,
     seed: int = 0,
 ) -> Spectrum:
-    """Lowest ``k`` Dirichlet eigenvalues of the FD Laplacian.
+    """Lowest ``k`` Dirichlet eigenvalues of the FD Laplacian, certified.
 
-    Uses shift-invert Lanczos with a deterministic start vector; small
-    systems fall back to a dense solve.  Results are reproducible for a
-    fixed seed.
+    Uses shift-invert Lanczos about 0 with a deterministic start vector;
+    small systems fall back to a dense solve.  The inverse is ``factor``
+    (:func:`factor_laplacian` of ``d``, released once Lanczos ends) when
+    given, else a sparse LDL^T of ``A``.
+
+    Each spectrum is certified by an inertia count at the shift
+    ``sigma = lambda_k (1 - 10 tol)``: the LDL^T of ``A - sigma I`` must
+    have as many negative pivots as there are computed eigenvalues below
+    ``sigma``, so no eigenvalue below lambda_k's cluster, copies of a
+    multiple eigenvalue included, was missed.  On a deficit Lanczos runs
+    again for that many more eigenvalues; if the count still disagrees after
+    three rounds a ``RuntimeError`` is raised.  Raises ``ValueError`` for a
+    factor of another raster.  Results are reproducible for a fixed seed.
     """
-    A, _ = build_laplacian(d)
-    n = A.shape[0]
+    if factor is not None:
+        factor.check(d)
+        A, n = None, factor.cells.size  # assembled once the band is released
+    else:
+        A, _ = build_laplacian(d)
+        n = A.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= occupied cells, got k={k}, cells={n}")
-    if n <= _DENSE_CUTOFF or k >= n - 1:
-        vals = scipy.linalg.eigvalsh(A.toarray())[:k]
-    else:
-        v0 = np.random.default_rng(seed).standard_normal(n)
-        vals = sparse_linalg.eigsh(
-            A,
-            k=k,
-            sigma=0.0,
-            which="LM",
-            v0=v0,
-            tol=tol,
-            maxiter=max(5000, 20 * n),
-            return_eigenvectors=False,
+    solve = factor.solve if factor is not None else None
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    wanted = k
+    for _ in range(_CERTIFY_ROUNDS):
+        lanczos = n > _DENSE_CUTOFF and wanted < n - 1
+        if lanczos:
+            vals = _lanczos(solve or _ldlt(A, 0.0).solve, n, wanted, v0, tol)
+        solve = None  # a retry inverts by the sparse LDL^T
+        if factor is not None:
+            factor.release()  # before the certificate's own factorization
+        if A is None:
+            A, _ = build_laplacian(d)
+        if not lanczos:
+            vals = scipy.linalg.eigvalsh(A.toarray())  # the full spectrum
+        # Just below lambda_k's cluster: a shift above it would also count
+        # the copies of a multiple lambda_k beyond the k-th.
+        shift = float(vals[k - 1]) * (1.0 - _SHIFT_FACTOR * tol)
+        found = int(np.count_nonzero(vals < shift))
+        count = _inertia_below(A, shift) if lanczos else found
+        if count == found:
+            return Spectrum(
+                eigenvalues=tuple(float(v) for v in vals[:k]),
+                k=k,
+                rel_tol=tol,
+                shift=shift,
+                inertia_count=count,
+            )
+        if count < found:
+            break  # a computed value below the shift is not an eigenvalue
+        logger.info(
+            "eigensolve missed %d eigenvalue(s) below %.9g; solving again",
+            count - found,
+            shift,
         )
-        vals = np.sort(vals)
-    return Spectrum(eigenvalues=tuple(float(v) for v in vals), k=k, rel_tol=tol)
+        wanted += count - found
+    raise RuntimeError(
+        f"eigenvalue certificate failed: {count} negative pivots below the shift "
+        f"{shift:.9g} against {found} computed eigenvalues"
+    )
 
 
 def _aligned_offset(d1: GridDomain, d2: GridDomain) -> tuple[int, ...]:

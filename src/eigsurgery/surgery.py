@@ -52,6 +52,7 @@ from eigsurgery.pde import (
     ball_lambda1,
     eigenvalues,
     embed_union,
+    factor_laplacian,
     solve_torsion,
     strip_max,
     torsion_energy,
@@ -1148,9 +1149,12 @@ def subsolution_truncate(
 
     Starts from the torsion function ``f`` of ``f.domain``.  Each step
     accepts the candidate move (see :func:`_descent_candidates`) of least
-    penalized energy, the first in candidate order among equals, if it
-    strictly decreases the energy; descent stops when none does or after
-    ``DESCENT_MOVE_LIMIT`` accepted moves.
+    penalized energy if it strictly decreases the energy; descent stops when
+    none does or after ``DESCENT_MOVE_LIMIT`` accepted moves.  Ties are
+    settled on the computed floating-point values: the first in candidate
+    order wins among bit-equal values, but moves whose exact energies are
+    equal (mirror images, say) usually differ in the last bits, and then
+    rounding picks the winner.
 
     A candidate is solved only when it can win.  Every candidate is a subset
     of the current domain, so its energy is at least the bound of
@@ -1315,8 +1319,9 @@ def bounded_surgery(
         window_extent=_occupied_extent(d0),
         N=d0.N,
     )
-    f0 = solve_torsion(d0)
-    s0 = eigenvalues(d0, k=k, tol=eig_tol, seed=seed)
+    band = factor_laplacian(d0)
+    f0 = solve_torsion(d0, band)
+    s0 = eigenvalues(d0, band, k=k, tol=eig_tol, seed=seed)
     f1, log = subsolution_truncate(f0, constants.c, r0=constants.r0)
     d_desc = f1.domain
     before = measure_domain(d0, s0, k)

@@ -5,16 +5,20 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
+import scipy.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from eigsurgery import cli
 from eigsurgery.cli import main
 from eigsurgery.corpus import CorpusSpec, generate
-from eigsurgery.domain import save_domain
+from eigsurgery.domain import GridDomain, measure, save_domain
 from eigsurgery.harness import (
+    BATTERY_K,
     RunConfig,
     convergence_study,
+    inequality_battery,
     richardson,
     run_one,
     run_suite,
@@ -22,6 +26,8 @@ from eigsurgery.harness import (
     write_reports,
 )
 from eigsurgery.inequalities import IneqReport
+from eigsurgery.pde import build_laplacian, eigenvalues, factor_laplacian, solve_torsion
+from eigsurgery.surgery import strip_surgery
 
 H = 1 / 64
 BALL = CorpusSpec("ball", "ball", H)
@@ -30,6 +36,37 @@ TUBE = CorpusSpec("tube", "tube", H)
 BROKEN = CorpusSpec("broken", "dumbbell", H, params={"neck_cells": 1})
 
 PRACTICAL = RunConfig(K=200.0, k=2, mode="practical:1e12")
+
+
+def test_three_dimensional_pipeline():
+    """Generate, solve on one factor, check and operate on a 3-D ball."""
+    x, y, z = np.indices((15, 13, 13))
+    occ = (x - 7) ** 2 + (y - 6) ** 2 + (z - 6) ** 2 <= 5.2**2
+    d = GridDomain(h=occ.sum() ** (-1 / 3), origin=(0.0, 0.0, 0.0), occupancy=occ)
+    assert d.cell_count > 400  # past the dense cutoff: Lanczos and the certificate
+    assert measure(d) == pytest.approx(1.0, rel=1e-12)
+    band = factor_laplacian(d)
+    f = solve_torsion(d, band)
+    s = eigenvalues(d, band, k=BATTERY_K)
+    # lambda_2 = lambda_3 = lambda_4 by symmetry; the certificate holds them all
+    assert s.inertia_count == sum(v < s.shift for v in s.eigenvalues) == 4
+    dense = scipy.linalg.eigvalsh(build_laplacian(d)[0].toarray())[:BATTERY_K]
+    np.testing.assert_allclose(s.eigenvalues, dense, rtol=1e-9)
+    sanity, battery = inequality_battery(d, f, s)
+    assert [r.name for r in sanity] == ["saint_venant", "talenti", "vdb"]
+    assert len(battery) == BATTERY_K + 1
+    assert all(r.passed for r in sanity + battery)
+    k = 3
+    _, report = strip_surgery(f, s, K=200.0, k=k, mode="practical:1e12")
+    names = [c.name for c in report.checks]
+    for name in ("unit_measure", "perimeter_non_increase", "diam_e1_bound"):
+        assert name in names
+    assert [f"eigenvalue_{i}_non_increase" for i in range(1, k + 1)] == [
+        n for n in names if n.startswith("eigenvalue_")
+    ]
+    assert report.passed
+    row = json.loads(json.dumps(report.to_dict()))
+    assert len(row["after"]["spectrum"]) == k and row["verdict"] == report.verdict
 
 
 class TestRunConfig:

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import json
+import logging
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sparse_linalg
 
-from eigsurgery import pde
+from eigsurgery import cli, pde
 from eigsurgery.corpus import ball, default_corpus, generate, square, surgery_corpus
 from eigsurgery.domain import GridDomain, Strip, from_mask, measure, rescale
 from eigsurgery.pde import (
@@ -18,6 +20,7 @@ from eigsurgery.pde import (
     ball_lambda1,
     build_laplacian,
     eigenvalues,
+    factor_laplacian,
     gamma_distance,
     save_field,
     save_spectrum,
@@ -337,3 +340,101 @@ def test_band_solve_matches_sparse_lu_in_3d():
     occ = (x - 6.5) ** 2 + (y - 4.0) ** 2 + (z - 3.5) ** 2 <= 2.9**2
     d = GridDomain(h=1 / 8, origin=(0.0, 0.0, 0.0), occupancy=occ)
     assert_torsion_matches_sparse_lu(d)
+
+
+def square_cell_eigenvalues(M: int, k: int) -> np.ndarray:
+    """Closed-form lowest k eigenvalues of the M x M cell square, h = 1/M."""
+    s2 = np.sin(np.arange(1, M + 1) * math.pi / (2 * (M + 1))) ** 2
+    return np.sort((4 * M * M * (s2[:, None] + s2[None, :])).ravel())[:k]
+
+
+def dense_eigenvalues(d: GridDomain, k: int) -> np.ndarray:
+    return scipy.linalg.eigvalsh(build_laplacian(d)[0].toarray())[:k]
+
+
+def dropping_eigsh(calls: list[int], rounds: int):
+    """``eigsh`` that loses the second eigenvalue on its first ``rounds`` calls,
+    as restarted Lanczos can lose a copy of a multiple eigenvalue."""
+    eigsh = sparse_linalg.eigsh
+
+    def run(A, k, **kwargs):
+        calls.append(k)
+        if len(calls) > rounds:
+            return eigsh(A, k=k, **kwargs)
+        vals = np.sort(eigsh(A, k=k + 1, **kwargs))
+        return np.delete(vals, 1)
+
+    return run
+
+
+class TestCertificate:
+    """Each spectrum is certified by the inertia of ``A - sigma I``."""
+
+    @pytest.mark.parametrize("k", [6, 7])
+    def test_square_cell_keeps_double_eigenvalue(self, k):
+        # lambda_5 = lambda_6, about 9.84 pi^2: the modes (1, 3) and (3, 1)
+        s = eigenvalues(square(1 / 128, aligned="cell"), k=k)
+        want = square_cell_eigenvalues(128, k)
+        np.testing.assert_allclose(s.eigenvalues, want, rtol=1e-9, atol=0)
+        assert s.inertia_count == sum(v < s.shift for v in s.eigenvalues)
+
+    def test_ball_small_cells_matches_dense_on_every_seed(self):
+        # the mixed corpus's ball-small-cells at 1/96: 2308 cells, h = 1/48
+        spec = next(s for s in default_corpus(1 / 96) if s.name == "ball-small-cells")
+        d = generate(spec)
+        want = dense_eigenvalues(d, 5)
+        for seed in range(40):
+            got = eigenvalues(d, k=5, seed=seed)
+            np.testing.assert_allclose(got.eigenvalues, want, rtol=1e-9, atol=0)
+
+    def test_shift_sits_below_the_kth_cluster(self):
+        d = square(1 / 64, aligned="cell")  # lambda_2 = lambda_3
+        s = eigenvalues(d, k=3)
+        assert s.shift < s[2] and s.shift == s[3] * (1 - 10 * s.rel_tol)
+        assert s.inertia_count == 1
+        r = s.rescaled(2.0)
+        assert (r.shift, r.inertia_count) == (s.shift / 4, 1)
+
+    def test_dense_spectrum_counts_the_full_spectrum(self):
+        s = eigenvalues(square(1 / 16, aligned="cell"), k=3)  # 256 cells: dense
+        assert (s.inertia_count, s.shift) == (1, s[3] * (1 - 10 * s.rel_tol))
+
+    def test_missed_eigenvalue_is_solved_again(self, monkeypatch, caplog):
+        d = ball(1 / 32)
+        calls: list[int] = []
+        monkeypatch.setattr(pde.sparse_linalg, "eigsh", dropping_eigsh(calls, 1))
+        with caplog.at_level(logging.INFO, logger="eigsurgery.pde"):
+            s = eigenvalues(d, k=4)
+        assert calls == [4, 5]
+        assert "missed 1 eigenvalue(s)" in caplog.text
+        np.testing.assert_allclose(s.eigenvalues, dense_eigenvalues(d, 4), rtol=1e-9)
+
+    def test_certificate_mismatch_raises_and_exits_2(self, monkeypatch):
+        calls: list[int] = []
+        monkeypatch.setattr(pde.sparse_linalg, "eigsh", dropping_eigsh(calls, 99))
+        with pytest.raises(RuntimeError, match="certificate failed"):
+            eigenvalues(ball(1 / 32), k=3)
+        assert calls == [3, 4, 5]
+        assert cli.main(["spectrum", "--spec", "ball", "--h", "1/32", "--k", "3"]) == 2
+
+    def test_shared_factor_gives_the_same_spectrum(self):
+        d = ball(1 / 64)
+        band = factor_laplacian(d)
+        f = solve_torsion(d, band)
+        s = eigenvalues(d, band, k=4)
+        assert band.band is None  # released once Lanczos ended
+        assert np.array_equal(f.values, solve_torsion(d).values)
+        alone = eigenvalues(d, k=4)
+        np.testing.assert_allclose(s.eigenvalues, alone.eigenvalues, rtol=1e-12)
+
+    def test_factor_of_another_raster_is_rejected(self):
+        d = ball(1 / 64)
+        band = factor_laplacian(d)
+        for other in (ball(1 / 48), rescale(d, 2.0)):
+            with pytest.raises(ValueError, match="different raster"):
+                solve_torsion(other, band)
+            with pytest.raises(ValueError, match="different raster"):
+                eigenvalues(other, band, k=2)
+        eigenvalues(d, band, k=2)
+        with pytest.raises(ValueError, match="released"):
+            solve_torsion(d, band)

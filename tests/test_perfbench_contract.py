@@ -89,6 +89,24 @@ def test_suite_solves_match_the_references(monkeypatch):
         assert failure is None, (spec.name, failure)
 
 
+@pytest.mark.parametrize("seed", [0, 1190036361])
+def test_inequality_item_keeps_the_double_eigenvalue(monkeypatch, tmp_path, seed):
+    # ball-small-cells has a double lambda_2 that Lanczos once lost on these
+    # start vectors; the certificate must make the gate's item right
+    workloads = load_perfbench(monkeypatch, "workloads")
+    workload = workloads.InequalityCorpus(seed, tmp_path, references())
+    try:
+        spec = next(s for s in workload.specs if s.name == "ball-small-cells")
+        d, f, s, _ = workload._item(spec)
+    finally:
+        workload.close()
+    ref = references()[f"{spec.name}:{spec.seed}@{spec.h!r}"]
+    failure = workloads.reference_failure(
+        ref, d.h, spectrum=s.eigenvalues, torsion_max=f.max, torsion_integral=f.integral
+    )
+    assert failure is None
+
+
 @pytest.mark.parametrize("name", WORKLOAD_NAMES)
 def test_workload_warms_up_and_closes(monkeypatch, tmp_path, name):
     workloads = load_perfbench(monkeypatch, "workloads")

@@ -1,10 +1,11 @@
-"""Each raster is solved once, with the configured tolerances.
+"""Each raster is solved once and factored once, with the configured tolerances.
 
 The ``solves`` fixture records every torsion solve and eigensolve made from
 inside the package, keyed by the occupancy bits, so a rescaled copy of a
 raster counts as the same raster.  The solvers this module imports by name
 are bound before the fixture patches the package, so the tests' own solves
-of their inputs are not recorded.
+of their inputs are not recorded.  The ``factorizations`` fixture records
+every band Cholesky factorization and every sparse LDL^T shift.
 """
 
 from __future__ import annotations
@@ -41,6 +42,55 @@ def solves(monkeypatch):
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, recording)
     return calls
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Band factorizations by occupancy key, and sparse LDL^T shifts."""
+    rasters, shifts, lapack_calls = [], [], []
+    original, ldlt, cholesky = pde.factor_laplacian, pde._ldlt, pde.cholesky_banded
+
+    def recording_factor(d):
+        rasters.append(occupancy_key(d))
+        return original(d)
+
+    def recording_ldlt(A, sigma):
+        shifts.append(sigma)
+        return ldlt(A, sigma)
+
+    def recording_cholesky(ab, **kwargs):
+        lapack_calls.append(ab.shape)
+        return cholesky(ab, **kwargs)
+
+    for mod in MODULES:
+        if getattr(mod, "factor_laplacian", None) is original:
+            monkeypatch.setattr(mod, "factor_laplacian", recording_factor)
+    monkeypatch.setattr(pde, "_ldlt", recording_ldlt)
+    monkeypatch.setattr(pde, "cholesky_banded", recording_cholesky)
+    yield rasters, shifts
+    assert len(lapack_calls) == len(rasters)  # every band factorization was seen
+
+
+def test_run_one_factors_each_raster_once(solves, factorizations):
+    rasters, shifts = factorizations
+    config = RunConfig(K=200.0, k=2, mode="practical:1e12")
+    row = run_one(CorpusSpec("ball", "ball", 1 / 64), config)
+    assert row["passed"]
+    assert rasters == [key for name, key, _ in solves if name == "solve_torsion"]
+    # the torsion's band serves the eigensolve; only the certificate
+    # factors A - sigma I
+    assert len(shifts) == 1 and shifts[0] > 0
+
+
+def test_noop_descent_factors_each_raster_once(solves, factorizations):
+    rasters, shifts = factorizations
+    d = square(1 / 32)
+    _, report = surgery.bounded_surgery(d, K=100.0, k=1)
+    assert report.verdict == "no-op"
+    assert Counter(rasters)[occupancy_key(d)] == 1
+    assert max(Counter(rasters).values()) == 1
+    assert set(rasters) == {key for name, key, _ in solves if name == "solve_torsion"}
+    assert 0.0 not in shifts
 
 
 def test_run_one_solves_each_raster_once(solves):
