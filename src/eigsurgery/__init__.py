@@ -44,8 +44,8 @@ from eigsurgery.pde import (
     TorsionField,
     ball_lambda1,
     eigenvalues,
-    factor_laplacian,
     gamma_distance,
+    solve_raster,
     solve_torsion,
     strip_max,
     torsion_energy,
@@ -96,7 +96,6 @@ __all__ = [
     "diam_e",
     "diameter",
     "eigenvalues",
-    "factor_laplacian",
     "from_mask",
     "gamma_distance",
     "load_domain",
@@ -107,6 +106,7 @@ __all__ = [
     "rescale",
     "run_suite",
     "save_domain",
+    "solve_raster",
     "solve_torsion",
     "strip_max",
     "strip_removal_test",

@@ -2,12 +2,12 @@
 
 Subcommands: ``gen``, ``torsion``, ``spectrum``, ``check``, ``surgery``,
 ``bounded-surgery``, ``study``.  Repeated settings (K, k, P, h, seed, mode,
-eigensolver tolerance, output directory) resolve in precedence order:
+r0, workers, output directory) resolve in precedence order:
 
 1. command-line flags,
 2. ``EIGSURGERY_``-prefixed environment variables (variable name = setting
    name with its case preserved, e.g. ``EIGSURGERY_K``, ``EIGSURGERY_k``,
-   ``EIGSURGERY_mode``, ``EIGSURGERY_eig_tol``),
+   ``EIGSURGERY_mode``, ``EIGSURGERY_r0``),
 3. a ``key=value`` config file passed with ``--config`` (``#`` comments),
 4. built-in defaults.
 
@@ -50,11 +50,10 @@ from eigsurgery.harness import (
 )
 from eigsurgery.inequalities import IneqReport
 from eigsurgery.pde import (
-    DEFAULT_EIG_TOL,
     eigenvalues,
-    factor_laplacian,
     save_field,
     save_spectrum,
+    solve_raster,
     solve_torsion,
     torsion_energy,
 )
@@ -93,7 +92,6 @@ _SETTINGS: dict[str, tuple[Callable[[str], Any], Any]] = {
     "seed": (int, 0),
     "mode": (str, "faithful"),
     "out": (_optional(str), None),
-    "eig_tol": (float, DEFAULT_EIG_TOL),
     "r0": (_optional(float), None),
     "workers": (int, 1),
 }
@@ -162,7 +160,6 @@ def _add_setting_flags(p: argparse.ArgumentParser, names: Sequence[str]) -> None
         "seed": "seed for generators and eigensolver start vectors",
         "mode": "faithful | practical:<factor>",
         "out": "output directory",
-        "eig_tol": "eigenvalue solver tolerance",
         "r0": "strip half-width scale (default: max(4h, 0.01 x window extent))",
         "workers": "thread-pool size for corpus runs",
     }
@@ -295,7 +292,7 @@ def _cmd_torsion(args: argparse.Namespace) -> int:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     settings = Settings(args)
     name, d = _domain_from_args(args, settings)
-    s = eigenvalues(d, k=settings["k"], tol=settings["eig_tol"], seed=settings["seed"])
+    s = eigenvalues(d, k=settings["k"], seed=settings["seed"])
     info: dict[str, Any] = {
         "id": name,
         "k": s.k,
@@ -317,11 +314,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         domains = [_domain_from_args(args, settings)]
     failed = 0
     for name, d in domains:
-        band = factor_laplacian(d)
-        f = solve_torsion(d, band)
-        s = eigenvalues(
-            d, band, k=BATTERY_K, tol=settings["eig_tol"], seed=settings["seed"]
-        )
+        f, s = solve_raster(d, k=BATTERY_K, seed=settings["seed"])
         sanity, battery = inequality_battery(d, f, s)
         reports = sanity + battery
         ok = all(r.passed for r in reports)
@@ -343,7 +336,6 @@ def _run_config(settings: Settings) -> RunConfig:
         k=settings["k"],
         P=settings["P"],
         mode=settings["mode"],
-        eig_tol=settings["eig_tol"],
         r0=settings["r0"],
         seed=settings["seed"],
         workers=settings["workers"],
@@ -381,11 +373,7 @@ def _cmd_surgery(args: argparse.Namespace) -> int:
         print(summary_table(result.rows))
         return result.exit_code
     name, d = _domain_from_args(args, settings)
-    band = factor_laplacian(d)
-    f = solve_torsion(d, band)
-    s = eigenvalues(
-        d, band, k=settings["k"], tol=settings["eig_tol"], seed=settings["seed"]
-    )
+    f, s = solve_raster(d, k=settings["k"], seed=settings["seed"])
     result, report = strip_surgery(
         f,
         s,
@@ -394,7 +382,6 @@ def _cmd_surgery(args: argparse.Namespace) -> int:
         P=settings["P"],
         mode=settings["mode"],
         r0=settings["r0"],
-        eig_tol=settings["eig_tol"],
         seed=settings["seed"],
     )
     return _finish_surgery(name, result, report, _out_dir(settings))
@@ -409,7 +396,6 @@ def _cmd_bounded_surgery(args: argparse.Namespace) -> int:
         k=settings["k"],
         mode=settings["mode"],
         r0=settings["r0"],
-        eig_tol=settings["eig_tol"],
         seed=settings["seed"],
     )
     return _finish_surgery(name, result, report, _out_dir(settings))
@@ -425,12 +411,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
         seed=settings["seed"],
         params=_parse_params(args.param),
     )
-    study = convergence_study(
-        spec,
-        h_list,
-        eig_tol=settings["eig_tol"],
-        seed=settings["seed"],
-    )
+    study = convergence_study(spec, h_list, seed=settings["seed"])
     _print_json(study)
     out = _out_dir(settings)
     if out is not None:
@@ -482,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
         "spectrum",
         parents=[common], help="lowest Dirichlet eigenvalues of a domain")
     _add_domain_source(p)
-    _add_setting_flags(p, ["h", "seed", "k", "eig_tol", "out"])
+    _add_setting_flags(p, ["h", "seed", "k", "out"])
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser(
@@ -490,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common], help="run the inequality battery")
     _add_domain_source(p)
     p.add_argument("--corpus", help="run on a whole corpus: default or surgery")
-    _add_setting_flags(p, ["h", "seed", "eig_tol"])
+    _add_setting_flags(p, ["h", "seed"])
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser(
@@ -500,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", help="run the batch suite: default or surgery")
     _add_setting_flags(
         p,
-        ["K", "k", "P", "h", "seed", "mode", "r0", "eig_tol", "workers", "out"],
+        ["K", "k", "P", "h", "seed", "mode", "r0", "workers", "out"],
     )
     p.set_defaults(func=_cmd_surgery)
 
@@ -511,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_domain_source(p)
     _add_setting_flags(
         p,
-        ["K", "k", "h", "seed", "mode", "r0", "eig_tol", "out"],
+        ["K", "k", "h", "seed", "mode", "r0", "out"],
     )
     p.set_defaults(func=_cmd_bounded_surgery)
 
@@ -526,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="1/64,1/128,1/256",
         help="comma-separated grid spacings, e.g. 1/64,1/128,1/256",
     )
-    _add_setting_flags(p, ["seed", "eig_tol", "out"])
+    _add_setting_flags(p, ["seed", "out"])
     p.set_defaults(func=_cmd_study)
 
     return parser

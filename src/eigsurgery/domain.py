@@ -18,7 +18,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import ndimage, spatial
@@ -345,29 +345,24 @@ def _raster_ball_mask(
     return mask
 
 
-def replace_components_with_ball(
-    d: GridDomain, keep_predicate: Callable[[GridDomain], bool]
-) -> GridDomain:
-    """Replace all discarded components by one rasterized ball of equal measure.
+def replace_components_with_ball(d: GridDomain, discard: np.ndarray) -> GridDomain:
+    """Replace the cells of ``discard`` by one rasterized ball of equal measure.
 
-    Components for which ``keep_predicate`` returns False are removed and a
-    single discrete ball with the same total cell count is appended beyond
-    the kept cells along the first axis (the window is enlarged as needed).
-    The isoperimetric expectation ``perimeter(out) <= perimeter(in) + 4h`` is
+    ``discard`` is a boolean mask of occupied cells on ``d``'s window, as a
+    rule a union of whole components.  Those cells are removed and a single
+    discrete ball with the same cell count is appended beyond the kept cells
+    along the first axis (the window is enlarged as needed).  The
+    isoperimetric expectation ``perimeter(out) <= perimeter(in) + 4h`` is
     checked and a warning is logged when the raster anisotropy breaks it; the
     caller's report carries the before/after values in any case.
     """
-    comps = _component_masks(d.occupancy)
-    keep = np.zeros(d.shape, dtype=bool)
-    n_discard = 0
-    for mask in comps:
-        sub = GridDomain(h=d.h, origin=d.origin, occupancy=mask)
-        if keep_predicate(sub):
-            keep |= mask
-        else:
-            n_discard += int(mask.sum())
+    discard = np.asarray(discard, dtype=bool)
+    if discard.shape != d.shape or (discard & ~d.occupancy).any():
+        raise ValueError("discard must mark occupied cells of the domain's window")
+    n_discard = int(discard.sum())
     if n_discard == 0:
         return d
+    keep = d.occupancy & ~discard
 
     per_before = perimeter(d)
     radius_cells = (n_discard / unit_ball_volume(d.N)) ** (1 / d.N)

@@ -35,14 +35,7 @@ from eigsurgery.inequalities import (
     check_talenti,
     check_vdb,
 )
-from eigsurgery.pde import (
-    DEFAULT_EIG_TOL,
-    Spectrum,
-    TorsionField,
-    eigenvalues,
-    factor_laplacian,
-    solve_torsion,
-)
+from eigsurgery.pde import Spectrum, TorsionField, solve_raster
 from eigsurgery.surgery import parse_mode, strip_surgery
 
 logger = logging.getLogger(__name__)
@@ -83,7 +76,6 @@ class RunConfig:
     k: int = 3
     P: float | None = None
     mode: str = "faithful"
-    eig_tol: float = DEFAULT_EIG_TOL
     r0: float | None = None
     seed: int = 0
     workers: int = 1
@@ -96,8 +88,6 @@ class RunConfig:
             raise ValueError(f"eigenvalue count k must be >= 1, got {self.k}")
         if self.P is not None and not self.P > 0:
             raise ValueError(f"perimeter bound P must be positive, got {self.P}")
-        if not self.eig_tol > 0:
-            raise ValueError("eigensolver tolerance must be positive")
         factor = parse_mode(self.mode)
         if self.mode != "faithful" and factor == 1.0:
             raise ValueError(
@@ -152,11 +142,7 @@ def run_one(spec: CorpusSpec, config: RunConfig = RunConfig()) -> dict[str, Any]
     surgery.  Exceptions propagate; :func:`run_suite` isolates them.
     """
     d = generate(spec)
-    band = factor_laplacian(d)
-    f = solve_torsion(d, band)
-    s = eigenvalues(
-        d, band, k=max(config.k, BATTERY_K), tol=config.eig_tol, seed=config.seed
-    )
+    f, s = solve_raster(d, k=max(config.k, BATTERY_K), seed=config.seed)
     sanity, checks = inequality_battery(d, f, s)
     row: dict[str, Any] = {
         "id": spec.name,
@@ -187,7 +173,6 @@ def run_one(spec: CorpusSpec, config: RunConfig = RunConfig()) -> dict[str, Any]
         P=config.P,
         mode=config.mode,
         r0=config.r0,
-        eig_tol=config.eig_tol,
         seed=config.seed,
     )
     row["surgery"] = report.to_dict()
@@ -228,10 +213,6 @@ class SuiteResult:
     rows: tuple[dict[str, Any], ...]
     config: RunConfig
     exit_code: int
-
-    @property
-    def n_failed(self) -> int:
-        return sum(1 for r in self.rows if not r["passed"])
 
     def to_jsonl(self) -> str:
         return "".join(json.dumps(r, sort_keys=True) + "\n" for r in self.rows)
@@ -381,7 +362,6 @@ _STUDY_FIELDS = ("lambda_1", "torsion_max", "torsion_integral")
 def convergence_study(
     spec: CorpusSpec,
     h_list: Sequence[float],
-    eig_tol: float = DEFAULT_EIG_TOL,
     seed: int = 0,
 ) -> dict[str, Any]:
     """Re-rasterize one spec on several grids and extrapolate the limits.
@@ -398,9 +378,7 @@ def convergence_study(
     rows: list[dict[str, Any]] = []
     for h in hs:
         d = generate(dc_replace(spec, h=h))
-        band = factor_laplacian(d)
-        f = solve_torsion(d, band)
-        s = eigenvalues(d, band, k=1, tol=eig_tol, seed=seed)
+        f, s = solve_raster(d, k=1, seed=seed)
         rows.append(
             {
                 "h": h,

@@ -30,7 +30,7 @@ from scipy.optimize import brentq
 from eigsurgery.domain import EmptyDomainError, GridDomain, Strip, unit_ball_volume
 
 DEFAULT_CG_TOL = 1e-10  # bound on the torsion solve's relative residual
-DEFAULT_EIG_TOL = 1e-8
+DEFAULT_EIG_TOL = 1e-8  # the eigensolver's relative tolerance
 _DENSE_CUTOFF = 400  # below this many cells the dense eigensolver is used
 _SHIFT_FACTOR = 10  # the certificate's shift sits 10 tol below lambda_k
 _CERTIFY_ROUNDS = 3  # Lanczos runs before a failed certificate raises
@@ -48,6 +48,7 @@ __all__ = [
     "gamma_distance",
     "save_field",
     "save_spectrum",
+    "solve_raster",
     "solve_torsion",
     "strip_max",
     "torsion_energy",
@@ -89,7 +90,7 @@ class TorsionField:
 class Spectrum:
     """Lowest-k Dirichlet eigenvalues, ascending.
 
-    Accurate to the requested relative tolerance ``rel_tol``.  A spectrum
+    Accurate to the relative tolerance :data:`DEFAULT_EIG_TOL`.  A spectrum
     from :func:`eigenvalues` is certified: ``inertia_count`` is the number
     of eigenvalues of the Laplacian below ``shift``, counted by Sylvester's
     law of inertia (or by the full dense spectrum), and equals the number
@@ -99,7 +100,6 @@ class Spectrum:
 
     eigenvalues: tuple[float, ...]
     k: int
-    rel_tol: float
     shift: float | None = None
     inertia_count: int | None = None
 
@@ -124,7 +124,6 @@ class Spectrum:
         return Spectrum(
             eigenvalues=tuple(v / t**2 for v in self.eigenvalues),
             k=self.k,
-            rel_tol=self.rel_tol,
             shift=None if self.shift is None else self.shift / t**2,
             inertia_count=self.inertia_count,
         )
@@ -192,8 +191,9 @@ class BandFactor:
     """Band Cholesky factor of one raster's Dirichlet Laplacian.
 
     Built by :func:`factor_laplacian` and passed explicitly, first to
-    :func:`solve_torsion` and then to :func:`eigenvalues`, so a raster that
-    needs both a torsion field and a spectrum is factored once.
+    :func:`solve_torsion` and then to :func:`eigenvalues` (see
+    :func:`solve_raster`), so a raster that needs both a torsion field and a
+    spectrum is factored once.
     :func:`eigenvalues` releases the band when its Lanczos run ends; a
     released factor can no longer solve.  ``cells`` and ``pairs`` are the
     raster's :func:`_stencil`.
@@ -315,7 +315,6 @@ def _lanczos(
     n: int,
     k: int,
     v0: np.ndarray,
-    tol: float,
 ) -> np.ndarray:
     """The ``k`` eigenvalues nearest 0, ascending, by shift-invert Lanczos.
 
@@ -330,7 +329,7 @@ def _lanczos(
         sigma=0.0,
         which="LM",
         v0=v0,
-        tol=tol,
+        tol=DEFAULT_EIG_TOL,
         maxiter=max(5000, 20 * n),
         OPinv=inverse,
         return_eigenvectors=False,
@@ -343,7 +342,6 @@ def eigenvalues(
     factor: BandFactor | None = None,
     *,
     k: int,
-    tol: float = DEFAULT_EIG_TOL,
     seed: int = 0,
 ) -> Spectrum:
     """Lowest ``k`` Dirichlet eigenvalues of the FD Laplacian, certified.
@@ -354,10 +352,10 @@ def eigenvalues(
     given, else a sparse LDL^T of ``A``.
 
     Each spectrum is certified by an inertia count at the shift
-    ``sigma = lambda_k (1 - 10 tol)``: the LDL^T of ``A - sigma I`` must
-    have as many negative pivots as there are computed eigenvalues below
-    ``sigma``, so no eigenvalue below lambda_k's cluster, copies of a
-    multiple eigenvalue included, was missed.  On a deficit Lanczos runs
+    ``sigma = lambda_k (1 - 10 DEFAULT_EIG_TOL)``: the LDL^T of
+    ``A - sigma I`` must have as many negative pivots as there are computed
+    eigenvalues below ``sigma``, so no eigenvalue below lambda_k's cluster,
+    copies of a multiple eigenvalue included, was missed.  On a deficit Lanczos runs
     again for that many more eigenvalues; if the count still disagrees after
     three rounds a ``RuntimeError`` is raised.  Raises ``ValueError`` for a
     factor of another raster.  Results are reproducible for a fixed seed.
@@ -376,7 +374,7 @@ def eigenvalues(
     for _ in range(_CERTIFY_ROUNDS):
         lanczos = n > _DENSE_CUTOFF and wanted < n - 1
         if lanczos:
-            vals = _lanczos(solve or _ldlt(A, 0.0).solve, n, wanted, v0, tol)
+            vals = _lanczos(solve or _ldlt(A, 0.0).solve, n, wanted, v0)
         solve = None  # a retry inverts by the sparse LDL^T
         if factor is not None:
             factor.release()  # before the certificate's own factorization
@@ -386,14 +384,13 @@ def eigenvalues(
             vals = scipy.linalg.eigvalsh(A.toarray())  # the full spectrum
         # Just below lambda_k's cluster: a shift above it would also count
         # the copies of a multiple lambda_k beyond the k-th.
-        shift = float(vals[k - 1]) * (1.0 - _SHIFT_FACTOR * tol)
+        shift = float(vals[k - 1]) * (1.0 - _SHIFT_FACTOR * DEFAULT_EIG_TOL)
         found = int(np.count_nonzero(vals < shift))
         count = _inertia_below(A, shift) if lanczos else found
         if count == found:
             return Spectrum(
                 eigenvalues=tuple(float(v) for v in vals[:k]),
                 k=k,
-                rel_tol=tol,
                 shift=shift,
                 inertia_count=count,
             )
@@ -409,6 +406,19 @@ def eigenvalues(
         f"eigenvalue certificate failed: {count} negative pivots below the shift "
         f"{shift:.9g} against {found} computed eigenvalues"
     )
+
+
+def solve_raster(
+    d: GridDomain, *, k: int, seed: int = 0
+) -> tuple[TorsionField, Spectrum]:
+    """Torsion function and lowest ``k`` eigenvalues of ``d``, on one factor.
+
+    The band Cholesky factor of :func:`factor_laplacian` serves the torsion
+    solve and then, as Lanczos's inverse, the eigensolve, which releases it.
+    """
+    band = factor_laplacian(d)
+    f = solve_torsion(d, band)
+    return f, eigenvalues(d, band, k=k, seed=seed)
 
 
 def _aligned_offset(d1: GridDomain, d2: GridDomain) -> tuple[int, ...]:
@@ -518,7 +528,7 @@ def save_spectrum(s: Spectrum, path: str | Path) -> Path:
     out = Path(path)
     out.write_text(
         json.dumps(
-            {"eigenvalues": list(s.eigenvalues), "rel_tol": s.rel_tol},
+            {"eigenvalues": list(s.eigenvalues), "rel_tol": DEFAULT_EIG_TOL},
             sort_keys=True,
         )
         + "\n",

@@ -46,13 +46,12 @@ from eigsurgery.inequalities import (
 )
 from eigsurgery.pde import (
     DEFAULT_CG_TOL,
-    DEFAULT_EIG_TOL,
     Spectrum,
     TorsionField,
     ball_lambda1,
     eigenvalues,
     embed_union,
-    factor_laplacian,
+    solve_raster,
     solve_torsion,
     strip_max,
     torsion_energy,
@@ -186,22 +185,29 @@ def choose_cut_constants(
     rescale: ``(1-m_hat)^{2/N} >= 1/2``.  The slide length gets a 1% safety
     margin over its strict lower bound.
     """
-    if not P > 0:
-        raise ValueError("perimeter bound P must be positive")
+    if not (P > 0 and math.isfinite(P)):
+        raise ValueError("perimeter bound P must be positive and finite")
     if C0 * r0 > 1 / (2 * K) * (1 + 1e-9):
         raise ValueError("strip-test product C0*r0 must not exceed 1/(2K)")
     q = (N - 1) / N
 
     def slack(m: float) -> float:
+        if m < 1e-12:  # (1-m)^q - 1 would cancel to rounding noise
+            return math.expm1(q * math.log1p(-m)) + m**q / (2 * P)
         return (1 - m) ** q - 1 + m**q / (2 * P)
 
-    hi = 1 - 1e-12
+    lo, hi, xtol = 1e-12, 1 - 1e-12, 1e-15
     if slack(hi) >= 0:
         root = hi
     else:
         # slack rises from 0 with infinite slope and is concave, so it has a
         # single positive root; the condition holds on (0, root].
-        root = float(optimize.brentq(slack, 1e-12, hi, xtol=1e-15, rtol=1e-14))
+        if slack(lo) < 0:
+            # A large P puts the root below 1e-12.  Since (1-m)^q >= 1-m,
+            # slack > 0 below (2P)^-N, so half of that brackets it.
+            lo, hi = 0.5 * (2 * P) ** (-N), lo
+            xtol = 1e-12 * lo
+        root = float(optimize.brentq(slack, lo, hi, xtol=xtol, rtol=1e-14))
     spectral_cap = 1 - 2 ** (-N / 2)
     m_hat = min(root, spectral_cap)
     l0 = 1.01 * 4 * N * m_hat ** (1 / N) / (2 * unit_ball_volume(N) ** (1 / N) - 1)
@@ -710,6 +716,7 @@ def component_cleanup(
     flags: list[str] = []
     discarded = 0
     discarded_measure = 0.0
+    discard = np.zeros(d.shape, dtype=bool)
     for comp in connected_components(d):
         if projection_hits_active(comp):
             continue
@@ -732,6 +739,7 @@ def component_cleanup(
             continue
         discarded += 1
         discarded_measure += comp_measure
+        discard |= comp.occupancy
         lam1_floor = (1.0 / wmax if wmax > 0 else math.inf) * (1 - m_hat) ** (2 / d.N)
         checks.append(
             IneqReport.compare(
@@ -746,26 +754,14 @@ def component_cleanup(
             fA = _component_field(comp, f)
             checks.append(check_positive_energy(comp, fA, f, c, threshold))
 
-    if discarded == 0:
-        return d, {
-            "discarded_components": 0,
-            "discarded_measure": 0.0,
-            "checks": checks,
-            "flags": flags,
-        }
-
-    def keep(sub: GridDomain) -> bool:
-        if projection_hits_active(sub):
-            return True
-        return float(f.values[sub.occupancy].max()) > threshold
-
-    out = replace_components_with_ball(d, keep)
-    logger.info(
-        "component cleanup: replaced %d component(s) of measure %.6g by a ball",
-        discarded,
-        discarded_measure,
-    )
-    return out, {
+    if discarded:
+        d = replace_components_with_ball(d, discard)
+        logger.info(
+            "component cleanup: replaced %d component(s) of measure %.6g by a ball",
+            discarded,
+            discarded_measure,
+        )
+    return d, {
         "discarded_components": discarded,
         "discarded_measure": discarded_measure,
         "checks": checks,
@@ -851,7 +847,6 @@ def strip_surgery(
     P: float | None = None,
     mode: str = "faithful",
     r0: float | None = None,
-    eig_tol: float = DEFAULT_EIG_TOL,
     seed: int = 0,
 ) -> tuple[GridDomain, SurgeryReport]:
     """Cut low-torsion strips, replace far components by a ball, rescale.
@@ -950,7 +945,7 @@ def strip_surgery(
     if np.array_equal(d_clean.occupancy, d0.occupancy):
         s_out = s0.rescaled(t1)
     else:
-        s_out = eigenvalues(d_out, k=k, tol=eig_tol, seed=seed)
+        s_out = eigenvalues(d_out, k=k, seed=seed)
 
     before = measure_domain(d0, s0, k)
     after = measure_domain(d_out, s_out, k)
@@ -1294,7 +1289,6 @@ def bounded_surgery(
     k: int,
     mode: str = "faithful",
     r0: float | None = None,
-    eig_tol: float = DEFAULT_EIG_TOL,
     seed: int = 0,
 ) -> tuple[GridDomain, SurgeryReport]:
     """Energy descent with the derived penalty, then rescale to unit measure.
@@ -1319,14 +1313,12 @@ def bounded_surgery(
         window_extent=_occupied_extent(d0),
         N=d0.N,
     )
-    band = factor_laplacian(d0)
-    f0 = solve_torsion(d0, band)
-    s0 = eigenvalues(d0, band, k=k, tol=eig_tol, seed=seed)
+    f0, s0 = solve_raster(d0, k=k, seed=seed)
     f1, log = subsolution_truncate(f0, constants.c, r0=constants.r0)
     d_desc = f1.domain
     before = measure_domain(d0, s0, k)
     if log:
-        s1 = eigenvalues(d_desc, k=k, tol=eig_tol, seed=seed)
+        s1 = eigenvalues(d_desc, k=k, seed=seed)
         d_out, t1 = _normalized(d_desc)
         after = measure_domain(d_out, s1.rescaled(t1), k)
     else:

@@ -261,7 +261,14 @@ class TestRemoveStrips:
 class TestBallReplacement:
     def test_nothing_discarded_identity(self):
         d = cell_square(1 / 16)
-        assert replace_components_with_ball(d, lambda c: True) is d
+        assert replace_components_with_ball(d, np.zeros(d.shape, dtype=bool)) is d
+
+    def test_discard_must_mark_occupied_cells(self):
+        d = cell_square(1 / 16)
+        with pytest.raises(ValueError, match="occupied cells"):
+            replace_components_with_ball(d, ~d.occupancy)
+        with pytest.raises(ValueError, match="occupied cells"):
+            replace_components_with_ball(d, d.occupancy[1:])
 
     def test_volume_preserved(self):
         h = 1 / 64
@@ -272,7 +279,7 @@ class TestBallReplacement:
         d = from_mask(occ, h)
         x_split = d.origin[0] + (n + 5) * h
         out = replace_components_with_ball(
-            d, lambda c: c.centers(0)[c.occupancy.any(axis=1)].min() < x_split
+            d, d.occupancy & (d.centers(0) > x_split)[:, None]
         )
         assert measure(out) == pytest.approx(measure(d), abs=1e-12)
         # discarded square became a single extra component
@@ -287,7 +294,7 @@ class TestBallReplacement:
         occ[:side] = True
         occ[2 * side :] = True
         d = from_mask(occ, h)
-        out = replace_components_with_ball(d, lambda c: False)
+        out = replace_components_with_ball(d, d.occupancy)
         ball_r = math.sqrt(0.5 / math.pi)
         assert measure(out) == pytest.approx(0.5, abs=1e-12)
         # face-count perimeter of the ball = (4/pi) * Euclidean
@@ -301,8 +308,8 @@ class TestBallReplacement:
         occ[:6, :5, :4] = True
         occ[10:13, 5:8, 4:7] = True
         d = from_mask(occ, h)
-        kept = max(connected_components(d), key=lambda c: c.cell_count)
-        out = replace_components_with_ball(d, lambda c: c.cell_count > 27)
+        kept, cube = sorted(connected_components(d), key=lambda c: -c.cell_count)
+        out = replace_components_with_ball(d, cube.occupancy)
         k_mask, o_mask = embed_union(kept, out, kept.occupancy, out.occupancy)
         ball = o_mask & ~k_mask
         assert out.cell_count == d.cell_count

@@ -26,7 +26,13 @@ from eigsurgery.harness import (
     write_reports,
 )
 from eigsurgery.inequalities import IneqReport
-from eigsurgery.pde import build_laplacian, eigenvalues, factor_laplacian, solve_torsion
+from eigsurgery.pde import (
+    DEFAULT_EIG_TOL,
+    build_laplacian,
+    eigenvalues,
+    solve_raster,
+    solve_torsion,
+)
 from eigsurgery.surgery import strip_surgery
 
 H = 1 / 64
@@ -45,9 +51,7 @@ def test_three_dimensional_pipeline():
     d = GridDomain(h=occ.sum() ** (-1 / 3), origin=(0.0, 0.0, 0.0), occupancy=occ)
     assert d.cell_count > 400  # past the dense cutoff: Lanczos and the certificate
     assert measure(d) == pytest.approx(1.0, rel=1e-12)
-    band = factor_laplacian(d)
-    f = solve_torsion(d, band)
-    s = eigenvalues(d, band, k=BATTERY_K)
+    f, s = solve_raster(d, k=BATTERY_K)
     # lambda_2 = lambda_3 = lambda_4 by symmetry; the certificate holds them all
     assert s.inertia_count == sum(v < s.shift for v in s.eigenvalues) == 4
     dense = scipy.linalg.eigvalsh(build_laplacian(d)[0].toarray())[:BATTERY_K]
@@ -81,7 +85,7 @@ class TestRunConfig:
             {"K": 0.0},
             {"k": 0},
             {"P": -1.0},
-            {"eig_tol": -1e-8},
+            {"K": math.nan},
             {"mode": "practical:0.5"},
             {"mode": "nonsense"},
             {"workers": 0},
@@ -252,11 +256,51 @@ class TestCli:
         assert info["energy"] == -0.5 * info["integral"]
         assert info["max"] > 0
 
+    def test_torsion_out_writes_the_field(self, tmp_path, capsys):
+        assert main(["torsion", "--spec", "ball", "--h", "1/32",
+                     "--out", str(tmp_path)]) == 0
+        info = _json_out(capsys)
+        assert info["files"] == [str(tmp_path / "ball-torsion.bin"),
+                                 str(tmp_path / "ball-torsion.json")]
+        header = json.loads((tmp_path / "ball-torsion.json").read_text())
+        f = solve_torsion(generate(CorpusSpec("ball", "ball", 1 / 32)))
+        values = np.frombuffer((tmp_path / "ball-torsion.bin").read_bytes(), "<f8")
+        assert np.array_equal(values.reshape(header["shape"]), f.values)
+        assert header["residual"] == info["residual"] == f.residual
+
+    def test_spectrum_out_writes_the_eigenvalues(self, tmp_path, capsys):
+        assert main(["spectrum", "--spec", "ball", "--h", "1/32", "--k", "3",
+                     "--out", str(tmp_path)]) == 0
+        info = _json_out(capsys)
+        path = tmp_path / "ball-spectrum.json"
+        assert info["files"] == [str(path)]
+        assert json.loads(path.read_text()) == {
+            "eigenvalues": info["eigenvalues"],
+            "rel_tol": DEFAULT_EIG_TOL,
+        }
+
+    def test_study_out_writes_the_printed_study(self, tmp_path, capsys):
+        assert main(["study", "--spec", "square", "--param", "aligned=node",
+                     "--h-list", "1/16,1/32", "--out", str(tmp_path)]) == 0
+        printed = _json_out(capsys)
+        assert json.loads((tmp_path / "square-study.json").read_text()) == printed
+        assert [row["h"] for row in printed["rows"]] == [1 / 16, 1 / 32]
+
     def test_check_single_domain_passes(self, capsys):
         assert main(["check", "--spec", "ball", "--h", "1/64"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") == 9  # 3 sanity + 5 Li-Yau + 1 ratio
+
+    def test_check_corpus_prints_one_line_per_domain(self, capsys):
+        assert main(["check", "--corpus", "surgery", "--h", "1/32"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 11
+        assert all(
+            line.startswith("PASS ") and line.endswith(" (9/9 checks)")
+            for line in lines[:10]
+        )
+        assert lines[10] == "10/10 domains passed"
 
     def test_surgery_single_domain(self, tmp_path, capsys):
         code = main(["surgery", "--spec", "tube", "--h", "1/64",
@@ -314,13 +358,19 @@ class TestCli:
                      "--mode", "practical:inf", "--out", str(out)]) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", ["--k-power", "--r0-fraction"])
+    def test_surgery_with_a_huge_perimeter_bound(self, capsys):
+        # the mass threshold's root lies far below 1e-12 here
+        assert main(["surgery", "--spec", "dumbbell", "--h", "1/32", "--K", "200",
+                     "--k", "2", "--mode", "practical:1e12", "--P", "1e7"]) == 0
+        assert capsys.readouterr().out.endswith("verdict: no-op\n")
+
+    @pytest.mark.parametrize("flag", ["--k-power", "--r0-fraction", "--eig-tol"])
     def test_removed_flags_exit_2(self, flag):
         with pytest.raises(SystemExit) as exc:
             main(["surgery", "--spec", "tube", "--h", "1/64", flag, "2"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("key", ["k_power", "r0_fraction"])
+    @pytest.mark.parametrize("key", ["k_power", "r0_fraction", "eig_tol"])
     def test_removed_config_keys_exit_2(self, tmp_path, key):
         cfg = tmp_path / "eigsurgery.cfg"
         cfg.write_text(f"{key} = 2\n")
@@ -387,6 +437,10 @@ class TestCliPrecedence:
     def test_unknown_env_setting_exits_2(self, monkeypatch):
         monkeypatch.setenv("EIGSURGERY_k_power", "2")
         assert main(["torsion", "--spec", "ball", "--h", "1/16"]) == 2
+
+    def test_removed_eig_tol_env_setting_exits_2(self, monkeypatch):
+        monkeypatch.setenv("EIGSURGERY_eig_tol", "1e-8")
+        assert main(["spectrum", "--spec", "ball", "--h", "1/16"]) == 2
 
     def test_fraction_flags_accept_decimals(self, capsys):
         assert self._gen_h(capsys, "--h", "0.125") == 0.125

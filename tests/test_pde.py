@@ -16,6 +16,7 @@ from eigsurgery import cli, pde
 from eigsurgery.corpus import ball, default_corpus, generate, square, surgery_corpus
 from eigsurgery.domain import GridDomain, Strip, from_mask, measure, rescale
 from eigsurgery.pde import (
+    DEFAULT_EIG_TOL,
     Spectrum,
     ball_lambda1,
     build_laplacian,
@@ -24,6 +25,7 @@ from eigsurgery.pde import (
     gamma_distance,
     save_field,
     save_spectrum,
+    solve_raster,
     solve_torsion,
     strip_max,
     torsion_energy,
@@ -187,9 +189,9 @@ class TestEigenvalues:
 
     def test_spectrum_validation(self):
         with pytest.raises(ValueError):
-            Spectrum(eigenvalues=(2.0, 1.0), k=2, rel_tol=1e-8)
+            Spectrum(eigenvalues=(2.0, 1.0), k=2)
         with pytest.raises(ValueError):
-            Spectrum(eigenvalues=(-1.0,), k=1, rel_tol=1e-8)
+            Spectrum(eigenvalues=(-1.0,), k=1)
 
 
 class TestGammaDistance:
@@ -263,8 +265,10 @@ class TestExports:
     def test_spectrum_json(self, tmp_path):
         s = eigenvalues(ball(1 / 32), k=2)
         path = save_spectrum(s, tmp_path / "spec.json")
-        text = path.read_text()
-        assert '"eigenvalues"' in text and '"rel_tol"' in text
+        assert json.loads(path.read_text()) == {
+            "eigenvalues": list(s.eigenvalues),
+            "rel_tol": DEFAULT_EIG_TOL,
+        }
 
     def test_laplacian_matches_stencil(self):
         d = single_cell(0.5)
@@ -390,14 +394,14 @@ class TestCertificate:
     def test_shift_sits_below_the_kth_cluster(self):
         d = square(1 / 64, aligned="cell")  # lambda_2 = lambda_3
         s = eigenvalues(d, k=3)
-        assert s.shift < s[2] and s.shift == s[3] * (1 - 10 * s.rel_tol)
+        assert s.shift < s[2] and s.shift == s[3] * (1 - 10 * DEFAULT_EIG_TOL)
         assert s.inertia_count == 1
         r = s.rescaled(2.0)
         assert (r.shift, r.inertia_count) == (s.shift / 4, 1)
 
     def test_dense_spectrum_counts_the_full_spectrum(self):
         s = eigenvalues(square(1 / 16, aligned="cell"), k=3)  # 256 cells: dense
-        assert (s.inertia_count, s.shift) == (1, s[3] * (1 - 10 * s.rel_tol))
+        assert (s.inertia_count, s.shift) == (1, s[3] * (1 - 10 * DEFAULT_EIG_TOL))
 
     def test_missed_eigenvalue_is_solved_again(self, monkeypatch, caplog):
         d = ball(1 / 32)
@@ -426,6 +430,14 @@ class TestCertificate:
         assert np.array_equal(f.values, solve_torsion(d).values)
         alone = eigenvalues(d, k=4)
         np.testing.assert_allclose(s.eigenvalues, alone.eigenvalues, rtol=1e-12)
+
+    def test_solve_raster_runs_the_shared_factor_protocol(self):
+        d = ball(1 / 64)
+        f, s = solve_raster(d, k=4, seed=3)
+        band = factor_laplacian(d)
+        assert np.array_equal(f.values, solve_torsion(d, band).values)
+        assert s == eigenvalues(d, band, k=4, seed=3)
+        assert s.inertia_count == sum(v < s.shift for v in s.eigenvalues)
 
     def test_factor_of_another_raster_is_rejected(self):
         d = ball(1 / 64)

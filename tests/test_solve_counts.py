@@ -1,4 +1,4 @@
-"""Each raster is solved once and factored once, with the configured tolerances.
+"""Each raster is solved once and factored once, with the configured seed.
 
 The ``solves`` fixture records every torsion solve and eigensolve made from
 inside the package, keyed by the occupancy bits, so a rescaled copy of a
@@ -71,6 +71,12 @@ def factorizations(monkeypatch):
     assert len(lapack_calls) == len(rasters)  # every band factorization was seen
 
 
+def test_only_pde_factors():
+    # callers ask pde.solve_raster for both solves; the band stays in pde
+    holders = [mod.__name__ for mod in MODULES if hasattr(mod, "factor_laplacian")]
+    assert holders == ["eigsurgery.pde"]
+
+
 def test_run_one_factors_each_raster_once(solves, factorizations):
     rasters, shifts = factorizations
     config = RunConfig(K=200.0, k=2, mode="practical:1e12")
@@ -123,12 +129,11 @@ def test_descent_solves_each_occupancy_once(solves):
 
 def test_descent_checks_the_reported_spectra(solves):
     _, report = surgery.bounded_surgery(
-        blob_union(1 / 64, seed=3), K=100.0, k=2, mode="practical:1e6",
-        eig_tol=1e-9, seed=5,
+        blob_union(1 / 64, seed=3), K=100.0, k=2, mode="practical:1e6", seed=5
     )
     assert report.log
     eig_calls = [kwargs for name, _, kwargs in solves if name == "eigenvalues"]
-    assert eig_calls == [{"k": 2, "tol": 1e-9, "seed": 5}] * 2
+    assert eig_calls == [{"k": 2, "seed": 5}] * 2
     # the descended domain's spectrum, rescaled to unit measure, is the report's
     by_name = {c.name: c for c in report.checks}
     t = by_name["volume_floor"].rhs ** (-1 / 2)

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
+from eigsurgery import surgery
 from eigsurgery.corpus import ball, blob_union, dumbbell, square, tube
 from eigsurgery.domain import (
+    EmptyDomainError,
     GridDomain,
     Strip,
     connected_components,
@@ -33,6 +36,7 @@ from eigsurgery.surgery import (
     _descent_candidates,
     _descent_slack,
     _energy_bound,
+    _strips_at,
     bounded_surgery,
     choose_c,
     choose_cut_constants,
@@ -77,6 +81,34 @@ def normalized(d: GridDomain) -> GridDomain:
     from eigsurgery.domain import rescale
 
     return rescale(d, measure(d) ** (-1 / d.N))
+
+
+@pytest.fixture(scope="module")
+def tailed_disk():
+    """A unit-measure disk with a two-cell tail along +x, and its solves.
+
+    The tail's torsion is far below the strip threshold, so it lies outside
+    the active region and every slide of the cut collar keeps tail mass.
+    """
+    x, y = np.indices((160, 56))
+    occ = (x - 28) ** 2 + (y - 28) ** 2 <= 26**2
+    occ |= (x >= 28) & (abs(y - 27.5) <= 1)
+    d = normalized(from_mask(occ, 1 / 64))
+    return d, solve_torsion(d), eigenvalues(d, k=2)
+
+
+def tight(constants: SurgeryConstants) -> SurgeryConstants:
+    """The constants with a mass threshold no slide of the tail's collar meets."""
+    return replace(constants, m_hat=1e-6, l0=0.01, p=3)
+
+
+def strip_surgery_of(solved):
+    _, f, s = solved
+    return strip_surgery(f, s, K=200.0, k=2, mode="practical:1e12")
+
+
+def checks_named(report, name):
+    return [c for c in report.checks if c.name == name]
 
 
 class TestChooseC:
@@ -176,6 +208,20 @@ class TestChooseCutConstants:
     def test_rejects_oversized_strip_product(self):
         with pytest.raises(ValueError):
             choose_cut_constants(5.0, 1.0, 0.1, 200.0)
+
+    @pytest.mark.parametrize("P, N", [(1e7, 2), (1e4, 3), (1e12, 2)])
+    def test_root_below_the_default_bracket(self, P, N):
+        # the root lies below 1e-12, where the bracket used to start
+        m_hat, l0, p = choose_cut_constants(P, 1.0, 0.0025, 200.0, N=N)
+        assert (2 * P) ** (-N) <= m_hat < 1e-12
+        assert p == math.ceil(1 / m_hat) and l0 > 0
+        q = (N - 1) / N
+
+        def slack(m):
+            return math.expm1(q * math.log1p(-m)) + m**q / (2 * P)
+
+        assert slack(0.99 * m_hat) > 0 > slack(1.01 * m_hat)
+        assert abs(slack(m_hat)) <= 1e-9 * m_hat**q / (2 * P)
 
 
 class TestDeriveConstants:
@@ -333,6 +379,20 @@ class TestPlanCuts:
         assert bases[0] == pytest.approx(xs.min() - 2 * const.r0)
         assert bases[1] == pytest.approx(xs.max() + 2 * const.r0)
 
+    def test_unmet_mass_threshold_is_flagged(self, tailed_disk):
+        d, f, _ = tailed_disk
+        const = derive_constants(
+            200.0, 2, perimeter(d) * 1.02, d.h, mode="practical:1e12",
+            window_extent=3.3,
+        )
+        X, _ = detect_active_region(f, const.C0, const.r0)
+        assert plan_cuts(d, X, const).flags == ("slide_search",)
+        const = tight(const)
+        plan = plan_cuts(d, X, const)
+        assert plan.flags == ("slide_search", "mass_threshold_unmet")
+        assert plan.y_mass > const.m_hat * measure(d)
+        assert 0 <= plan.slide_index < const.p
+
     def test_overlapping_strips_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
             SurgeryPlan(
@@ -383,6 +443,28 @@ class TestSelectCutDepth:
             if v <= led["perimeter_before"] * (1 + 1e-12)
         ]
         assert feasible and chosen == min(feasible)
+
+    def test_no_feasible_depth_takes_the_flagged_minimum(self):
+        # cutting the unit square's sides off raises the rescaled perimeter
+        # at every depth up to 0.1
+        d = square(1 / 32)
+        anchors = ((0.25, -1.0), (0.75, 1.0))
+        plan = SurgeryPlan(
+            active_region=((0.25, 0.75),),
+            segments=(),
+            slide_index=0,
+            anchors=anchors,
+            strips_to_remove=_strips_at(anchors, 4 * d.h, 0.0),
+            cut_depth=0.0,
+            t_max=0.1,
+            y_mass=0.0,
+        )
+        t, led = select_cut_depth(d, plan)
+        assert led["flagged"]
+        assert min(led["rescaled_perimeter"]) > led["perimeter_before"]
+        idx = int(np.argmin(led["rescaled_perimeter"]))
+        assert led["chosen_index"] == idx
+        assert t == led["chosen_t"] == led["t"][idx]
 
     def test_empty_space_strips_give_zero_depth(self):
         d = tube(1 / 64)
@@ -488,6 +570,65 @@ class TestStripSurgery:
         f, s = solve_torsion(d), eigenvalues(d, k=1)
         with pytest.raises(ValueError, match="perimeter"):
             strip_surgery(f, s, K=100.0, k=1, P=1.0)
+
+    def test_failed_strip_test_keeps_the_strip(self, tailed_disk, monkeypatch):
+        monkeypatch.setattr(surgery, "strip_max", lambda f, s: math.inf)
+        out, report = strip_surgery_of(tailed_disk)
+        strip_rows = checks_named(report, "strip_test")
+        assert len(strip_rows) == 2 and not any(c.passed for c in strip_rows)
+        failed = [fl for fl in report.flags if fl.startswith("strip_test_failed:")]
+        assert failed == [
+            f"strip_test_failed:{c.context['center']:.6g}" for c in strip_rows
+        ]
+        assert report.plan.strips_to_remove == ()
+        assert report.verdict == "fail"
+        assert np.array_equal(out.occupancy, tailed_disk[0].occupancy)
+
+    def test_emptying_removal_is_flagged(self, tailed_disk, monkeypatch):
+        def empty(d, strips):
+            raise EmptyDomainError("strip removal emptied the domain")
+
+        monkeypatch.setattr(surgery, "remove_strips", empty)
+        out, report = strip_surgery_of(tailed_disk)
+        assert "removal_would_empty_domain" in report.flags
+        assert report.plan.strips_to_remove == ()
+        assert report.plan.mass_removed == 0.0
+        assert all(c.passed for c in report.checks) and report.passed
+        assert np.array_equal(out.occupancy, tailed_disk[0].occupancy)
+
+    def test_strip_mass_above_threshold_is_flagged(self, tailed_disk, monkeypatch):
+        derive = surgery.derive_constants
+        monkeypatch.setattr(
+            surgery, "derive_constants", lambda *a, **kw: tight(derive(*a, **kw))
+        )
+        out, report = strip_surgery_of(tailed_disk)
+        assert report.flags == (
+            "slide_search", "mass_threshold_unmet", "strip_mass_exceeds_threshold"
+        )
+        assert report.plan.mass_removed > report.constants.m_hat
+        # the flags are diagnostics: the re-measured guarantees still hold
+        assert all(c.passed for c in report.checks)
+        assert report.verdict == "pass"
+        assert out.cell_count < tailed_disk[0].cell_count
+
+    def test_infeasible_cut_depth_voids_the_perimeter_check(
+        self, tailed_disk, monkeypatch
+    ):
+        select = surgery.select_cut_depth
+
+        def flagged(*args, **kwargs):
+            t, ledger = select(*args, **kwargs)
+            return t, {**ledger, "flagged": True}
+
+        monkeypatch.setattr(surgery, "select_cut_depth", flagged)
+        _, report = strip_surgery_of(tailed_disk)
+        assert "cut_depth_infeasible" in report.flags
+        (row,) = checks_named(report, "perimeter_non_increase")
+        assert row.passed and row.note == (
+            "cut-depth scan found no depth within the perimeter budget"
+        )
+        assert set(row.context) == {"before", "after"}
+        assert report.passed
 
     def test_report_serializes(self, cut_dumbbell):
         _, _, report = cut_dumbbell
@@ -603,6 +744,24 @@ class TestVerifyChoicec:
         assert all(r.passed for r in reports)
         rescaled = [r for r in reports if r.name.startswith("rescaled")]
         assert all(r.margin > 0 for r in rescaled)
+
+    def test_eigenvalues_above_K_are_outside_the_guarantee(self):
+        d = square(1 / 64)
+        s = eigenvalues(d, k=2)
+        assert s[1] > 10.0
+        reports = verify_choicec(d, d, k=2, K=10.0, s_before=s, s_after=s)
+        rescaled = [r for r in reports if r.name.startswith("rescaled")]
+        assert [r.name for r in rescaled] == [
+            "rescaled_eigenvalue_1", "rescaled_eigenvalue_2"
+        ]
+        for i, r in enumerate(rescaled, start=1):
+            assert r.passed and r.note == (
+                f"eigenvalue {i} starts above K: outside the guarantee"
+            )
+            assert r.context == {"index": i, "K": 10.0, "before": s[i], "after": s[i]}
+        # the growth sandwich is checked whatever K is
+        growth = [r for r in reports if r.name.startswith("eigenvalue_growth")]
+        assert len(growth) == 2 and all(r.passed and r.margin == 0 for r in growth)
 
     def test_non_subset_rejected(self):
         a = square(1 / 64)
