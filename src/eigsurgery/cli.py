@@ -2,19 +2,21 @@
 
 Subcommands: ``gen``, ``torsion``, ``spectrum``, ``check``, ``surgery``,
 ``bounded-surgery``, ``study``.  Repeated settings (K, k, P, h, seed, mode,
-r0, workers, output directory) resolve in precedence order:
+workers, output directory) resolve in precedence order:
 
 1. command-line flags,
 2. ``EIGSURGERY_``-prefixed environment variables (variable name = setting
    name with its case preserved, e.g. ``EIGSURGERY_K``, ``EIGSURGERY_k``,
-   ``EIGSURGERY_mode``, ``EIGSURGERY_r0``),
+   ``EIGSURGERY_mode``, ``EIGSURGERY_workers``),
 3. a ``key=value`` config file passed with ``--config`` (``#`` comments),
 4. built-in defaults.
 
 Grid spacings accept fractions (``--h 1/256``).  Results print as JSON with
 sorted keys on stdout; diagnostics go to stderr.  Exit codes: 0 on success
 (for ``check``/``surgery``/``bounded-surgery``: all checks passed), 1 when a
-check or suite run failed, 2 on usage or runtime errors.
+check or suite run failed, 2 on usage or runtime errors.  K and P must be
+positive and finite, and a practical factor finite and above 1, on every
+path.
 """
 
 from __future__ import annotations
@@ -92,7 +94,6 @@ _SETTINGS: dict[str, tuple[Callable[[str], Any], Any]] = {
     "seed": (int, 0),
     "mode": (str, "faithful"),
     "out": (_optional(str), None),
-    "r0": (_optional(float), None),
     "workers": (int, 1),
 }
 
@@ -160,7 +161,6 @@ def _add_setting_flags(p: argparse.ArgumentParser, names: Sequence[str]) -> None
         "seed": "seed for generators and eigensolver start vectors",
         "mode": "faithful | practical:<factor>",
         "out": "output directory",
-        "r0": "strip half-width scale (default: max(4h, 0.01 x window extent))",
         "workers": "thread-pool size for corpus runs",
     }
     for name in names:
@@ -336,7 +336,6 @@ def _run_config(settings: Settings) -> RunConfig:
         k=settings["k"],
         P=settings["P"],
         mode=settings["mode"],
-        r0=settings["r0"],
         seed=settings["seed"],
         workers=settings["workers"],
         out_dir=settings["out"],
@@ -367,22 +366,16 @@ def _finish_surgery(
 
 def _cmd_surgery(args: argparse.Namespace) -> int:
     settings = Settings(args)
+    config = _run_config(settings)  # validates before anything is solved
     if args.corpus:
         specs = _corpus(args.corpus, settings["h"])
-        result = run_suite(specs, _run_config(settings))
+        result = run_suite(specs, config)
         print(summary_table(result.rows))
         return result.exit_code
     name, d = _domain_from_args(args, settings)
-    f, s = solve_raster(d, k=settings["k"], seed=settings["seed"])
+    f, s = solve_raster(d, k=config.k, seed=config.seed)
     result, report = strip_surgery(
-        f,
-        s,
-        K=settings["K"],
-        k=settings["k"],
-        P=settings["P"],
-        mode=settings["mode"],
-        r0=settings["r0"],
-        seed=settings["seed"],
+        f, s, K=config.K, k=config.k, P=config.P, mode=config.mode, seed=config.seed
     )
     return _finish_surgery(name, result, report, _out_dir(settings))
 
@@ -395,7 +388,6 @@ def _cmd_bounded_surgery(args: argparse.Namespace) -> int:
         K=settings["K"],
         k=settings["k"],
         mode=settings["mode"],
-        r0=settings["r0"],
         seed=settings["seed"],
     )
     return _finish_surgery(name, result, report, _out_dir(settings))
@@ -479,10 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common], help="strip surgery on a domain or corpus")
     _add_domain_source(p)
     p.add_argument("--corpus", help="run the batch suite: default or surgery")
-    _add_setting_flags(
-        p,
-        ["K", "k", "P", "h", "seed", "mode", "r0", "workers", "out"],
-    )
+    _add_setting_flags(p, ["K", "k", "P", "h", "seed", "mode", "workers", "out"])
     p.set_defaults(func=_cmd_surgery)
 
     p = sub.add_parser(
@@ -490,10 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common], help="penalized-energy descent on a domain"
     )
     _add_domain_source(p)
-    _add_setting_flags(
-        p,
-        ["K", "k", "h", "seed", "mode", "r0", "out"],
-    )
+    _add_setting_flags(p, ["K", "k", "h", "seed", "mode", "out"])
     p.set_defaults(func=_cmd_bounded_surgery)
 
     p = sub.add_parser(
@@ -521,8 +507,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, RuntimeError) as exc:
+    except Exception as exc:  # any runtime error is exit 2, never a traceback
         logger.error("%s", exc)
+        logger.debug("traceback of the error above", exc_info=True)
         return 2
 
 

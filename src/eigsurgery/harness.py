@@ -63,38 +63,39 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Shared knobs for every run in a batch.
+    """Shared settings for every run in a batch.
 
-    ``P = None`` derives the perimeter budget per domain as 1.02 times the
-    measured perimeter of the unit-measure normalization, so every corpus
-    member is admissible by construction.  ``mode`` is either ``"faithful"``
-    or ``"practical:<factor>"`` with factor > 1; the factor scales only the
-    energy-penalty constant and is recorded in each report.
+    ``K`` and ``P`` must be positive and finite.  ``P = None`` derives the
+    perimeter budget per domain as 1.02 times the measured perimeter of the
+    unit-measure normalization, so every corpus member is admissible by
+    construction.  ``mode`` is either ``"faithful"`` or
+    ``"practical:<factor>"`` with a finite factor above 1 (the rule of
+    :func:`~eigsurgery.surgery.parse_mode`); the factor scales only the
+    energy-penalty constant and is recorded in each report.  The strip
+    half-width ``r0`` is not a setting: the constant chain derives it from
+    the grid and the domain's extent.
     """
 
     K: float = 100.0
     k: int = 3
     P: float | None = None
     mode: str = "faithful"
-    r0: float | None = None
     seed: int = 0
     workers: int = 1
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.K > 0:
-            raise ValueError(f"spectral threshold K must be positive, got {self.K}")
+        if not (self.K > 0 and math.isfinite(self.K)):
+            raise ValueError(
+                f"spectral threshold K must be positive and finite, got {self.K}"
+            )
         if self.k < 1:
             raise ValueError(f"eigenvalue count k must be >= 1, got {self.k}")
-        if self.P is not None and not self.P > 0:
-            raise ValueError(f"perimeter bound P must be positive, got {self.P}")
-        factor = parse_mode(self.mode)
-        if self.mode != "faithful" and factor == 1.0:
+        if self.P is not None and not (self.P > 0 and math.isfinite(self.P)):
             raise ValueError(
-                "practical factor 1 is faithful mode; spell it mode='faithful'"
+                f"perimeter bound P must be positive and finite, got {self.P}"
             )
-        if factor < 1.0:
-            raise ValueError(f"practical factor must be >= 1, got {factor}")
+        parse_mode(self.mode)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
@@ -172,7 +173,6 @@ def run_one(spec: CorpusSpec, config: RunConfig = RunConfig()) -> dict[str, Any]
         k=config.k,
         P=config.P,
         mode=config.mode,
-        r0=config.r0,
         seed=config.seed,
     )
     row["surgery"] = report.to_dict()
@@ -211,7 +211,6 @@ class SuiteResult:
     """Rows (one dict per corpus member, in corpus order) plus an exit code."""
 
     rows: tuple[dict[str, Any], ...]
-    config: RunConfig
     exit_code: int
 
     def to_jsonl(self) -> str:
@@ -242,7 +241,7 @@ def run_suite(
         rows = [_safe_run(sp, config) for sp in specs]
 
     exit_code = 0 if all(r["passed"] for r in rows) else 1
-    result = SuiteResult(rows=tuple(rows), config=config, exit_code=exit_code)
+    result = SuiteResult(rows=tuple(rows), exit_code=exit_code)
     logger.info("suite finished: %d rows, exit %d\n%s",
                 len(rows), exit_code, summary_table(rows))
     if config.out_dir is not None:

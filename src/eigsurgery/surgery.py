@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import asdict, dataclass, field, replace as dc_replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -90,13 +90,20 @@ __all__ = [
 
 
 def parse_mode(mode: str) -> float:
-    """Energy-penalty scaling for ``"faithful"`` or ``"practical:<factor>"``."""
+    """Energy-penalty scaling for ``"faithful"`` or ``"practical:<factor>"``.
+
+    A practical factor must be finite and above 1; factor 1 is spelled
+    ``"faithful"``.
+    """
     if mode == "faithful":
         return 1.0
     if mode.startswith("practical:"):
         factor = float(mode[len("practical:") :])
-        if not (math.isfinite(factor) and factor > 0):
-            raise ValueError("practical-mode factor must be positive and finite")
+        if not (math.isfinite(factor) and factor > 1):
+            raise ValueError(
+                f"practical-mode factor must be finite and above 1, got {factor} "
+                "(factor 1 is spelled mode='faithful')"
+            )
         return factor
     raise ValueError(f"mode must be 'faithful' or 'practical:<factor>', got {mode!r}")
 
@@ -118,8 +125,8 @@ def choose_c(
     bound carries ``k^4``, as written in the source formula (the factor
     ``k^2`` appears twice).
     """
-    if not (K > 0 and volume > 0):
-        raise ValueError("K and volume must be positive")
+    if not (K > 0 and math.isfinite(K) and volume > 0):
+        raise ValueError("K must be positive and finite, and volume positive")
     if k < 1:
         raise ValueError("k must be at least 1")
     M_k = float(default_m_table(k, N)[k])
@@ -147,29 +154,17 @@ def choose_c(
 
 
 def choose_strip_constants(
-    c: float,
-    K: float,
-    h: float,
-    r0: float | None = None,
-    window_extent: float | None = None,
+    c: float, K: float, h: float, window_extent: float | None = None
 ) -> tuple[float, float]:
     """Strip-test constants with ``C0 * r0 = min(c/2, 1/(2K))`` exact.
 
-    ``r0`` defaults to ``max(4h, 0.01 * window_extent)`` so a strip is
-    always at least four cells wide; an explicit ``r0`` below the grid floor
-    is rejected rather than silently coarsened.
+    ``r0 = max(4h, 0.01 * window_extent)``, so a strip is always at least
+    four cells wide.
     """
     if not (c > 0 and K > 0 and h > 0):
         raise ValueError("c, K and h must be positive")
-    grid_floor = 4 * h
-    if r0 is None:
-        geom = 0.01 * window_extent if window_extent is not None else 0.0
-        r0 = max(grid_floor, geom)
-    elif r0 < grid_floor * (1 - 1e-12):
-        raise ValueError(
-            f"r0 = {r0:g} is below the grid floor 4h = {grid_floor:g}; "
-            f"refine the grid to h <= {r0 / 4:g} or widen the strip"
-        )
+    geom = 0.01 * window_extent if window_extent is not None else 0.0
+    r0 = max(4 * h, geom)
     C0 = min(c / 2, 1 / (2 * K)) / r0
     return C0, float(r0)
 
@@ -268,21 +263,7 @@ class SurgeryConstants:
             raise ValueError(f"slide length l0 = {self.l0:g} must exceed {floor:g}")
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "N": self.N,
-            "K": self.K,
-            "k": self.k,
-            "P": self.P,
-            "volume": self.volume,
-            "c": self.c,
-            "C0": self.C0,
-            "r0": self.r0,
-            "l0": self.l0,
-            "m_hat": self.m_hat,
-            "beta": self.beta,
-            "p": self.p,
-            "trace": self.trace,
-        }
+        return asdict(self)
 
 
 def derive_constants(
@@ -292,7 +273,6 @@ def derive_constants(
     h: float,
     volume: float = 1.0,
     mode: str = "faithful",
-    r0: float | None = None,
     window_extent: float | None = None,
     N: int = 2,
 ) -> SurgeryConstants:
@@ -300,8 +280,8 @@ def derive_constants(
     factor = parse_mode(mode)
     c_base, trace = choose_c(K, k, volume=volume, N=N)
     c = c_base * factor
-    C0, r0_val = choose_strip_constants(c, K, h, r0=r0, window_extent=window_extent)
-    m_hat, l0, p = choose_cut_constants(P, C0, r0_val, K, N=N)
+    C0, r0 = choose_strip_constants(c, K, h, window_extent=window_extent)
+    m_hat, l0, p = choose_cut_constants(P, C0, r0, K, N=N)
     beta = unit_ball_volume(N) * (N / K) ** (N / 2) * volume
     trace = dict(trace)
     trace.update(
@@ -309,7 +289,7 @@ def derive_constants(
             "mode": mode,
             "practical_factor": factor,
             "c_faithful": c_base,
-            "r0_source": "explicit" if r0 is not None else "max(4h, fraction*extent)",
+            "r0_source": "max(4h, fraction*extent)",
         }
     )
     return SurgeryConstants(
@@ -320,7 +300,7 @@ def derive_constants(
         volume=float(volume),
         c=float(c),
         C0=float(C0),
-        r0=float(r0_val),
+        r0=float(r0),
         l0=float(l0),
         m_hat=float(m_hat),
         beta=float(beta),
@@ -846,7 +826,6 @@ def strip_surgery(
     k: int,
     P: float | None = None,
     mode: str = "faithful",
-    r0: float | None = None,
     seed: int = 0,
 ) -> tuple[GridDomain, SurgeryReport]:
     """Cut low-torsion strips, replace far components by a ball, rescale.
@@ -878,7 +857,6 @@ def strip_surgery(
         d0.h,
         volume=measure(d0),
         mode=mode,
-        r0=r0,
         window_extent=_occupied_extent(d0),
         N=d0.N,
     )
@@ -941,14 +919,13 @@ def strip_surgery(
     )
     checks.extend(cleanup["checks"])
     flags.extend(cleanup["flags"])
-    d_out, t1 = _normalized(d_clean)
-    if np.array_equal(d_clean.occupancy, d0.occupancy):
-        s_out = s0.rescaled(t1)
-    else:
-        s_out = eigenvalues(d_out, k=k, seed=seed)
-
+    no_op = np.array_equal(d_clean.occupancy, d0.occupancy)
     before = measure_domain(d0, s0, k)
-    after = measure_domain(d_out, s_out, k)
+    if no_op:
+        d_out, after = d0, before
+    else:
+        d_out, _ = _normalized(d_clean)
+        after = measure_domain(d_out, eigenvalues(d_out, k=k, seed=seed), k)
 
     n_gaps = len(plan.segments)
     h1_active = sum(hi - lo for lo, hi in plan.active_region)
@@ -1038,7 +1015,6 @@ def strip_surgery(
     )
 
     all_pass = all(c.passed for c in checks)
-    no_op = d_out.equals(d0)
     verdict = ("no-op" if no_op else "pass") if all_pass else "fail"
     report = SurgeryReport(
         kind="strip",
@@ -1288,7 +1264,6 @@ def bounded_surgery(
     K: float,
     k: int,
     mode: str = "faithful",
-    r0: float | None = None,
     seed: int = 0,
 ) -> tuple[GridDomain, SurgeryReport]:
     """Energy descent with the derived penalty, then rescale to unit measure.
@@ -1309,7 +1284,6 @@ def bounded_surgery(
         d0.h,
         volume=measure(d0),
         mode=mode,
-        r0=r0,
         window_extent=_occupied_extent(d0),
         N=d0.N,
     )

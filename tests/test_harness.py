@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 import scipy.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from eigsurgery import cli
+from eigsurgery import cli, surgery
 from eigsurgery.cli import main
 from eigsurgery.corpus import CorpusSpec, generate
 from eigsurgery.domain import GridDomain, measure, save_domain
@@ -90,6 +91,8 @@ class TestRunConfig:
             {"mode": "nonsense"},
             {"workers": 0},
             {"mode": "practical:inf"},
+            {"P": math.inf},
+            {"K": math.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -364,18 +367,60 @@ class TestCli:
                      "--k", "2", "--mode", "practical:1e12", "--P", "1e7"]) == 0
         assert capsys.readouterr().out.endswith("verdict: no-op\n")
 
-    @pytest.mark.parametrize("flag", ["--k-power", "--r0-fraction", "--eig-tol"])
+    @pytest.mark.parametrize(
+        "flag", ["--k-power", "--r0-fraction", "--eig-tol", "--r0"]
+    )
     def test_removed_flags_exit_2(self, flag):
         with pytest.raises(SystemExit) as exc:
             main(["surgery", "--spec", "tube", "--h", "1/64", flag, "2"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("key", ["k_power", "r0_fraction", "eig_tol"])
+    @pytest.mark.parametrize("key", ["k_power", "r0_fraction", "eig_tol", "r0"])
     def test_removed_config_keys_exit_2(self, tmp_path, key):
         cfg = tmp_path / "eigsurgery.cfg"
         cfg.write_text(f"{key} = 2\n")
         assert main(["surgery", "--spec", "tube", "--h", "1/64",
                      "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["surgery", "--corpus", "surgery", "--K", "200", "--k", "2", "--P", "inf"],
+            ["surgery", "--corpus", "surgery", "--K", "inf", "--k", "2"],
+            ["surgery", "--spec", "tube", "--K", "200", "--k", "2",
+             "--mode", "practical:0.5"],
+            ["surgery", "--spec", "tube", "--K", "200", "--k", "2",
+             "--mode", "practical:1"],
+            ["bounded-surgery", "--spec", "blob_union", "--K", "100", "--k", "2",
+             "--mode", "practical:0.5"],
+        ],
+        ids=["corpus-P-inf", "corpus-K-inf", "spec-practical-0.5",
+             "spec-practical-1", "bounded-practical-0.5"],
+    )
+    def test_bad_setting_exits_2_on_every_path(self, argv, monkeypatch):
+        solved = []
+        for module in (cli, surgery):
+            monkeypatch.setattr(module, "solve_raster", lambda d, **kw: solved.append(d))
+        assert main([*argv, "--h", "1/32"]) == 2
+        assert solved == []  # rejected before any solve
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--spec", "ball", "--param", "bogus=1"],
+            ["torsion", "--spec", "ball", "--param", "radius=abc"],
+        ],
+        ids=["gen-unknown-param", "torsion-bad-param-value"],
+    )
+    def test_bad_generator_parameter_exits_2(self, argv, caplog):
+        assert main([*argv, "--h", "1/16"]) == 2
+        assert [r.levelname for r in caplog.records] == ["ERROR"]
+
+    def test_debug_log_keeps_the_traceback(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="eigsurgery.cli"):
+            assert main(["torsion", "--spec", "ball", "--param", "radius=abc",
+                         "--h", "1/16"]) == 2
+        assert caplog.records[-1].exc_info[0] is TypeError
 
     def test_unknown_generator_exits_2(self, capsys):
         assert main(["gen", "--spec", "pentagon", "--h", "1/64"]) == 2
@@ -441,6 +486,10 @@ class TestCliPrecedence:
     def test_removed_eig_tol_env_setting_exits_2(self, monkeypatch):
         monkeypatch.setenv("EIGSURGERY_eig_tol", "1e-8")
         assert main(["spectrum", "--spec", "ball", "--h", "1/16"]) == 2
+
+    def test_removed_r0_env_setting_exits_2(self, monkeypatch):
+        monkeypatch.setenv("EIGSURGERY_r0", "0.2")
+        assert main(["surgery", "--spec", "tube", "--h", "1/32"]) == 2
 
     def test_fraction_flags_accept_decimals(self, capsys):
         assert self._gen_h(capsys, "--h", "0.125") == 0.125

@@ -11,7 +11,15 @@ import pytest
 from scipy import ndimage
 
 from eigsurgery import surgery
-from eigsurgery.corpus import ball, blob_union, dumbbell, square, tube
+from eigsurgery.corpus import (
+    ball,
+    blob_union,
+    default_corpus,
+    dumbbell,
+    generate,
+    square,
+    tube,
+)
 from eigsurgery.domain import (
     EmptyDomainError,
     GridDomain,
@@ -25,6 +33,7 @@ from eigsurgery.domain import (
 from eigsurgery.pde import (
     TorsionField,
     eigenvalues,
+    solve_raster,
     solve_torsion,
     strip_max,
     torsion_energy,
@@ -146,25 +155,27 @@ class TestChooseC:
         with pytest.raises(ValueError):
             choose_c(100.0, 0)
 
+    @pytest.mark.parametrize("K", [math.inf, math.nan])
+    def test_rejects_non_finite_threshold(self, K):
+        with pytest.raises(ValueError, match="finite"):
+            choose_c(K, 2)
+
 
 class TestChooseStripConstants:
+    # h = 0.001 and extent 2.0 give r0 = 0.01 * 2.0 = 0.02 above the 4h floor
     def test_formula_example(self):
-        C0, r0 = choose_strip_constants(1e-6, 100.0, h=0.001, r0=0.02)
+        C0, r0 = choose_strip_constants(1e-6, 100.0, h=0.001, window_extent=2.0)
         assert r0 == 0.02
         assert C0 == pytest.approx(2.5e-5, rel=1e-13)
 
     def test_min_switches_branch(self):
-        C0, r0 = choose_strip_constants(1e9, 100.0, h=0.001, r0=0.02)
+        C0, r0 = choose_strip_constants(1e9, 100.0, h=0.001, window_extent=2.0)
         assert C0 * r0 == pytest.approx(1 / 200.0, rel=1e-14)
 
     def test_product_exact(self):
         for c in (1e-8, 1e-2, 1e3):
-            C0, r0 = choose_strip_constants(c, 50.0, h=0.001, r0=0.05)
+            C0, r0 = choose_strip_constants(c, 50.0, h=0.001, window_extent=5.0)
             assert C0 * r0 == pytest.approx(min(c / 2, 1 / 100.0), rel=1e-14)
-
-    def test_grid_floor_error(self):
-        with pytest.raises(ValueError, match="grid"):
-            choose_strip_constants(1.0, 100.0, h=0.01, r0=0.02)
 
     def test_default_radius_rule(self):
         _, r0 = choose_strip_constants(1.0, 100.0, h=0.001, window_extent=10.0)
@@ -274,6 +285,12 @@ class TestParseMode:
         ):
             with pytest.raises(ValueError):
                 parse_mode(bad)
+
+    def test_factor_must_exceed_one(self):
+        with pytest.raises(ValueError, match="faithful"):
+            parse_mode("practical:1")
+        with pytest.raises(ValueError, match="above 1"):
+            parse_mode("practical:0.5")
 
 
 class TestStripRemovalTest:
@@ -550,6 +567,20 @@ class TestStripSurgery:
         assert report.verdict == "no-op"
         assert out.equals(normalized(d))
         assert all(c.passed for c in report.checks)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["ball-small-cells", "tube", "blobs-2", "perforated-40", "perforated-coarse"],
+    )
+    def test_unchanged_raster_is_a_noop(self, name):
+        # these unit-measure copies measure 1 only to an ulp, so rescaling the
+        # unchanged raster a second time would move h
+        d = generate(next(s for s in default_corpus(1 / 64) if s.name == name))
+        f, s = solve_raster(d, k=3)
+        out, report = strip_surgery(f, s, K=100.0, k=3, mode="practical:1e6")
+        assert report.verdict == "no-op"
+        assert out.equals(normalized(d))
+        assert report.after == report.before
 
     def test_tube_becomes_ball(self):
         d = tube(1 / 128)
