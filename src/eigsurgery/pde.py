@@ -34,6 +34,7 @@ DEFAULT_EIG_TOL = 1e-8  # the eigensolver's relative tolerance
 _DENSE_CUTOFF = 400  # below this many cells the dense eigensolver is used
 _SHIFT_FACTOR = 10  # the certificate's shift sits 10 tol below lambda_k
 _CERTIFY_ROUNDS = 3  # Lanczos runs before a failed certificate raises
+_FLOOR_FRACTION = 0.9  # Lanczos without a band shifts to 0.9 x the lambda_1 floor
 
 logger = logging.getLogger(__name__)
 
@@ -287,18 +288,30 @@ def _ldlt(A: sparse.csr_matrix, sigma: float) -> sparse_linalg.SuperLU:
 
     Minimum-degree ordering on ``A + A^T`` and diagonal pivots only, so the
     row and column permutations agree and the diagonal of ``U`` is ``D``.
-    Raises ``RuntimeError`` if SuperLU permuted rows and columns apart.
+    Single-column panels without supernode relaxation (``relax=1``,
+    ``panel_size=1``) factor the five-point stencil's thin supernodes about
+    a quarter faster than SuperLU's defaults, with the same pivot signs.
+    Keep ``relax <= panel_size``: larger settings (32/32, 64/32) have
+    aborted at exit with a double free.  Raises ``RuntimeError`` if SuperLU
+    permuted rows and columns apart.
     """
     M = A - sigma * sparse.identity(A.shape[0], format="csr") if sigma else A
     lu = sparse_linalg.splu(
         M.T,  # the CSC form of a symmetric CSR matrix, without a copy
         permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0,
+        relax=1,
+        panel_size=1,
         options={"SymmetricMode": True},
     )
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise RuntimeError("symmetric-mode LU pivoted off the diagonal")
     return lu
+
+
+def _negative_pivots(lu: sparse_linalg.SuperLU) -> int:
+    """Negative entries of ``D`` in an :func:`_ldlt` factor."""
+    return int(np.count_nonzero(lu.U.diagonal() < 0))
 
 
 def _inertia_below(A: sparse.csr_matrix, sigma: float) -> int:
@@ -307,18 +320,67 @@ def _inertia_below(A: sparse.csr_matrix, sigma: float) -> int:
     By Sylvester's law of inertia ``A - sigma I = P^T L D L^T P`` has as many
     negative entries in ``D`` as ``A`` has eigenvalues below ``sigma``.
     """
-    return int(np.count_nonzero(_ldlt(A, sigma).U.diagonal() < 0))
+    return _negative_pivots(_ldlt(A, sigma))
+
+
+def _longest_run(occupancy: np.ndarray, axis: int) -> int:
+    """Most consecutive occupied cells along ``axis`` in any line of the raster."""
+    lines = np.moveaxis(occupancy, axis, -1).reshape(-1, occupancy.shape[axis])
+    padded = np.zeros((lines.shape[0], lines.shape[1] + 2), dtype=np.int8)
+    padded[:, 1:-1] = lines
+    edges = np.diff(padded.ravel())  # +1 where a run starts, -1 past its end
+    return int((np.flatnonzero(edges < 0) - np.flatnonzero(edges > 0)).max())
+
+
+def _lambda1_floor(d: GridDomain) -> float:
+    """A lower bound on the Laplacian's lowest eigenvalue, without a solve.
+
+    ``A`` is the sum over axes of the 1-D Dirichlet Laplacians along that
+    axis, each block diagonal over the occupied runs of its lines.  A run
+    of ``l`` cells has lowest eigenvalue ``(4 / h^2) sin^2(pi / (2 (l + 1)))``,
+    which decreases with ``l``, so by Weyl's inequality ``lambda_1`` is at
+    least the sum over axes of that value at the axis's longest run.  Exact
+    on boxes; about 0.85 lambda_1 on balls and 0.45 lambda_1 on dumbbells.
+    """
+    occ = d.occupancy
+    return sum(
+        4.0 / (d.h * d.h) * math.sin(math.pi / (2 * (_longest_run(occ, axis) + 1))) ** 2
+        for axis in range(occ.ndim)
+    )
+
+
+def _shifted_inverse(
+    A: sparse.csr_matrix, d: GridDomain
+) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
+    """``(A - sigma0 I)^-1`` and ``sigma0``, a shift certified below lambda_1.
+
+    ``sigma0`` is :data:`_FLOOR_FRACTION` times :func:`_lambda1_floor`.  By
+    Sylvester's law of inertia the LDL^T of ``A - sigma0 I`` has no negative
+    pivot exactly when ``sigma0 < lambda_1``; a negative pivot raises
+    ``RuntimeError``.
+    """
+    sigma = _FLOOR_FRACTION * _lambda1_floor(d)
+    lu = _ldlt(A, sigma)
+    below = _negative_pivots(lu)
+    if below:
+        raise RuntimeError(
+            f"Lanczos shift {sigma:.9g} is not below lambda_1: "
+            f"{below} negative pivot(s) in its LDL^T"
+        )
+    return lu.solve, sigma
 
 
 def _lanczos(
     solve: Callable[[np.ndarray], np.ndarray],
+    sigma: float,
     n: int,
     k: int,
     v0: np.ndarray,
 ) -> np.ndarray:
-    """The ``k`` eigenvalues nearest 0, ascending, by shift-invert Lanczos.
+    """The ``k`` eigenvalues nearest ``sigma``, ascending, by shift-invert Lanczos.
 
-    ``solve`` applies ``A^-1``.  In shift-invert mode ARPACK applies only
+    ``solve`` applies ``(A - sigma I)^-1``.  With ``sigma`` below lambda_1
+    they are the lowest ``k``.  In shift-invert mode ARPACK applies only
     ``OPinv``; the operator passed as ``A`` just gives the shape, so the
     Laplacian itself need not exist while Lanczos runs.
     """
@@ -326,7 +388,7 @@ def _lanczos(
     vals = sparse_linalg.eigsh(
         inverse,
         k=k,
-        sigma=0.0,
+        sigma=sigma,
         which="LM",
         v0=v0,
         tol=DEFAULT_EIG_TOL,
@@ -346,19 +408,26 @@ def eigenvalues(
 ) -> Spectrum:
     """Lowest ``k`` Dirichlet eigenvalues of the FD Laplacian, certified.
 
-    Uses shift-invert Lanczos about 0 with a deterministic start vector;
-    small systems fall back to a dense solve.  The inverse is ``factor``
-    (:func:`factor_laplacian` of ``d``, released once Lanczos ends) when
-    given, else a sparse LDL^T of ``A``.
+    Uses shift-invert Lanczos with a deterministic start vector; small
+    systems fall back to a dense solve.  With ``factor``
+    (:func:`factor_laplacian` of ``d``, released once Lanczos ends) Lanczos
+    inverts ``A`` about 0.  Without it, Lanczos inverts ``A - sigma0 I`` by
+    a sparse LDL^T, where ``sigma0`` is 0.9 times a lambda_1 floor that costs
+    no solve (:func:`_lambda1_floor`): nearer lambda_1, Lanczos converges in
+    fewer solves.  That factor has no negative pivot, which proves
+    ``sigma0 < lambda_1`` (else ``RuntimeError``), so the ``k`` eigenvalues
+    nearest ``sigma0`` are the lowest ``k``.
 
     Each spectrum is certified by an inertia count at the shift
     ``sigma = lambda_k (1 - 10 DEFAULT_EIG_TOL)``: the LDL^T of
     ``A - sigma I`` must have as many negative pivots as there are computed
     eigenvalues below ``sigma``, so no eigenvalue below lambda_k's cluster,
-    copies of a multiple eigenvalue included, was missed.  On a deficit Lanczos runs
-    again for that many more eigenvalues; if the count still disagrees after
-    three rounds a ``RuntimeError`` is raised.  Raises ``ValueError`` for a
-    factor of another raster.  Results are reproducible for a fixed seed.
+    copies of a multiple eigenvalue included, was missed.  On a deficit
+    Lanczos runs again for that many more eigenvalues, about ``sigma0`` on
+    the LDL^T of ``A - sigma0 I``, which is factored once per call; if the
+    count still disagrees after three rounds a ``RuntimeError`` is raised.
+    Raises ``ValueError`` for a factor of another raster.  Results are
+    reproducible for a fixed seed.
     """
     if factor is not None:
         factor.check(d)
@@ -368,16 +437,18 @@ def eigenvalues(
         n = A.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= occupied cells, got k={k}, cells={n}")
-    solve = factor.solve if factor is not None else None
+    solve, sigma0 = (factor.solve, 0.0) if factor is not None else (None, None)
     v0 = np.random.default_rng(seed).standard_normal(n)
     wanted = k
     for _ in range(_CERTIFY_ROUNDS):
         lanczos = n > _DENSE_CUTOFF and wanted < n - 1
         if lanczos:
-            vals = _lanczos(solve or _ldlt(A, 0.0).solve, n, wanted, v0)
-        solve = None  # a retry inverts by the sparse LDL^T
+            if solve is None:
+                solve, sigma0 = _shifted_inverse(A, d)
+            vals = _lanczos(solve, sigma0, n, wanted, v0)
         if factor is not None:
             factor.release()  # before the certificate's own factorization
+            factor = solve = None  # a retry inverts by the shifted LDL^T
         if A is None:
             A, _ = build_laplacian(d)
         if not lanczos:

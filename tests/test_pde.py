@@ -11,9 +11,18 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sparse_linalg
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from eigsurgery import cli, pde
-from eigsurgery.corpus import ball, default_corpus, generate, square, surgery_corpus
+from eigsurgery.corpus import (
+    ball,
+    default_corpus,
+    generate,
+    square,
+    surgery_corpus,
+    tube,
+)
 from eigsurgery.domain import GridDomain, Strip, from_mask, measure, rescale
 from eigsurgery.pde import (
     DEFAULT_EIG_TOL,
@@ -371,6 +380,19 @@ def dropping_eigsh(calls: list[int], rounds: int):
     return run
 
 
+def recording_ldlt(monkeypatch) -> list[float]:
+    """Record the shift of every sparse LDL^T ``eigenvalues`` makes."""
+    shifts: list[float] = []
+    ldlt = pde._ldlt
+
+    def run(A, sigma):
+        shifts.append(sigma)
+        return ldlt(A, sigma)
+
+    monkeypatch.setattr(pde, "_ldlt", run)
+    return shifts
+
+
 class TestCertificate:
     """Each spectrum is certified by the inertia of ``A - sigma I``."""
 
@@ -407,11 +429,38 @@ class TestCertificate:
         d = ball(1 / 32)
         calls: list[int] = []
         monkeypatch.setattr(pde.sparse_linalg, "eigsh", dropping_eigsh(calls, 1))
+        shifts = recording_ldlt(monkeypatch)
         with caplog.at_level(logging.INFO, logger="eigsurgery.pde"):
             s = eigenvalues(d, k=4)
         assert calls == [4, 5]
         assert "missed 1 eigenvalue(s)" in caplog.text
         np.testing.assert_allclose(s.eigenvalues, dense_eigenvalues(d, 4), rtol=1e-9)
+        # one LDL^T of A - sigma0 I serves both rounds; one certificate per round
+        sigma0 = 0.9 * pde._lambda1_floor(d)
+        assert shifts[0] == sigma0 and sigma0 not in shifts[1:]
+        assert len(shifts) == 3 and shifts[2] == s.shift
+
+    def test_band_retry_inverts_by_the_shifted_ldlt(self, monkeypatch):
+        d = ball(1 / 32)
+        calls: list[int] = []
+        monkeypatch.setattr(pde.sparse_linalg, "eigsh", dropping_eigsh(calls, 1))
+        shifts = recording_ldlt(monkeypatch)
+        _, s = solve_raster(d, k=4)
+        assert calls == [4, 5]
+        # the band's certificate fails, the retry runs about sigma0
+        assert shifts[1] == 0.9 * pde._lambda1_floor(d)
+        assert len(shifts) == 3 and shifts[2] == s.shift
+        np.testing.assert_allclose(s.eigenvalues, dense_eigenvalues(d, 4), rtol=1e-9)
+
+    def test_shift_above_lambda1_raises_and_exits_2(self, monkeypatch):
+        # a floor above lambda_1 leaves a negative pivot in the LDL^T of
+        # A - sigma0 I, which the eigensolve must refuse
+        monkeypatch.setattr(
+            pde, "_lambda1_floor", lambda d: 2 * dense_eigenvalues(d, 1)[0]
+        )
+        with pytest.raises(RuntimeError, match="not below lambda_1"):
+            eigenvalues(ball(1 / 32), k=3)
+        assert cli.main(["spectrum", "--spec", "ball", "--h", "1/32", "--k", "3"]) == 2
 
     def test_certificate_mismatch_raises_and_exits_2(self, monkeypatch):
         calls: list[int] = []
@@ -450,3 +499,58 @@ class TestCertificate:
         eigenvalues(d, band, k=2)
         with pytest.raises(ValueError, match="released"):
             solve_torsion(d, band)
+
+
+class TestLambda1Floor:
+    """``_lambda1_floor`` bounds lambda_1 from below without a solve."""
+
+    @given(
+        mask=st.tuples(st.integers(1, 20), st.integers(1, 20)).flatmap(
+            lambda shape: arrays(bool, shape)
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_floor_below_lambda1_in_2d(self, mask):
+        if not mask.any():
+            return
+        d = from_mask(mask, 1 / 16)
+        lam1 = dense_eigenvalues(d, 1)[0]
+        assert pde._lambda1_floor(d) <= lam1 * (1 + 1e-12)  # rounding, where exact
+
+    @pytest.mark.parametrize("case", ["ball", "box", "random-0", "random-1", "random-2"])
+    def test_floor_below_lambda1_in_3d(self, case):
+        x, y, z = np.indices((7, 6, 8))
+        if case == "ball":
+            mask = (x - 3) ** 2 + (y - 2.5) ** 2 + (z - 3.5) ** 2 <= 2.9**2
+        elif case == "box":
+            mask = (x < 3) & (y < 4) & (z < 5)
+        else:
+            mask = np.random.default_rng(int(case[-1])).random(x.shape) < 0.6
+        d = from_mask(mask, 1 / 8)
+        floor, lam1 = pde._lambda1_floor(d), dense_eigenvalues(d, 1)[0]
+        assert 0 < floor <= lam1 * (1 + 1e-12)
+        if case == "box":
+            assert floor == pytest.approx(lam1, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "d",
+        [square(1 / 16, aligned="cell"), square(1 / 16, aligned="node"), tube(1 / 16)],
+        ids=["square-cell", "square-node", "tube"],
+    )
+    def test_floor_is_exact_on_boxes(self, d):
+        lam1 = dense_eigenvalues(d, 1)[0]
+        assert pde._lambda1_floor(d) == pytest.approx(lam1, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec",
+        list(surgery_corpus(1 / 64)) + list(default_corpus(1 / 96)),
+        ids=lambda spec: f"{spec.name}@{round(1 / spec.h)}",
+    )
+    def test_shifted_lanczos_matches_the_band(self, spec):
+        # the sparse path runs Lanczos about sigma0, the band path about 0
+        d = generate(spec)
+        shifted = eigenvalues(d, k=5)
+        _, band = solve_raster(d, k=5)
+        np.testing.assert_allclose(
+            shifted.eigenvalues, band.eigenvalues, rtol=1e-12, atol=0
+        )

@@ -16,7 +16,7 @@ import pytest
 
 import eigsurgery
 from eigsurgery import cli, corpus, domain, harness, inequalities, pde, surgery
-from eigsurgery.corpus import CorpusSpec, blob_union, square, tube
+from eigsurgery.corpus import CorpusSpec, ball, blob_union, square, tube
 from eigsurgery.harness import RunConfig, run_one
 from eigsurgery.pde import eigenvalues, solve_torsion
 
@@ -80,12 +80,23 @@ def test_only_pde_factors():
 def test_run_one_factors_each_raster_once(solves, factorizations):
     rasters, shifts = factorizations
     config = RunConfig(K=200.0, k=2, mode="practical:1e12")
-    row = run_one(CorpusSpec("ball", "ball", 1 / 64), config)
-    assert row["passed"]
+    specs = [CorpusSpec("ball", "ball", 1 / 64), *corpus.surgery_corpus(1 / 64)[:2]]
+    for spec in specs:
+        assert run_one(spec, config)["passed"]
     assert rasters == [key for name, key, _ in solves if name == "solve_torsion"]
     # the torsion's band serves the eigensolve; only the certificate
     # factors A - sigma I
-    assert len(shifts) == 1 and shifts[0] > 0
+    assert len(set(rasters)) == len(rasters) == len(specs)
+    assert len(shifts) == len(specs) and min(shifts) > 0
+
+
+def test_eigensolve_without_a_factor_makes_two_sparse_factorizations(factorizations):
+    rasters, shifts = factorizations
+    s = eigenvalues(ball(1 / 64), k=3)
+    assert rasters == []
+    # Lanczos's inverse about 0 < sigma0 < lambda_1, then the certificate
+    assert len(shifts) == 2
+    assert 0 < shifts[0] < s[1] and shifts[1] == s.shift
 
 
 def test_noop_descent_factors_each_raster_once(solves, factorizations):
