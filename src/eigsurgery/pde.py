@@ -290,10 +290,10 @@ def _ldlt(A: sparse.csr_matrix, sigma: float) -> sparse_linalg.SuperLU:
     row and column permutations agree and the diagonal of ``U`` is ``D``.
     Single-column panels without supernode relaxation (``relax=1``,
     ``panel_size=1``) factor the five-point stencil's thin supernodes about
-    a quarter faster than SuperLU's defaults, with the same pivot signs.
-    Keep ``relax <= panel_size``: larger settings (32/32, 64/32) have
-    aborted at exit with a double free.  Raises ``RuntimeError`` if SuperLU
-    permuted rows and columns apart.
+    a quarter faster than SuperLU's defaults, with the same pivot signs on
+    192 factorizations checked against them.  Other settings are untested:
+    32/32 and 64/32 aborted at process exit with a double free.  Raises
+    ``RuntimeError`` if SuperLU permuted rows and columns apart.
     """
     M = A - sigma * sparse.identity(A.shape[0], format="csr") if sigma else A
     lu = sparse_linalg.splu(
@@ -422,10 +422,12 @@ def eigenvalues(
     ``sigma = lambda_k (1 - 10 DEFAULT_EIG_TOL)``: the LDL^T of
     ``A - sigma I`` must have as many negative pivots as there are computed
     eigenvalues below ``sigma``, so no eigenvalue below lambda_k's cluster,
-    copies of a multiple eigenvalue included, was missed.  On a deficit
-    Lanczos runs again for that many more eigenvalues, about ``sigma0`` on
-    the LDL^T of ``A - sigma0 I``, which is factored once per call; if the
-    count still disagrees after three rounds a ``RuntimeError`` is raised.
+    copies of a multiple eigenvalue included, was missed.  The LDL^T of
+    ``A - sigma0 I`` is freed before the certificate factors, so one factor
+    is alive at a time.  On a deficit, which is rare, Lanczos runs again for
+    that many more eigenvalues about ``sigma0``, on a new LDL^T of
+    ``A - sigma0 I``; if the count still disagrees after three rounds a
+    ``RuntimeError`` is raised.
     Raises ``ValueError`` for a factor of another raster.  Results are
     reproducible for a fixed seed.
     """
@@ -437,18 +439,17 @@ def eigenvalues(
         n = A.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= occupied cells, got k={k}, cells={n}")
-    solve, sigma0 = (factor.solve, 0.0) if factor is not None else (None, None)
     v0 = np.random.default_rng(seed).standard_normal(n)
     wanted = k
     for _ in range(_CERTIFY_ROUNDS):
         lanczos = n > _DENSE_CUTOFF and wanted < n - 1
-        if lanczos:
-            if solve is None:
-                solve, sigma0 = _shifted_inverse(A, d)
-            vals = _lanczos(solve, sigma0, n, wanted, v0)
+        if lanczos and factor is not None:
+            vals = _lanczos(factor.solve, 0.0, n, wanted, v0)
+        elif lanczos:  # the shifted LDL^T is freed once Lanczos returns
+            vals = _lanczos(*_shifted_inverse(A, d), n, wanted, v0)
         if factor is not None:
             factor.release()  # before the certificate's own factorization
-            factor = solve = None  # a retry inverts by the shifted LDL^T
+            factor = None  # a retry inverts by the shifted LDL^T
         if A is None:
             A, _ = build_laplacian(d)
         if not lanczos:

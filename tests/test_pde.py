@@ -435,10 +435,10 @@ class TestCertificate:
         assert calls == [4, 5]
         assert "missed 1 eigenvalue(s)" in caplog.text
         np.testing.assert_allclose(s.eigenvalues, dense_eigenvalues(d, 4), rtol=1e-9)
-        # one LDL^T of A - sigma0 I serves both rounds; one certificate per round
+        # each round factors A - sigma0 I for Lanczos, then its certificate
         sigma0 = 0.9 * pde._lambda1_floor(d)
-        assert shifts[0] == sigma0 and sigma0 not in shifts[1:]
-        assert len(shifts) == 3 and shifts[2] == s.shift
+        assert len(shifts) == 4 and shifts[0::2] == [sigma0, sigma0]
+        assert sigma0 < shifts[1] and shifts[3] == s.shift
 
     def test_band_retry_inverts_by_the_shifted_ldlt(self, monkeypatch):
         d = ball(1 / 32)
