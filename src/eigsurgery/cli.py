@@ -219,12 +219,14 @@ def _domain_from_args(
     raise ValueError("a domain is required: pass --spec or --domain")
 
 
-def _corpus(name: str, h: float) -> list[CorpusSpec]:
-    if name == "default":
-        return default_corpus(h)
-    if name == "surgery":
-        return surgery_corpus(h)
-    raise ValueError(f"unknown corpus {name!r}; choose default or surgery")
+def _corpus(args: argparse.Namespace, settings: Settings) -> list[CorpusSpec]:
+    if args.spec or args.domain or args.param or args.name:
+        raise ValueError("--corpus takes no --spec, --domain, --param or --name")
+    if args.corpus == "default":
+        return default_corpus(settings["h"])
+    if args.corpus == "surgery":
+        return surgery_corpus(settings["h"])
+    raise ValueError(f"unknown corpus {args.corpus!r}; choose default or surgery")
 
 
 def _print_json(payload: Any) -> None:
@@ -308,7 +310,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     settings = Settings(args)
     if args.corpus:
-        specs = _corpus(args.corpus, settings["h"])
+        specs = _corpus(args, settings)
         domains = ((spec.name, generate(spec)) for spec in specs)
     else:
         domains = [_domain_from_args(args, settings)]
@@ -368,7 +370,7 @@ def _cmd_surgery(args: argparse.Namespace) -> int:
     settings = Settings(args)
     config = _run_config(settings)  # validates before anything is solved
     if args.corpus:
-        specs = _corpus(args.corpus, settings["h"])
+        specs = _corpus(args, settings)
         result = run_suite(specs, config)
         print(summary_table(result.rows))
         return result.exit_code

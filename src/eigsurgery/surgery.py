@@ -339,7 +339,7 @@ def _merge_intervals(
 
 def detect_active_region(
     f: TorsionField, C0: float, r0: float
-) -> tuple[tuple[tuple[float, float], ...], int]:
+) -> tuple[tuple[float, float], ...]:
     """Intervals of first-axis positions whose doubled strip carries torsion >= C0*r0.
 
     Computes the sliding-window maximum of the per-column torsion maximum
@@ -356,7 +356,7 @@ def detect_active_region(
     )
     idx = np.flatnonzero(hot)
     if idx.size == 0:
-        return (), 0
+        return ()
     xs = d.centers(0)
     breaks = np.flatnonzero(np.diff(idx) > 1)
     starts = np.concatenate(([0], breaks + 1))
@@ -365,8 +365,7 @@ def detect_active_region(
         (float(xs[idx[i0]] - 2 * r0), float(xs[idx[i1]] + 2 * r0))
         for i0, i1 in zip(starts, ends)
     ]
-    merged = _merge_intervals(raw)
-    return tuple(merged), len(merged)
+    return tuple(_merge_intervals(raw))
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +561,7 @@ def _discard_column_mask(
 def select_cut_depth(
     d: GridDomain,
     plan: SurgeryPlan,
-    P: float | None = None,
+    P: float,
 ) -> tuple[float, dict[str, Any]]:
     """Scan cut depths t in {0, h, ..., t_max} and pick by the perimeter ledger.
 
@@ -570,7 +569,8 @@ def select_cut_depth(
     boundary surface p(t) carried away are computed exactly on the raster;
     the rescaled perimeter is ``(1 - m)^{-(N-1)/N} (Per - p + sigma)``.  The
     smallest rescaled perimeter not exceeding Per wins (smallest t breaks
-    ties); if no depth qualifies the minimizer is returned flagged.
+    ties); if no depth qualifies the minimizer is returned flagged.  The
+    perimeter bound ``P`` is recorded in the ledger.
     """
     if len(plan.anchors) < 2 or len(plan.anchors) % 2 != 0:
         raise ValueError("plan must carry an even number (>= 2) of strip anchors")
@@ -668,20 +668,16 @@ def component_cleanup(
     d: GridDomain,
     X: Sequence[tuple[float, float]],
     f: TorsionField,
-    C0: float,
-    r0: float,
-    K: float,
-    m_hat: float,
-    c: float | None = None,
+    constants: SurgeryConstants,
 ) -> tuple[GridDomain, dict[str, Any]]:
     """Replace components whose projection misses the active region by one ball.
 
     Every such component must carry torsion at most ``C0 * r0`` (measured on
     the parent field, which dominates the component's own torsion exactly);
     a violating component is kept and flagged.  For each replaced component
-    the spectral floor ``(1/max w) (1 - m_hat)^{2/N} >= K`` and, when ``c``
-    is given, the positive penalized energy ``E + c|.|  >= 0`` are recorded;
-    the energy needs the component's own torsion (:func:`_component_field`).
+    the spectral floor ``(1/max w) (1 - m_hat)^{2/N} >= K`` and the positive
+    penalized energy ``E + c|.| >= 0`` are recorded; the energy needs the
+    component's own torsion (:func:`_component_field`).
     """
 
     def projection_hits_active(sub: GridDomain) -> bool:
@@ -691,7 +687,8 @@ def component_cleanup(
         lo_c, hi_c = float(xs.min()), float(xs.max())
         return any(hi_c >= lo and lo_c <= hi for lo, hi in X)
 
-    threshold = C0 * r0
+    threshold = constants.C0 * constants.r0
+    rescale_factor = (1 - constants.m_hat) ** (2 / d.N)  # of the final rescale
     checks: list[IneqReport] = []
     flags: list[str] = []
     discarded = 0
@@ -720,19 +717,18 @@ def component_cleanup(
         discarded += 1
         discarded_measure += comp_measure
         discard |= comp.occupancy
-        lam1_floor = (1.0 / wmax if wmax > 0 else math.inf) * (1 - m_hat) ** (2 / d.N)
+        lam1_floor = (1.0 / wmax if wmax > 0 else math.inf) * rescale_factor
         checks.append(
             IneqReport.compare(
                 "component_spectral_floor",
-                K,
+                constants.K,
                 lam1_floor,
                 1e-12,
                 {"component_measure": comp_measure, "max_torsion": wmax},
             )
         )
-        if c is not None:
-            fA = _component_field(comp, f)
-            checks.append(check_positive_energy(comp, fA, f, c, threshold))
+        fA = _component_field(comp, f)
+        checks.append(check_positive_energy(comp, fA, f, constants.c, threshold))
 
     if discarded:
         d = replace_components_with_ball(d, discard)
@@ -815,88 +811,88 @@ def _occupied_extent(d: GridDomain) -> float:
     return float(xs.max() - xs.min() + d.h)
 
 
-# ---------------------------------------------------------------------------
-# strip pipeline
+def _setup(
+    d: GridDomain, K: float, k: int, P: float | None, mode: str
+) -> tuple[GridDomain, float, float, SurgeryConstants]:
+    """Set-up shared by both pipelines: the unit-measure copy of ``d``, its
+    scale factor, the perimeter bound and the constants derived on the copy.
 
-
-def strip_surgery(
-    f: TorsionField,
-    s: Spectrum,
-    K: float,
-    k: int,
-    P: float | None = None,
-    mode: str = "faithful",
-    seed: int = 0,
-) -> tuple[GridDomain, SurgeryReport]:
-    """Cut low-torsion strips, replace far components by a ball, rescale.
-
-    Takes the torsion function ``f`` of the input ``f.domain`` and a spectrum
-    ``s`` of it with at least ``k`` eigenvalues, rescaled exactly to unit
-    measure; only a surgery that changes the occupancy solves again.  Returns
-    the surgered unit-measure domain and a report that verifies the
-    guarantees directly: exact unit measure, perimeter non-increase (on
-    unflagged cut depths), eigenvalue non-increase for every index whose
-    starting eigenvalue is at most ``K``, and the directional-diameter bound
-    computed from the plan.  A run that changes nothing is a verified no-op.
+    ``P`` defaults to 1.02 times the copy's perimeter; a stated ``P`` must
+    not be below it.
     """
-    d0, t0 = _normalized(f.domain)
-    f = f.rescaled(t0, d0)
-    s0 = s.rescaled(t0)
+    d0, t0 = _normalized(d)
     per0 = perimeter(d0)
     if P is None:
         P = per0 * 1.02
     elif per0 > P * (1 + 1e-9):
-        raise ValueError(
-            f"perimeter {per0:g} exceeds the stated bound P = {P:g}"
-        )
-    flags: list[str] = []
+        raise ValueError(f"perimeter {per0:g} exceeds the stated bound P = {P:g}")
     constants = derive_constants(
-        K,
-        k,
-        P,
-        d0.h,
-        volume=measure(d0),
-        mode=mode,
-        window_extent=_occupied_extent(d0),
-        N=d0.N,
+        K, k, P, d0.h, volume=measure(d0), mode=mode,
+        window_extent=_occupied_extent(d0), N=d0.N,
     )
-    X, n_active = detect_active_region(f, constants.C0, constants.r0)
-    logger.info("active region: %d interval(s)", n_active)
+    return d0, t0, P, constants
+
+
+def _report(
+    kind: str, changed: bool, checks: list[IneqReport], **fields: Any
+) -> SurgeryReport:
+    """Report tail shared by both pipelines: ``"fail"`` if any check fails,
+    else ``"pass"`` if the surgery changed the domain and ``"no-op"`` if not."""
+    all_pass = all(c.passed for c in checks)
+    verdict = ("pass" if changed else "no-op") if all_pass else "fail"
+    logger.info("%s surgery verdict: %s (%d checks)", kind, verdict, len(checks))
+    return SurgeryReport(kind=kind, checks=tuple(checks), verdict=verdict, **fields)
+
+
+# ---------------------------------------------------------------------------
+# strip pipeline
+
+
+def _cut_stage(
+    d0: GridDomain, f: TorsionField, constants: SurgeryConstants, P: float
+) -> tuple[GridDomain, SurgeryPlan, dict[str, Any], list[IneqReport], list[str]]:
+    """Plan and cut the strips of the unit-measure ``d0``, then clean up.
+
+    Detects the active region of ``f`` (the torsion function of ``d0``),
+    plans the strips, scans the cut depth, tests every strip and removes the
+    ones that pass, and replaces the far components by a ball.  Returns the
+    cleaned domain, the plan as executed, the cut-depth ledger, the strip
+    and cleanup checks, and the flags raised.
+    """
+    r0 = constants.r0
+    X = detect_active_region(f, constants.C0, r0)
+    logger.info("active region: %d interval(s)", len(X))
     plan = plan_cuts(d0, X, constants)
-    flags.extend(plan.flags)
+    flags = list(plan.flags)
     t, ledger = select_cut_depth(d0, plan, P)
     if ledger["flagged"]:
         flags.append("cut_depth_infeasible")
 
     checks: list[IneqReport] = []
-    strips = _strips_at(plan.anchors, constants.r0, t)
     kept_strips = []
-    for s in strips:
-        top = strip_max(f, Strip(center=s.center, half_width=2 * constants.r0))
-        ok = strip_removal_test(f, s.center, constants.r0, constants.C0, constants.r0)
+    for strip in _strips_at(plan.anchors, r0, t):
+        top = strip_max(f, Strip(center=strip.center, half_width=2 * r0))
         checks.append(
             IneqReport.compare(
                 "strip_test",
                 top,
-                constants.C0 * constants.r0,
+                constants.C0 * r0,
                 0.0,
-                {"center": s.center, "half_width": s.half_width},
+                {"center": strip.center, "half_width": strip.half_width},
             )
         )
-        if ok:
-            kept_strips.append(s)
+        if strip_removal_test(f, strip.center, r0, constants.C0, r0):
+            kept_strips.append(strip)
         else:
-            flags.append(f"strip_test_failed:{s.center:.6g}")
+            flags.append(f"strip_test_failed:{strip.center:.6g}")
 
+    d_cut = d0
     if kept_strips:
         try:
             d_cut = remove_strips(d0, kept_strips)
         except EmptyDomainError:
             flags.append("removal_would_empty_domain")
-            d_cut = d0
             kept_strips = []
-    else:
-        d_cut = d0
 
     # net mass actually removed (the slab middles come back as the ball)
     strip_mass = measure(d0) - measure(d_cut)
@@ -913,31 +909,30 @@ def strip_surgery(
         flags=tuple(flags),
     )
 
-    d_clean, cleanup = component_cleanup(
-        d_cut, plan.active_region, f, constants.C0, constants.r0, K,
-        constants.m_hat, c=constants.c,
-    )
-    checks.extend(cleanup["checks"])
-    flags.extend(cleanup["flags"])
-    no_op = np.array_equal(d_clean.occupancy, d0.occupancy)
-    before = measure_domain(d0, s0, k)
-    if no_op:
-        d_out, after = d0, before
-    else:
-        d_out, _ = _normalized(d_clean)
-        after = measure_domain(d_out, eigenvalues(d_out, k=k, seed=seed), k)
+    d_clean, cleanup = component_cleanup(d_cut, plan.active_region, f, constants)
+    checks += cleanup["checks"]
+    flags += cleanup["flags"]
+    return d_clean, plan, ledger, checks, flags
 
+
+def _check_stage(
+    plan: SurgeryPlan, ledger: dict[str, Any], constants: SurgeryConstants,
+    K: float, before: dict[str, Any], after: dict[str, Any],
+) -> tuple[list[IneqReport], dict[str, Any]]:
+    """Re-measured guarantees of a strip surgery, and its diameter bound.
+
+    Checks exact unit measure, perimeter non-increase (void on a flagged cut
+    depth), eigenvalue non-increase for every index whose starting
+    eigenvalue is at most ``K``, and ``diam_e1`` against the bound computed
+    from the plan.
+    """
+    r0, l0, N = constants.r0, constants.l0, constants.N
     n_gaps = len(plan.segments)
     h1_active = sum(hi - lo for lo, hi in plan.active_region)
-    delta = 4 * constants.r0 + constants.l0
+    delta = 4 * r0 + l0
     base = (
-        2
-        * (
-            h1_active
-            + n_gaps * (8 * constants.r0 + 2 * constants.l0)
-            + 2 * constants.r0 * (n_gaps + 2)
-        )
-        + 2 * unit_ball_volume(d0.N) ** (-1 / d0.N)
+        2 * (h1_active + n_gaps * (8 * r0 + 2 * l0) + 2 * r0 * (n_gaps + 2))
+        + 2 * unit_ball_volume(N) ** (-1 / N)
     )
     slide_allowance = 4 * n_gaps * constants.p * delta
     diameter_bound = {
@@ -945,10 +940,10 @@ def strip_surgery(
         "slide_allowance": slide_allowance,
         "total": base + slide_allowance,
         "rescaled_total": (base + slide_allowance)
-        * (1 - constants.m_hat) ** (-1 / d0.N),
+        * (1 - constants.m_hat) ** (-1 / N),
     }
 
-    checks.append(
+    checks = [
         IneqReport.compare(
             "unit_measure",
             abs(after["measure"] - 1.0),
@@ -956,7 +951,7 @@ def strip_surgery(
             0.0,
             {"measure": after["measure"]},
         )
-    )
+    ]
     if ledger["flagged"]:
         checks.append(
             IneqReport.precondition_unmet(
@@ -972,17 +967,17 @@ def strip_surgery(
                 after["perimeter"],
                 before["perimeter"],
                 1e-12,
-                {"cut_depth": t},
+                {"cut_depth": plan.cut_depth},
             )
         )
-    for i in range(1, k + 1):
-        lam_before = before["spectrum"][i - 1]
+    pairs = zip(before["spectrum"], after["spectrum"])
+    for i, (lam_before, lam_after) in enumerate(pairs, start=1):
         name = f"eigenvalue_{i}_non_increase"
         if lam_before <= K:
             checks.append(
                 IneqReport.compare(
                     name,
-                    after["spectrum"][i - 1],
+                    lam_after,
                     lam_before,
                     1e-3,  # relative guard against the two solves' error
                     {"index": i, "K": K},
@@ -992,12 +987,7 @@ def strip_surgery(
             checks.append(
                 IneqReport.precondition_unmet(
                     name,
-                    {
-                        "index": i,
-                        "K": K,
-                        "before": lam_before,
-                        "after": after["spectrum"][i - 1],
-                    },
+                    {"index": i, "K": K, "before": lam_before, "after": lam_after},
                     f"eigenvalue {i} starts above K: outside the guarantee",
                 )
             )
@@ -1007,30 +997,56 @@ def strip_surgery(
             after["diam_e1"],
             diameter_bound["total"],
             1e-12,
-            {
-                "base": base,
-                "rescaled_total": diameter_bound["rescaled_total"],
-            },
+            {"base": base, "rescaled_total": diameter_bound["rescaled_total"]},
         )
     )
+    return checks, diameter_bound
 
-    all_pass = all(c.passed for c in checks)
-    verdict = ("no-op" if no_op else "pass") if all_pass else "fail"
-    report = SurgeryReport(
-        kind="strip",
+
+def strip_surgery(
+    f: TorsionField,
+    s: Spectrum,
+    K: float,
+    k: int,
+    P: float | None = None,
+    mode: str = "faithful",
+    seed: int = 0,
+) -> tuple[GridDomain, SurgeryReport]:
+    """Cut low-torsion strips, replace far components by a ball, rescale.
+
+    Takes the torsion function ``f`` of the input ``f.domain`` and a spectrum
+    ``s`` of it with at least ``k`` eigenvalues, rescaled exactly to unit
+    measure; only a surgery that changes the occupancy solves again.  The
+    cut stage (:func:`_cut_stage`) plans, tests and removes the strips and
+    replaces the far components; the check stage (:func:`_check_stage`)
+    re-measures every guarantee on the result.  Returns the surgered
+    unit-measure domain and the report.  A run that changes nothing is a
+    verified no-op.
+    """
+    d0, t0, P, constants = _setup(f.domain, K, k, P, mode)
+    f = f.rescaled(t0, d0)
+    d_clean, plan, ledger, checks, flags = _cut_stage(d0, f, constants, P)
+    before = measure_domain(d0, s.rescaled(t0), k)
+    changed = not np.array_equal(d_clean.occupancy, d0.occupancy)
+    if changed:
+        d_out, _ = _normalized(d_clean)
+        after = measure_domain(d_out, eigenvalues(d_out, k=k, seed=seed), k)
+    else:
+        d_out, after = d0, before
+    more, diameter_bound = _check_stage(plan, ledger, constants, K, before, after)
+    return d_out, _report(
+        "strip",
+        changed,
+        checks + more,
         mode=mode,
         constants=constants,
         plan=plan,
         before=before,
         after=after,
         diameter_bound=diameter_bound,
-        checks=tuple(checks),
         flags=tuple(dict.fromkeys(flags)),
-        verdict=verdict,
         ledger=ledger,
     )
-    logger.info("strip surgery verdict: %s (%d checks)", verdict, len(checks))
-    return d_out, report
 
 
 # ---------------------------------------------------------------------------
@@ -1038,15 +1054,17 @@ def strip_surgery(
 
 
 def _descent_candidates(
-    f: TorsionField, r0: float | None
+    f: TorsionField, r0: float
 ) -> list[tuple[str, float | None, GridDomain]]:
     """One descent step's moves from ``f.domain``: ``(kind, tau, candidate)``.
 
     The removal of the sublevel set {w < tau} for tau on the geometric
     ladder ``max(w)/2, max(w)/4, ...`` (capping tau at half the maximum keeps
     the torsion peak within a factor two per move), then the removal of
-    either boundary strip of width ``r0`` along the first axis.  Every
-    candidate is a strict, nonempty subset of ``f.domain`` on its window.
+    either boundary strip of width ``r0`` along the first axis; ``r0`` is at
+    least ``4h`` (the rule of :func:`choose_strip_constants`), so the strips
+    are resolvable on the grid.  Every candidate is a strict, nonempty subset
+    of ``f.domain`` on its window.
     """
     current = f.domain
     wmax = f.max
@@ -1065,21 +1083,20 @@ def _descent_candidates(
         candidates.append(
             ("sublevel", tau, GridDomain(current.h, current.origin, occ_new))
         )
-    if r0 is not None and r0 >= 4 * current.h * (1 - 1e-12):
-        other_axes = tuple(range(1, current.occupancy.ndim))
-        cols = current.occupancy.any(axis=other_axes)
-        xs = current.centers(0)[cols]
-        edge_strips = (
-            ("edge_strip_low", Strip(float(xs.min()) + r0 / 2, r0 / 2)),
-            ("edge_strip_high", Strip(float(xs.max()) - r0 / 2, r0 / 2)),
-        )
-        for kind, strip in edge_strips:
-            try:
-                trimmed = remove_strips(current, [strip])
-            except (ValueError, EmptyDomainError):
-                continue
-            if trimmed.cell_count < current.cell_count:
-                candidates.append((kind, None, trimmed))
+    other_axes = tuple(range(1, current.occupancy.ndim))
+    cols = current.occupancy.any(axis=other_axes)
+    xs = current.centers(0)[cols]
+    edge_strips = (
+        ("edge_strip_low", Strip(float(xs.min()) + r0 / 2, r0 / 2)),
+        ("edge_strip_high", Strip(float(xs.max()) - r0 / 2, r0 / 2)),
+    )
+    for kind, strip in edge_strips:
+        try:
+            trimmed = remove_strips(current, [strip])
+        except EmptyDomainError:
+            continue
+        if trimmed.cell_count < current.cell_count:
+            candidates.append((kind, None, trimmed))
     return candidates
 
 
@@ -1114,7 +1131,7 @@ def _descent_slack(f: TorsionField, value: float) -> float:
 def subsolution_truncate(
     f: TorsionField,
     c: float,
-    r0: float | None = None,
+    r0: float,
 ) -> tuple[TorsionField, tuple[dict[str, Any], ...]]:
     """Greedy monotone descent of E + c|.| over sublevel and edge-strip moves.
 
@@ -1244,18 +1261,8 @@ def verify_choicec(
             note="lower side lambda_i(before) <= lambda_i(after) folded into margin",
         )
         margin = min(upper_report.margin, lower_margin)
-        reports.append(
-            IneqReport(
-                name=upper_report.name,
-                lhs=upper_report.lhs,
-                rhs=upper_report.rhs,
-                margin=margin,
-                tolerance=upper_report.tolerance,
-                passed=bool(margin >= -upper_report.tolerance),
-                context=upper_report.context,
-                note=upper_report.note,
-            )
-        )
+        passed = bool(margin >= -upper_report.tolerance)
+        reports.append(dc_replace(upper_report, margin=margin, passed=passed))
     return reports
 
 
@@ -1275,18 +1282,7 @@ def bounded_surgery(
     perimeter are measured and reported without an a-priori bound.  When no
     move is accepted the normalized input itself is returned (a no-op).
     """
-    d0, _ = _normalized(d)
-    per0 = perimeter(d0)
-    constants = derive_constants(
-        K,
-        k,
-        per0 * 1.02,
-        d0.h,
-        volume=measure(d0),
-        mode=mode,
-        window_extent=_occupied_extent(d0),
-        N=d0.N,
-    )
+    d0, _, _, constants = _setup(d, K, k, None, mode)
     f0, s0 = solve_raster(d0, k=k, seed=seed)
     f1, log = subsolution_truncate(f0, constants.c, r0=constants.r0)
     d_desc = f1.domain
@@ -1349,10 +1345,10 @@ def bounded_surgery(
     )
     checks.extend(verify_choicec(d0, d_desc, k, K, s0, s1))
 
-    all_pass = all(c.passed for c in checks)
-    verdict = ("pass" if log else "no-op") if all_pass else "fail"
-    report = SurgeryReport(
-        kind="bounded",
+    return d_out, _report(
+        "bounded",
+        bool(log),
+        checks,
         mode=mode,
         constants=constants,
         plan=None,
@@ -1363,10 +1359,6 @@ def bounded_surgery(
             "measured_diam_e1": after["diam_e1"],
             "measured_perimeter": after["perimeter"],
         },
-        checks=tuple(checks),
         flags=(),
-        verdict=verdict,
         log=log,
     )
-    logger.info("bounded surgery verdict: %s (%d moves)", verdict, len(log))
-    return d_out, report

@@ -425,6 +425,20 @@ class TestCli:
     def test_unknown_generator_exits_2(self, capsys):
         assert main(["gen", "--spec", "pentagon", "--h", "1/64"]) == 2
 
+    @pytest.mark.parametrize("command", ["check", "surgery"])
+    @pytest.mark.parametrize(
+        "source",
+        [["--spec", "ball"], ["--domain", "missing-domain"],
+         ["--param", "radius=0.5"], ["--name", "mine"]],
+        ids=["spec", "domain", "param", "name"],
+    )
+    def test_corpus_with_a_domain_source_exits_2(self, monkeypatch, command, source):
+        calls = []
+        for name in ("run_suite", "solve_raster"):
+            monkeypatch.setattr(cli, name, lambda *a, **kw: calls.append(a))
+        assert main([command, "--corpus", "surgery", *source, "--h", "1/16"]) == 2
+        assert calls == []  # rejected before any corpus member is solved
+
     def test_both_spec_and_domain_exits_2(self, tmp_path):
         save_domain(generate(BALL), tmp_path / "d")
         assert main(["gen", "--spec", "ball",

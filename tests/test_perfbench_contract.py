@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from eigsurgery import pde, surgery
-from eigsurgery.corpus import blob_union, generate, surgery_corpus
+from eigsurgery.corpus import blob_union, dumbbell, generate, surgery_corpus, tube
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -69,6 +69,35 @@ def test_traced_descent_records_its_moves(monkeypatch):
     assert counts["surgery.bounded_surgery.calls"] == 1
     assert counts["surgery.descent.moves"] == len(report.log)
     assert counts["pde.solve_torsion.calls_per_raster"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "domain, plan, cleanup, measured",
+    [
+        (lambda: dumbbell(1 / 192, bulb_radius=0.42, neck_length=1.8), 4, 1, 2),
+        (lambda: tube(1 / 64), 4, 1, 1),
+    ],
+    ids=["cut-dumbbell", "tube-noop"],
+)
+def test_traced_strip_surgery_keeps_its_layer_spans(
+    monkeypatch, domain, plan, cleanup, measured
+):
+    # the strip pipeline's stages must reach the traced surgery layers
+    # through the module's names, once per stage call
+    tracing = load_perfbench(monkeypatch, "tracing")
+    d = domain()
+    f, s = pde.solve_torsion(d), pde.eigenvalues(d, k=3)
+    recorder = tracing.Recorder()
+    recorder.install()
+    try:
+        surgery.strip_surgery(f, s, K=200.0, k=3, mode="practical:1e12")
+    finally:
+        recorder.uninstall()
+    counts = tracing.counts(recorder.spans)
+    assert counts["surgery.strip_surgery.calls"] == 1
+    assert counts["surgery.plan.calls"] == plan
+    assert counts["surgery.component_cleanup.calls"] == cleanup
+    assert counts["surgery.measure_domain.calls"] == measured
 
 
 def test_suite_solves_match_the_references(monkeypatch):

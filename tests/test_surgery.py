@@ -311,14 +311,13 @@ class TestStripRemovalTest:
 class TestDetectActiveRegion:
     def test_zero_field(self, disk_field):
         f = TorsionField(disk_field.domain, np.zeros_like(disk_field.values), 0.0)
-        X, n = detect_active_region(f, C0=0.06, r0=4 / 96)
-        assert X == () and n == 0
+        assert detect_active_region(f, C0=0.06, r0=4 / 96) == ()
 
     def test_disk_single_interval(self, disk_field):
         d = disk_field.domain
         r0 = 4 / 96
-        X, n = detect_active_region(disk_field, C0=0.06, r0=r0)
-        assert n == 1
+        X = detect_active_region(disk_field, C0=0.06, r0=r0)
+        assert len(X) == 1
         cols = d.occupancy.any(axis=1)
         xs = d.centers(0)[cols]
         assert X[0][0] <= xs.min() and X[0][1] >= xs.max()
@@ -336,13 +335,12 @@ class TestDetectActiveRegion:
         )
         d = from_mask(mask, h)
         f = solve_torsion(d)
-        X, n = detect_active_region(f, C0=0.06, r0=4 * h)
-        assert n == 2
+        X = detect_active_region(f, C0=0.06, r0=4 * h)
+        assert len(X) == 2
         assert X[0][1] < X[1][0]
 
     def test_huge_threshold_empty(self, disk_field):
-        X, n = detect_active_region(disk_field, C0=1e6, r0=4 / 96)
-        assert X == () and n == 0
+        assert detect_active_region(disk_field, C0=1e6, r0=4 / 96) == ()
 
 
 class TestPlanCuts:
@@ -376,8 +374,8 @@ class TestPlanCuts:
             window_extent=5.0,
         )
         f = solve_torsion(d0)
-        X, n = detect_active_region(f, const.C0, const.r0)
-        assert n == 2
+        X = detect_active_region(f, const.C0, const.r0)
+        assert len(X) == 2
         plan = plan_cuts(d0, X, const)
         assert len(plan.active_region) == 1
         assert plan.segments == ()
@@ -402,7 +400,7 @@ class TestPlanCuts:
             200.0, 2, perimeter(d) * 1.02, d.h, mode="practical:1e12",
             window_extent=3.3,
         )
-        X, _ = detect_active_region(f, const.C0, const.r0)
+        X = detect_active_region(f, const.C0, const.r0)
         assert plan_cuts(d, X, const).flags == ("slide_search",)
         const = tight(const)
         plan = plan_cuts(d, X, const)
@@ -476,7 +474,7 @@ class TestSelectCutDepth:
             t_max=0.1,
             y_mass=0.0,
         )
-        t, led = select_cut_depth(d, plan)
+        t, led = select_cut_depth(d, plan, P=20.0)
         assert led["flagged"]
         assert min(led["rescaled_perimeter"]) > led["perimeter_before"]
         idx = int(np.argmin(led["rescaled_perimeter"]))
@@ -489,7 +487,7 @@ class TestSelectCutDepth:
             200.0, 2, 20.0, d.h, mode="practical:1e12", window_extent=8.0
         )
         plan = plan_cuts(d, (), const)
-        t, led = select_cut_depth(d, plan)
+        t, led = select_cut_depth(d, plan, P=20.0)
         assert t == 0.0
         assert all(m == 0.0 for m in led["mass"])
         assert all(s == 0.0 for s in led["sigma"])
@@ -505,13 +503,18 @@ class TestComponentCleanup:
         mask[n + gap :] = True
         return from_mask(mask, h), n, gap
 
+    @staticmethod
+    def _constants(C0):
+        return SurgeryConstants(
+            N=2, K=1.0, k=1, P=10.0, volume=1.0, c=1.0, C0=C0, r0=0.1, l0=1.0,
+            m_hat=0.1, beta=1.0, p=10,
+        )
+
     def test_far_component_replaced_by_ball(self):
         d, n, gap = self._two_squares()
         f = solve_torsion(d)
         X = ((0.0, 0.5),)  # covers the left square only
-        out, info = component_cleanup(
-            d, X, f, C0=1.0, r0=0.1, K=1.0, m_hat=0.1, c=1.0
-        )
+        out, info = component_cleanup(d, X, f, self._constants(C0=1.0))
         assert info["discarded_components"] == 1
         assert info["discarded_measure"] == pytest.approx(0.4 * 0.4, rel=0.1)
         assert measure(out) == pytest.approx(measure(d), rel=1e-9)
@@ -525,9 +528,7 @@ class TestComponentCleanup:
         d, _, _ = self._two_squares()
         f = solve_torsion(d)
         X = ((0.0, 0.5),)
-        out, info = component_cleanup(
-            d, X, f, C0=1e-6, r0=0.1, K=1.0, m_hat=0.1
-        )
+        out, info = component_cleanup(d, X, f, self._constants(C0=1e-6))
         assert out.equals(d)
         assert info["discarded_components"] == 0
         assert any("component_torsion_above_threshold" in fl for fl in info["flags"])
@@ -537,9 +538,7 @@ class TestComponentCleanup:
         d, _, _ = self._two_squares()
         f = solve_torsion(d)
         X = ((-1.0, 10.0),)
-        out, info = component_cleanup(
-            d, X, f, C0=1.0, r0=0.1, K=1.0, m_hat=0.1
-        )
+        out, info = component_cleanup(d, X, f, self._constants(C0=1.0))
         assert out is d
         assert info["discarded_components"] == 0
 
@@ -670,12 +669,12 @@ class TestStripSurgery:
 class TestSubsolutionTruncate:
     def test_zero_penalty_is_identity(self, blob):
         f = solve_torsion(blob)
-        out, log = subsolution_truncate(f, 0.0)
+        out, log = subsolution_truncate(f, 0.0, r0=4 * blob.h)
         assert out is f
         assert log == ()
 
     def test_strict_descent(self, blob):
-        f, log = subsolution_truncate(solve_torsion(blob), 0.01, r0=4 / 64)
+        f, log = subsolution_truncate(solve_torsion(blob), 0.01, r0=4 * blob.h)
         out = f.domain
         assert len(log) >= 1
         assert all(entry["delta"] < 0 for entry in log)
@@ -688,7 +687,7 @@ class TestSubsolutionTruncate:
 
     def test_negative_penalty_rejected(self, blob):
         with pytest.raises(ValueError):
-            subsolution_truncate(solve_torsion(blob), -1.0)
+            subsolution_truncate(solve_torsion(blob), -1.0, r0=4 * blob.h)
 
     @pytest.mark.parametrize(
         "mode", ["faithful", "practical:1e3", "practical:1e6", "practical:1e12"]
@@ -715,7 +714,7 @@ class TestSubsolutionTruncate:
         assert len(solves) <= ref_solves
 
 
-def solve_every_candidate(f, c, r0=None):
+def solve_every_candidate(f, c, r0):
     """Reference descent: solves every candidate and checks its bound."""
     value = torsion_energy(f) + c * measure(f.domain)
     log = []
@@ -851,3 +850,55 @@ class TestWindowedMaxMatchesStripMax:
         idx = rng.integers(0, xs.size, size=120)
         for j in idx:
             assert filtered[j] == strip_max(f, Strip(float(xs[j]), 2 * r0))
+
+
+STRIP_CHECKS = (
+    ("unit_measure", True),
+    ("perimeter_non_increase", True),
+    ("eigenvalue_1_non_increase", True),
+    ("eigenvalue_2_non_increase", True),
+    ("eigenvalue_3_non_increase", True),
+    ("diam_e1_bound", True),
+)
+DESCENT_CHECKS = ("descent_monotone", "energy_comparison", "torsion_floor",
+                  "volume_floor", "rescaled_eigenvalue_1", "eigenvalue_growth_1",
+                  "rescaled_eigenvalue_2", "eigenvalue_growth_2")
+
+
+def layout(report):
+    return [(c.name, c.passed) for c in report.checks], report.flags, report.verdict
+
+
+class TestReportLayout:
+    """Order, names and outcomes of every check: reports are compared byte for
+    byte across runs, so a reordered check is a changed report."""
+
+    def test_cut_dumbbell(self, cut_dumbbell):
+        _, _, report = cut_dumbbell
+        cut = [("strip_test", True)] * 4 + [
+            ("component_spectral_floor", True), ("positive_energy", True)
+        ]
+        assert layout(report) == (cut + list(STRIP_CHECKS), (), "pass")
+
+    def test_tube_noop(self):
+        d = tube(1 / 64)
+        _, report = strip_surgery(
+            solve_torsion(d), eigenvalues(d, k=3), K=200.0, k=3, mode="practical:1e12"
+        )
+        cut = [("strip_test", True)] * 2
+        assert layout(report) == (cut + list(STRIP_CHECKS), (), "no-op")
+
+    @pytest.mark.parametrize(
+        "seed, failing, verdict",
+        [
+            (3, (), "pass"),
+            (16, ("torsion_floor", "volume_floor", "eigenvalue_growth_1",
+                  "eigenvalue_growth_2"), "fail"),
+        ],
+    )
+    def test_descent(self, seed, failing, verdict):
+        _, report = bounded_surgery(
+            blob_union(1 / 64, seed=seed), K=100, k=2, mode="practical:1e6"
+        )
+        checks = [(name, name not in failing) for name in DESCENT_CHECKS]
+        assert layout(report) == (checks, (), verdict)
