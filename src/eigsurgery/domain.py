@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import ndimage, spatial
+from scipy.sparse import coo_array, csgraph
 
 logger = logging.getLogger(__name__)
 
@@ -223,40 +223,68 @@ def diam_e(d: GridDomain, axis: int = 0) -> float:
 
 
 def _component_masks(occ: np.ndarray) -> list[np.ndarray]:
-    structure = ndimage.generate_binary_structure(occ.ndim, 1)
-    labels, n = ndimage.label(occ, structure=structure)
-    return [labels == i for i in range(1, n + 1)]
+    """Face-adjacency component masks, in raster order of their first cell.
 
-
-def _hull_vertices(pts: np.ndarray) -> np.ndarray:
-    """Indices of a subset of ``pts`` that holds every extreme point."""
-    try:
-        return spatial.ConvexHull(pts).vertices
-    except spatial.QhullError:
-        # Degenerate (lower-dimensional) set: take the hull within its affine
-        # span, or the extremes of the principal direction on a line.
-        centered = pts - pts.mean(axis=0)
-        _, sv, vt = np.linalg.svd(centered, full_matrices=False)
-        rank = int(np.count_nonzero(sv > 1e-9 * sv[0]))
-        if rank <= 1:
-            proj = centered @ vt[0]
-            return np.array([np.argmin(proj), np.argmax(proj)])
-        if rank == pts.shape[1]:
-            raise
-        return _hull_vertices(centered @ vt[:rank].T)
+    The graph's nodes are the runs of occupied cells along the last axis,
+    numbered in row-major order, so the labels come out in raster order.
+    ``occ`` has an empty margin, as every domain's occupancy does, so no run
+    or face pair found in the flat row-major order wraps across a line.
+    """
+    flat = occ.ravel()
+    starts = flat.copy()
+    starts[1:] &= ~flat[:-1]
+    run = np.cumsum(starts) - 1  # run index of each occupied cell
+    n_runs = int(run[-1]) + 1
+    if n_runs == 0:
+        return []
+    rows, cols = [np.empty(0, dtype=run.dtype)], [np.empty(0, dtype=run.dtype)]
+    for axis in range(occ.ndim - 1):
+        stride = math.prod(occ.shape[axis + 1 :])
+        src = np.flatnonzero(flat[:-stride] & flat[stride:])
+        rows.append(run[src])
+        cols.append(run[src + stride])
+    rows_a, cols_a = np.concatenate(rows), np.concatenate(cols)
+    graph = coo_array(
+        (np.ones(rows_a.size, dtype=np.int8), (rows_a, cols_a)), shape=(n_runs, n_runs)
+    )
+    n, labels = csgraph.connected_components(graph, directed=False)
+    field = np.zeros(occ.shape, dtype=np.int64)
+    cells = np.flatnonzero(flat)
+    field.flat[cells] = labels[run[cells]] + 1
+    return [field == i for i in range(1, n + 1)]
 
 
 def _pointset_diameter(pts: np.ndarray) -> float:
     """Largest pairwise distance in a finite point set.
 
-    The farthest pair is a pair of convex-hull vertices, so only those are
-    compared.
+    Compares all pairs, a block of rows against every point at a time so
+    that the difference array stays below about a million entries.
     """
-    if len(pts) == 1:
-        return 0.0
-    verts = pts[_hull_vertices(pts)]
-    diff = verts[:, None, :] - verts[None, :, :]
-    return float(np.sqrt((diff**2).sum(axis=-1)).max())
+    best = 0.0
+    rows = max(1, (1 << 20) // (len(pts) * pts.shape[1]))
+    for start in range(0, len(pts), rows):
+        diff = pts[start : start + rows, None, :] - pts[None, :, :]
+        best = max(best, float(np.sqrt((diff**2).sum(axis=-1)).max()))
+    return best
+
+
+def _line_extremes(mask: np.ndarray) -> np.ndarray:
+    """Cells of ``mask`` that are first or last on their line along every axis.
+
+    Every convex-hull vertex of the cell centers, so every end of a
+    farthest pair, is such a cell: a center with cells on both sides of it
+    along some axis lies between their centers and is no hull vertex.
+    """
+    keep = mask.copy()
+    for axis in range(mask.ndim):
+        m = np.moveaxis(mask, axis, 0)
+        ends = np.zeros(m.shape, dtype=bool)
+        first = m.argmax(axis=0)[None]
+        last = m.shape[0] - 1 - m[::-1].argmax(axis=0)[None]
+        np.put_along_axis(ends, first, True, axis=0)
+        np.put_along_axis(ends, last, True, axis=0)
+        keep &= np.moveaxis(ends, 0, axis)
+    return keep
 
 
 def diameter(d: GridDomain) -> float:
@@ -269,7 +297,7 @@ def diameter(d: GridDomain) -> float:
     cell_extent = d.h * math.sqrt(d.N)
     total = 0.0
     for mask in _component_masks(d.occupancy):
-        idx = np.argwhere(mask)
+        idx = np.argwhere(_line_extremes(mask))
         pts = (idx + 0.5) * d.h + np.asarray(d.origin)
         total += _pointset_diameter(pts) + cell_extent
     return total

@@ -25,7 +25,6 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as sparse_linalg
 from scipy import special
 from scipy.linalg import cho_solve_banded, cholesky_banded
-from scipy.optimize import brentq
 
 from eigsurgery.domain import EmptyDomainError, GridDomain, Strip, unit_ball_volume
 
@@ -552,6 +551,22 @@ def strip_max(f: TorsionField, s: Strip) -> float:
     return float(f.values[hit].max(initial=0.0))
 
 
+def _bisect(fn: Callable[[float], float], lo: float, hi: float) -> float:
+    """A root of ``fn`` in ``[lo, hi]``, given ``fn(lo) >= 0 > fn(hi)``.
+
+    Halves the bracket until its ends are adjacent floats and returns the
+    end where ``fn >= 0``: one ulp below a point where ``fn < 0``.
+    """
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            return lo
+        if fn(mid) >= 0:
+            lo = mid
+        else:
+            hi = mid
+
+
 @lru_cache(maxsize=None)
 def _bessel_first_zero(nu: float) -> float:
     """First positive zero of the Bessel function J_nu."""
@@ -563,7 +578,7 @@ def _bessel_first_zero(nu: float) -> float:
     hi = nu + math.pi + 2.0
     while special.jv(nu, hi) > 0:  # pragma: no cover - safety margin
         hi += math.pi
-    return float(brentq(lambda x: special.jv(nu, x), lo + 1e-9, hi))
+    return _bisect(lambda x: float(special.jv(nu, x)), lo + 1e-9, hi)
 
 
 @lru_cache(maxsize=None)

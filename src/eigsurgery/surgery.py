@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field, replace as dc_replace
 from typing import Any, Sequence
 
 import numpy as np
-from scipy import ndimage, optimize
+from numpy.lib.stride_tricks import sliding_window_view
 
 from eigsurgery.domain import (
     EmptyDomainError,
@@ -48,6 +48,7 @@ from eigsurgery.pde import (
     DEFAULT_CG_TOL,
     Spectrum,
     TorsionField,
+    _bisect,
     ball_lambda1,
     eigenvalues,
     embed_union,
@@ -187,22 +188,18 @@ def choose_cut_constants(
     q = (N - 1) / N
 
     def slack(m: float) -> float:
-        if m < 1e-12:  # (1-m)^q - 1 would cancel to rounding noise
-            return math.expm1(q * math.log1p(-m)) + m**q / (2 * P)
-        return (1 - m) ** q - 1 + m**q / (2 * P)
+        # (1-m)^q - 1 written so that it does not cancel at small m
+        return math.expm1(q * math.log1p(-m)) + m**q / (2 * P)
 
-    lo, hi, xtol = 1e-12, 1 - 1e-12, 1e-15
+    hi = 1 - 1e-12
     if slack(hi) >= 0:
         root = hi
     else:
         # slack rises from 0 with infinite slope and is concave, so it has a
-        # single positive root; the condition holds on (0, root].
-        if slack(lo) < 0:
-            # A large P puts the root below 1e-12.  Since (1-m)^q >= 1-m,
-            # slack > 0 below (2P)^-N, so half of that brackets it.
-            lo, hi = 0.5 * (2 * P) ** (-N), lo
-            xtol = 1e-12 * lo
-        root = float(optimize.brentq(slack, lo, hi, xtol=xtol, rtol=1e-14))
+        # single positive root; the condition holds on (0, root].  Since
+        # (1-m)^q >= 1-m, slack > 0 below (2P)^-N, so half of that brackets
+        # it from below.
+        root = _bisect(slack, 0.5 * (2 * P) ** (-N), hi)
     spectral_cap = 1 - 2 ** (-N / 2)
     m_hat = min(root, spectral_cap)
     l0 = 1.01 * 4 * N * m_hat ** (1 / N) / (2 * unit_ball_volume(N) ** (1 / N) - 1)
@@ -337,6 +334,20 @@ def _merge_intervals(
     return [(lo, hi) for lo, hi in merged]
 
 
+def _windowed_column_max(f: TorsionField, r0: float) -> np.ndarray:
+    """Per first-axis column, the torsion maximum over the doubled strip.
+
+    Entry ``j`` is the maximum of ``f`` over the columns at most
+    ``floor(2 * r0 / h)`` away from column ``j``: the cells that
+    ``strip_max`` finds in ``Strip(x_j, 2 * r0)``.  Columns beyond the
+    window count as zero, which the field is there.
+    """
+    other_axes = tuple(range(1, f.values.ndim))
+    colmax = f.values.max(axis=other_axes) if other_axes else f.values
+    win = int(math.floor(2 * r0 / f.domain.h + 1e-9))
+    return sliding_window_view(np.pad(colmax, win), 2 * win + 1).max(axis=1)
+
+
 def detect_active_region(
     f: TorsionField, C0: float, r0: float
 ) -> tuple[tuple[float, float], ...]:
@@ -347,14 +358,7 @@ def detect_active_region(
     hot columns by 2*r0 so the returned intervals are at least 4*r0 wide.
     """
     d = f.domain
-    other_axes = tuple(range(1, f.values.ndim))
-    colmax = f.values.max(axis=other_axes) if other_axes else f.values
-    win = int(math.floor(2 * r0 / d.h + 1e-9))
-    hot = (
-        ndimage.maximum_filter1d(colmax, size=2 * win + 1, mode="constant", cval=0.0)
-        >= C0 * r0
-    )
-    idx = np.flatnonzero(hot)
+    idx = np.flatnonzero(_windowed_column_max(f, r0) >= C0 * r0)
     if idx.size == 0:
         return ()
     xs = d.centers(0)
@@ -653,13 +657,17 @@ def _component_field(comp: GridDomain, f: TorsionField) -> TorsionField:
     exactly; its relative residual is at most the parent's times
     ``sqrt(parent cells / component cells)``.  Any other is solved.
     """
-    occ = comp.occupancy
-    grown = ndimage.binary_dilation(occ, ndimage.generate_binary_structure(occ.ndim, 1))
-    if (grown & ~occ & f.domain.occupancy).any():
-        return solve_torsion(comp)
+    occ = comp.occupancy.ravel()
+    rest = f.domain.occupancy.ravel() & ~occ
+    for axis in range(comp.N):
+        # the +axis face neighbour in row-major order; the empty margin
+        # keeps these pairs from wrapping across a line
+        s = math.prod(comp.shape[axis + 1 :])
+        if (occ[:-s] & rest[s:]).any() or (occ[s:] & rest[:-s]).any():
+            return solve_torsion(comp)
     return TorsionField(
         domain=comp,
-        values=np.where(occ, f.values, 0.0),
+        values=np.where(comp.occupancy, f.values, 0.0),
         residual=f.residual * math.sqrt(f.domain.cell_count / comp.cell_count),
     )
 

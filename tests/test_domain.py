@@ -7,12 +7,15 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import ndimage
+from hypothesis.extra.numpy import arrays
+from scipy import ndimage, spatial
 
+from eigsurgery.corpus import default_corpus, generate, surgery_corpus
 from eigsurgery.domain import (
     EmptyDomainError,
     GridDomain,
     Strip,
+    _component_masks,
     _pointset_diameter,
     connected_components,
     diam_e,
@@ -198,6 +201,77 @@ class TestPointsetDiameter:
     def test_random_small_sets(self, cells, h):
         pts = cell_centers(cells, h, [-0.37, 0.21, 0.05][: len(cells[0])])
         assert _pointset_diameter(pts) == brute_force_diameter(pts)
+
+
+# Oracles: the package labels faces with scipy.sparse.csgraph and finds the
+# diameter without a hull; the tests hold both to ndimage and qhull.
+
+ORIGIN = (-0.37, 0.21, 0.05)
+
+
+def corpus_rasters() -> list[GridDomain]:
+    return [generate(s) for s in surgery_corpus(1 / 64) + default_corpus(1 / 96)]
+
+
+def raster_masks(ndim: int):
+    side = 12 if ndim == 2 else 6
+    return arrays(bool, st.tuples(*[st.integers(1, side)] * ndim))
+
+
+def label_masks(occ: np.ndarray) -> list[np.ndarray]:
+    structure = ndimage.generate_binary_structure(occ.ndim, 1)
+    labels, n = ndimage.label(occ, structure=structure)
+    return [labels == i for i in range(1, n + 1)]
+
+
+def hull_diameter(d: GridDomain) -> float:
+    """The diameter from the convex-hull vertices of each component's centers."""
+    total = 0.0
+    for mask in label_masks(d.occupancy):
+        pts = (np.argwhere(mask) + 0.5) * d.h + np.asarray(d.origin)
+        try:
+            pts = pts[spatial.ConvexHull(pts).vertices]
+        except spatial.QhullError:
+            pass  # a degenerate set: every pair is compared
+        total += brute_force_diameter(pts) + d.h * math.sqrt(d.N)
+    return total
+
+
+def assert_same_masks(occ: np.ndarray) -> None:
+    got, want = _component_masks(occ), label_masks(occ)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+class TestOracles:
+    def test_labels_on_the_corpora(self):
+        for d in corpus_rasters():
+            assert_same_masks(d.occupancy)
+
+    @given(mask=st.integers(2, 3).flatmap(raster_masks))
+    @settings(max_examples=150, deadline=None)
+    def test_labels_on_random_rasters(self, mask):
+        assert_same_masks(from_mask(mask, 0.1).occupancy)
+
+    def test_diameter_on_the_corpora(self):
+        for d in corpus_rasters():
+            assert diameter(d) == hull_diameter(d)
+
+    @given(
+        mask=st.integers(2, 3).flatmap(raster_masks),
+        h=st.sampled_from([1 / 32, 1 / 64, 0.1]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_diameter_on_random_rasters(self, mask, h):
+        d = from_mask(mask, h, ORIGIN[: mask.ndim])
+        assert diameter(d) == hull_diameter(d)
+
+    def test_diameter_of_a_ball_in_three_dimensions(self):
+        x, y, z = np.indices((44, 44, 44)) - 21.5
+        d = from_mask(x**2 + y**2 + z**2 < 20**2, 1 / 64, ORIGIN)
+        assert 33_000 < d.cell_count < 34_000
+        assert diameter(d) == hull_diameter(d)
 
 
 class TestComponents:

@@ -5,10 +5,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import ndimage
 
 from eigsurgery import surgery
 from eigsurgery.corpus import (
@@ -46,6 +46,7 @@ from eigsurgery.surgery import (
     _descent_slack,
     _energy_bound,
     _strips_at,
+    _windowed_column_max,
     bounded_surgery,
     choose_c,
     choose_cut_constants,
@@ -184,6 +185,11 @@ class TestChooseStripConstants:
         assert r0 == pytest.approx(0.04)  # grid floor wins
 
 
+def cut_slack(m: float, P: float, N: int) -> float:
+    q = (N - 1) / N
+    return math.expm1(q * math.log1p(-m)) + m**q / (2 * P)
+
+
 class TestChooseCutConstants:
     def test_root_satisfies_condition(self):
         P = 5.0
@@ -226,13 +232,32 @@ class TestChooseCutConstants:
         m_hat, l0, p = choose_cut_constants(P, 1.0, 0.0025, 200.0, N=N)
         assert (2 * P) ** (-N) <= m_hat < 1e-12
         assert p == math.ceil(1 / m_hat) and l0 > 0
-        q = (N - 1) / N
+        assert cut_slack(0.99 * m_hat, P, N) > 0 > cut_slack(1.01 * m_hat, P, N)
+        assert abs(cut_slack(m_hat, P, N)) <= 1e-9 * m_hat ** ((N - 1) / N) / (2 * P)
 
-        def slack(m):
-            return math.expm1(q * math.log1p(-m)) + m**q / (2 * P)
+    @pytest.mark.parametrize("P", np.logspace(0, 9, 91).tolist())
+    def test_two_dimensional_closed_form(self, P):
+        """The root against its closed form, the large-P branch included.
 
-        assert slack(0.99 * m_hat) > 0 > slack(1.01 * m_hat)
-        assert abs(slack(m_hat)) <= 1e-9 * m_hat**q / (2 * P)
+        At N = 2, with s = sqrt(m), the condition sqrt(1 - s^2) = 1 - s/(2P)
+        gives m* = 16P^2 / (4P^2 + 1)^2.  Near the root the slack is a
+        difference of two terms of size m/2 with a slope of about -1/4, so
+        an ulp or two of rounding in each term moves the float sign change
+        by a few ulp of m: at most 5 over 20000 log-spaced P in [1, 1e9].
+        A slack that cancels, (1-m)^q - 1 as written, is off by hundreds of
+        ulp at P = 50.
+        """
+        m_hat = choose_cut_constants(P, 1.0, 0.0025, 200.0)[0]
+        F = Fraction(P)
+        exact = float(min(16 * F**2 / (4 * F**2 + 1) ** 2, Fraction(1, 2)))
+        assert abs(m_hat - exact) <= 8 * math.ulp(exact)
+
+    @pytest.mark.parametrize("P", np.logspace(0, 9, 19).tolist())
+    def test_three_dimensional_sign_change(self, P):
+        m_hat = choose_cut_constants(P, 1.0, 0.0025, 200.0, N=3)[0]
+        assert cut_slack(m_hat, P, 3) >= 0
+        if m_hat < 1 - 2 ** (-1.5):  # below the spectral cap: the root
+            assert cut_slack(math.nextafter(m_hat, 1.0), P, 3) < 0
 
 
 class TestDeriveConstants:
@@ -533,6 +558,19 @@ class TestComponentCleanup:
         assert info["discarded_components"] == 0
         assert any("component_torsion_above_threshold" in fl for fl in info["flags"])
         assert any(not r.passed for r in info["checks"])
+
+    def test_component_field_restricts_or_solves(self):
+        d, _, _ = self._two_squares()
+        f = solve_torsion(d)
+        left, right = connected_components(d)
+        whole = surgery._component_field(left, f)
+        assert np.array_equal(whole.values, np.where(left.occupancy, f.values, 0.0))
+        # the right square less its first row, which the parent keeps
+        occ = right.occupancy.copy()
+        occ[np.flatnonzero(occ.any(axis=1))[0]] = False
+        part = GridDomain(h=d.h, origin=d.origin, occupancy=occ)
+        solved = surgery._component_field(part, f)
+        assert np.array_equal(solved.values, solve_torsion(part).values)
 
     def test_everything_active_is_noop(self):
         d, _, _ = self._two_squares()
@@ -840,12 +878,9 @@ class TestWindowedMaxMatchesStripMax:
         f = disk_field
         d = f.domain
         r0 = 5.3 / 96  # deliberately not a multiple of h
-        colmax = f.values.max(axis=1)
-        win = int(math.floor(2 * r0 / d.h + 1e-9))
-        filtered = ndimage.maximum_filter1d(
-            colmax, size=2 * win + 1, mode="constant", cval=0.0
-        )
+        filtered = _windowed_column_max(f, r0)
         xs = d.centers(0)
+        assert filtered.shape == xs.shape
         rng = np.random.default_rng(0)
         idx = rng.integers(0, xs.size, size=120)
         for j in idx:
