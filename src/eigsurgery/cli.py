@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -67,14 +68,14 @@ ENV_PREFIX = "EIGSURGERY_"
 
 
 def _fraction(text: str) -> float:
-    """Parse a positive float, accepting fraction syntax like ``1/256``."""
+    """Parse a positive finite float, accepting fraction syntax like ``1/256``."""
     if "/" in text:
-        num, den = text.split("/", 1)
-        value = float(num) / float(den)
+        num, den = (float(part) for part in text.split("/", 1))
+        value = num / den if den else math.nan
     else:
         value = float(text)
-    if not value > 0:
-        raise ValueError(f"expected a positive value, got {text!r}")
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"expected a positive finite value, got {text!r}")
     return value
 
 
@@ -299,6 +300,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         "id": name,
         "k": s.k,
         "eigenvalues": list(s.eigenvalues),
+        "shift": s.shift,
+        "inertia_count": s.inertia_count,
     }
     out = _out_dir(settings)
     if out is not None:

@@ -14,7 +14,7 @@ from typing import Any
 
 import numpy as np
 
-from eigsurgery.domain import GridDomain, from_mask, measure, rescale
+from eigsurgery.domain import EmptyDomainError, GridDomain, from_mask, measure, rescale
 
 __all__ = [
     "CorpusSpec",
@@ -30,7 +30,15 @@ __all__ = [
 ]
 
 
-def _normalize(d: GridDomain, normalize: bool) -> GridDomain:
+def _too_coarse(generator: str, h: float) -> EmptyDomainError:
+    return EmptyDomainError(
+        f"{generator} at h = {h:g} has no occupied cell: h is too coarse"
+    )
+
+
+def _normalize(d: GridDomain, normalize: bool, generator: str) -> GridDomain:
+    if d.cell_count == 0:
+        raise _too_coarse(generator, d.h)
     if not normalize:
         return d
     return rescale(d, measure(d) ** (-1.0 / d.N))
@@ -50,7 +58,7 @@ def ball(h: float, radius: float | None = None, normalize: bool = True) -> GridD
     r = radius if radius is not None else 1.0 / math.sqrt(math.pi)
     X, Y, origin = _centered_grid(h, r, r)
     d = from_mask(X**2 + Y**2 < r**2, h, origin)
-    return _normalize(d, normalize)
+    return _normalize(d, normalize, "ball")
 
 
 def square(
@@ -67,16 +75,16 @@ def square(
     if aligned == "cell":
         n = round(side / h)
         if n < 1:
-            raise ValueError("side smaller than the lattice spacing")
+            raise _too_coarse("square", h)
         d = from_mask(np.ones((n, n), dtype=bool), h)
     elif aligned == "node":
         n = round(side / h)
         if n < 2:
-            raise ValueError("side smaller than two lattice spacings")
+            raise _too_coarse("square", h)
         d = from_mask(np.ones((n - 1, n - 1), dtype=bool), h, origin=(h / 2, h / 2))
     else:
         raise ValueError(f"unknown alignment {aligned!r}")
-    return _normalize(d, normalize)
+    return _normalize(d, normalize, "square")
 
 
 def dumbbell(
@@ -102,7 +110,7 @@ def dumbbell(
     right = (X - cx) ** 2 + Y**2 < bulb_radius**2
     neck = (np.abs(X) <= neck_length / 2 + h) & (np.abs(Y) < neck_cells * h / 2)
     d = from_mask(left | right | neck, h, origin)
-    return _normalize(d, normalize)
+    return _normalize(d, normalize, "dumbbell")
 
 
 def tube(
@@ -112,8 +120,10 @@ def tube(
     if width_cells < 2:
         raise ValueError("tube thinner than 2 cells is not resolvable")
     nx = round(length / h)
+    if nx < 1:
+        raise _too_coarse("tube", h)
     d = from_mask(np.ones((nx, width_cells), dtype=bool), h)
-    return _normalize(d, normalize)
+    return _normalize(d, normalize, "tube")
 
 
 def blob_union(
@@ -129,7 +139,7 @@ def blob_union(
     for (cx, cy), r in zip(centers, radii):
         mask |= (X - cx) ** 2 + (Y - cy) ** 2 < r**2
     d = from_mask(mask, h, origin)
-    return _normalize(d, normalize)
+    return _normalize(d, normalize, "blob_union")
 
 
 def perforated(
@@ -147,11 +157,16 @@ def perforated(
     x = (np.arange(n) + 0.5) * h
     X, Y = x[:, None], x[None, :]
     margin = hole_radius + 2 * h
+    if 2 * margin > side:
+        raise ValueError(
+            f"perforated at h = {h:g}: holes of radius {hole_radius:g} kept 2h "
+            f"from the edge do not fit in a side of {side:g}"
+        )
     centers = rng.uniform(margin, side - margin, size=(holes, 2))
     for cx, cy in centers:
         mask &= (X - cx) ** 2 + (Y - cy) ** 2 >= hole_radius**2
     d = from_mask(mask, h)
-    return _normalize(d, normalize)
+    return _normalize(d, normalize, "perforated")
 
 
 _GENERATORS = {

@@ -156,6 +156,41 @@ def _stencil(
     return cells, index, pairs
 
 
+def _shifted_laplacian(
+    d: GridDomain,
+    n: int,
+    pairs: list[tuple[np.ndarray, np.ndarray]],
+    sigma: float = 0.0,
+    perm: np.ndarray | None = None,
+) -> sparse.csr_matrix:
+    """``A - sigma I`` in CSR form, assembled straight from the stencil.
+
+    ``n`` and ``pairs`` are :func:`_stencil`'s cell count and face pairs.
+    With ``perm`` the rows and columns are permuted: cell ``c`` becomes row
+    and column ``perm[c]``.  Each row's columns come out sorted.  The
+    matrix is symmetric, so its transpose is its CSC form.
+    """
+    # Row i's columns: its -axis neighbours (outermost axis first), i, its
+    # +axis neighbours (innermost first), -1 if empty.  Row-major numbering
+    # keeps that order, so each row's columns come out sorted.
+    cols = np.full((n, 2 * d.N + 1), -1, dtype=np.int64)
+    cols[:, d.N] = np.arange(n)
+    for axis, (j, i) in enumerate(pairs):
+        cols[j, 2 * d.N - axis] = i
+        cols[i, axis] = j
+    if perm is not None:
+        permuted = np.empty_like(cols)
+        permuted[perm] = np.where(cols >= 0, perm[cols], -1)
+        cols = permuted
+        cols.sort(axis=1)  # renumbering unsorts each row's columns
+    keep = cols >= 0
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    h2 = d.h * d.h
+    vals = np.where(cols == np.arange(n)[:, None], 2.0 * d.N / h2 - sigma, -1.0 / h2)
+    return sparse.csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
+
+
 def build_laplacian(d: GridDomain) -> tuple[sparse.csr_matrix, np.ndarray]:
     """Sparse SPD Dirichlet Laplacian and the cell index map.
 
@@ -163,27 +198,7 @@ def build_laplacian(d: GridDomain) -> tuple[sparse.csr_matrix, np.ndarray]:
     occupied cell and -1 elsewhere.
     """
     cells, index, pairs = _stencil(d)
-    n = cells.size
-    up = np.full((d.N, n), -1, dtype=np.int64)
-    down = np.full_like(up, -1)
-    for axis, (j, i) in enumerate(pairs):
-        up[axis, j] = i
-        down[axis, i] = j
-    # Columns in ascending order: the -axis neighbours (outermost axis
-    # first), the cell, the +axis neighbours (innermost first).  Row-major
-    # numbering keeps that order, so each row's columns come out sorted.
-    cols = np.vstack([down, np.arange(n)[None], up[::-1]])  # -1 if empty
-    keep = cols >= 0
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(keep.sum(axis=0), out=indptr[1:])
-    h2 = d.h * d.h
-    vals = np.full(cols.shape[0], -1.0 / h2)
-    vals[d.N] = 2.0 * d.N / h2
-    A = sparse.csr_matrix(
-        (np.broadcast_to(vals, (n, vals.size))[keep.T], cols.T[keep.T], indptr),
-        shape=(n, n),
-    )
-    return A, index.reshape(d.shape)
+    return _shifted_laplacian(d, cells.size, pairs), index.reshape(d.shape)
 
 
 @dataclass(eq=False)
@@ -282,22 +297,35 @@ def torsion_energy(f: TorsionField) -> float:
     return -0.5 * f.integral
 
 
-def _ldlt(A: sparse.csr_matrix, sigma: float) -> sparse_linalg.SuperLU:
-    """Sparse LDL^T of ``A - sigma I``, as a symmetric-mode LU.
+def _ldlt(
+    d: GridDomain,
+    n: int,
+    pairs: list[tuple[np.ndarray, np.ndarray]],
+    sigma: float,
+    perm: np.ndarray | None = None,
+) -> tuple[sparse_linalg.SuperLU, np.ndarray]:
+    """Sparse LDL^T of ``A - sigma I``, as a symmetric-mode LU, and its order.
 
-    Minimum-degree ordering on ``A + A^T`` and diagonal pivots only, so the
-    row and column permutations agree and the diagonal of ``U`` is ``D``.
-    Single-column panels without supernode relaxation (``relax=1``,
-    ``panel_size=1``) factor the five-point stencil's thin supernodes about
-    a quarter faster than SuperLU's defaults, with the same pivot signs on
-    192 factorizations checked against them.  Other settings are untested:
-    32/32 and 64/32 aborted at process exit with a double free.  Raises
-    ``RuntimeError`` if SuperLU permuted rows and columns apart.
+    ``n`` and ``pairs`` are :func:`_stencil`'s.  Without ``perm`` the
+    matrix is assembled in row-major order and ordered by minimum degree on
+    ``A + A^T``; the returned ``perm`` is that ordering (a copy of
+    ``perm_c``: cell ``c`` is pivot ``perm[c]``).  With ``perm`` the matrix
+    is assembled in that order and factored as it stands (``NATURAL``).
+    Minimum degree reads only the sparsity pattern, which every shift
+    shares, so this is the factor it would give again, without the ordering
+    pass.  Diagonal pivots only, so the row and column permutations agree
+    and the diagonal of ``U`` is ``D``.  Single-column panels without
+    supernode relaxation (``relax=1``, ``panel_size=1``) factor the
+    five-point stencil's thin supernodes about a quarter faster than
+    SuperLU's defaults, with the same pivot signs on 192 factorizations
+    checked against them.  Other settings are untested: 32/32 and 64/32
+    aborted at process exit with a double free.  Raises ``RuntimeError`` if
+    SuperLU permuted rows and columns apart.
     """
-    M = A - sigma * sparse.identity(A.shape[0], format="csr") if sigma else A
+    M = _shifted_laplacian(d, n, pairs, sigma, perm)
     lu = sparse_linalg.splu(
         M.T,  # the CSC form of a symmetric CSR matrix, without a copy
-        permc_spec="MMD_AT_PLUS_A",
+        permc_spec="MMD_AT_PLUS_A" if perm is None else "NATURAL",
         diag_pivot_thresh=0.0,
         relax=1,
         panel_size=1,
@@ -305,21 +333,17 @@ def _ldlt(A: sparse.csr_matrix, sigma: float) -> sparse_linalg.SuperLU:
     )
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise RuntimeError("symmetric-mode LU pivoted off the diagonal")
-    return lu
+    # perm_c is a view that would keep the whole factor alive
+    return lu, lu.perm_c.copy() if perm is None else perm
 
 
 def _negative_pivots(lu: sparse_linalg.SuperLU) -> int:
-    """Negative entries of ``D`` in an :func:`_ldlt` factor."""
-    return int(np.count_nonzero(lu.U.diagonal() < 0))
+    """Negative entries of ``D`` in an :func:`_ldlt` factor.
 
-
-def _inertia_below(A: sparse.csr_matrix, sigma: float) -> int:
-    """Eigenvalues of ``A`` below ``sigma``: the negative pivots of ``A - sigma I``.
-
-    By Sylvester's law of inertia ``A - sigma I = P^T L D L^T P`` has as many
-    negative entries in ``D`` as ``A`` has eigenvalues below ``sigma``.
+    By Sylvester's law of inertia ``A - sigma I = P^T L D L^T P`` has as
+    many negative entries in ``D`` as ``A`` has eigenvalues below ``sigma``.
     """
-    return _negative_pivots(_ldlt(A, sigma))
+    return int(np.count_nonzero(lu.U.diagonal() < 0))
 
 
 def _longest_run(occupancy: np.ndarray, axis: int) -> int:
@@ -346,27 +370,6 @@ def _lambda1_floor(d: GridDomain) -> float:
         4.0 / (d.h * d.h) * math.sin(math.pi / (2 * (_longest_run(occ, axis) + 1))) ** 2
         for axis in range(occ.ndim)
     )
-
-
-def _shifted_inverse(
-    A: sparse.csr_matrix, d: GridDomain
-) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
-    """``(A - sigma0 I)^-1`` and ``sigma0``, a shift certified below lambda_1.
-
-    ``sigma0`` is :data:`_FLOOR_FRACTION` times :func:`_lambda1_floor`.  By
-    Sylvester's law of inertia the LDL^T of ``A - sigma0 I`` has no negative
-    pivot exactly when ``sigma0 < lambda_1``; a negative pivot raises
-    ``RuntimeError``.
-    """
-    sigma = _FLOOR_FRACTION * _lambda1_floor(d)
-    lu = _ldlt(A, sigma)
-    below = _negative_pivots(lu)
-    if below:
-        raise RuntimeError(
-            f"Lanczos shift {sigma:.9g} is not below lambda_1: "
-            f"{below} negative pivot(s) in its LDL^T"
-        )
-    return lu.solve, sigma
 
 
 def _lanczos(
@@ -413,52 +416,71 @@ def eigenvalues(
     inverts ``A`` about 0.  Without it, Lanczos inverts ``A - sigma0 I`` by
     a sparse LDL^T, where ``sigma0`` is 0.9 times a lambda_1 floor that costs
     no solve (:func:`_lambda1_floor`): nearer lambda_1, Lanczos converges in
-    fewer solves.  That factor has no negative pivot, which proves
-    ``sigma0 < lambda_1`` (else ``RuntimeError``), so the ``k`` eigenvalues
-    nearest ``sigma0`` are the lowest ``k``.
+    fewer solves.
 
     Each spectrum is certified by an inertia count at the shift
     ``sigma = lambda_k (1 - 10 DEFAULT_EIG_TOL)``: the LDL^T of
     ``A - sigma I`` must have as many negative pivots as there are computed
     eigenvalues below ``sigma``, so no eigenvalue below lambda_k's cluster,
-    copies of a multiple eigenvalue included, was missed.  The LDL^T of
-    ``A - sigma0 I`` is freed before the certificate factors, so one factor
-    is alive at a time.  On a deficit, which is rare, Lanczos runs again for
-    that many more eigenvalues about ``sigma0``, on a new LDL^T of
-    ``A - sigma0 I``; if the count still disagrees after three rounds a
-    ``RuntimeError`` is raised.
+    copies of a multiple eigenvalue included, was missed.  The first
+    computed value is then the certified lambda_1, and it must lie above
+    ``sigma0`` (else ``RuntimeError``), so the ``k`` eigenvalues nearest
+    ``sigma0`` are the lowest ``k``.  On a deficit, which is rare, Lanczos
+    runs again for that many more eigenvalues about ``sigma0``, on a new
+    LDL^T of ``A - sigma0 I``; if the count still disagrees after three
+    rounds a ``RuntimeError`` is raised.
+
+    Each shifted matrix is assembled once, straight from the stencil.  The
+    eigensolve's first LDL^T chooses the minimum-degree order and every
+    later one reuses it (:func:`_ldlt`).  Each factor is freed before the
+    next one is made, so one factor is alive at a time.
     Raises ``ValueError`` for a factor of another raster.  Results are
     reproducible for a fixed seed.
     """
     if factor is not None:
         factor.check(d)
-        A, n = None, factor.cells.size  # assembled once the band is released
+        n, pairs = factor.cells.size, factor.pairs
     else:
-        A, _ = build_laplacian(d)
-        n = A.shape[0]
+        cells, _, pairs = _stencil(d)
+        n = cells.size
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= occupied cells, got k={k}, cells={n}")
     v0 = np.random.default_rng(seed).standard_normal(n)
+    sigma0 = 0.0  # Lanczos's shift; the band inverts A itself
+    perm = None  # the sparse LDL^T order, chosen by the first factor
     wanted = k
     for _ in range(_CERTIFY_ROUNDS):
         lanczos = n > _DENSE_CUTOFF and wanted < n - 1
-        if lanczos and factor is not None:
+        if not lanczos:  # the full spectrum
+            vals = scipy.linalg.eigvalsh(_shifted_laplacian(d, n, pairs).toarray())
+        elif factor is not None:
             vals = _lanczos(factor.solve, 0.0, n, wanted, v0)
-        elif lanczos:  # the shifted LDL^T is freed once Lanczos returns
-            vals = _lanczos(*_shifted_inverse(A, d), n, wanted, v0)
+        else:
+            sigma0 = _FLOOR_FRACTION * _lambda1_floor(d)
+            # a factor in a reused order runs Lanczos in that order
+            start = v0 if perm is None else v0[np.argsort(perm)]
+            lu, perm = _ldlt(d, n, pairs, sigma0, perm)
+            vals = _lanczos(lu.solve, sigma0, n, wanted, start)
+            del lu  # before the certificate's factorization
         if factor is not None:
-            factor.release()  # before the certificate's own factorization
+            factor.release()  # before the certificate's factorization
             factor = None  # a retry inverts by the shifted LDL^T
-        if A is None:
-            A, _ = build_laplacian(d)
-        if not lanczos:
-            vals = scipy.linalg.eigvalsh(A.toarray())  # the full spectrum
         # Just below lambda_k's cluster: a shift above it would also count
         # the copies of a multiple lambda_k beyond the k-th.
         shift = float(vals[k - 1]) * (1.0 - _SHIFT_FACTOR * DEFAULT_EIG_TOL)
         found = int(np.count_nonzero(vals < shift))
-        count = _inertia_below(A, shift) if lanczos else found
+        if lanczos:
+            lu, perm = _ldlt(d, n, pairs, shift, perm)
+            count = _negative_pivots(lu)
+            del lu
+        else:
+            count = found
         if count == found:
+            if vals[0] <= sigma0:
+                raise RuntimeError(
+                    f"Lanczos shift {sigma0:.9g} is not below lambda_1: "
+                    f"the certified lambda_1 is {vals[0]:.9g}"
+                )
             return Spectrum(
                 eigenvalues=tuple(float(v) for v in vals[:k]),
                 k=k,
@@ -611,11 +633,16 @@ def save_field(f: TorsionField, path: str | Path) -> tuple[Path, Path]:
 
 
 def save_spectrum(s: Spectrum, path: str | Path) -> Path:
-    """Write a spectrum as JSON."""
+    """Write a spectrum and its certificate (``shift``, ``inertia_count``) as JSON."""
     out = Path(path)
     out.write_text(
         json.dumps(
-            {"eigenvalues": list(s.eigenvalues), "rel_tol": DEFAULT_EIG_TOL},
+            {
+                "eigenvalues": list(s.eigenvalues),
+                "rel_tol": DEFAULT_EIG_TOL,
+                "shift": s.shift,
+                "inertia_count": s.inertia_count,
+            },
             sort_keys=True,
         )
         + "\n",

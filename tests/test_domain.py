@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage, spatial
 
+from eigsurgery import corpus
 from eigsurgery.corpus import default_corpus, generate, surgery_corpus
 from eigsurgery.domain import (
     EmptyDomainError,
@@ -297,6 +298,32 @@ class TestComponents:
         occ[1, 1] = True
         occ[2, 2] = True
         assert len(connected_components(from_mask(occ, 1.0))) == 2
+
+
+class TestGenerators:
+    """A spacing too coarse for any cell is refused by name, not by a crash."""
+
+    @pytest.mark.parametrize(
+        "generator, kwargs",
+        [
+            ("ball", {}),
+            ("square", {}),
+            ("square", {"aligned": "node"}),
+            ("tube", {}),
+            ("blob_union", {"seed": 3}),
+        ],
+    )
+    def test_empty_raster_raises(self, generator, kwargs):
+        with pytest.raises(EmptyDomainError, match=rf"^{generator} at h = 20 has"):
+            getattr(corpus, generator)(20.0, **kwargs)
+
+    def test_dumbbell_keeps_its_neck(self):
+        # the neck rows straddle the centre line at every spacing
+        assert corpus.dumbbell(20.0).cell_count == 4
+
+    def test_perforated_needs_room_for_its_holes(self):
+        with pytest.raises(ValueError, match="perforated at h = 0.3: holes of radius"):
+            corpus.perforated(0.3)
 
 
 class TestRemoveStrips:

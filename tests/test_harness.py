@@ -280,7 +280,31 @@ class TestCli:
         assert json.loads(path.read_text()) == {
             "eigenvalues": info["eigenvalues"],
             "rel_tol": DEFAULT_EIG_TOL,
+            "shift": info["shift"],
+            "inertia_count": info["inertia_count"],
         }
+
+    def test_spectrum_prints_its_certificate(self, capsys):
+        assert main(["spectrum", "--spec", "ball", "--h", "1/32", "--k", "3"]) == 0
+        info = _json_out(capsys)
+        s = eigenvalues(generate(CorpusSpec("ball", "ball", 1 / 32)), k=3)
+        assert info["eigenvalues"] == list(s.eigenvalues)
+        assert (info["shift"], info["inertia_count"]) == (s.shift, s.inertia_count)
+        assert info["inertia_count"] == 1  # lambda_2 = lambda_3 on the disk
+
+    @pytest.mark.parametrize("h", ["1/0", "0/0", "inf", "1/inf", "nan", "1e999"])
+    def test_bad_spacing_exits_2_at_parse_time(self, monkeypatch, caplog, h):
+        monkeypatch.setattr(cli, "generate", lambda spec: pytest.fail("generated"))
+        assert main(["torsion", "--spec", "ball", "--h", h]) == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            f"expected a positive finite value, got {h!r}"
+        ]
+
+    def test_too_coarse_spacing_names_the_generator(self, caplog):
+        assert main(["torsion", "--spec", "ball", "--h", "2"]) == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            "ball at h = 2 has no occupied cell: h is too coarse"
+        ]
 
     def test_study_out_writes_the_printed_study(self, tmp_path, capsys):
         assert main(["study", "--spec", "square", "--param", "aligned=node",

@@ -277,7 +277,10 @@ class TestExports:
         assert json.loads(path.read_text()) == {
             "eigenvalues": list(s.eigenvalues),
             "rel_tol": DEFAULT_EIG_TOL,
+            "shift": s.shift,
+            "inertia_count": s.inertia_count,
         }
+        assert s.inertia_count == 1  # lambda_2 = lambda_3 on the disk
 
     def test_laplacian_matches_stencil(self):
         d = single_cell(0.5)
@@ -326,6 +329,21 @@ def test_csr_assembly_matches_coo(spec):
     assert np.array_equal(A.data, ref.data)
     assert np.array_equal(index[d.occupancy], np.arange(A.shape[0]))
     assert (index[~d.occupancy] == -1).all()
+
+
+@pytest.mark.parametrize("spec", BOTH_CORPORA_64, ids=lambda spec: spec.name)
+def test_shifted_assembly_matches_the_permuted_matrix(spec):
+    d = generate(spec)
+    cells, _, pairs = pde._stencil(d)
+    n = cells.size
+    perm = np.random.default_rng(n).permutation(n)
+    M = pde._shifted_laplacian(d, n, pairs, 7.5, perm)
+    order = np.argsort(perm)  # order[r] is the cell in row r
+    ref = (coo_laplacian(d) - 7.5 * sparse.identity(n, format="csr"))[order][:, order]
+    ref.sort_indices()
+    assert np.array_equal(M.indptr, ref.indptr)
+    assert np.array_equal(M.indices, ref.indices)
+    assert np.array_equal(M.data, ref.data)
 
 
 def assert_torsion_matches_sparse_lu(d: GridDomain) -> None:
@@ -385,12 +403,34 @@ def recording_ldlt(monkeypatch) -> list[float]:
     shifts: list[float] = []
     ldlt = pde._ldlt
 
-    def run(A, sigma):
+    def run(d, n, pairs, sigma, perm=None):
         shifts.append(sigma)
-        return ldlt(A, sigma)
+        return ldlt(d, n, pairs, sigma, perm)
 
     monkeypatch.setattr(pde, "_ldlt", run)
     return shifts
+
+
+def recording_splu(monkeypatch) -> list[tuple[str, list[str]]]:
+    """Record each SuperLU factorization's ordering and the attributes read
+    from its factor."""
+    factors: list[tuple[str, list[str]]] = []
+    splu = sparse_linalg.splu
+
+    class Factor:
+        def __init__(self, lu, reads):
+            self._lu, self._reads = lu, reads
+
+        def __getattr__(self, name):
+            self._reads.append(name)
+            return getattr(self._lu, name)
+
+    def run(A, permc_spec, **kwargs):
+        factors.append((permc_spec, []))
+        return Factor(splu(A, permc_spec=permc_spec, **kwargs), factors[-1][1])
+
+    monkeypatch.setattr(pde.sparse_linalg, "splu", run)
+    return factors
 
 
 class TestCertificate:
@@ -452,9 +492,46 @@ class TestCertificate:
         assert len(shifts) == 3 and shifts[2] == s.shift
         np.testing.assert_allclose(s.eigenvalues, dense_eigenvalues(d, 4), rtol=1e-9)
 
+    def test_one_ordering_per_eigensolve(self, monkeypatch):
+        # a forced retry: the sigma0 factor, its certificate, and both again
+        d = ball(1 / 32)
+        calls: list[int] = []
+        monkeypatch.setattr(pde.sparse_linalg, "eigsh", dropping_eigsh(calls, 1))
+        factors = recording_splu(monkeypatch)
+        shifts = recording_ldlt(monkeypatch)
+        s = eigenvalues(d, k=4)
+        assert calls == [4, 5] and shifts[3] == s.shift
+        assert [spec for spec, _ in factors] == ["MMD_AT_PLUS_A"] + 3 * ["NATURAL"]
+        # only the certificates' factors are counted; the sigma0 ones are not
+        assert ["U" in reads for _, reads in factors] == [False, True, False, True]
+
+    def test_band_path_orders_its_certificate_once(self, monkeypatch):
+        d = ball(1 / 32)
+        calls: list[int] = []
+        monkeypatch.setattr(pde.sparse_linalg, "eigsh", dropping_eigsh(calls, 1))
+        factors = recording_splu(monkeypatch)
+        _, s = solve_raster(d, k=4)
+        assert calls == [4, 5]
+        assert [spec for spec, _ in factors] == ["MMD_AT_PLUS_A"] + 2 * ["NATURAL"]
+        np.testing.assert_allclose(s.eigenvalues, dense_eigenvalues(d, 4), rtol=1e-9)
+
+    @pytest.mark.parametrize("ratio", [1.2, 2.0, 3.0])
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_sigma0_above_lambda1_is_refused(self, monkeypatch, ratio, k):
+        # sigma0 = ratio x lambda_1: the certificate's retries still find
+        # lambda_1, which then lies below sigma0
+        lam1 = dense_eigenvalues(ball(1 / 32), 1)[0]
+        monkeypatch.setattr(
+            pde, "_lambda1_floor", lambda d: ratio * lam1 / pde._FLOOR_FRACTION
+        )
+        with pytest.raises(RuntimeError, match="not below lambda_1"):
+            eigenvalues(ball(1 / 32), k=k)
+        argv = ["spectrum", "--spec", "ball", "--h", "1/32", "--k", str(k)]
+        assert cli.main(argv) == 2
+
     def test_shift_above_lambda1_raises_and_exits_2(self, monkeypatch):
-        # a floor above lambda_1 leaves a negative pivot in the LDL^T of
-        # A - sigma0 I, which the eigensolve must refuse
+        # a floor above lambda_1 puts sigma0 above the certified lambda_1,
+        # which the eigensolve must refuse
         monkeypatch.setattr(
             pde, "_lambda1_floor", lambda d: 2 * dense_eigenvalues(d, 1)[0]
         )
@@ -499,6 +576,52 @@ class TestCertificate:
         eigenvalues(d, band, k=2)
         with pytest.raises(ValueError, match="released"):
             solve_torsion(d, band)
+
+
+class TestSharedOrdering:
+    """The certificate's LDL^T reuses the sigma0 factor's minimum-degree order."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        list(surgery_corpus(1 / 64)) + list(default_corpus(1 / 96)),
+        ids=lambda spec: f"{spec.name}@{round(1 / spec.h)}",
+    )
+    def test_counts_like_a_fresh_ordering(self, spec):
+        d = generate(spec)
+        cells, _, pairs = pde._stencil(d)
+        s = eigenvalues(d, k=5)
+        sigma0 = pde._FLOOR_FRACTION * pde._lambda1_floor(d)
+        _, perm = pde._ldlt(d, cells.size, pairs, sigma0)
+        shared, _ = pde._ldlt(d, cells.size, pairs, s.shift, perm)
+        fresh, fresh_perm = pde._ldlt(d, cells.size, pairs, s.shift)
+        assert np.array_equal(fresh_perm, perm)  # the order reads only the pattern
+        assert shared.nnz == fresh.nnz
+        assert pde._negative_pivots(shared) == pde._negative_pivots(fresh)
+        assert pde._negative_pivots(shared) == s.inertia_count
+
+    @given(
+        mask=st.tuples(st.integers(1, 20), st.integers(1, 20)).flatmap(
+            lambda shape: arrays(bool, shape)
+        ),
+        t=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_counts_like_the_dense_spectrum(self, mask, t):
+        if not mask.any():
+            return
+        d = from_mask(mask, 1 / 16)
+        cells, _, pairs = pde._stencil(d)
+        n = cells.size
+        vals = dense_eigenvalues(d, n)
+        # a shift between the j-th and (j+1)-th eigenvalue, or past either end
+        j = min(int(t * (n + 1)), n)
+        lo = vals[j - 1] if j else 0.0
+        hi = vals[j] if j < n else 2 * vals[-1]
+        if hi - lo < 1e-9 * vals[-1]:
+            return  # copies of one eigenvalue
+        _, perm = pde._ldlt(d, n, pairs, 0.9 * pde._lambda1_floor(d))
+        shared, _ = pde._ldlt(d, n, pairs, (lo + hi) / 2, perm)
+        assert pde._negative_pivots(shared) == j
 
 
 class TestLambda1Floor:

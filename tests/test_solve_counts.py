@@ -54,9 +54,9 @@ def factorizations(monkeypatch):
         rasters.append(occupancy_key(d))
         return original(d)
 
-    def recording_ldlt(A, sigma):
+    def recording_ldlt(d, n, pairs, sigma, perm=None):
         shifts.append(sigma)
-        return ldlt(A, sigma)
+        return ldlt(d, n, pairs, sigma, perm)
 
     def recording_cholesky(ab, **kwargs):
         lapack_calls.append(ab.shape)
