@@ -620,8 +620,20 @@ class TestSharedOrdering:
         if hi - lo < 1e-9 * vals[-1]:
             return  # copies of one eigenvalue
         _, perm = pde._ldlt(d, n, pairs, 0.9 * pde._lambda1_floor(d))
-        shared, _ = pde._ldlt(d, n, pairs, (lo + hi) / 2, perm)
+        # Off the midpoint: the grid graph is bipartite, so the spectrum is
+        # symmetric about the diagonal entry 2N/h^2, and the middle gap's
+        # midpoint is that entry, where every first pivot is zero (see
+        # test_no_ldlt_at_the_diagonal_entry).
+        shared, _ = pde._ldlt(d, n, pairs, lo + (hi - lo) / math.e, perm)
         assert pde._negative_pivots(shared) == j
+
+    @pytest.mark.parametrize("shape", [(1, 2), (3, 4)])
+    def test_no_ldlt_at_the_diagonal_entry(self, shape):
+        d = from_mask(np.ones(shape, dtype=bool), 1 / 16)
+        cells, _, pairs = pde._stencil(d)
+        _, perm = pde._ldlt(d, cells.size, pairs, 0.9 * pde._lambda1_floor(d))
+        with pytest.raises(RuntimeError, match="pivoted off the diagonal"):
+            pde._ldlt(d, cells.size, pairs, 2.0 * d.N / (d.h * d.h), perm)
 
 
 class TestLambda1Floor:
