@@ -162,7 +162,7 @@ def _add_setting_flags(p: argparse.ArgumentParser, names: Sequence[str]) -> None
         "seed": "seed for generators and eigensolver start vectors",
         "mode": "faithful | practical:<factor>",
         "out": "output directory",
-        "workers": "thread-pool size for corpus runs",
+        "workers": "thread-pool size for corpus runs, capped at the usable CPUs",
     }
     for name in names:
         flag = "--" + name.replace("_", "-")

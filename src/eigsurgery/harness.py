@@ -20,6 +20,7 @@ import io
 import json
 import logging
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace as dc_replace
 from pathlib import Path
@@ -224,8 +225,11 @@ def run_suite(
 
     Returns exit code 0 when every row passes (an empty corpus passes), and
     1 when any row errors or fails a check.  With ``config.workers > 1`` the
-    members are processed by a thread pool; rows are still merged by corpus
-    position, never by completion order.  When ``config.out_dir`` is set the
+    members are processed by a thread pool of at most one thread per CPU
+    this process may run on: band factors and band solves release the GIL,
+    so threads overlap them, while more threads than cores only add band
+    memory.  Rows are still merged by corpus position, never by completion
+    order.  When ``config.out_dir`` is set the
     rows are appended to ``reports.jsonl`` there and ``summary.csv`` is
     regenerated from the whole log.
     """
@@ -234,8 +238,9 @@ def run_suite(
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise ValueError(f"duplicate domain ids in corpus: {dupes}")
 
-    if config.workers > 1 and len(specs) > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+    workers = min(config.workers, len(os.sched_getaffinity(0)))
+    if workers > 1 and len(specs) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(lambda sp: _safe_run(sp, config), specs))
     else:
         rows = [_safe_run(sp, config) for sp in specs]

@@ -11,6 +11,7 @@ eigenvalue increases (Cauchy interlacing).
 
 from __future__ import annotations
 
+import ctypes
 import json
 import logging
 import math
@@ -24,7 +25,7 @@ import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sparse_linalg
 from scipy import special
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import LinAlgError, cython_lapack
 
 from eigsurgery.domain import EmptyDomainError, GridDomain, Strip, unit_ball_volume
 
@@ -191,6 +192,98 @@ def _shifted_laplacian(
     return sparse.csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
 
 
+def _lapack_routine(name: str, nargs: int) -> Callable[..., None]:
+    """SciPy's LAPACK ``name`` as a ctypes function of ``nargs`` pointers.
+
+    ``scipy.linalg.cython_lapack`` publishes each routine's address in a
+    capsule.  A ``CFUNCTYPE`` call releases the GIL while LAPACK runs, which
+    SciPy's own wrappers do not, so threads can factor and solve at once.
+    ctypes checks nothing: the callers check every argument first.
+    """
+    capsule = cython_lapack.__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi)
+    )
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi)
+    )
+    address = get_pointer(capsule, get_name(capsule))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(address)
+
+
+_DPBTRF = _lapack_routine("dpbtrf", 6)  # (uplo, n, kd, ab, ldab, info)
+_DPBTRS = _lapack_routine("dpbtrs", 9)  # (uplo, n, kd, nrhs, ab, ldab, b, ldb, info)
+_LOWER = ctypes.create_string_buffer(b"L", 1)  # uplo: the lower band is stored
+
+
+def _address(a: np.ndarray) -> int:
+    """Address of a writeable contiguous array's data, for LAPACK.
+
+    A third of the cost of ``a.ctypes.data``, which would be most of a
+    small solve's overhead.  ``a.T`` is C-ordered for the F-ordered band.
+    """
+    return ctypes.addressof(ctypes.c_char.from_buffer(a.T))
+
+
+def _band_args(band: np.ndarray) -> tuple[np.ndarray, int]:
+    """Check a lower band and pack LAPACK's integer arguments.
+
+    ``band`` must be a writeable F-ordered float64 array of shape
+    ``(kd + 1, n)``.  Returns one ``intc`` array ``[n, kd, ldab, nrhs, ldb,
+    info]``, for one right-hand side, and its address ``p``: entry ``i`` is
+    at ``p + 4 i``.  Each integer goes by that address, without a ctypes
+    object per argument.
+    """
+    if not (
+        band.dtype == np.float64
+        and band.ndim == 2
+        and band.flags.f_contiguous
+        and band.flags.writeable
+        and band.shape[0] >= 1
+    ):
+        raise ValueError("the band must be a writeable F-ordered float64 (kd+1, n) array")
+    n = band.shape[1]
+    ints = np.array([n, band.shape[0] - 1, band.shape[0], 1, n, 0], dtype=np.intc)
+    return ints, _address(ints)
+
+
+def _raise_info(info: int, routine: str) -> None:
+    """Raise for a nonzero LAPACK ``info``, as SciPy's wrappers do."""
+    if info > 0:
+        raise LinAlgError(f"{info}-th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal {routine}")
+
+
+def _band_cholesky(ab: np.ndarray) -> np.ndarray:
+    """Factor a lower band in place by LAPACK ``dpbtrf``, without the GIL.
+
+    ``ab`` holds ``A[i, j]`` at ``ab[i - j, j]`` for ``i >= j`` and becomes
+    the band of the lower Cholesky factor; it is returned.  Raises
+    ``LinAlgError`` if ``A`` is not positive definite.
+    """
+    ints, p = _band_args(ab)
+    _DPBTRF(_LOWER, p, p + 4, _address(ab), p + 8, p + 20)
+    _raise_info(int(ints[5]), "pbtrf")
+    return ab
+
+
+def _band_solve(band: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``A^-1 b`` from :func:`_band_cholesky`'s factor by ``dpbtrs``, without the GIL.
+
+    ``b`` is a vector of length ``n``; it is copied, never overwritten.
+    """
+    x = np.array(b, dtype=np.float64)  # LAPACK overwrites its copy
+    if x.shape != band.shape[-1:]:
+        raise ValueError(
+            f"right-hand side of shape {x.shape} for a band of {band.shape[-1]} rows"
+        )
+    ints, p = _band_args(band)
+    _DPBTRS(_LOWER, p, p + 4, p + 12, _address(band), p + 8, _address(x), p + 16, p + 20)
+    _raise_info(int(ints[5]), "pbtrs")
+    return x
+
+
 def build_laplacian(d: GridDomain) -> tuple[sparse.csr_matrix, np.ndarray]:
     """Sparse SPD Dirichlet Laplacian and the cell index map.
 
@@ -229,7 +322,7 @@ class BandFactor:
         """``A^-1 b`` by two triangular band solves."""
         if self.band is None:
             raise ValueError("the band factor was released")
-        return cho_solve_banded((self.band, True), b, check_finite=False)
+        return _band_solve(self.band, b)
 
     def release(self) -> None:
         """Drop the band; its ``(b + 1) n`` doubles dominate the memory."""
@@ -258,7 +351,7 @@ def factor_laplacian(d: GridDomain) -> BandFactor:
         h=d.h,
         cells=cells,
         pairs=pairs,
-        band=cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False),
+        band=_band_cholesky(ab),
     )
 
 

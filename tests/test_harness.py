@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from eigsurgery import cli, surgery
+from eigsurgery import cli, harness, surgery
 from eigsurgery.cli import main
 from eigsurgery.corpus import CorpusSpec, generate
 from eigsurgery.domain import GridDomain, measure, save_domain
@@ -117,8 +117,6 @@ class TestRunOne:
         assert abs(row["geometry"]["measure"] - 1.0) < 1e-12
 
     def test_sanity_gate_stops_before_surgery(self, monkeypatch):
-        import eigsurgery.harness as harness
-
         failing = IneqReport.compare("saint_venant", 2.0, 1.0, 0.0)
         assert not failing.passed
         monkeypatch.setattr(harness, "check_saint_venant", lambda d, f: failing)
@@ -158,6 +156,43 @@ class TestRunSuite:
             RunConfig(K=200.0, k=2, mode="practical:1e12", workers=4),
         )
         assert serial.to_jsonl() == pooled.to_jsonl()
+
+    @pytest.mark.parametrize(
+        "cpus, workers, pool_size",
+        [(2, 4, 2), (4, 3, 3), (1, 4, None), (2, 1, None)],
+    )
+    def test_pool_is_capped_at_the_usable_cpus(
+        self, monkeypatch, cpus, workers, pool_size
+    ):
+        pools = []
+
+        class RecordingPool:
+            """Runs the rows serially; records the pool size it was asked for."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(
+            harness,
+            "_safe_run",
+            lambda spec, config: {"id": spec.name, "status": "ok", "passed": True},
+        )
+        result = run_suite(
+            [BALL, TUBE], RunConfig(K=200.0, k=2, mode="practical:1e12", workers=workers)
+        )
+        assert [r["id"] for r in result.rows] == ["ball", "tube"]
+        assert pools == ([] if pool_size is None else [pool_size])
 
     def test_double_run_is_byte_identical(self, tmp_path):
         specs = [BALL, TUBE]

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import logging
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -365,12 +367,92 @@ def test_band_solve_matches_sparse_lu(spec):
     assert_torsion_matches_sparse_lu(generate(spec))
 
 
-def test_band_solve_matches_sparse_lu_in_3d():
+def ball_3d() -> GridDomain:
     # unequal window sides give each axis its own stride
     x, y, z = np.indices((14, 9, 8))
     occ = (x - 6.5) ** 2 + (y - 4.0) ** 2 + (z - 3.5) ** 2 <= 2.9**2
-    d = GridDomain(h=1 / 8, origin=(0.0, 0.0, 0.0), occupancy=occ)
-    assert_torsion_matches_sparse_lu(d)
+    return GridDomain(h=1 / 8, origin=(0.0, 0.0, 0.0), occupancy=occ)
+
+
+def test_band_solve_matches_sparse_lu_in_3d():
+    assert_torsion_matches_sparse_lu(ball_3d())
+
+
+def lower_band(d: GridDomain, sigma: float = 0.0) -> np.ndarray:
+    """LAPACK lower band storage of ``A - sigma I``, read off the sparse matrix."""
+    A = build_laplacian(d)[0].tocoo()
+    low = A.row >= A.col
+    ab = np.zeros((int((A.row - A.col).max()) + 1, A.shape[0]), order="F")
+    ab[(A.row - A.col)[low], A.col[low]] = A.data[low]
+    ab[0] -= sigma
+    return ab
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [*BOTH_CORPORA_64, None],
+    ids=lambda spec: "ball-3d" if spec is None else spec.name,
+)
+def test_band_lapack_matches_scipy_bit_for_bit(spec):
+    d = ball_3d() if spec is None else generate(spec)
+    ref = scipy.linalg.cholesky_banded(lower_band(d), lower=True)
+    factor = factor_laplacian(d)
+    assert np.array_equal(factor.band, ref)
+    b = np.random.default_rng(5).standard_normal(ref.shape[1])
+    kept = b.copy()
+    assert np.array_equal(factor.solve(b), scipy.linalg.cho_solve_banded((ref, True), b))
+    assert np.array_equal(b, kept)  # the right-hand side is not overwritten
+
+
+def test_band_of_an_indefinite_shift_raises_like_scipy():
+    d = ball(1 / 32)
+    ab = lower_band(d, sigma=1.05 * eigenvalues(d, k=1)[1])
+    with pytest.raises(np.linalg.LinAlgError) as ref:
+        scipy.linalg.cholesky_banded(ab, lower=True)
+    with pytest.raises(np.linalg.LinAlgError, match="leading minor not positive definite") as got:
+        pde._band_cholesky(ab)
+    assert str(got.value) == str(ref.value)
+
+
+def test_bad_band_arguments_raise_before_lapack(monkeypatch):
+    def never(*args):
+        raise AssertionError("LAPACK ran on unchecked arguments")
+
+    factor = factor_laplacian(ball(1 / 16))
+    n = factor.cells.size
+    monkeypatch.setattr(pde, "_DPBTRF", never)
+    monkeypatch.setattr(pde, "_DPBTRS", never)
+    for b in (np.ones(n - 1), np.ones(n + 1), np.ones((n, 1)), np.ones((1, n))):
+        with pytest.raises(ValueError, match="right-hand side"):
+            factor.solve(b)
+    ab = lower_band(ball(1 / 16))
+    for bad in (np.ascontiguousarray(ab), ab.astype(np.float32), ab[:, ::2], ab[0]):
+        with pytest.raises(ValueError, match="F-ordered float64"):
+            pde._band_cholesky(bad)
+
+
+def test_band_factor_releases_the_gil():
+    # A band of 300 rows' width: LAPACK runs far longer than the assembly.
+    d = from_mask(np.ones((100, 300), dtype=bool), 1 / 256)
+    span = {}
+
+    def factor():
+        start = time.perf_counter()
+        factor_laplacian(d)
+        span["call"] = time.perf_counter() - start
+
+    worker = threading.Thread(target=factor)
+    stall, last = 0.0, time.perf_counter()
+    deadline = last + 60.0
+    worker.start()
+    while worker.is_alive() and last < deadline:
+        time.sleep(0.001)  # yield the core, so only the GIL can hold this thread up
+        now = time.perf_counter()
+        stall, last = max(stall, now - last), now
+    worker.join(timeout=1.0)
+    assert not worker.is_alive()
+    # holding the GIL, the factorization stalls this thread for most of the call
+    assert stall < 0.1 * span["call"]
 
 
 def square_cell_eigenvalues(M: int, k: int) -> np.ndarray:

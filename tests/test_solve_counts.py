@@ -48,7 +48,7 @@ def solves(monkeypatch):
 def factorizations(monkeypatch):
     """Band factorizations by occupancy key, and sparse LDL^T shifts."""
     rasters, shifts, lapack_calls = [], [], []
-    original, ldlt, cholesky = pde.factor_laplacian, pde._ldlt, pde.cholesky_banded
+    original, ldlt, cholesky = pde.factor_laplacian, pde._ldlt, pde._band_cholesky
 
     def recording_factor(d):
         rasters.append(occupancy_key(d))
@@ -58,15 +58,15 @@ def factorizations(monkeypatch):
         shifts.append(sigma)
         return ldlt(d, n, pairs, sigma, perm)
 
-    def recording_cholesky(ab, **kwargs):
+    def recording_cholesky(ab):
         lapack_calls.append(ab.shape)
-        return cholesky(ab, **kwargs)
+        return cholesky(ab)
 
     for mod in MODULES:
         if getattr(mod, "factor_laplacian", None) is original:
             monkeypatch.setattr(mod, "factor_laplacian", recording_factor)
     monkeypatch.setattr(pde, "_ldlt", recording_ldlt)
-    monkeypatch.setattr(pde, "cholesky_banded", recording_cholesky)
+    monkeypatch.setattr(pde, "_band_cholesky", recording_cholesky)
     yield rasters, shifts
     assert len(lapack_calls) == len(rasters)  # every band factorization was seen
 
