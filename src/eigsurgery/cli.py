@@ -2,7 +2,8 @@
 
 Subcommands: ``gen``, ``torsion``, ``spectrum``, ``check``, ``surgery``,
 ``bounded-surgery``, ``study``.  Repeated settings (K, k, P, h, seed, mode,
-workers, output directory) resolve in precedence order:
+workers, output directory) resolve once, before any work, in precedence
+order:
 
 1. command-line flags,
 2. ``EIGSURGERY_``-prefixed environment variables (variable name = setting
@@ -15,8 +16,8 @@ Grid spacings accept fractions (``--h 1/256``).  Results print as JSON with
 sorted keys on stdout; diagnostics go to stderr.  Exit codes: 0 on success
 (for ``check``/``surgery``/``bounded-surgery``: all checks passed), 1 when a
 check or suite run failed, 2 on usage or runtime errors.  K and P must be
-positive and finite, and a practical factor finite and above 1, on every
-path.
+positive and finite, k and workers positive, and a practical factor finite
+and above 1, on every path; a bad value exits 2 before any domain is made.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from eigsurgery.pde import (
     solve_torsion,
     torsion_energy,
 )
-from eigsurgery.surgery import bounded_surgery, strip_surgery
+from eigsurgery.surgery import bounded_surgery, parse_mode, strip_surgery
 
 logger = logging.getLogger(__name__)
 
@@ -68,15 +69,21 @@ ENV_PREFIX = "EIGSURGERY_"
 
 
 def _fraction(text: str) -> float:
-    """Parse a positive finite float, accepting fraction syntax like ``1/256``."""
+    """Parse a float, accepting fraction syntax like ``1/256``."""
     if "/" in text:
         num, den = (float(part) for part in text.split("/", 1))
-        value = num / den if den else math.nan
-    else:
-        value = float(text)
-    if not (value > 0 and math.isfinite(value)):
-        raise ValueError(f"expected a positive finite value, got {text!r}")
-    return value
+        return num / den if den else math.nan
+    return float(text)
+
+
+def _positive(cast: Callable[[str], Any]) -> Callable[[str], Any]:
+    def parse(text: str) -> Any:
+        value = cast(text)
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"expected a positive finite value, got {text!r}")
+        return value
+
+    return parse
 
 
 def _optional(cast: Callable[[str], Any]) -> Callable[[str], Any]:
@@ -86,16 +93,25 @@ def _optional(cast: Callable[[str], Any]) -> Callable[[str], Any]:
     return parse
 
 
-# name -> (cast from string, default); cases are significant (K vs k).
-_SETTINGS: dict[str, tuple[Callable[[str], Any], Any]] = {
-    "K": (float, 100.0),
-    "k": (int, 3),
-    "P": (_optional(float), None),
-    "h": (_fraction, 1 / 256),
-    "seed": (int, 0),
-    "mode": (str, "faithful"),
-    "out": (_optional(str), None),
-    "workers": (int, 1),
+def _mode(text: str) -> str:
+    parse_mode(text)
+    return text
+
+
+_spacing = _positive(_fraction)
+
+# name -> (cast from string, default, help); cases are significant (K vs k).
+_SETTINGS: dict[str, tuple[Callable[[str], Any], Any, str]] = {
+    "K": (_positive(float), 100.0, "spectral threshold"),
+    "k": (_positive(int), 3, "number of eigenvalues under control"),
+    "P": (_optional(_positive(float)), None,
+          "perimeter budget (default: 1.02 x measured perimeter)"),
+    "h": (_spacing, 1 / 256, "grid spacing, e.g. 1/256"),
+    "seed": (int, 0, "seed for generators and eigensolver start vectors"),
+    "mode": (_mode, "faithful", "faithful | practical:<factor>"),
+    "out": (_optional(str), None, "output directory"),
+    "workers": (_positive(int), 1,
+                "thread-pool size for corpus runs, capped at the usable CPUs"),
 }
 
 
@@ -117,36 +133,29 @@ def _read_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
-class Settings:
-    """Layered setting lookup: CLI over environment over config over default."""
+def _resolve_settings(args: argparse.Namespace) -> None:
+    """Write each setting the subcommand declares onto ``args``, cast once.
 
-    def __init__(self, args: argparse.Namespace) -> None:
-        unknown = sorted(
-            name
-            for name in os.environ
-            if name.startswith(ENV_PREFIX) and name[len(ENV_PREFIX) :] not in _SETTINGS
+    A setting takes the first of its flag, its ``EIGSURGERY_`` variable and
+    its ``--config`` entry that is present, else its default.
+    """
+    unknown = sorted(
+        name
+        for name in os.environ
+        if name.startswith(ENV_PREFIX) and name[len(ENV_PREFIX) :] not in _SETTINGS
+    )
+    if unknown:
+        raise ValueError(
+            f"unknown environment setting(s) {unknown}; choose from "
+            f"{sorted(ENV_PREFIX + key for key in _SETTINGS)}"
         )
-        if unknown:
-            raise ValueError(
-                f"unknown environment setting(s) {unknown}; choose from "
-                f"{sorted(ENV_PREFIX + key for key in _SETTINGS)}"
-            )
-        self._cli = vars(args)
-        self._file = (
-            _read_config_file(args.config) if getattr(args, "config", None) else {}
-        )
-
-    def __getitem__(self, key: str) -> Any:
-        cast, default = _SETTINGS[key]
-        cli = self._cli.get(key)
-        if cli is not None:
-            return cast(str(cli))
-        env = os.environ.get(ENV_PREFIX + key)
-        if env is not None:
-            return cast(env)
-        if key in self._file:
-            return cast(self._file[key])
-        return default
+    file = _read_config_file(args.config) if args.config else {}
+    for key, (cast, default, _) in _SETTINGS.items():
+        if not hasattr(args, key):
+            continue
+        sources = (getattr(args, key), os.environ.get(ENV_PREFIX + key), file.get(key))
+        text = next((t for t in sources if t is not None), None)
+        setattr(args, key, default if text is None else cast(text))
 
 
 # --------------------------------------------------------------------------
@@ -154,19 +163,9 @@ class Settings:
 
 
 def _add_setting_flags(p: argparse.ArgumentParser, names: Sequence[str]) -> None:
-    help_by_name = {
-        "K": "spectral threshold",
-        "k": "number of eigenvalues under control",
-        "P": "perimeter budget (default: 1.02 x measured perimeter)",
-        "h": "grid spacing, e.g. 1/256",
-        "seed": "seed for generators and eigensolver start vectors",
-        "mode": "faithful | practical:<factor>",
-        "out": "output directory",
-        "workers": "thread-pool size for corpus runs, capped at the usable CPUs",
-    }
     for name in names:
         flag = "--" + name.replace("_", "-")
-        p.add_argument(flag, dest=name, default=None, help=help_by_name[name])
+        p.add_argument(flag, dest=name, default=None, help=_SETTINGS[name][2])
 
 
 def _add_domain_source(p: argparse.ArgumentParser) -> None:
@@ -200,9 +199,7 @@ def _parse_params(pairs: Sequence[str]) -> dict[str, Any]:
     return params
 
 
-def _domain_from_args(
-    args: argparse.Namespace, settings: Settings
-) -> tuple[str, GridDomain]:
+def _domain_from_args(args: argparse.Namespace) -> tuple[str, GridDomain]:
     if args.domain and args.spec:
         raise ValueError("give either --spec or --domain, not both")
     if args.domain:
@@ -212,21 +209,21 @@ def _domain_from_args(
         spec = CorpusSpec(
             name=args.name or args.spec,
             generator=args.spec,
-            h=settings["h"],
-            seed=settings["seed"],
+            h=args.h,
+            seed=args.seed,
             params=_parse_params(args.param),
         )
         return spec.name, generate(spec)
     raise ValueError("a domain is required: pass --spec or --domain")
 
 
-def _corpus(args: argparse.Namespace, settings: Settings) -> list[CorpusSpec]:
+def _corpus(args: argparse.Namespace) -> list[CorpusSpec]:
     if args.spec or args.domain or args.param or args.name:
         raise ValueError("--corpus takes no --spec, --domain, --param or --name")
     if args.corpus == "default":
-        return default_corpus(settings["h"])
+        return default_corpus(args.h)
     if args.corpus == "surgery":
-        return surgery_corpus(settings["h"])
+        return surgery_corpus(args.h)
     raise ValueError(f"unknown corpus {args.corpus!r}; choose default or surgery")
 
 
@@ -243,11 +240,10 @@ def _print_report_line(r: IneqReport) -> None:
     )
 
 
-def _out_dir(settings: Settings) -> Path | None:
-    out = settings["out"]
-    if out is None:
+def _out_dir(args: argparse.Namespace) -> Path | None:
+    if args.out is None:
         return None
-    path = Path(out)
+    path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -257,8 +253,7 @@ def _out_dir(settings: Settings) -> Path | None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    settings = Settings(args)
-    name, d = _domain_from_args(args, settings)
+    name, d = _domain_from_args(args)
     info: dict[str, Any] = {
         "id": name,
         "h": d.h,
@@ -266,7 +261,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         "measure": measure(d),
         "perimeter": perimeter(d),
     }
-    out = _out_dir(settings)
+    out = _out_dir(args)
     if out is not None:
         info["files"] = [str(p) for p in save_domain(d, out / name)]
     _print_json(info)
@@ -274,8 +269,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_torsion(args: argparse.Namespace) -> int:
-    settings = Settings(args)
-    name, d = _domain_from_args(args, settings)
+    name, d = _domain_from_args(args)
     f = solve_torsion(d)
     info: dict[str, Any] = {
         "id": name,
@@ -284,7 +278,7 @@ def _cmd_torsion(args: argparse.Namespace) -> int:
         "energy": torsion_energy(f),
         "residual": f.residual,
     }
-    out = _out_dir(settings)
+    out = _out_dir(args)
     if out is not None:
         bin_path, hdr_path = save_field(f, out / f"{name}-torsion")
         info["files"] = [str(bin_path), str(hdr_path)]
@@ -293,9 +287,8 @@ def _cmd_torsion(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    settings = Settings(args)
-    name, d = _domain_from_args(args, settings)
-    s = eigenvalues(d, k=settings["k"], seed=settings["seed"])
+    name, d = _domain_from_args(args)
+    s = eigenvalues(d, k=args.k, seed=args.seed)
     info: dict[str, Any] = {
         "id": name,
         "k": s.k,
@@ -303,7 +296,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         "shift": s.shift,
         "inertia_count": s.inertia_count,
     }
-    out = _out_dir(settings)
+    out = _out_dir(args)
     if out is not None:
         info["files"] = [str(save_spectrum(s, out / f"{name}-spectrum.json"))]
     _print_json(info)
@@ -311,15 +304,14 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    settings = Settings(args)
     if args.corpus:
-        specs = _corpus(args, settings)
+        specs = _corpus(args)
         domains = ((spec.name, generate(spec)) for spec in specs)
     else:
-        domains = [_domain_from_args(args, settings)]
+        domains = [_domain_from_args(args)]
     failed = 0
     for name, d in domains:
-        f, s = solve_raster(d, k=BATTERY_K, seed=settings["seed"])
+        f, s = solve_raster(d, k=BATTERY_K, seed=args.seed)
         sanity, battery = inequality_battery(d, f, s)
         reports = sanity + battery
         ok = all(r.passed for r in reports)
@@ -335,15 +327,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if failed == 0 else 1
 
 
-def _run_config(settings: Settings) -> RunConfig:
+def _run_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
-        K=settings["K"],
-        k=settings["k"],
-        P=settings["P"],
-        mode=settings["mode"],
-        seed=settings["seed"],
-        workers=settings["workers"],
-        out_dir=settings["out"],
+        K=args.K,
+        k=args.k,
+        P=args.P,
+        mode=args.mode,
+        seed=args.seed,
+        workers=args.workers,
+        out_dir=args.out,
     )
 
 
@@ -370,47 +362,40 @@ def _finish_surgery(
 
 
 def _cmd_surgery(args: argparse.Namespace) -> int:
-    settings = Settings(args)
-    config = _run_config(settings)  # validates before anything is solved
     if args.corpus:
-        specs = _corpus(args, settings)
-        result = run_suite(specs, config)
+        result = run_suite(_corpus(args), _run_config(args))
         print(summary_table(result.rows))
         return result.exit_code
-    name, d = _domain_from_args(args, settings)
-    f, s = solve_raster(d, k=config.k, seed=config.seed)
+    name, d = _domain_from_args(args)
+    f, s = solve_raster(d, k=args.k, seed=args.seed)
     result, report = strip_surgery(
-        f, s, K=config.K, k=config.k, P=config.P, mode=config.mode, seed=config.seed
+        f, s, K=args.K, k=args.k, P=args.P, mode=args.mode, seed=args.seed
     )
-    return _finish_surgery(name, result, report, _out_dir(settings))
+    return _finish_surgery(name, result, report, _out_dir(args))
 
 
 def _cmd_bounded_surgery(args: argparse.Namespace) -> int:
-    settings = Settings(args)
-    name, d = _domain_from_args(args, settings)
+    name, d = _domain_from_args(args)
     result, report = bounded_surgery(
-        d,
-        K=settings["K"],
-        k=settings["k"],
-        mode=settings["mode"],
-        seed=settings["seed"],
+        d, K=args.K, k=args.k, mode=args.mode, seed=args.seed
     )
-    return _finish_surgery(name, result, report, _out_dir(settings))
+    return _finish_surgery(name, result, report, _out_dir(args))
 
 
 def _cmd_study(args: argparse.Namespace) -> int:
-    settings = Settings(args)
-    h_list = [_fraction(part) for part in args.h_list.split(",") if part.strip()]
+    h_list = [_spacing(part) for part in args.h_list.split(",") if part.strip()]
+    if not h_list:
+        raise ValueError("h_list must contain at least one grid spacing")
     spec = CorpusSpec(
         name=args.name or args.spec,
         generator=args.spec,
         h=h_list[0],
-        seed=settings["seed"],
+        seed=args.seed,
         params=_parse_params(args.param),
     )
-    study = convergence_study(spec, h_list, seed=settings["seed"])
+    study = convergence_study(spec, h_list, seed=args.seed)
     _print_json(study)
-    out = _out_dir(settings)
+    out = _out_dir(args)
     if out is not None:
         (out / f"{spec.name}-study.json").write_text(
             json.dumps(study, sort_keys=True, indent=2) + "\n", encoding="ascii"
@@ -511,6 +496,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
     )
     try:
+        _resolve_settings(args)
         return args.func(args)
     except Exception as exc:  # any runtime error is exit 2, never a traceback
         logger.error("%s", exc)

@@ -660,10 +660,7 @@ def gamma_distance(
 
 def strip_max(f: TorsionField, s: Strip) -> float:
     """Maximum of the field over cells with center in the strip (0 if none)."""
-    hit = s.contains(f.domain.centers(0))
-    if not np.any(hit):
-        return 0.0
-    return float(f.values[hit].max(initial=0.0))
+    return float(f.values[s.contains(f.domain.centers(0))].max(initial=0.0))
 
 
 def _bisect(fn: Callable[[float], float], lo: float, hi: float) -> float:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import asdict, dataclass, field, replace as dc_replace
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -334,6 +334,17 @@ def _merge_intervals(
     return [(lo, hi) for lo, hi in merged]
 
 
+def _per_column(a: np.ndarray, reduce: Callable[..., Any] = np.sum) -> np.ndarray:
+    """``reduce`` of ``a`` over every axis but the first: one entry per column."""
+    return reduce(a, axis=tuple(range(1, a.ndim)))
+
+
+def _occupied_span(d: GridDomain) -> tuple[float, float]:
+    """Centres of the lowest and highest occupied first-axis columns of ``d``."""
+    xs = d.centers(0)[_per_column(d.occupancy, np.any)]
+    return float(xs[0]), float(xs[-1])
+
+
 def _windowed_column_max(f: TorsionField, r0: float) -> np.ndarray:
     """Per first-axis column, the torsion maximum over the doubled strip.
 
@@ -342,8 +353,7 @@ def _windowed_column_max(f: TorsionField, r0: float) -> np.ndarray:
     ``strip_max`` finds in ``Strip(x_j, 2 * r0)``.  Columns beyond the
     window count as zero, which the field is there.
     """
-    other_axes = tuple(range(1, f.values.ndim))
-    colmax = f.values.max(axis=other_axes) if other_axes else f.values
+    colmax = _per_column(f.values, np.max)
     win = int(math.floor(2 * r0 / f.domain.h + 1e-9))
     return sliding_window_view(np.pad(colmax, win), 2 * win + 1).max(axis=1)
 
@@ -354,22 +364,13 @@ def detect_active_region(
     """Intervals of first-axis positions whose doubled strip carries torsion >= C0*r0.
 
     Computes the sliding-window maximum of the per-column torsion maximum
-    (window half-width 2*r0), thresholds it at C0*r0, and dilates each run of
-    hot columns by 2*r0 so the returned intervals are at least 4*r0 wide.
+    (window half-width 2*r0), thresholds it at C0*r0, and widens each hot
+    column by 2*r0 on either side; overlapping widenings merge, so the
+    returned intervals are at least 4*r0 wide.
     """
-    d = f.domain
-    idx = np.flatnonzero(_windowed_column_max(f, r0) >= C0 * r0)
-    if idx.size == 0:
-        return ()
-    xs = d.centers(0)
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [idx.size - 1]))
-    raw = [
-        (float(xs[idx[i0]] - 2 * r0), float(xs[idx[i1]] + 2 * r0))
-        for i0, i1 in zip(starts, ends)
-    ]
-    return tuple(_merge_intervals(raw))
+    hot = f.domain.centers(0)[_windowed_column_max(f, r0) >= C0 * r0]
+    widened = zip((hot - 2 * r0).tolist(), (hot + 2 * r0).tolist())
+    return tuple(_merge_intervals(widened))
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +426,6 @@ def _strips_at(
     )
 
 
-def _column_mass(d: GridDomain) -> np.ndarray:
-    other_axes = tuple(range(1, d.occupancy.ndim))
-    return d.occupancy.sum(axis=other_axes) * d.h**d.N
-
-
 def plan_cuts(
     d: GridDomain,
     X: Sequence[tuple[float, float]],
@@ -444,17 +440,32 @@ def plan_cuts(
     ``[0, p-1]`` searched, falling back to the minimal-mass slide with a
     flag.  Strip centers are emitted as (base, direction) anchors; the cut
     depth ``t`` shifts each strip by ``direction * t`` away from the active
-    region and is chosen later by :func:`select_cut_depth`.
+    region and is chosen later by :func:`select_cut_depth`.  An empty active
+    region is one with no gaps, its edges at the occupied span and slide 0.
     """
     r0, l0, m_hat, p = constants.r0, constants.l0, constants.m_hat, constants.p
     delta = 4 * r0 + l0
     xs = d.centers(0)
-    col_mass = _column_mass(d)
-    occupied = col_mass > 0
+    col_mass = _per_column(d.occupancy) * d.h**d.N
     vol = float(col_mass.sum())
     flags: list[str] = []
+    active: list[tuple[float, float]] = []
+    segments: list[tuple[float, float]] = []
+    slide, y_mass = 0, 0.0
 
-    def window_mass(windows: Sequence[tuple[float, float]]) -> float:
+    def gaps_of(iv: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
+        return [(iv[i][1], iv[i + 1][0]) for i in range(len(iv) - 1)]
+
+    def collar_mass(s: int) -> float:
+        """Mass within ``delta`` outside the edges and the gap ends at slide s."""
+        shift = s * delta
+        windows = [
+            (lo_edge - shift - delta, lo_edge - shift),
+            (hi_edge + shift, hi_edge + shift + delta),
+        ]
+        for a, b in segments:
+            windows.append((a + shift, a + shift + delta))
+            windows.append((b - shift - delta, b - shift))
         hit = np.zeros(xs.shape, dtype=bool)
         for lo, hi in windows:
             hit |= (xs >= lo) & (xs <= hi)
@@ -462,65 +473,36 @@ def plan_cuts(
 
     if not X:
         flags.append("empty_active_region")
-        xlo = float(xs[occupied].min())
-        xhi = float(xs[occupied].max())
-        active: list[tuple[float, float]] = []
-        segments: list[tuple[float, float]] = []
-        slide = 0
-        y_mass = 0.0
-        anchors = ((xlo - 2 * r0, -1.0), (xhi + 2 * r0, 1.0))
+        lo_edge, hi_edge = _occupied_span(d)
     else:
         active = _merge_intervals(X, gap=8 * r0 + 2 * l0)
-
-        def collar_windows(
-            gaps: Sequence[tuple[float, float]], lo_edge: float, hi_edge: float, s: int
-        ) -> list[tuple[float, float]]:
-            shift = s * delta
-            windows = [
-                (lo_edge - shift - delta, lo_edge - shift),
-                (hi_edge + shift, hi_edge + shift + delta),
-            ]
-            for a, b in gaps:
-                windows.append((a + shift, a + shift + delta))
-                windows.append((b - shift - delta, b - shift))
-            return windows
-
-        def gaps_of(iv: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
-            return [(iv[i][1], iv[i + 1][0]) for i in range(len(iv) - 1)]
-
         segments = gaps_of(active)
-        slide = 0
-        y_mass = window_mass(
-            collar_windows(segments, active[0][0], active[-1][1], 0)
-        )
+        lo_edge, hi_edge = active[0][0], active[-1][1]
+        y_mass = collar_mass(0)
         if y_mass > m_hat * vol:
             flags.append("slide_search")
-            # absorb gaps without room for p slides, then search s = 0..p-1
+            # absorb gaps without room for p slides (the edges stay), then
+            # take the first slide in 0..p-1 under the threshold, else the
+            # first of least mass
             active = _merge_intervals(active, gap=2 * p * delta, strict=True)
             segments = gaps_of(active)
-            best_s, best_mass = 0, math.inf
-            found = False
+            masses: list[float] = []
             for s in range(p):
-                mass_s = window_mass(
-                    collar_windows(segments, active[0][0], active[-1][1], s)
-                )
-                if mass_s < best_mass:
-                    best_s, best_mass = s, mass_s
-                if mass_s <= m_hat * vol:
-                    slide, y_mass = s, mass_s
-                    found = True
+                masses.append(collar_mass(s))
+                if masses[-1] <= m_hat * vol:
                     break
-            if not found:
-                slide, y_mass = best_s, best_mass
+            else:
                 flags.append("mass_threshold_unmet")
+            y_mass = min(masses)
+            slide = masses.index(y_mass)
 
-        shift = slide * delta
-        anchor_list = [(active[0][0] - shift - 2 * r0, -1.0)]
-        for a, b in segments:
-            anchor_list.append((a + shift + 2 * r0, 1.0))
-            anchor_list.append((b - shift - 2 * r0, -1.0))
-        anchor_list.append((active[-1][1] + shift + 2 * r0, 1.0))
-        anchors = tuple(anchor_list)
+    shift = slide * delta
+    anchor_list = [(lo_edge - shift - 2 * r0, -1.0)]
+    for a, b in segments:
+        anchor_list.append((a + shift + 2 * r0, 1.0))
+        anchor_list.append((b - shift - 2 * r0, -1.0))
+    anchor_list.append((hi_edge + shift + 2 * r0, 1.0))
+    anchors = tuple(anchor_list)
 
     plan = SurgeryPlan(
         active_region=tuple(active),
@@ -582,11 +564,10 @@ def select_cut_depth(
     h = d.h
     N = d.N
     xs = d.centers(0)
-    col_mass = _column_mass(d)
     occ = d.occupancy
-    other_axes = tuple(range(1, occ.ndim))
+    col_mass = _per_column(occ) * h**N
     # faces between consecutive columns, and boundary faces owned per column
-    adjacent = (occ[:-1] & occ[1:]).sum(axis=other_axes).astype(np.int64)
+    adjacent = _per_column(occ[:-1] & occ[1:]).astype(np.int64)
     neighbor_count = np.zeros(occ.shape, dtype=np.int64)
     for axis in range(occ.ndim):
         for shift in (1, -1):
@@ -595,7 +576,7 @@ def select_cut_depth(
             edge[axis] = 0 if shift == 1 else -1
             rolled[tuple(edge)] = False
             neighbor_count += rolled
-    own_faces = ((2 * N - neighbor_count) * occ).sum(axis=other_axes)
+    own_faces = _per_column((2 * N - neighbor_count) * occ)
     per_before = perimeter(d)
     vol = float(col_mass.sum())
     face_unit = h ** (N - 1)
@@ -687,14 +668,6 @@ def component_cleanup(
     penalized energy ``E + c|.| >= 0`` are recorded; the energy needs the
     component's own torsion (:func:`_component_field`).
     """
-
-    def projection_hits_active(sub: GridDomain) -> bool:
-        other_axes = tuple(range(1, sub.occupancy.ndim))
-        cols = sub.occupancy.any(axis=other_axes)
-        xs = sub.centers(0)[cols]
-        lo_c, hi_c = float(xs.min()), float(xs.max())
-        return any(hi_c >= lo and lo_c <= hi for lo, hi in X)
-
     threshold = constants.C0 * constants.r0
     rescale_factor = (1 - constants.m_hat) ** (2 / d.N)  # of the final rescale
     checks: list[IneqReport] = []
@@ -703,7 +676,8 @@ def component_cleanup(
     discarded_measure = 0.0
     discard = np.zeros(d.shape, dtype=bool)
     for comp in connected_components(d):
-        if projection_hits_active(comp):
+        lo_c, hi_c = _occupied_span(comp)
+        if any(hi_c >= lo and lo_c <= hi for lo, hi in X):
             continue
         wmax = float(f.values[comp.occupancy].max())
         comp_measure = measure(comp)
@@ -812,13 +786,6 @@ def _normalized(d: GridDomain) -> tuple[GridDomain, float]:
     return rescale(d, t), t
 
 
-def _occupied_extent(d: GridDomain) -> float:
-    other_axes = tuple(range(1, d.occupancy.ndim))
-    cols = d.occupancy.any(axis=other_axes)
-    xs = d.centers(0)[cols]
-    return float(xs.max() - xs.min() + d.h)
-
-
 def _setup(
     d: GridDomain, K: float, k: int, P: float | None, mode: str
 ) -> tuple[GridDomain, float, float, SurgeryConstants]:
@@ -834,9 +801,10 @@ def _setup(
         P = per0 * 1.02
     elif per0 > P * (1 + 1e-9):
         raise ValueError(f"perimeter {per0:g} exceeds the stated bound P = {P:g}")
+    lo, hi = _occupied_span(d0)
     constants = derive_constants(
         K, k, P, d0.h, volume=measure(d0), mode=mode,
-        window_extent=_occupied_extent(d0), N=d0.N,
+        window_extent=hi - lo + d0.h, N=d0.N,
     )
     return d0, t0, P, constants
 
@@ -879,17 +847,15 @@ def _cut_stage(
     checks: list[IneqReport] = []
     kept_strips = []
     for strip in _strips_at(plan.anchors, r0, t):
-        top = strip_max(f, Strip(center=strip.center, half_width=2 * r0))
-        checks.append(
-            IneqReport.compare(
-                "strip_test",
-                top,
-                constants.C0 * r0,
-                0.0,
-                {"center": strip.center, "half_width": strip.half_width},
-            )
+        test = IneqReport.compare(
+            "strip_test",
+            strip_max(f, Strip(center=strip.center, half_width=2 * r0)),
+            constants.C0 * r0,
+            0.0,
+            {"center": strip.center, "half_width": strip.half_width},
         )
-        if strip_removal_test(f, strip.center, r0, constants.C0, r0):
+        checks.append(test)
+        if test.passed:
             kept_strips.append(strip)
         else:
             flags.append(f"strip_test_failed:{strip.center:.6g}")
@@ -1091,12 +1057,10 @@ def _descent_candidates(
         candidates.append(
             ("sublevel", tau, GridDomain(current.h, current.origin, occ_new))
         )
-    other_axes = tuple(range(1, current.occupancy.ndim))
-    cols = current.occupancy.any(axis=other_axes)
-    xs = current.centers(0)[cols]
+    lo, hi = _occupied_span(current)
     edge_strips = (
-        ("edge_strip_low", Strip(float(xs.min()) + r0 / 2, r0 / 2)),
-        ("edge_strip_high", Strip(float(xs.max()) - r0 / 2, r0 / 2)),
+        ("edge_strip_low", Strip(lo + r0 / 2, r0 / 2)),
+        ("edge_strip_high", Strip(hi - r0 / 2, r0 / 2)),
     )
     for kind, strip in edge_strips:
         try:

@@ -335,6 +335,28 @@ class TestCli:
             f"expected a positive finite value, got {h!r}"
         ]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--spec", "ball", "--k", "abc"],
+            ["check", "--corpus", "surgery", "--seed", "abc"],
+            ["bounded-surgery", "--spec", "ball", "--K", "abc"],
+            ["bounded-surgery", "--spec", "ball", "--mode", "practical:0.5"],
+            ["spectrum", "--spec", "ball", "--k", "0"],
+        ],
+        ids=["spectrum-k", "check-corpus-seed", "bounded-K", "bounded-mode",
+             "spectrum-k-0"],
+    )
+    def test_bad_setting_exits_2_before_any_domain_is_made(self, monkeypatch, argv):
+        monkeypatch.setattr(cli, "generate", lambda spec: pytest.fail("generated"))
+        assert main([*argv, "--h", "1/16"]) == 2
+
+    def test_study_without_a_spacing_exits_2(self, caplog):
+        assert main(["study", "--spec", "square", "--h-list", ","]) == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            "h_list must contain at least one grid spacing"
+        ]
+
     def test_too_coarse_spacing_names_the_generator(self, caplog):
         assert main(["torsion", "--spec", "ball", "--h", "2"]) == 2
         assert [r.getMessage() for r in caplog.records] == [

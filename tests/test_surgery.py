@@ -652,6 +652,19 @@ class TestStripSurgery:
         assert report.verdict == "fail"
         assert np.array_equal(out.occupancy, tailed_disk[0].occupancy)
 
+    def test_each_planned_strip_is_evaluated_once(self, monkeypatch):
+        evaluated = []
+        monkeypatch.setattr(
+            surgery, "strip_max", lambda f, s: evaluated.append(s) or strip_max(f, s)
+        )
+        d = tube(1 / 64)
+        f, s = solve_raster(d, k=2)
+        _, report = strip_surgery(f, s, K=200.0, k=2, mode="practical:1e12")
+        assert len(report.plan.anchors) == 2
+        assert [strip.center for strip in evaluated] == [
+            c.context["center"] for c in checks_named(report, "strip_test")
+        ]
+
     def test_emptying_removal_is_flagged(self, tailed_disk, monkeypatch):
         def empty(d, strips):
             raise EmptyDomainError("strip removal emptied the domain")
