@@ -137,7 +137,8 @@ def _resolve_settings(args: argparse.Namespace) -> None:
     """Write each setting the subcommand declares onto ``args``, cast once.
 
     A setting takes the first of its flag, its ``EIGSURGERY_`` variable and
-    its ``--config`` entry that is present, else its default.
+    its ``--config`` entry that is present, else its default.  A value that
+    fails its cast raises ``ValueError`` prefixed with the setting's name.
     """
     unknown = sorted(
         name
@@ -155,7 +156,10 @@ def _resolve_settings(args: argparse.Namespace) -> None:
             continue
         sources = (getattr(args, key), os.environ.get(ENV_PREFIX + key), file.get(key))
         text = next((t for t in sources if t is not None), None)
-        setattr(args, key, default if text is None else cast(text))
+        try:
+            setattr(args, key, default if text is None else cast(text))
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from exc
 
 
 # --------------------------------------------------------------------------

@@ -46,6 +46,7 @@ __all__ = [
     "build_laplacian",
     "eigenvalues",
     "factor_laplacian",
+    "factored_torsion",
     "gamma_distance",
     "save_field",
     "save_spectrum",
@@ -301,7 +302,8 @@ class BandFactor:
     Built by :func:`factor_laplacian` and passed explicitly, first to
     :func:`solve_torsion` and then to :func:`eigenvalues` (see
     :func:`solve_raster`), so a raster that needs both a torsion field and a
-    spectrum is factored once.
+    spectrum is factored once.  In between, :meth:`solve` serves further
+    back-solves on the raster and :meth:`residual` checks them.
     :func:`eigenvalues` releases the band when its Lanczos run ends; a
     released factor can no longer solve.  ``cells`` and ``pairs`` are the
     raster's :func:`_stencil`.
@@ -323,6 +325,16 @@ class BandFactor:
         if self.band is None:
             raise ValueError("the band factor was released")
         return _band_solve(self.band, b)
+
+    def residual(self, x: np.ndarray, b: np.ndarray | float) -> np.ndarray:
+        """``A x - b`` from the stencil, one axis at a time; needs no band."""
+        h2 = self.h * self.h
+        off = -1.0 / h2
+        r = 2.0 * self.occupancy.ndim / h2 * x - b
+        for j, i in self.pairs:
+            r[j] += off * x[i]
+            r[i] += off * x[j]
+        return r
 
     def release(self) -> None:
         """Drop the band; its ``(b + 1) n`` doubles dominate the memory."""
@@ -368,14 +380,8 @@ def solve_torsion(d: GridDomain, factor: BandFactor | None = None) -> TorsionFie
     else:
         factor.check(d)
     n = factor.cells.size
-    diag = 2.0 * d.N / (d.h * d.h)
-    off = -1.0 / (d.h * d.h)
     w = factor.solve(np.ones(n))
-    r = diag * w - 1.0  # A w - 1, one stencil axis at a time
-    for j, i in factor.pairs:
-        r[j] += off * w[i]
-        r[i] += off * w[j]
-    residual = float(np.linalg.norm(r) / math.sqrt(n))
+    residual = float(np.linalg.norm(factor.residual(w, 1.0)) / math.sqrt(n))
     if residual > DEFAULT_CG_TOL:
         raise RuntimeError(
             f"torsion solve residual {residual:.3e} above {DEFAULT_CG_TOL:g}"
@@ -383,6 +389,19 @@ def solve_torsion(d: GridDomain, factor: BandFactor | None = None) -> TorsionFie
     values = np.zeros(d.shape)
     values.flat[factor.cells] = w
     return TorsionField(domain=d, values=values, residual=residual)
+
+
+def factored_torsion(d: GridDomain) -> tuple[TorsionField, BandFactor]:
+    """:func:`solve_torsion` of ``d`` and the band factor it was solved on.
+
+    For callers that solve on the same raster again: by
+    :meth:`BandFactor.solve`, or by handing the factor to
+    :func:`eigenvalues`, which releases it.  The band is ``(b + 1) n``
+    doubles, so a caller that needs only the field calls
+    :func:`solve_torsion`, which frees it at once.
+    """
+    factor = factor_laplacian(d)
+    return solve_torsion(d, factor), factor
 
 
 def torsion_energy(f: TorsionField) -> float:
@@ -515,7 +534,10 @@ def eigenvalues(
     ``sigma = lambda_k (1 - 10 DEFAULT_EIG_TOL)``: the LDL^T of
     ``A - sigma I`` must have as many negative pivots as there are computed
     eigenvalues below ``sigma``, so no eigenvalue below lambda_k's cluster,
-    copies of a multiple eigenvalue included, was missed.  The first
+    copies of a multiple eigenvalue included, was missed.  Where ``_ldlt``
+    has no answer at that shift (a singular leading minor), the shift moves
+    once, halfway down to the largest computed value below it (or to
+    ``sigma0``), so the same computed values lie below it.  The first
     computed value is then the certified lambda_1, and it must lie above
     ``sigma0`` (else ``RuntimeError``), so the ``k`` eigenvalues nearest
     ``sigma0`` are the lowest ``k``.  On a deficit, which is rare, Lanczos
@@ -563,7 +585,14 @@ def eigenvalues(
         shift = float(vals[k - 1]) * (1.0 - _SHIFT_FACTOR * DEFAULT_EIG_TOL)
         found = int(np.count_nonzero(vals < shift))
         if lanczos:
-            lu, perm = _ldlt(d, n, pairs, shift, perm)
+            try:
+                lu, perm = _ldlt(d, n, pairs, shift, perm)
+            except RuntimeError:
+                # A leading minor of A - shift I is singular.  Once, move the
+                # shift halfway down to the computed value below it (sigma0
+                # if none is), which leaves ``found`` as it is.
+                shift = 0.5 * (shift + (float(vals[found - 1]) if found else sigma0))
+                lu, perm = _ldlt(d, n, pairs, shift, perm)
             count = _negative_pivots(lu)
             del lu
         else:
@@ -602,8 +631,7 @@ def solve_raster(
     The band Cholesky factor of :func:`factor_laplacian` serves the torsion
     solve and then, as Lanczos's inverse, the eigensolve, which releases it.
     """
-    band = factor_laplacian(d)
-    f = solve_torsion(d, band)
+    f, band = factored_torsion(d)
     return f, eigenvalues(d, band, k=k, seed=seed)
 
 

@@ -46,13 +46,15 @@ from eigsurgery.inequalities import (
 )
 from eigsurgery.pde import (
     DEFAULT_CG_TOL,
+    BandFactor,
     Spectrum,
     TorsionField,
     _bisect,
+    _lambda1_floor,
     ball_lambda1,
     eigenvalues,
     embed_union,
-    solve_raster,
+    factored_torsion,
     solve_torsion,
     strip_max,
     torsion_energy,
@@ -1092,7 +1094,9 @@ def _descent_slack(f: TorsionField, value: float) -> float:
     (``A^-1 >= 0``), that is by ``DEFAULT_CG_TOL * sqrt(n) |E|`` in energy;
     this holds for both the candidate's solve and ``f``, and each sum and
     the final addition round by at most ``n`` ulps of the value's terms,
-    which are at most ``|E| + c|.| = value - 2E`` in size.
+    which are at most ``|E| + c|.| = value - 2E`` in size.  The same slack
+    serves :func:`_removal_bound`'s screen, whose bound is ``E`` plus a rise
+    that carries its own error terms.
     """
     n = f.domain.cell_count
     eps = float(np.finfo(float).eps)
@@ -1100,37 +1104,91 @@ def _descent_slack(f: TorsionField, value: float) -> float:
     return 4 * (DEFAULT_CG_TOL * math.sqrt(n) + n * eps) * scale
 
 
+def _removal_bound(
+    f: TorsionField, factor: BandFactor, floor: float, cand: GridDomain
+) -> float:
+    """Lower bound on ``E(cand) - E(f.domain)`` by one back-solve on ``factor``.
+
+    ``factor`` is the band factor of ``f.domain``'s Laplacian ``A`` and
+    ``floor`` a lower bound on its lambda_1 (:func:`pde._lambda1_floor`).
+    Removing the cells R leaves the principal submatrix on the rest, and its
+    Schur complement gives the energy's rise exactly:
+    ``1/2 h^N w_R^T (G_RR)^-1 w_R`` with ``G = A^-1`` and ``w = A^-1 1``.
+    By Cauchy-Schwarz in the inner product of ``G_RR``, every ``u`` that
+    vanishes off R gives ``w_R^T (G_RR)^-1 w_R >= (u^T w)^2 / (u^T G u)``.
+    Here ``u`` is the computed ``w`` on R, which makes the bound exact for a
+    single cell, and ``g = G u`` is one back-solve.  Both ``w`` and ``g``
+    carry solve errors, and ``|A^-1| <= 1 / floor``, so ``u^T w`` is lowered
+    by ``|u| |A w - 1| / floor`` and ``u^T g`` raised by
+    ``|u| |A g - u| / floor``.  Both residuals are taken from the stencil,
+    where each entry rounds by at most ``2N + 2`` ulps of
+    ``|A| |x| + |b|``, and ``|A| <= 4N / h^2``; that is added to each.  The
+    dot products and norms round by at most ``n`` ulps each, so the result
+    is shrunk by ``4 n`` ulps.
+    """
+    d = f.domain
+    n = factor.cells.size
+    eps = float(np.finfo(float).eps)
+    noise = (2 * d.N + 2) * eps
+    a_norm = 4 * d.N / (d.h * d.h)
+    w = f.values.ravel()[factor.cells]
+    u = np.where(cand.occupancy.ravel()[factor.cells], 0.0, w)
+    g = factor.solve(u)
+    norm_u = float(np.linalg.norm(u))
+    r_w = math.sqrt(n) * (f.residual + noise) + noise * a_norm * float(np.linalg.norm(w))
+    uw = float(u @ u) - norm_u * r_w / floor
+    if uw <= 0:
+        return 0.0  # removing cells never lowers the energy
+    r_g = float(np.linalg.norm(factor.residual(g, u))) + noise * (
+        a_norm * float(np.linalg.norm(g)) + norm_u
+    )
+    ugu = float(u @ g) + norm_u * r_g / floor
+    return 0.5 * d.h**d.N * uw * uw / ugu * (1 - 4 * n * eps)
+
+
 def subsolution_truncate(
     f: TorsionField,
     c: float,
     r0: float,
+    factor: BandFactor | None = None,
 ) -> tuple[TorsionField, tuple[dict[str, Any], ...]]:
     """Greedy monotone descent of E + c|.| over sublevel and edge-strip moves.
 
-    Starts from the torsion function ``f`` of ``f.domain``.  Each step
-    accepts the candidate move (see :func:`_descent_candidates`) of least
-    penalized energy if it strictly decreases the energy; descent stops when
-    none does or after ``DESCENT_MOVE_LIMIT`` accepted moves.  Ties are
-    settled on the computed floating-point values: the first in candidate
-    order wins among bit-equal values, but moves whose exact energies are
-    equal (mirror images, say) usually differ in the last bits, and then
-    rounding picks the winner.
+    Starts from the torsion function ``f`` of ``f.domain``; ``factor``, if
+    given, is that raster's band factor (:func:`pde.factored_torsion`) and
+    is left unreleased.  Each step accepts the candidate move (see
+    :func:`_descent_candidates`) of least penalized energy if it strictly
+    decreases the energy; descent stops when none does or after
+    ``DESCENT_MOVE_LIMIT`` accepted moves.  Ties are settled on the computed
+    floating-point values: the first in candidate order wins among bit-equal
+    values, but moves whose exact energies are equal (mirror images, say)
+    usually differ in the last bits, and then rounding picks the winner.
 
-    A candidate is solved only when it can win.  Every candidate is a subset
-    of the current domain, so its energy is at least the bound of
-    :func:`_energy_bound`; candidates are visited in ascending bound and
-    the rest are skipped once a bound exceeds the smaller of the current
-    value and the best candidate value by more than :func:`_descent_slack`.
-    An occupancy solved earlier in the descent is not solved again: it lost
-    to its first copy in the same step, or to the move accepted in an
-    earlier step, so it cannot beat the current value, which only decreased
-    since.  Returns the torsion function of the final domain, a subsolution with
-    respect to this move class only, and the move log.
+    A candidate is solved only when it can win, which two screens decide
+    against ``target + slack``: ``target`` is the smaller of the current
+    value and the best candidate value, and the slack,
+    :func:`_descent_slack`, covers the solve errors and the rounding.
+    First, every candidate is a subset of the current domain, so its energy
+    is at least the free bound of :func:`_energy_bound`; candidates are
+    visited in ascending bound and the rest are skipped once a bound exceeds
+    the threshold.  Second, a candidate that passes gets the Schur-complement
+    bound of :func:`_removal_bound`, one back-solve on the current domain's
+    factor, and is skipped if that exceeds the threshold.  The current
+    domain's factor lives for the whole step, and the winner's becomes the
+    next step's; without ``factor`` the first step has only the first
+    screen.  An occupancy settled earlier in the descent, solved or skipped,
+    is not tried again: it lost to its first copy in the same step, or to
+    the move accepted in an earlier step, so it cannot beat the current
+    value, which only decreased since.  Returns the torsion function of the
+    final domain, a subsolution with respect to this move class only, and
+    the move log.
     """
     if c < 0:
         raise ValueError("penalty constant c must be nonnegative")
+    if factor is not None:
+        factor.check(f.domain)
     value = torsion_energy(f) + c * measure(f.domain)
-    solved: set[tuple[tuple[int, ...], bytes]] = set()
+    settled: set[tuple[tuple[int, ...], bytes]] = set()
     log: list[dict[str, Any]] = []
     for _ in range(DESCENT_MOVE_LIMIT):
         if f.max <= 0:
@@ -1141,23 +1199,30 @@ def subsolution_truncate(
             _energy_bound(f, cand) + p for (_, _, cand), p in zip(candidates, penalties)
         ]
         slack = _descent_slack(f, value)
-        best: tuple[float, int, TorsionField] | None = None
+        energy = torsion_energy(f)
+        floor = None if factor is None else _lambda1_floor(f.domain)
+        best: tuple[float, int, TorsionField, BandFactor] | None = None
         for i in sorted(range(len(candidates)), key=lambda i: (bounds[i], i)):
             target = value if best is None else min(value, best[0])
             if bounds[i] > target + slack:
                 break  # every later bound is at least as large
             cand = candidates[i][2]
             key = (cand.shape, np.packbits(cand.occupancy).tobytes())
-            if key in solved:
+            if key in settled:
                 continue
-            solved.add(key)
-            fc = solve_torsion(cand)
+            settled.add(key)
+            if floor is not None:
+                rise = _removal_bound(f, factor, floor, cand)
+                if energy + rise + penalties[i] > target + slack:
+                    continue
+            fc, band = factored_torsion(cand)
             val = torsion_energy(fc) + penalties[i]
             if val < value and (best is None or (val, i) < best[:2]):
-                best = (val, i, fc)
+                best = (val, i, fc, band)
+            del fc, band  # a loser's band is freed before the next factorization
         if best is None:
             break
-        val, i, fc = best
+        val, i, fc, factor = best
         kind, tau, cand = candidates[i]
         log.append(
             {
@@ -1255,8 +1320,9 @@ def bounded_surgery(
     move is accepted the normalized input itself is returned (a no-op).
     """
     d0, _, _, constants = _setup(d, K, k, None, mode)
-    f0, s0 = solve_raster(d0, k=k, seed=seed)
-    f1, log = subsolution_truncate(f0, constants.c, r0=constants.r0)
+    f0, band0 = factored_torsion(d0)
+    f1, log = subsolution_truncate(f0, constants.c, r0=constants.r0, factor=band0)
+    s0 = eigenvalues(d0, band0, k=k, seed=seed)  # releases band0, so after the descent
     d_desc = f1.domain
     before = measure_domain(d0, s0, k)
     if log:

@@ -332,24 +332,33 @@ class TestCli:
         monkeypatch.setattr(cli, "generate", lambda spec: pytest.fail("generated"))
         assert main(["torsion", "--spec", "ball", "--h", h]) == 2
         assert [r.getMessage() for r in caplog.records] == [
-            f"expected a positive finite value, got {h!r}"
+            f"h: expected a positive finite value, got {h!r}"
         ]
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["spectrum", "--spec", "ball", "--k", "abc"],
-            ["check", "--corpus", "surgery", "--seed", "abc"],
-            ["bounded-surgery", "--spec", "ball", "--K", "abc"],
-            ["bounded-surgery", "--spec", "ball", "--mode", "practical:0.5"],
-            ["spectrum", "--spec", "ball", "--k", "0"],
+            (["spectrum", "--spec", "ball", "--k", "abc"],
+             "k: invalid literal for int() with base 10: 'abc'"),
+            (["check", "--corpus", "surgery", "--seed", "abc"],
+             "seed: invalid literal for int() with base 10: 'abc'"),
+            (["bounded-surgery", "--spec", "ball", "--K", "abc"],
+             "K: could not convert string to float: 'abc'"),
+            (["bounded-surgery", "--spec", "ball", "--mode", "practical:0.5"],
+             "mode: practical-mode factor must be finite and above 1, got 0.5 "
+             "(factor 1 is spelled mode='faithful')"),
+            (["spectrum", "--spec", "ball", "--k", "0"],
+             "k: expected a positive finite value, got '0'"),
         ],
         ids=["spectrum-k", "check-corpus-seed", "bounded-K", "bounded-mode",
              "spectrum-k-0"],
     )
-    def test_bad_setting_exits_2_before_any_domain_is_made(self, monkeypatch, argv):
+    def test_bad_setting_exits_2_before_any_domain_is_made(
+        self, monkeypatch, caplog, argv, message
+    ):
         monkeypatch.setattr(cli, "generate", lambda spec: pytest.fail("generated"))
         assert main([*argv, "--h", "1/16"]) == 2
+        assert [r.getMessage() for r in caplog.records] == [message]
 
     def test_study_without_a_spacing_exits_2(self, caplog):
         assert main(["study", "--spec", "square", "--h-list", ","]) == 2
@@ -480,8 +489,8 @@ class TestCli:
     )
     def test_bad_setting_exits_2_on_every_path(self, argv, monkeypatch):
         solved = []
-        for module in (cli, surgery):
-            monkeypatch.setattr(module, "solve_raster", lambda d, **kw: solved.append(d))
+        for module, name in ((cli, "solve_raster"), (surgery, "factored_torsion")):
+            monkeypatch.setattr(module, name, lambda d, **kw: solved.append(d))
         assert main([*argv, "--h", "1/32"]) == 2
         assert solved == []  # rejected before any solve
 

@@ -629,6 +629,35 @@ class TestCertificate:
         assert calls == [3, 4, 5]
         assert cli.main(["spectrum", "--spec", "ball", "--h", "1/32", "--k", "3"]) == 2
 
+    def test_singular_certificate_shift_moves_once(self, monkeypatch):
+        d = ball(1 / 32)  # lambda_2 = lambda_3: three values below the shift
+        want = solve_raster(d, k=4)[1]
+        shifts = recording_ldlt(monkeypatch)
+        record = pde._ldlt
+
+        def singular_first(d, n, pairs, sigma, perm=None):
+            if len(shifts) == 0:
+                shifts.append(sigma)
+                raise RuntimeError("symmetric-mode LU pivoted off the diagonal")
+            return record(d, n, pairs, sigma, perm)
+
+        monkeypatch.setattr(pde, "_ldlt", singular_first)
+        s = eigenvalues(d, factor_laplacian(d), k=4)
+        assert shifts[0] == want.shift
+        assert len(shifts) == 2 and shifts[1] == s.shift
+        assert s.shift == 0.5 * (want.shift + want[3])
+        assert s.eigenvalues == want.eigenvalues
+        assert s.inertia_count == want.inertia_count == 3
+
+    def test_certificate_shift_moves_only_once(self, monkeypatch):
+        def singular(d, n, pairs, sigma, perm=None):
+            raise RuntimeError("symmetric-mode LU pivoted off the diagonal")
+
+        monkeypatch.setattr(pde, "_ldlt", singular)
+        d = ball(1 / 32)
+        with pytest.raises(RuntimeError, match="pivoted off the diagonal"):
+            eigenvalues(d, factor_laplacian(d), k=4)
+
     def test_shared_factor_gives_the_same_spectrum(self):
         d = ball(1 / 64)
         band = factor_laplacian(d)

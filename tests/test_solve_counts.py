@@ -169,3 +169,16 @@ def test_run_one_solves_the_replaced_tube_once(solves):
     assert "empty_active_region" in row["surgery"]["flags"]
     per_raster = Counter((name, key) for name, key, _ in solves)
     assert per_raster and max(per_raster.values()) == 1
+
+
+@pytest.mark.parametrize("seed, count", [(3, 9), (10, 53)])
+def test_descent_factors_at_most_half_as_often(factorizations, seed, count):
+    # band factorizations at the parent: 19 for seed 3, 104 for seed 10;
+    # the Schur-complement screen settles the rest by back-solves
+    rasters, _ = factorizations
+    _, report = surgery.bounded_surgery(
+        blob_union(1 / 64, seed=seed), K=100.0, k=2, mode="practical:1e6"
+    )
+    assert report.log
+    assert len(rasters) == count
+    assert max(Counter(rasters).values()) == 1

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from eigsurgery import surgery
+from eigsurgery import pde, surgery
 from eigsurgery.corpus import (
     ball,
     blob_union,
@@ -33,6 +33,7 @@ from eigsurgery.domain import (
 from eigsurgery.pde import (
     TorsionField,
     eigenvalues,
+    factored_torsion,
     solve_raster,
     solve_torsion,
     strip_max,
@@ -45,6 +46,7 @@ from eigsurgery.surgery import (
     _descent_candidates,
     _descent_slack,
     _energy_bound,
+    _removal_bound,
     _strips_at,
     _windowed_column_max,
     bounded_surgery,
@@ -755,9 +757,9 @@ class TestSubsolutionTruncate:
 
         def counting(cand):
             solves.append(cand)
-            return solve_torsion(cand)
+            return factored_torsion(cand)
 
-        monkeypatch.setattr("eigsurgery.surgery.solve_torsion", counting)
+        monkeypatch.setattr("eigsurgery.surgery.factored_torsion", counting)
         field, log = subsolution_truncate(f0, c, r0=r0)
         assert log == ref_log == report.log
         assert field.domain.equals(ref_field.domain)
@@ -797,6 +799,73 @@ def solve_every_candidate(f, c, r0):
         )
         f, value = fc, val
     return f, tuple(log), solves
+
+
+def small_masks() -> dict[str, np.ndarray]:
+    """A 2-D disk with a hole and a 3-D box with a notch, a few hundred cells."""
+    y, x = np.mgrid[-7:8, -7:8]
+    disk = (x * x + y * y <= 45) & ~((x - 2) ** 2 + y * y <= 2)
+    box = np.ones((6, 7, 5), dtype=bool)
+    box[:2, :3, 2:] = False
+    return {"2d": disk, "3d": box}
+
+
+def without(d: GridDomain, cells: np.ndarray) -> GridDomain:
+    """``d`` with the occupied cells of the given row numbers removed."""
+    occ = d.occupancy.copy()
+    occ.flat[np.flatnonzero(d.occupancy)[cells]] = False
+    return GridDomain(d.h, d.origin, occ)
+
+
+class TestRemovalBound:
+    """The Schur-complement identity behind the descent's second screen."""
+
+    @pytest.mark.parametrize("dim", ["2d", "3d"])
+    def test_energy_rise_is_the_schur_complement(self, dim):
+        d = from_mask(small_masks()[dim], 1 / 8)
+        A, _ = pde.build_laplacian(d)
+        G = np.linalg.inv(A.toarray())
+        f, band = factored_torsion(d)
+        w = f.values.ravel()[np.flatnonzero(d.occupancy)]
+        floor = pde._lambda1_floor(d)
+        rng = np.random.default_rng(1)
+        n = w.size
+        sets = [np.array([0]), np.array([n // 2]), np.arange(n // 3, n // 3 + 4)]
+        sets += [rng.choice(n, size=m, replace=False) for m in (2, 7, n // 4)]
+        for R in sets:
+            cand = without(d, R)
+            rise = torsion_energy(solve_torsion(cand)) - torsion_energy(f)
+            exact = 0.5 * d.h**d.N * w[R] @ np.linalg.solve(G[np.ix_(R, R)], w[R])
+            assert rise == pytest.approx(exact, rel=1e-9)
+            bound = _removal_bound(f, band, floor, cand)
+            if R.size == 1:  # Cauchy-Schwarz is an equality on one cell
+                assert bound == pytest.approx(rise, rel=1e-9)
+            assert 0 < bound <= rise
+
+    @pytest.mark.parametrize("seed", [3, 10])
+    def test_bound_is_below_every_solved_candidate(self, seed):
+        # a descent that solves every candidate, as bounded_surgery's
+        blob = blob_union(1 / 64, seed=seed)
+        _, report = bounded_surgery(blob, K=100.0, k=2, mode="practical:1e6")
+        c, r0 = report.constants.c, report.constants.r0
+        f, band = factored_torsion(normalized(blob))
+        value = torsion_energy(f) + c * measure(f.domain)
+        moves = 0
+        while True:
+            floor = pde._lambda1_floor(f.domain)
+            best = None
+            for _, _, cand in _descent_candidates(f, r0):
+                fc, fc_band = factored_torsion(cand)
+                rise = _removal_bound(f, band, floor, cand)
+                assert torsion_energy(f) + rise <= torsion_energy(fc)
+                val = torsion_energy(fc) + c * measure(cand)
+                if val < value and (best is None or val < best[0]):
+                    best = (val, fc, fc_band)
+            if best is None:
+                break
+            value, f, band = best
+            moves += 1
+        assert moves == len(report.log)
 
 
 class TestVerifyChoicec:
