@@ -34,7 +34,17 @@ DEFAULT_EIG_TOL = 1e-8  # the eigensolver's relative tolerance
 _DENSE_CUTOFF = 400  # below this many cells the dense eigensolver is used
 _SHIFT_FACTOR = 10  # the certificate's shift sits 10 tol below lambda_k
 _CERTIFY_ROUNDS = 3  # Lanczos runs before a failed certificate raises
-_FLOOR_FRACTION = 0.9  # Lanczos without a band shifts to 0.9 x the lambda_1 floor
+_FLOOR_FRACTION = 0.99  # Lanczos about sigma0 shifts to 0.99 x the lambda_1 floor
+# Lanczos runs on its own band of A - sigma0 I where the bandwidth b is at
+# most this.  A band factorization costs about n b^2 flops and one ARPACK
+# step about n (4 b + 4 ncv), with ncv = 20 for k <= 9, so refactoring at
+# sigma0 costs b^2 / (4 (b + 20)) steps: at most 2.5 at b = 20, about 10 at
+# b = 54 (the 1/64 dumbbells).  On the narrow tubes the shift saved 26-127
+# steps each; on dumbbells, balls, squares and blobs it saved none.  At the
+# same sigma0 the band beat the sparse LDL^T: solve_raster(k=5) on the 1/64
+# tubes took 4.6-8.4 ms against 6.0-9.6 ms (one BLAS thread), and band
+# solves release the GIL where SuperLU's hold it.
+_NARROW_BAND = 20
 
 logger = logging.getLogger(__name__)
 
@@ -297,16 +307,17 @@ def build_laplacian(d: GridDomain) -> tuple[sparse.csr_matrix, np.ndarray]:
 
 @dataclass(eq=False)
 class BandFactor:
-    """Band Cholesky factor of one raster's Dirichlet Laplacian.
+    """Band Cholesky factor of one raster's shifted Laplacian ``A - shift I``.
 
     Built by :func:`factor_laplacian` and passed explicitly, first to
     :func:`solve_torsion` and then to :func:`eigenvalues` (see
-    :func:`solve_raster`), so a raster that needs both a torsion field and a
-    spectrum is factored once.  In between, :meth:`solve` serves further
-    back-solves on the raster and :meth:`residual` checks them.
-    :func:`eigenvalues` releases the band when its Lanczos run ends; a
-    released factor can no longer solve.  ``cells`` and ``pairs`` are the
-    raster's :func:`_stencil`.
+    :func:`solve_raster`), so a wide raster that needs both a torsion field
+    and a spectrum is factored once.  In between, :meth:`solve` serves
+    further back-solves on the raster and :meth:`residual` checks them.
+    :func:`eigenvalues` releases the band when its Lanczos run ends, or at
+    once on a narrow raster, whose eigensolve factors its own band at a
+    shift just below lambda_1; a released factor can no longer solve.
+    ``cells`` and ``pairs`` are the raster's :func:`_stencil`.
     """
 
     occupancy: np.ndarray
@@ -314,6 +325,7 @@ class BandFactor:
     cells: np.ndarray
     pairs: list[tuple[np.ndarray, np.ndarray]]
     band: np.ndarray | None  # LAPACK lower band storage of the Cholesky factor
+    shift: float = 0.0  # the factor is of A - shift I
 
     def check(self, d: GridDomain) -> None:
         """Raise ``ValueError`` unless the factor was built for ``d``'s raster."""
@@ -321,16 +333,16 @@ class BandFactor:
             raise ValueError("the band factor was built for a different raster")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """``A^-1 b`` by two triangular band solves."""
+        """``(A - shift I)^-1 b`` by two triangular band solves."""
         if self.band is None:
             raise ValueError("the band factor was released")
         return _band_solve(self.band, b)
 
     def residual(self, x: np.ndarray, b: np.ndarray | float) -> np.ndarray:
-        """``A x - b`` from the stencil, one axis at a time; needs no band."""
+        """``(A - shift I) x - b`` from the stencil, axis by axis; needs no band."""
         h2 = self.h * self.h
         off = -1.0 / h2
-        r = 2.0 * self.occupancy.ndim / h2 * x - b
+        r = (2.0 * self.occupancy.ndim / h2 - self.shift) * x - b
         for j, i in self.pairs:
             r[j] += off * x[i]
             r[i] += off * x[j]
@@ -341,21 +353,27 @@ class BandFactor:
         self.band = None
 
 
-def factor_laplacian(d: GridDomain) -> BandFactor:
-    """Band Cholesky factor of ``d``'s Laplacian, for both solvers.
+def _bandwidth(pairs: list[tuple[np.ndarray, np.ndarray]]) -> int:
+    """The Laplacian's bandwidth: the largest row distance of a face pair."""
+    return max((int((i - j).max()) for j, i in pairs if j.size), default=0)
 
-    In row-major order the Laplacian is an SPD band matrix whose bandwidth
-    ``b`` is the largest row distance between face neighbours, about the
-    occupied cells per row (per plane in 3-D).  Its lower band is assembled
-    straight from the stencil and factored by LAPACK ``pbtrf``: ``n b^2``
-    time and ``(b + 1) n`` memory, so 3-D rasters pay far more than 2-D
-    ones.
+
+def factor_laplacian(d: GridDomain, shift: float = 0.0) -> BandFactor:
+    """Band Cholesky factor of ``A - shift I``, ``A`` being ``d``'s Laplacian.
+
+    At ``shift = 0`` the factor serves both solvers; :func:`eigenvalues`
+    factors a narrow raster at a shift just below lambda_1.  In row-major
+    order the Laplacian is an SPD band matrix whose bandwidth ``b`` is the
+    largest row distance between face neighbours, about the occupied cells
+    per row (per plane in 3-D).  Its lower band is assembled straight from
+    the stencil and factored by LAPACK ``pbtrf``: ``n b^2`` time and
+    ``(b + 1) n`` memory, so 3-D rasters pay far more than 2-D ones.
+    Raises ``LinAlgError`` if ``shift`` is not below lambda_1.
     """
     cells, _, pairs = _stencil(d)
-    band = max((int((i - j).max()) for j, i in pairs if j.size), default=0)
-    # ab[i - j, j] = A[i, j] for i >= j
-    ab = np.zeros((band + 1, cells.size), order="F")
-    ab[0] = 2.0 * d.N / (d.h * d.h)
+    # ab[i - j, j] = A[i, j] - shift [i = j] for i >= j
+    ab = np.zeros((_bandwidth(pairs) + 1, cells.size), order="F")
+    ab[0] = 2.0 * d.N / (d.h * d.h) - shift
     for j, i in pairs:
         ab[i - j, j] = -1.0 / (d.h * d.h)
     return BandFactor(
@@ -364,6 +382,7 @@ def factor_laplacian(d: GridDomain) -> BandFactor:
         cells=cells,
         pairs=pairs,
         band=_band_cholesky(ab),
+        shift=shift,
     )
 
 
@@ -373,12 +392,16 @@ def solve_torsion(d: GridDomain, factor: BandFactor | None = None) -> TorsionFie
     ``factor`` is :func:`factor_laplacian` of ``d``; without it the band is
     factored here.  ``A`` is an M-matrix, so ``w = A^-1 1`` is positive on
     every occupied cell.  Raises ``ValueError`` for a factor of another
-    raster.
+    raster or of a shifted Laplacian.
     """
     if factor is None:
         factor = factor_laplacian(d)
     else:
         factor.check(d)
+        if factor.shift != 0.0:
+            raise ValueError(
+                f"the torsion solve needs a factor of A, not of A - {factor.shift!r} I"
+            )
     n = factor.cells.size
     w = factor.solve(np.ones(n))
     residual = float(np.linalg.norm(factor.residual(w, 1.0)) / math.sqrt(n))
@@ -396,8 +419,9 @@ def factored_torsion(d: GridDomain) -> tuple[TorsionField, BandFactor]:
 
     For callers that solve on the same raster again: by
     :meth:`BandFactor.solve`, or by handing the factor to
-    :func:`eigenvalues`, which releases it.  The band is ``(b + 1) n``
-    doubles, so a caller that needs only the field calls
+    :func:`eigenvalues`, which releases it (a narrow raster's eigensolve
+    then factors its own band about a shift just below lambda_1).  The band
+    is ``(b + 1) n`` doubles, so a caller that needs only the field calls
     :func:`solve_torsion`, which frees it at once.
     """
     factor = factor_laplacian(d)
@@ -523,12 +547,17 @@ def eigenvalues(
     """Lowest ``k`` Dirichlet eigenvalues of the FD Laplacian, certified.
 
     Uses shift-invert Lanczos with a deterministic start vector; small
-    systems fall back to a dense solve.  With ``factor``
-    (:func:`factor_laplacian` of ``d``, released once Lanczos ends) Lanczos
-    inverts ``A`` about 0.  Without it, Lanczos inverts ``A - sigma0 I`` by
-    a sparse LDL^T, where ``sigma0`` is 0.9 times a lambda_1 floor that costs
-    no solve (:func:`_lambda1_floor`): nearer lambda_1, Lanczos converges in
-    fewer solves.
+    systems fall back to a dense solve.  Lanczos inverts ``A - sigma0 I``,
+    where ``sigma0`` is 0.99 times a lambda_1 floor that costs no solve
+    (:func:`_lambda1_floor`): nearer lambda_1, Lanczos converges in fewer
+    solves, most of all where the lowest eigenvalues cluster.  A narrow
+    raster (bandwidth at most 20 cells) factors its own band of
+    ``A - sigma0 I`` (:func:`factor_laplacian`), which costs fewer than 2.5
+    Lanczos steps; a ``factor`` handed in is released first.  On a wider
+    raster, ``factor`` (:func:`factor_laplacian` of ``d``, released once
+    Lanczos ends) serves as the inverse of ``A`` about ``sigma0 = 0``, so
+    the raster is factored once; without it, ``A - sigma0 I`` is inverted
+    by a sparse LDL^T.
 
     Each spectrum is certified by an inertia count at the shift
     ``sigma = lambda_k (1 - 10 DEFAULT_EIG_TOL)``: the LDL^T of
@@ -541,9 +570,10 @@ def eigenvalues(
     computed value is then the certified lambda_1, and it must lie above
     ``sigma0`` (else ``RuntimeError``), so the ``k`` eigenvalues nearest
     ``sigma0`` are the lowest ``k``.  On a deficit, which is rare, Lanczos
-    runs again for that many more eigenvalues about ``sigma0``, on a new
-    LDL^T of ``A - sigma0 I``; if the count still disagrees after three
-    rounds a ``RuntimeError`` is raised.
+    runs again for that many more eigenvalues about ``sigma0 > 0``, on a
+    new factor of ``A - sigma0 I`` (band or sparse, by the bandwidth); if
+    the count still disagrees after three rounds a ``RuntimeError`` is
+    raised.
 
     Each shifted matrix is assembled once, straight from the stencil.  The
     eigensolve's first LDL^T chooses the minimum-degree order and every
@@ -560,16 +590,23 @@ def eigenvalues(
         n = cells.size
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= occupied cells, got k={k}, cells={n}")
+    narrow = _bandwidth(pairs) <= _NARROW_BAND
+    if narrow and factor is not None:
+        factor.release()  # Lanczos factors its own band about sigma0
+        factor = None
     v0 = np.random.default_rng(seed).standard_normal(n)
-    sigma0 = 0.0  # Lanczos's shift; the band inverts A itself
+    sigma0 = 0.0  # Lanczos's shift
     perm = None  # the sparse LDL^T order, chosen by the first factor
     wanted = k
     for _ in range(_CERTIFY_ROUNDS):
         lanczos = n > _DENSE_CUTOFF and wanted < n - 1
         if not lanczos:  # the full spectrum
             vals = scipy.linalg.eigvalsh(_shifted_laplacian(d, n, pairs).toarray())
-        elif factor is not None:
-            vals = _lanczos(factor.solve, 0.0, n, wanted, v0)
+        elif factor is not None or narrow:
+            if factor is None:
+                factor = factor_laplacian(d, _FLOOR_FRACTION * _lambda1_floor(d))
+            sigma0 = factor.shift
+            vals = _lanczos(factor.solve, sigma0, n, wanted, v0)
         else:
             sigma0 = _FLOOR_FRACTION * _lambda1_floor(d)
             # a factor in a reused order runs Lanczos in that order
@@ -579,7 +616,7 @@ def eigenvalues(
             del lu  # before the certificate's factorization
         if factor is not None:
             factor.release()  # before the certificate's factorization
-            factor = None  # a retry inverts by the shifted LDL^T
+            factor = None  # a retry factors A - sigma0 I, sigma0 > 0
         # Just below lambda_k's cluster: a shift above it would also count
         # the copies of a multiple lambda_k beyond the k-th.
         shift = float(vals[k - 1]) * (1.0 - _SHIFT_FACTOR * DEFAULT_EIG_TOL)
@@ -626,10 +663,13 @@ def eigenvalues(
 def solve_raster(
     d: GridDomain, *, k: int, seed: int = 0
 ) -> tuple[TorsionField, Spectrum]:
-    """Torsion function and lowest ``k`` eigenvalues of ``d``, on one factor.
+    """Torsion function and lowest ``k`` eigenvalues of ``d``.
 
     The band Cholesky factor of :func:`factor_laplacian` serves the torsion
     solve and then, as Lanczos's inverse, the eigensolve, which releases it.
+    A narrow raster's eigensolve releases it at once and factors its own
+    band about a shift just below lambda_1 (see :func:`eigenvalues`): a
+    second factorization that costs fewer Lanczos steps than it saves.
     """
     f, band = factored_torsion(d)
     return f, eigenvalues(d, band, k=k, seed=seed)

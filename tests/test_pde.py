@@ -558,7 +558,7 @@ class TestCertificate:
         assert "missed 1 eigenvalue(s)" in caplog.text
         np.testing.assert_allclose(s.eigenvalues, dense_eigenvalues(d, 4), rtol=1e-9)
         # each round factors A - sigma0 I for Lanczos, then its certificate
-        sigma0 = 0.9 * pde._lambda1_floor(d)
+        sigma0 = pde._FLOOR_FRACTION * pde._lambda1_floor(d)
         assert len(shifts) == 4 and shifts[0::2] == [sigma0, sigma0]
         assert sigma0 < shifts[1] and shifts[3] == s.shift
 
@@ -570,7 +570,7 @@ class TestCertificate:
         _, s = solve_raster(d, k=4)
         assert calls == [4, 5]
         # the band's certificate fails, the retry runs about sigma0
-        assert shifts[1] == 0.9 * pde._lambda1_floor(d)
+        assert shifts[1] == pde._FLOOR_FRACTION * pde._lambda1_floor(d)
         assert len(shifts) == 3 and shifts[2] == s.shift
         np.testing.assert_allclose(s.eigenvalues, dense_eigenvalues(d, 4), rtol=1e-9)
 
@@ -730,7 +730,7 @@ class TestSharedOrdering:
         hi = vals[j] if j < n else 2 * vals[-1]
         if hi - lo < 1e-9 * vals[-1]:
             return  # copies of one eigenvalue
-        _, perm = pde._ldlt(d, n, pairs, 0.9 * pde._lambda1_floor(d))
+        _, perm = pde._ldlt(d, n, pairs, pde._FLOOR_FRACTION * pde._lambda1_floor(d))
         # Off the midpoint: the grid graph is bipartite, so the spectrum is
         # symmetric about the diagonal entry 2N/h^2, and the middle gap's
         # midpoint is that entry, where every first pivot is zero (see
@@ -742,7 +742,9 @@ class TestSharedOrdering:
     def test_no_ldlt_at_the_diagonal_entry(self, shape):
         d = from_mask(np.ones(shape, dtype=bool), 1 / 16)
         cells, _, pairs = pde._stencil(d)
-        _, perm = pde._ldlt(d, cells.size, pairs, 0.9 * pde._lambda1_floor(d))
+        _, perm = pde._ldlt(
+            d, cells.size, pairs, pde._FLOOR_FRACTION * pde._lambda1_floor(d)
+        )
         with pytest.raises(RuntimeError, match="pivoted off the diagonal"):
             pde._ldlt(d, cells.size, pairs, 2.0 * d.N / (d.h * d.h), perm)
 
@@ -793,10 +795,129 @@ class TestLambda1Floor:
         ids=lambda spec: f"{spec.name}@{round(1 / spec.h)}",
     )
     def test_shifted_lanczos_matches_the_band(self, spec):
-        # the sparse path runs Lanczos about sigma0, the band path about 0
+        # on a wide raster the sparse path runs Lanczos about sigma0, the band
+        # path about 0; a narrow one takes its sigma0 band both ways
         d = generate(spec)
         shifted = eigenvalues(d, k=5)
         _, band = solve_raster(d, k=5)
         np.testing.assert_allclose(
             shifted.eigenvalues, band.eigenvalues, rtol=1e-12, atol=0
         )
+
+
+def box_eigenvalues(rows: int, cols: int, h: float, k: int) -> np.ndarray:
+    """Closed-form lowest k eigenvalues of a rows x cols cell box."""
+    s2 = [
+        np.sin(np.arange(1, m + 1) * math.pi / (2 * (m + 1))) ** 2 for m in (rows, cols)
+    ]
+    return np.sort((4 / h**2 * (s2[0][:, None] + s2[1][None, :])).ravel())[:k]
+
+
+def recording_factors(monkeypatch) -> list[pde.BandFactor]:
+    """Record every band factor ``eigenvalues`` makes."""
+    factors: list[pde.BandFactor] = []
+    factor_laplacian = pde.factor_laplacian
+
+    def run(d, shift=0.0):
+        factors.append(factor_laplacian(d, shift))
+        return factors[-1]
+
+    monkeypatch.setattr(pde, "factor_laplacian", run)
+    return factors
+
+
+class TestNarrowBand:
+    """A narrow raster runs Lanczos on its own band of ``A - sigma0 I``."""
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            tube(1 / 32),
+            tube(1 / 24, length=6.0, width_cells=4),
+            from_mask(np.ones((500, 1), dtype=bool), 1 / 16),
+            from_mask(np.ones((300, 3), dtype=bool), 1 / 16),
+        ],
+        ids=["tube", "tube-thin", "strip-1", "strip-3"],
+    )
+    def test_spectrum_matches_dense(self, d):
+        cells, _, pairs = pde._stencil(d)
+        assert cells.size > pde._DENSE_CUTOFF
+        assert pde._bandwidth(pairs) <= pde._NARROW_BAND
+        want = dense_eigenvalues(d, 5)
+        for s in (eigenvalues(d, k=5), solve_raster(d, k=5)[1]):
+            np.testing.assert_allclose(s.eigenvalues, want, rtol=DEFAULT_EIG_TOL, atol=0)
+            assert s.inertia_count == sum(v < s.shift for v in s.eigenvalues)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            s
+            for s in list(surgery_corpus(1 / 64)) + list(default_corpus(1 / 96))
+            if s.name in {"tube-0", "tube-1", "tube-2", "tube", "tube-long"}
+        ],
+        ids=lambda spec: f"{spec.name}@{round(1 / spec.h)}",
+    )
+    def test_band_at_sigma0_matches_the_sparse_ldlt(self, monkeypatch, spec):
+        # the corpora's narrow rasters, at the sizes the benchmark runs
+        d = generate(spec)
+        assert pde._bandwidth(pde._stencil(d)[2]) <= pde._NARROW_BAND
+        bands = recording_factors(monkeypatch)
+        band = eigenvalues(d, k=5)
+        monkeypatch.setattr(pde, "_NARROW_BAND", -1)  # the sparse LDL^T about sigma0
+        sparse_ldlt = eigenvalues(d, k=5)
+        # one band, the first run's: the second inverts by the sparse LDL^T
+        sigma0 = pde._FLOOR_FRACTION * pde._lambda1_floor(d)
+        assert [b.shift for b in bands] == [sigma0]
+        np.testing.assert_allclose(
+            band.eigenvalues, sparse_ldlt.eigenvalues, rtol=1e-12, atol=0
+        )
+
+    @pytest.mark.parametrize(
+        "rows, cols, narrow", [(40, 12, True), (21, 20, True), (64, 64, False)]
+    )
+    def test_boxes_certify_with_sigma0_just_below_lambda1(
+        self, monkeypatch, rows, cols, narrow
+    ):
+        # the floor is exact on boxes, so sigma0 = 0.99 lambda_1
+        d = from_mask(np.ones((rows, cols), dtype=bool), 1 / 64)
+        assert (pde._bandwidth(pde._stencil(d)[2]) <= pde._NARROW_BAND) == narrow
+        bands = recording_factors(monkeypatch)
+        want = box_eigenvalues(rows, cols, d.h, 6)
+        sigma0 = pde._FLOOR_FRACTION * pde._lambda1_floor(d)
+        assert sigma0 == pytest.approx(pde._FLOOR_FRACTION * want[0], rel=1e-12)
+        s = eigenvalues(d, k=6)
+        assert [b.shift for b in bands] == ([sigma0] if narrow else [])
+        np.testing.assert_allclose(s.eigenvalues, want, rtol=1e-9, atol=0)
+        assert s.inertia_count == sum(v < s.shift for v in s.eigenvalues)
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["alone", "solve_raster"])
+    def test_missed_eigenvalue_refactors_the_sigma0_band(self, monkeypatch, shared):
+        d = tube(1 / 32)
+        calls: list[int] = []
+        monkeypatch.setattr(pde.sparse_linalg, "eigsh", dropping_eigsh(calls, 1))
+        bands = recording_factors(monkeypatch)
+        ldlt = pde._ldlt
+        shifts = []
+
+        def one_factor_alive(d, n, pairs, sigma, perm=None):
+            assert all(b.band is None for b in bands)
+            shifts.append(sigma)
+            return ldlt(d, n, pairs, sigma, perm)
+
+        monkeypatch.setattr(pde, "_ldlt", one_factor_alive)
+        s = solve_raster(d, k=4)[1] if shared else eigenvalues(d, k=4)
+        assert calls == [4, 5]
+        sigma0 = pde._FLOOR_FRACTION * pde._lambda1_floor(d)
+        assert [b.shift for b in bands] == [0.0] * shared + [sigma0, sigma0]
+        assert len(shifts) == 2 and sigma0 < shifts[0] and shifts[1] == s.shift
+        np.testing.assert_allclose(s.eigenvalues, dense_eigenvalues(d, 4), rtol=1e-9)
+
+    def test_torsion_refuses_a_shifted_factor(self):
+        d = tube(1 / 32)
+        sigma0 = pde._FLOOR_FRACTION * pde._lambda1_floor(d)
+        band = factor_laplacian(d, sigma0)
+        b = np.random.default_rng(0).standard_normal(band.cells.size)
+        x = band.solve(b)
+        assert np.linalg.norm(band.residual(x, b)) < 1e-9 * np.linalg.norm(b)
+        with pytest.raises(ValueError, match="not of A - "):
+            solve_torsion(d, band)

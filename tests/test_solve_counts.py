@@ -5,7 +5,8 @@ inside the package, keyed by the occupancy bits, so a rescaled copy of a
 raster counts as the same raster.  The solvers this module imports by name
 are bound before the fixture patches the package, so the tests' own solves
 of their inputs are not recorded.  The ``factorizations`` fixture records
-every band Cholesky factorization and every sparse LDL^T shift.
+every band Cholesky factorization and every sparse LDL^T shift; ``band_shifts``
+adds the shift of each band factorization.
 """
 
 from __future__ import annotations
@@ -50,9 +51,9 @@ def factorizations(monkeypatch):
     rasters, shifts, lapack_calls = [], [], []
     original, ldlt, cholesky = pde.factor_laplacian, pde._ldlt, pde._band_cholesky
 
-    def recording_factor(d):
+    def recording_factor(d, shift=0.0):
         rasters.append(occupancy_key(d))
-        return original(d)
+        return original(d, shift)
 
     def recording_ldlt(d, n, pairs, sigma, perm=None):
         shifts.append(sigma)
@@ -69,6 +70,49 @@ def factorizations(monkeypatch):
     monkeypatch.setattr(pde, "_band_cholesky", recording_cholesky)
     yield rasters, shifts
     assert len(lapack_calls) == len(rasters)  # every band factorization was seen
+
+
+@pytest.fixture
+def band_shifts(factorizations, monkeypatch):
+    """The shift of every band factorization, in order."""
+    shifts = []
+    recorded = pde.factor_laplacian  # the factorizations fixture's recorder
+
+    def recording(d, shift=0.0):
+        shifts.append(shift)
+        return recorded(d, shift)
+
+    for mod in MODULES:
+        if getattr(mod, "factor_laplacian", None) is recorded:
+            monkeypatch.setattr(mod, "factor_laplacian", recording)
+    return shifts
+
+
+@pytest.fixture
+def lanczos_applications(monkeypatch):
+    """Lanczos operator applications, one entry per Lanczos run."""
+    counts = []
+    lanczos = pde._lanczos
+
+    def counting(solve, sigma, n, k, v0):
+        counts.append(0)
+
+        def applied(b):
+            counts[-1] += 1
+            return solve(b)
+
+        return lanczos(applied, sigma, n, k, v0)
+
+    monkeypatch.setattr(pde, "_lanczos", counting)
+    return counts
+
+
+def suite_raster(name, h=1 / 64):
+    return corpus.generate(next(s for s in corpus.surgery_corpus(h) if s.name == name))
+
+
+def sigma0(d):
+    return pde._FLOOR_FRACTION * pde._lambda1_floor(d)
 
 
 def test_only_pde_factors():
@@ -182,3 +226,39 @@ def test_descent_factors_at_most_half_as_often(factorizations, seed, count):
     assert report.log
     assert len(rasters) == count
     assert max(Counter(rasters).values()) == 1
+
+
+@pytest.mark.parametrize("name", ["tube-0", "tube-1", "tube-2"])
+def test_narrow_raster_factors_its_band_at_sigma0(factorizations, band_shifts, name):
+    # the torsion's band at 0, Lanczos's own band at sigma0, the certificate
+    rasters, shifts = factorizations
+    d = suite_raster(name)
+    _, s = pde.solve_raster(d, k=5)
+    assert band_shifts == [0.0, sigma0(d)]
+    assert rasters == [occupancy_key(d)] * 2
+    assert shifts == [s.shift]
+
+
+def test_wide_raster_factors_once(factorizations, band_shifts):
+    rasters, shifts = factorizations
+    d = suite_raster("dumbbell-0")
+    _, s = pde.solve_raster(d, k=5)
+    assert band_shifts == [0.0] and rasters == [occupancy_key(d)]
+    assert shifts == [s.shift]
+
+
+def test_narrow_eigensolve_without_a_factor(factorizations, band_shifts):
+    rasters, shifts = factorizations
+    d = suite_raster("tube-1")
+    s = eigenvalues(d, k=5)
+    assert band_shifts == [sigma0(d)] and rasters == [occupancy_key(d)]
+    assert shifts == [s.shift]  # only the certificate's LDL^T
+
+
+def test_lanczos_applications_at_k5(lanczos_applications):
+    # about 0 on its torsion band, tube-1 takes 148; the wide dumbbell-0
+    # keeps that band and its count
+    pde.solve_raster(suite_raster("tube-1"), k=5)
+    pde.solve_raster(suite_raster("dumbbell-0"), k=5)
+    tube_1, dumbbell_0 = lanczos_applications
+    assert tube_1 <= 25 and dumbbell_0 == 43
