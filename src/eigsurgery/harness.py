@@ -226,9 +226,9 @@ def run_suite(
     Returns exit code 0 when every row passes (an empty corpus passes), and
     1 when any row errors or fails a check.  With ``config.workers > 1`` the
     members are processed by a thread pool of at most one thread per CPU
-    this process may run on: band factors and band solves release the GIL,
-    so threads overlap them, while more threads than cores only add band
-    memory.  Rows are still merged by corpus position, never by completion
+    this process may run on: band factors, band solves and band inertia
+    counts release the GIL, so threads overlap them, while more threads
+    than cores only add band memory.  Rows are still merged by corpus position, never by completion
     order.  When ``config.out_dir`` is set the
     rows are appended to ``reports.jsonl`` there and ``summary.csv`` is
     regenerated from the whole log.

@@ -1151,7 +1151,7 @@ def subsolution_truncate(
     c: float,
     r0: float,
     factor: BandFactor | None = None,
-) -> tuple[TorsionField, tuple[dict[str, Any], ...]]:
+) -> tuple[TorsionField, tuple[dict[str, Any], ...], BandFactor | None]:
     """Greedy monotone descent of E + c|.| over sublevel and edge-strip moves.
 
     Starts from the torsion function ``f`` of ``f.domain``; ``factor``, if
@@ -1180,8 +1180,9 @@ def subsolution_truncate(
     is not tried again: it lost to its first copy in the same step, or to
     the move accepted in an earlier step, so it cannot beat the current
     value, which only decreased since.  Returns the torsion function of the
-    final domain, a subsolution with respect to this move class only, and
-    the move log.
+    final domain, a subsolution with respect to this move class only, the
+    move log, and the final domain's band factor, unreleased, for its
+    eigensolve: ``factor`` itself when no move was accepted.
     """
     if c < 0:
         raise ValueError("penalty constant c must be nonnegative")
@@ -1236,7 +1237,7 @@ def subsolution_truncate(
         )
         f, value = fc, val
     logger.info("descent accepted %d move(s)", len(log))
-    return f, tuple(log)
+    return f, tuple(log), factor
 
 
 def verify_choicec(
@@ -1321,12 +1322,12 @@ def bounded_surgery(
     """
     d0, _, _, constants = _setup(d, K, k, None, mode)
     f0, band0 = factored_torsion(d0)
-    f1, log = subsolution_truncate(f0, constants.c, r0=constants.r0, factor=band0)
+    f1, log, band1 = subsolution_truncate(f0, constants.c, r0=constants.r0, factor=band0)
     s0 = eigenvalues(d0, band0, k=k, seed=seed)  # releases band0, so after the descent
     d_desc = f1.domain
     before = measure_domain(d0, s0, k)
     if log:
-        s1 = eigenvalues(d_desc, k=k, seed=seed)
+        s1 = eigenvalues(d_desc, band1, k=k, seed=seed)
         d_out, t1 = _normalized(d_desc)
         after = measure_domain(d_out, s1.rescaled(t1), k)
     else:

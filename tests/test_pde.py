@@ -19,6 +19,7 @@ from hypothesis.extra.numpy import arrays
 from eigsurgery import cli, pde
 from eigsurgery.corpus import (
     ball,
+    blob_union,
     default_corpus,
     generate,
     square,
@@ -493,6 +494,19 @@ def recording_ldlt(monkeypatch) -> list[float]:
     return shifts
 
 
+def recording_inertia(monkeypatch) -> list[float]:
+    """Record the shift of every band certificate ``eigenvalues`` makes."""
+    shifts: list[float] = []
+    inertia = pde._band_inertia
+
+    def run(d, n, pairs, sigma):
+        shifts.append(sigma)
+        return inertia(d, n, pairs, sigma)
+
+    monkeypatch.setattr(pde, "_band_inertia", run)
+    return shifts
+
+
 def recording_splu(monkeypatch) -> list[tuple[str, list[str]]]:
     """Record each SuperLU factorization's ordering and the attributes read
     from its factor."""
@@ -549,6 +563,7 @@ class TestCertificate:
 
     def test_missed_eigenvalue_is_solved_again(self, monkeypatch, caplog):
         d = ball(1 / 32)
+        monkeypatch.setattr(pde, "_BAND_ENTRIES", 0)  # the sparse side
         calls: list[int] = []
         monkeypatch.setattr(pde.sparse_linalg, "eigsh", dropping_eigsh(calls, 1))
         shifts = recording_ldlt(monkeypatch)
@@ -562,21 +577,42 @@ class TestCertificate:
         assert len(shifts) == 4 and shifts[0::2] == [sigma0, sigma0]
         assert sigma0 < shifts[1] and shifts[3] == s.shift
 
-    def test_band_retry_inverts_by_the_shifted_ldlt(self, monkeypatch):
+    def test_band_retry_inverts_by_the_sigma0_band(self, monkeypatch):
         d = ball(1 / 32)
         calls: list[int] = []
         monkeypatch.setattr(pde.sparse_linalg, "eigsh", dropping_eigsh(calls, 1))
-        shifts = recording_ldlt(monkeypatch)
+        ldlt_shifts = recording_ldlt(monkeypatch)
+        bands = recording_factors(monkeypatch)
+        shifts = recording_inertia(monkeypatch)
         _, s = solve_raster(d, k=4)
         assert calls == [4, 5]
-        # the band's certificate fails, the retry runs about sigma0
-        assert shifts[1] == pde._FLOOR_FRACTION * pde._lambda1_floor(d)
-        assert len(shifts) == 3 and shifts[2] == s.shift
+        # the torsion band's certificate fails, the retry runs about sigma0
+        # on its own band, and both certificates count on the band
+        sigma0 = pde._FLOOR_FRACTION * pde._lambda1_floor(d)
+        assert [b.shift for b in bands] == [0.0, sigma0]
+        assert len(shifts) == 2 and sigma0 < shifts[0] and shifts[1] == s.shift
+        assert ldlt_shifts == []
+        np.testing.assert_allclose(s.eigenvalues, dense_eigenvalues(d, 4), rtol=1e-9)
+
+    def test_missed_eigenvalue_refactors_the_band_side(self, monkeypatch):
+        d = ball(1 / 32)
+        calls: list[int] = []
+        monkeypatch.setattr(pde.sparse_linalg, "eigsh", dropping_eigsh(calls, 1))
+        ldlt_shifts = recording_ldlt(monkeypatch)
+        bands = recording_factors(monkeypatch)
+        shifts = recording_inertia(monkeypatch)
+        s = eigenvalues(d, k=4)
+        assert calls == [4, 5]
+        sigma0 = pde._FLOOR_FRACTION * pde._lambda1_floor(d)
+        assert [b.shift for b in bands] == [sigma0, sigma0]
+        assert len(shifts) == 2 and sigma0 < shifts[0] and shifts[1] == s.shift
+        assert ldlt_shifts == []
         np.testing.assert_allclose(s.eigenvalues, dense_eigenvalues(d, 4), rtol=1e-9)
 
     def test_one_ordering_per_eigensolve(self, monkeypatch):
         # a forced retry: the sigma0 factor, its certificate, and both again
         d = ball(1 / 32)
+        monkeypatch.setattr(pde, "_BAND_ENTRIES", 0)  # the sparse side
         calls: list[int] = []
         monkeypatch.setattr(pde.sparse_linalg, "eigsh", dropping_eigsh(calls, 1))
         factors = recording_splu(monkeypatch)
@@ -587,14 +623,29 @@ class TestCertificate:
         # only the certificates' factors are counted; the sigma0 ones are not
         assert ["U" in reads for _, reads in factors] == [False, True, False, True]
 
-    def test_band_path_orders_its_certificate_once(self, monkeypatch):
+    def test_band_path_makes_no_sparse_factorization(self, monkeypatch):
         d = ball(1 / 32)
         calls: list[int] = []
         monkeypatch.setattr(pde.sparse_linalg, "eigsh", dropping_eigsh(calls, 1))
         factors = recording_splu(monkeypatch)
         _, s = solve_raster(d, k=4)
         assert calls == [4, 5]
-        assert [spec for spec, _ in factors] == ["MMD_AT_PLUS_A"] + 2 * ["NATURAL"]
+        assert factors == []  # no ordering, no SuperLU factor, no copy of U
+        np.testing.assert_allclose(s.eigenvalues, dense_eigenvalues(d, 4), rtol=1e-9)
+
+    def test_sparse_side_releases_the_band_and_orders_once(self, monkeypatch):
+        d = ball(1 / 32)
+        cells, _, pairs = pde._stencil(d)
+        entries = (pde._bandwidth(pairs) + 1) * cells.size
+        monkeypatch.setattr(pde, "_BAND_ENTRIES", entries - 1)  # just above the bound
+        calls: list[int] = []
+        monkeypatch.setattr(pde.sparse_linalg, "eigsh", dropping_eigsh(calls, 1))
+        band = factor_laplacian(d)
+        factors = recording_splu(monkeypatch)
+        inertia = recording_inertia(monkeypatch)
+        s = eigenvalues(d, band, k=4)
+        assert calls == [4, 5] and band.band is None and inertia == []
+        assert [spec for spec, _ in factors] == ["MMD_AT_PLUS_A"] + 3 * ["NATURAL"]
         np.testing.assert_allclose(s.eigenvalues, dense_eigenvalues(d, 4), rtol=1e-9)
 
     @pytest.mark.parametrize("ratio", [1.2, 2.0, 3.0])
@@ -632,16 +683,16 @@ class TestCertificate:
     def test_singular_certificate_shift_moves_once(self, monkeypatch):
         d = ball(1 / 32)  # lambda_2 = lambda_3: three values below the shift
         want = solve_raster(d, k=4)[1]
-        shifts = recording_ldlt(monkeypatch)
-        record = pde._ldlt
+        shifts = recording_inertia(monkeypatch)
+        record = pde._band_inertia
 
-        def singular_first(d, n, pairs, sigma, perm=None):
+        def singular_first(d, n, pairs, sigma):
             if len(shifts) == 0:
                 shifts.append(sigma)
-                raise RuntimeError("symmetric-mode LU pivoted off the diagonal")
-            return record(d, n, pairs, sigma, perm)
+                raise RuntimeError("band LDL^T pivot 0.0")
+            return record(d, n, pairs, sigma)
 
-        monkeypatch.setattr(pde, "_ldlt", singular_first)
+        monkeypatch.setattr(pde, "_band_inertia", singular_first)
         s = eigenvalues(d, factor_laplacian(d), k=4)
         assert shifts[0] == want.shift
         assert len(shifts) == 2 and shifts[1] == s.shift
@@ -650,13 +701,42 @@ class TestCertificate:
         assert s.inertia_count == want.inertia_count == 3
 
     def test_certificate_shift_moves_only_once(self, monkeypatch):
+        def singular(d, n, pairs, sigma):
+            raise RuntimeError("band LDL^T pivot 0.0")
+
+        monkeypatch.setattr(pde, "_band_inertia", singular)
+        d = ball(1 / 32)
+        with pytest.raises(RuntimeError, match="band LDL"):
+            eigenvalues(d, factor_laplacian(d), k=4)
+
+    def test_sparse_certificate_shift_moves_only_once(self, monkeypatch):
         def singular(d, n, pairs, sigma, perm=None):
+            if perm is None:  # the sigma0 factor
+                return ldlt(d, n, pairs, sigma)
             raise RuntimeError("symmetric-mode LU pivoted off the diagonal")
 
+        ldlt = pde._ldlt
         monkeypatch.setattr(pde, "_ldlt", singular)
+        monkeypatch.setattr(pde, "_BAND_ENTRIES", 0)  # the sparse side
         d = ball(1 / 32)
         with pytest.raises(RuntimeError, match="pivoted off the diagonal"):
             eigenvalues(d, factor_laplacian(d), k=4)
+
+    def test_zero_band_pivot_twice_raises_and_exits_2(self, monkeypatch):
+        # both certificate shifts land on the diagonal entry 2N/h^2, where
+        # the band LDL^T's first pivot is exactly zero
+        inertia = pde._band_inertia
+        shifts = []
+
+        def at_the_diagonal(d, n, pairs, sigma):
+            shifts.append(sigma)
+            return inertia(d, n, pairs, 2.0 * d.N / (d.h * d.h))
+
+        monkeypatch.setattr(pde, "_band_inertia", at_the_diagonal)
+        with pytest.raises(RuntimeError, match="pivot 0.0 at row 0"):
+            eigenvalues(ball(1 / 32), k=3)
+        assert len(shifts) == 2 and shifts[1] < shifts[0]
+        assert cli.main(["spectrum", "--spec", "ball", "--h", "1/32", "--k", "3"]) == 2
 
     def test_shared_factor_gives_the_same_spectrum(self):
         d = ball(1 / 64)
@@ -709,6 +789,7 @@ class TestSharedOrdering:
         assert shared.nnz == fresh.nnz
         assert pde._negative_pivots(shared) == pde._negative_pivots(fresh)
         assert pde._negative_pivots(shared) == s.inertia_count
+        assert pde._band_inertia(d, cells.size, pairs, s.shift) == s.inertia_count
 
     @given(
         mask=st.tuples(st.integers(1, 20), st.integers(1, 20)).flatmap(
@@ -747,6 +828,86 @@ class TestSharedOrdering:
         )
         with pytest.raises(RuntimeError, match="pivoted off the diagonal"):
             pde._ldlt(d, cells.size, pairs, 2.0 * d.N / (d.h * d.h), perm)
+
+
+class TestBandInertia:
+    """The band LDL^T that steps over negative pivots counts like the dense spectrum."""
+
+    @given(
+        shape=st.one_of(
+            st.tuples(st.integers(1, 16), st.integers(1, 16)),
+            st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+        ),
+        data=st.data(),
+        t=st.floats(0.0, 1.0),
+        below=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_counts_like_the_dense_spectrum(self, shape, data, t, below):
+        mask = data.draw(arrays(bool, shape))
+        if not mask.any():
+            return
+        d = from_mask(mask, 1 / 16)
+        cells, _, pairs = pde._stencil(d)
+        n = cells.size
+        vals = dense_eigenvalues(d, n)
+        j = min(int(t * (n + 1)), n)
+        if below and j < n:
+            # 1e-7 below the (j+1)-th eigenvalue: j lie below, unless the
+            # j-th is as close
+            sigma = vals[j] * (1 - 1e-7)
+            if j and vals[j - 1] >= sigma * (1 - 1e-9):
+                return
+        else:
+            lo = vals[j - 1] if j else 0.0
+            hi = vals[j] if j < n else 2 * vals[-1]
+            if hi - lo < 1e-9 * vals[-1]:
+                return  # copies of one eigenvalue
+            sigma = lo + (hi - lo) / math.e  # off the diagonal entry (see below)
+        assert pde._band_inertia(d, n, pairs, sigma) == j
+
+    @pytest.mark.parametrize("shape", [(1, 2), (3, 4), (2, 3, 2)])
+    def test_zero_pivot_at_the_diagonal_entry_raises(self, shape):
+        d = from_mask(np.ones(shape, dtype=bool), 1 / 16)
+        cells, _, pairs = pde._stencil(d)
+        with pytest.raises(RuntimeError, match="pivot 0.0 at row 0"):
+            pde._band_inertia(d, cells.size, pairs, 2.0 * d.N / (d.h * d.h))
+
+    def test_counts_like_the_ldlt_on_the_blobs(self):
+        # the descent's inputs, at its k = 2
+        for seed in range(60):
+            d = blob_union(1 / 64, seed=seed)
+            cells, _, pairs = pde._stencil(d)
+            s = eigenvalues(d, k=2)
+            _, perm = pde._ldlt(d, cells.size, pairs, 0.5 * s[1])
+            lu, _ = pde._ldlt(d, cells.size, pairs, s.shift, perm)
+            count = pde._band_inertia(d, cells.size, pairs, s.shift)
+            assert count == pde._negative_pivots(lu) == s.inertia_count
+
+    def test_band_inertia_releases_the_gil(self):
+        # a band of 300 rows' width: dpbtf2 runs far longer than the assembly
+        d = from_mask(np.ones((100, 300), dtype=bool), 1 / 256)
+        cells, _, pairs = pde._stencil(d)
+        span = {}
+
+        def count():
+            start = time.perf_counter()
+            span["count"] = pde._band_inertia(d, cells.size, pairs, 0.0)
+            span["call"] = time.perf_counter() - start
+
+        worker = threading.Thread(target=count)
+        stall, last = 0.0, time.perf_counter()
+        deadline = last + 60.0
+        worker.start()
+        while worker.is_alive() and last < deadline:
+            time.sleep(0.001)  # yield the core, so only the GIL can hold this thread up
+            now = time.perf_counter()
+            stall, last = max(stall, now - last), now
+        worker.join(timeout=1.0)
+        assert not worker.is_alive()
+        assert span["count"] == 0
+        # holding the GIL, the factorization stalls this thread for most of the call
+        assert stall < 0.1 * span["call"]
 
 
 class TestLambda1Floor:
@@ -795,8 +956,9 @@ class TestLambda1Floor:
         ids=lambda spec: f"{spec.name}@{round(1 / spec.h)}",
     )
     def test_shifted_lanczos_matches_the_band(self, spec):
-        # on a wide raster the sparse path runs Lanczos about sigma0, the band
-        # path about 0; a narrow one takes its sigma0 band both ways
+        # on a wide raster the eigensolve alone runs Lanczos about sigma0 on
+        # its own band, the shared factor about 0; a narrow one takes its
+        # sigma0 band both ways
         d = generate(spec)
         shifted = eigenvalues(d, k=5)
         _, band = solve_raster(d, k=5)
@@ -863,7 +1025,7 @@ class TestNarrowBand:
         assert pde._bandwidth(pde._stencil(d)[2]) <= pde._NARROW_BAND
         bands = recording_factors(monkeypatch)
         band = eigenvalues(d, k=5)
-        monkeypatch.setattr(pde, "_NARROW_BAND", -1)  # the sparse LDL^T about sigma0
+        monkeypatch.setattr(pde, "_BAND_ENTRIES", 0)  # the sparse LDL^T about sigma0
         sparse_ldlt = eigenvalues(d, k=5)
         # one band, the first run's: the second inverts by the sparse LDL^T
         sigma0 = pde._FLOOR_FRACTION * pde._lambda1_floor(d)
@@ -886,7 +1048,7 @@ class TestNarrowBand:
         sigma0 = pde._FLOOR_FRACTION * pde._lambda1_floor(d)
         assert sigma0 == pytest.approx(pde._FLOOR_FRACTION * want[0], rel=1e-12)
         s = eigenvalues(d, k=6)
-        assert [b.shift for b in bands] == ([sigma0] if narrow else [])
+        assert [b.shift for b in bands] == [sigma0]  # narrow or not, without a factor
         np.testing.assert_allclose(s.eigenvalues, want, rtol=1e-9, atol=0)
         assert s.inertia_count == sum(v < s.shift for v in s.eigenvalues)
 
@@ -896,15 +1058,15 @@ class TestNarrowBand:
         calls: list[int] = []
         monkeypatch.setattr(pde.sparse_linalg, "eigsh", dropping_eigsh(calls, 1))
         bands = recording_factors(monkeypatch)
-        ldlt = pde._ldlt
+        inertia = pde._band_inertia
         shifts = []
 
-        def one_factor_alive(d, n, pairs, sigma, perm=None):
+        def one_factor_alive(d, n, pairs, sigma):
             assert all(b.band is None for b in bands)
             shifts.append(sigma)
-            return ldlt(d, n, pairs, sigma, perm)
+            return inertia(d, n, pairs, sigma)
 
-        monkeypatch.setattr(pde, "_ldlt", one_factor_alive)
+        monkeypatch.setattr(pde, "_band_inertia", one_factor_alive)
         s = solve_raster(d, k=4)[1] if shared else eigenvalues(d, k=4)
         assert calls == [4, 5]
         sigma0 = pde._FLOOR_FRACTION * pde._lambda1_floor(d)

@@ -6,7 +6,8 @@ raster counts as the same raster.  The solvers this module imports by name
 are bound before the fixture patches the package, so the tests' own solves
 of their inputs are not recorded.  The ``factorizations`` fixture records
 every band Cholesky factorization and every sparse LDL^T shift; ``band_shifts``
-adds the shift of each band factorization.
+adds the shift of each band factorization, and ``certificates`` records the
+shift of each band inertia count.
 """
 
 from __future__ import annotations
@@ -89,6 +90,20 @@ def band_shifts(factorizations, monkeypatch):
 
 
 @pytest.fixture
+def certificates(monkeypatch):
+    """The shift of every band certificate (``pde._band_inertia``), in order."""
+    shifts = []
+    inertia = pde._band_inertia
+
+    def recording(d, n, pairs, sigma):
+        shifts.append(sigma)
+        return inertia(d, n, pairs, sigma)
+
+    monkeypatch.setattr(pde, "_band_inertia", recording)
+    return shifts
+
+
+@pytest.fixture
 def lanczos_applications(monkeypatch):
     """Lanczos operator applications, one entry per Lanczos run."""
     counts = []
@@ -121,7 +136,7 @@ def test_only_pde_factors():
     assert holders == ["eigsurgery.pde"]
 
 
-def test_run_one_factors_each_raster_once(solves, factorizations):
+def test_run_one_factors_each_raster_once(solves, factorizations, certificates):
     rasters, shifts = factorizations
     config = RunConfig(K=200.0, k=2, mode="practical:1e12")
     specs = [CorpusSpec("ball", "ball", 1 / 64), *corpus.surgery_corpus(1 / 64)[:2]]
@@ -129,13 +144,60 @@ def test_run_one_factors_each_raster_once(solves, factorizations):
         assert run_one(spec, config)["passed"]
     assert rasters == [key for name, key, _ in solves if name == "solve_torsion"]
     # the torsion's band serves the eigensolve; only the certificate
-    # factors A - sigma I
+    # assembles A - sigma I, and counts on its band
     assert len(set(rasters)) == len(rasters) == len(specs)
-    assert len(shifts) == len(specs) and min(shifts) > 0
+    assert len(certificates) == len(specs) and min(certificates) > 0
+    assert shifts == []
 
 
-def test_eigensolve_without_a_factor_makes_two_sparse_factorizations(factorizations):
+def test_run_one_makes_no_sparse_factorization(factorizations, certificates):
+    # every suite raster at 1/64 lies on the band side of the bound
     rasters, shifts = factorizations
+    config = RunConfig(K=200.0, k=2, mode="practical:1e12")
+    for spec in corpus.surgery_corpus(1 / 64):
+        run_one(spec, config)
+    assert shifts == [] and len(certificates) >= 10
+
+
+def test_descent_makes_no_sparse_factorization(factorizations, certificates):
+    # the benchmark's pool of blob unions, each descended and certified on
+    # its bands
+    _, shifts = factorizations
+    for seed in range(12):
+        surgery.bounded_surgery(
+            blob_union(1 / 64, seed=seed), K=100.0, k=2, mode="practical:1e6"
+        )
+    assert shifts == [] and len(certificates) >= 12
+
+
+def test_raster_above_the_bound_releases_its_band(
+    monkeypatch, factorizations, band_shifts, certificates
+):
+    rasters, shifts = factorizations
+    d = suite_raster("dumbbell-0")
+    cells, _, pairs = pde._stencil(d)
+    monkeypatch.setattr(pde, "_BAND_ENTRIES", (pde._bandwidth(pairs) + 1) * cells.size - 1)
+    orderings = []
+    splu = pde.sparse_linalg.splu
+
+    def recording_splu(A, permc_spec, **kwargs):
+        orderings.append(permc_spec)
+        return splu(A, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(pde.sparse_linalg, "splu", recording_splu)
+    _, s = pde.solve_raster(d, k=5)
+    # the torsion's band only; Lanczos about sigma0 and the certificate on
+    # the sparse LDL^T, in one minimum-degree order
+    assert band_shifts == [0.0] and certificates == []
+    assert shifts == [sigma0(d), s.shift]
+    assert orderings == ["MMD_AT_PLUS_A", "NATURAL"]
+
+
+def test_eigensolve_without_a_factor_makes_two_sparse_factorizations(
+    monkeypatch, factorizations
+):
+    rasters, shifts = factorizations
+    monkeypatch.setattr(pde, "_BAND_ENTRIES", 0)  # the sparse side
     s = eigenvalues(ball(1 / 64), k=3)
     assert rasters == []
     # Lanczos's inverse about 0 < sigma0 < lambda_1, then the certificate
@@ -143,7 +205,18 @@ def test_eigensolve_without_a_factor_makes_two_sparse_factorizations(factorizati
     assert 0 < shifts[0] < s[1] and shifts[1] == s.shift
 
 
-def test_noop_descent_factors_each_raster_once(solves, factorizations):
+def test_eigensolve_without_a_factor_stays_on_the_band(
+    factorizations, band_shifts, certificates
+):
+    rasters, shifts = factorizations
+    d = ball(1 / 64)
+    s = eigenvalues(d, k=3)
+    # Lanczos's band about sigma0, then the certificate's band count
+    assert band_shifts == [sigma0(d)] and rasters == [occupancy_key(d)]
+    assert certificates == [s.shift] and shifts == []
+
+
+def test_noop_descent_factors_each_raster_once(solves, factorizations, certificates):
     rasters, shifts = factorizations
     d = square(1 / 32)
     _, report = surgery.bounded_surgery(d, K=100.0, k=1)
@@ -151,7 +224,7 @@ def test_noop_descent_factors_each_raster_once(solves, factorizations):
     assert Counter(rasters)[occupancy_key(d)] == 1
     assert max(Counter(rasters).values()) == 1
     assert set(rasters) == {key for name, key, _ in solves if name == "solve_torsion"}
-    assert 0.0 not in shifts
+    assert 0.0 not in shifts + certificates
 
 
 def test_run_one_solves_each_raster_once(solves):
@@ -229,30 +302,32 @@ def test_descent_factors_at_most_half_as_often(factorizations, seed, count):
 
 
 @pytest.mark.parametrize("name", ["tube-0", "tube-1", "tube-2"])
-def test_narrow_raster_factors_its_band_at_sigma0(factorizations, band_shifts, name):
+def test_narrow_raster_factors_its_band_at_sigma0(
+    factorizations, band_shifts, certificates, name
+):
     # the torsion's band at 0, Lanczos's own band at sigma0, the certificate
     rasters, shifts = factorizations
     d = suite_raster(name)
     _, s = pde.solve_raster(d, k=5)
     assert band_shifts == [0.0, sigma0(d)]
     assert rasters == [occupancy_key(d)] * 2
-    assert shifts == [s.shift]
+    assert certificates == [s.shift] and shifts == []
 
 
-def test_wide_raster_factors_once(factorizations, band_shifts):
+def test_wide_raster_factors_once(factorizations, band_shifts, certificates):
     rasters, shifts = factorizations
     d = suite_raster("dumbbell-0")
     _, s = pde.solve_raster(d, k=5)
     assert band_shifts == [0.0] and rasters == [occupancy_key(d)]
-    assert shifts == [s.shift]
+    assert certificates == [s.shift] and shifts == []
 
 
-def test_narrow_eigensolve_without_a_factor(factorizations, band_shifts):
+def test_narrow_eigensolve_without_a_factor(factorizations, band_shifts, certificates):
     rasters, shifts = factorizations
     d = suite_raster("tube-1")
     s = eigenvalues(d, k=5)
     assert band_shifts == [sigma0(d)] and rasters == [occupancy_key(d)]
-    assert shifts == [s.shift]  # only the certificate's LDL^T
+    assert certificates == [s.shift] and shifts == []  # no sparse LDL^T
 
 
 def test_lanczos_applications_at_k5(lanczos_applications):

@@ -722,12 +722,12 @@ class TestStripSurgery:
 class TestSubsolutionTruncate:
     def test_zero_penalty_is_identity(self, blob):
         f = solve_torsion(blob)
-        out, log = subsolution_truncate(f, 0.0, r0=4 * blob.h)
+        out, log, _ = subsolution_truncate(f, 0.0, r0=4 * blob.h)
         assert out is f
         assert log == ()
 
     def test_strict_descent(self, blob):
-        f, log = subsolution_truncate(solve_torsion(blob), 0.01, r0=4 * blob.h)
+        f, log, _ = subsolution_truncate(solve_torsion(blob), 0.01, r0=4 * blob.h)
         out = f.domain
         assert len(log) >= 1
         assert all(entry["delta"] < 0 for entry in log)
@@ -737,6 +737,16 @@ class TestSubsolutionTruncate:
         assert measure(out) < measure(blob)
         known = {"sublevel", "edge_strip_low", "edge_strip_high"}
         assert all(entry["move"] in known for entry in log)
+
+    def test_returns_the_final_domains_factor(self, blob):
+        f0, band0 = factored_torsion(blob)
+        f, log, band = subsolution_truncate(f0, 0.01, r0=4 * blob.h, factor=band0)
+        assert log and band is not band0 and band.band is not None
+        band.check(f.domain)  # the final raster's band, for its eigensolve
+        assert np.array_equal(solve_torsion(f.domain, band).values, f.values)
+        # no move: the start domain's own factor comes back, unreleased
+        _, log, same = subsolution_truncate(f0, 0.0, r0=4 * blob.h, factor=band0)
+        assert log == () and same is band0 and band0.band is not None
 
     def test_negative_penalty_rejected(self, blob):
         with pytest.raises(ValueError):
@@ -760,7 +770,7 @@ class TestSubsolutionTruncate:
             return factored_torsion(cand)
 
         monkeypatch.setattr("eigsurgery.surgery.factored_torsion", counting)
-        field, log = subsolution_truncate(f0, c, r0=r0)
+        field, log, _ = subsolution_truncate(f0, c, r0=r0)
         assert log == ref_log == report.log
         assert field.domain.equals(ref_field.domain)
         assert np.array_equal(field.values, ref_field.values)
