@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import asdict, dataclass, field, replace as dc_replace
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -1095,8 +1095,8 @@ def _descent_slack(f: TorsionField, value: float) -> float:
     this holds for both the candidate's solve and ``f``, and each sum and
     the final addition round by at most ``n`` ulps of the value's terms,
     which are at most ``|E| + c|.| = value - 2E`` in size.  The same slack
-    serves :func:`_removal_bound`'s screen, whose bound is ``E`` plus a rise
-    that carries its own error terms.
+    serves :func:`_removal_bounds`' screens, whose bounds are ``E`` plus a
+    rise that carries its own error terms.
     """
     n = f.domain.cell_count
     eps = float(np.finfo(float).eps)
@@ -1104,10 +1104,10 @@ def _descent_slack(f: TorsionField, value: float) -> float:
     return 4 * (DEFAULT_CG_TOL * math.sqrt(n) + n * eps) * scale
 
 
-def _removal_bound(
+def _removal_bounds(
     f: TorsionField, factor: BandFactor, floor: float, cand: GridDomain
-) -> float:
-    """Lower bound on ``E(cand) - E(f.domain)`` by one back-solve on ``factor``.
+) -> Iterator[float]:
+    """Lower bounds on ``E(cand) - E(f.domain)``: one back-solve, then two.
 
     ``factor`` is the band factor of ``f.domain``'s Laplacian ``A`` and
     ``floor`` a lower bound on its lambda_1 (:func:`pde._lambda1_floor`).
@@ -1116,12 +1116,23 @@ def _removal_bound(
     ``1/2 h^N w_R^T (G_RR)^-1 w_R`` with ``G = A^-1`` and ``w = A^-1 1``.
     By Cauchy-Schwarz in the inner product of ``G_RR``, every ``u`` that
     vanishes off R gives ``w_R^T (G_RR)^-1 w_R >= (u^T w)^2 / (u^T G u)``.
-    Here ``u`` is the computed ``w`` on R, which makes the bound exact for a
-    single cell, and ``g = G u`` is one back-solve.  Both ``w`` and ``g``
-    carry solve errors, and ``|A^-1| <= 1 / floor``, so ``u^T w`` is lowered
-    by ``|u| |A w - 1| / floor`` and ``u^T g`` raised by
-    ``|u| |A g - u| / floor``.  Both residuals are taken from the stencil,
-    where each entry rounds by at most ``2N + 2`` ulps of
+
+    The first bound takes ``u_1``, the computed ``w`` on R, which makes it
+    exact for a single cell, and ``g_1 = G u_1``, one back-solve.  The
+    second is the two-point Gauss rule of the same quadratic form: the best
+    ``u = U c`` in the span of ``u_1`` and ``u_2 = (g_1)_R``, with
+    ``c = M^-1 a`` for the Gram ``M = [u_i^T g_j]`` and ``a = [u_i^T w]``,
+    so one more back-solve ``g_2 = G u_2`` and ``g = c_1 g_1 + c_2 g_2``.
+    It is exact when |R| <= 2, and it is yielded as the larger of the two
+    bounds; when ``M`` is singular to rounding (a single cell) or ``c`` is
+    not finite, that is the first.  A caller that stops after the first
+    skips the second back-solve.
+
+    Each bound is rigorous for whatever ``u`` and ``g`` were computed: both
+    ``w`` and ``g`` carry solve errors, and ``|A^-1| <= 1 / floor``, so
+    ``u^T w`` is lowered by ``|u| |A w - 1| / floor`` and ``u^T g`` raised
+    by ``|u| |A g - u| / floor``.  Both residuals are taken from the
+    stencil, where each entry rounds by at most ``2N + 2`` ulps of
     ``|A| |x| + |b|``, and ``|A| <= 4N / h^2``; that is added to each.  The
     dot products and norms round by at most ``n`` ulps each, so the result
     is shrunk by ``4 n`` ulps.
@@ -1132,18 +1143,37 @@ def _removal_bound(
     noise = (2 * d.N + 2) * eps
     a_norm = 4 * d.N / (d.h * d.h)
     w = f.values.ravel()[factor.cells]
-    u = np.where(cand.occupancy.ravel()[factor.cells], 0.0, w)
-    g = factor.solve(u)
-    norm_u = float(np.linalg.norm(u))
     r_w = math.sqrt(n) * (f.residual + noise) + noise * a_norm * float(np.linalg.norm(w))
-    uw = float(u @ u) - norm_u * r_w / floor
-    if uw <= 0:
-        return 0.0  # removing cells never lowers the energy
-    r_g = float(np.linalg.norm(factor.residual(g, u))) + noise * (
-        a_norm * float(np.linalg.norm(g)) + norm_u
-    )
-    ugu = float(u @ g) + norm_u * r_g / floor
-    return 0.5 * d.h**d.N * uw * uw / ugu * (1 - 4 * n * eps)
+
+    def bound(u: np.ndarray, g: np.ndarray) -> float:
+        norm_u = float(np.linalg.norm(u))
+        uw = float(u @ w) - norm_u * r_w / floor
+        if uw <= 0:
+            return 0.0  # removing cells never lowers the energy
+        r_g = float(np.linalg.norm(factor.residual(g, u))) + noise * (
+            a_norm * float(np.linalg.norm(g)) + norm_u
+        )
+        ugu = float(u @ g) + norm_u * r_g / floor
+        return 0.5 * d.h**d.N * uw * uw / ugu * (1 - 4 * n * eps)
+
+    kept = cand.occupancy.ravel()[factor.cells]
+    u1 = np.where(kept, 0.0, w)
+    g1 = factor.solve(u1)
+    rise = bound(u1, g1)
+    yield rise
+    u2 = np.where(kept, 0.0, g1)
+    g2 = factor.solve(u2)
+    m11, m12 = float(u1 @ g1), float(u1 @ g2)
+    m21, m22 = float(u2 @ g1), float(u2 @ g2)
+    a1, a2 = float(u1 @ w), float(u2 @ w)
+    det = m11 * m22 - m12 * m21
+    # Cauchy-Schwarz makes det >= 0, with equality when u_2 is parallel to
+    # u_1, as on one cell; there the products round det to a few ulps
+    if det > 4 * eps * m11 * m22:
+        c1, c2 = (m22 * a1 - m12 * a2) / det, (m11 * a2 - m21 * a1) / det
+        if math.isfinite(c1) and math.isfinite(c2):
+            rise = max(rise, bound(c1 * u1 + c2 * u2, c1 * g1 + c2 * g2))
+    yield rise
 
 
 def subsolution_truncate(
@@ -1164,24 +1194,30 @@ def subsolution_truncate(
     values, but moves whose exact energies are equal (mirror images, say)
     usually differ in the last bits, and then rounding picks the winner.
 
-    A candidate is solved only when it can win, which two screens decide
+    A candidate is solved only when it can win, which three screens decide
     against ``target + slack``: ``target`` is the smaller of the current
     value and the best candidate value, and the slack,
     :func:`_descent_slack`, covers the solve errors and the rounding.
     First, every candidate is a subset of the current domain, so its energy
-    is at least the free bound of :func:`_energy_bound`; candidates are
-    visited in ascending bound and the rest are skipped once a bound exceeds
-    the threshold.  Second, a candidate that passes gets the Schur-complement
-    bound of :func:`_removal_bound`, one back-solve on the current domain's
-    factor, and is skipped if that exceeds the threshold.  The current
+    is at least the free M-matrix bound of :func:`_energy_bound`;
+    candidates are visited in ascending bound and the rest are skipped once
+    a bound exceeds the threshold.  A candidate that passes gets the
+    Schur-complement bounds of :func:`_removal_bounds` on the current
+    domain's factor: second, the one-point bound, one back-solve, and
+    third, only if that does not settle it, the two-point bound, one more.
+    It is skipped as soon as a bound exceeds the threshold.  The current
     domain's factor lives for the whole step, and the winner's becomes the
     next step's; without ``factor`` the first step has only the first
-    screen.  An occupancy settled earlier in the descent, solved or skipped,
-    is not tried again: it lost to its first copy in the same step, or to
-    the move accepted in an earlier step, so it cannot beat the current
-    value, which only decreased since.  Returns the torsion function of the
-    final domain, a subsolution with respect to this move class only, the
-    move log, and the final domain's band factor, unreleased, for its
+    screen.  The bounds' lambda_1 floor is computed once, on the start
+    domain: every later domain is a subset of it, so by interlacing its
+    lambda_1 is at least as large.  An occupancy settled earlier in the
+    descent, solved or skipped, is not tried again: it lost to its first
+    copy in the same step, or to the move accepted in an earlier step, so
+    it cannot beat the current value, which only decreased since.  The
+    INFO log line counts the candidates, how many each screen settled, the
+    repeats and the solves.  Returns the torsion function of the final
+    domain, a subsolution with respect to this move class only, the move
+    log, and the final domain's band factor, unreleased, for its
     eigensolve: ``factor`` itself when no move was accepted.
     """
     if c < 0:
@@ -1189,8 +1225,12 @@ def subsolution_truncate(
     if factor is not None:
         factor.check(f.domain)
     value = torsion_energy(f) + c * measure(f.domain)
+    floor = _lambda1_floor(f.domain)
     settled: set[tuple[tuple[int, ...], bytes]] = set()
     log: list[dict[str, Any]] = []
+    tally = dict.fromkeys(
+        ("candidates", "m_matrix", "one_point", "two_point", "repeated", "solved"), 0
+    )
     for _ in range(DESCENT_MOVE_LIMIT):
         if f.max <= 0:
             break
@@ -1201,21 +1241,34 @@ def subsolution_truncate(
         ]
         slack = _descent_slack(f, value)
         energy = torsion_energy(f)
-        floor = None if factor is None else _lambda1_floor(f.domain)
         best: tuple[float, int, TorsionField, BandFactor] | None = None
-        for i in sorted(range(len(candidates)), key=lambda i: (bounds[i], i)):
+        tally["candidates"] += len(candidates)
+        order = sorted(range(len(candidates)), key=lambda i: (bounds[i], i))
+        for pos, i in enumerate(order):
             target = value if best is None else min(value, best[0])
             if bounds[i] > target + slack:
+                tally["m_matrix"] += len(order) - pos
                 break  # every later bound is at least as large
             cand = candidates[i][2]
             key = (cand.shape, np.packbits(cand.occupancy).tobytes())
             if key in settled:
+                tally["repeated"] += 1
                 continue
             settled.add(key)
-            if floor is not None:
-                rise = _removal_bound(f, factor, floor, cand)
-                if energy + rise + penalties[i] > target + slack:
+            if factor is not None:
+                rises = _removal_bounds(f, factor, floor, cand)
+                screen = next(
+                    (
+                        s
+                        for s, rise in zip(("one_point", "two_point"), rises)
+                        if energy + rise + penalties[i] > target + slack
+                    ),
+                    None,
+                )
+                if screen is not None:
+                    tally[screen] += 1
                     continue
+            tally["solved"] += 1
             fc, band = factored_torsion(cand)
             val = torsion_energy(fc) + penalties[i]
             if val < value and (best is None or (val, i) < best[:2]):
@@ -1236,7 +1289,13 @@ def subsolution_truncate(
             }
         )
         f, value = fc, val
-    logger.info("descent accepted %d move(s)", len(log))
+    logger.info(
+        "descent accepted %d move(s) over %d candidate(s): %d settled by the "
+        "M-matrix bound, %d by the one-point bound, %d by the two-point bound, "
+        "%d repeated, %d solved",
+        len(log),
+        *tally.values(),
+    )
     return f, tuple(log), factor
 
 

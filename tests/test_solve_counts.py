@@ -288,10 +288,11 @@ def test_run_one_solves_the_replaced_tube_once(solves):
     assert per_raster and max(per_raster.values()) == 1
 
 
-@pytest.mark.parametrize("seed, count", [(3, 9), (10, 53)])
+@pytest.mark.parametrize("seed, count", [(3, 6), (10, 22)])
 def test_descent_factors_at_most_half_as_often(factorizations, seed, count):
-    # band factorizations at the parent: 19 for seed 3, 104 for seed 10;
-    # the Schur-complement screen settles the rest by back-solves
+    # band factorizations without the Schur-complement screens: 19 for seed
+    # 3, 104 for seed 10; with the one-point bound alone, 9 and 53; the
+    # two-point bound settles more losers by a second back-solve
     rasters, _ = factorizations
     _, report = surgery.bounded_surgery(
         blob_union(1 / 64, seed=seed), K=100.0, k=2, mode="practical:1e6"
@@ -299,6 +300,26 @@ def test_descent_factors_at_most_half_as_often(factorizations, seed, count):
     assert report.log
     assert len(rasters) == count
     assert max(Counter(rasters).values()) == 1
+
+
+def test_descent_computes_the_lambda1_floor_once(monkeypatch):
+    # every later domain is a subset of the start domain, so the start
+    # domain's floor bounds their lambda_1 too
+    calls = []
+    floor = surgery._lambda1_floor
+
+    def counting(d):
+        calls.append(occupancy_key(d))
+        return floor(d)
+
+    monkeypatch.setattr(surgery, "_lambda1_floor", counting)
+    d = surgery._normalized(blob_union(1 / 64, seed=10))[0]
+    f0, band0 = pde.factored_torsion(d)
+    _, log, _ = surgery.subsolution_truncate(f0, 0.01, r0=4 * d.h, factor=band0)
+    assert len(log) > 1 and calls == [occupancy_key(d)]
+    calls.clear()
+    _, log, _ = surgery.subsolution_truncate(f0, 0.01, r0=4 * d.h)  # no factor
+    assert len(log) > 1 and calls == [occupancy_key(d)]
 
 
 @pytest.mark.parametrize("name", ["tube-0", "tube-1", "tube-2"])

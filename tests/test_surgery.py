@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import logging
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -46,7 +48,7 @@ from eigsurgery.surgery import (
     _descent_candidates,
     _descent_slack,
     _energy_bound,
-    _removal_bound,
+    _removal_bounds,
     _strips_at,
     _windowed_column_max,
     bounded_surgery,
@@ -776,27 +778,61 @@ class TestSubsolutionTruncate:
         assert np.array_equal(field.values, ref_field.values)
         assert len(solves) <= ref_solves
 
+    def test_logs_what_each_screen_settled(self, monkeypatch, caplog):
+        blob = blob_union(1 / 64, seed=10)
+        _, report = bounded_surgery(blob, K=100.0, k=2, mode="practical:1e6")
+        c, r0 = report.constants.c, report.constants.r0
+        f0, band0 = factored_torsion(normalized(blob))
+        steps, solves = [], []
+
+        def listing(f, r0):
+            steps.append(_descent_candidates(f, r0))
+            return steps[-1]
+
+        def counting(cand):
+            solves.append(cand)
+            return factored_torsion(cand)
+
+        monkeypatch.setattr("eigsurgery.surgery._descent_candidates", listing)
+        monkeypatch.setattr("eigsurgery.surgery.factored_torsion", counting)
+        with caplog.at_level(logging.INFO, logger="eigsurgery.surgery"):
+            _, log, _ = subsolution_truncate(f0, c, r0=r0, factor=band0)
+        [message] = [r.getMessage() for r in caplog.records if "descent" in r.getMessage()]
+        moves, candidates, m_matrix, one_point, two_point, repeated, solved = map(
+            int, re.findall(r"\d+", message)
+        )
+        assert moves == len(log) == len(report.log)
+        assert candidates == sum(map(len, steps))
+        assert candidates == m_matrix + one_point + two_point + repeated + solved
+        assert solved == len(solves)
+        assert m_matrix > 0 and one_point > 0 and two_point > 0
+
 
 def solve_every_candidate(f, c, r0):
-    """Reference descent: solves every candidate and checks its bound."""
+    """Reference descent: solves every candidate and checks its bounds."""
     value = torsion_energy(f) + c * measure(f.domain)
+    floor = pde._lambda1_floor(f.domain)  # below every later domain's lambda_1
+    band = pde.factor_laplacian(f.domain)
     log = []
     solves = 0
     for _ in range(DESCENT_MOVE_LIMIT):
         if f.max <= 0:
             break
         slack = _descent_slack(f, value)
+        energy = torsion_energy(f)
         best = None
         for kind, tau, cand in _descent_candidates(f, r0):
-            fc = solve_torsion(cand)
+            fc, fc_band = factored_torsion(cand)
             solves += 1
             val = torsion_energy(fc) + c * measure(cand)
             assert val >= _energy_bound(f, cand) + c * measure(cand) - slack
+            for rise in _removal_bounds(f, band, floor, cand):
+                assert val >= energy + rise + c * measure(cand) - slack
             if val < value and (best is None or val < best[3]):
-                best = (kind, tau, fc, val)
+                best = (kind, tau, fc, val, fc_band)
         if best is None:
             break
-        kind, tau, fc, val = best
+        kind, tau, fc, val, band = best
         log.append(
             {
                 "move": kind,
@@ -828,7 +864,7 @@ def without(d: GridDomain, cells: np.ndarray) -> GridDomain:
 
 
 class TestRemovalBound:
-    """The Schur-complement identity behind the descent's second screen."""
+    """The Schur-complement identity behind the descent's second and third screens."""
 
     @pytest.mark.parametrize("dim", ["2d", "3d"])
     def test_energy_rise_is_the_schur_complement(self, dim):
@@ -840,34 +876,44 @@ class TestRemovalBound:
         floor = pde._lambda1_floor(d)
         rng = np.random.default_rng(1)
         n = w.size
-        sets = [np.array([0]), np.array([n // 2]), np.arange(n // 3, n // 3 + 4)]
+        ulps = 4 * n * np.finfo(float).eps
+        sets = [np.array([0]), np.array([n // 2]), np.arange(n // 2, n // 2 + 2)]
+        sets += [np.arange(n // 3, n // 3 + 4)]
         sets += [rng.choice(n, size=m, replace=False) for m in (2, 7, n // 4)]
         for R in sets:
             cand = without(d, R)
             rise = torsion_energy(solve_torsion(cand)) - torsion_energy(f)
             exact = 0.5 * d.h**d.N * w[R] @ np.linalg.solve(G[np.ix_(R, R)], w[R])
             assert rise == pytest.approx(exact, rel=1e-9)
-            bound = _removal_bound(f, band, floor, cand)
+            one, two = _removal_bounds(f, band, floor, cand)
             if R.size == 1:  # Cauchy-Schwarz is an equality on one cell
-                assert bound == pytest.approx(rise, rel=1e-9)
-            assert 0 < bound <= rise
+                assert one == pytest.approx(exact, rel=1e-9)
+                assert two == one  # the Gram matrix is singular
+            else:  # the second point helps
+                assert two > one
+            if R.size <= 2:  # two-point Gauss is exact on two cells
+                assert two == pytest.approx(exact, rel=1e-9)
+            assert 0 < one * (1 - ulps) <= two <= exact
+            assert two <= rise
 
     @pytest.mark.parametrize("seed", [3, 10])
     def test_bound_is_below_every_solved_candidate(self, seed):
-        # a descent that solves every candidate, as bounded_surgery's
+        # a descent that solves every candidate, as bounded_surgery's; the
+        # floor is the start domain's, as in the descent
         blob = blob_union(1 / 64, seed=seed)
         _, report = bounded_surgery(blob, K=100.0, k=2, mode="practical:1e6")
         c, r0 = report.constants.c, report.constants.r0
         f, band = factored_torsion(normalized(blob))
+        floor = pde._lambda1_floor(f.domain)
         value = torsion_energy(f) + c * measure(f.domain)
         moves = 0
         while True:
-            floor = pde._lambda1_floor(f.domain)
             best = None
             for _, _, cand in _descent_candidates(f, r0):
                 fc, fc_band = factored_torsion(cand)
-                rise = _removal_bound(f, band, floor, cand)
-                assert torsion_energy(f) + rise <= torsion_energy(fc)
+                one, two = _removal_bounds(f, band, floor, cand)
+                assert torsion_energy(f) + one <= torsion_energy(fc)
+                assert torsion_energy(f) + two <= torsion_energy(fc)
                 val = torsion_energy(fc) + c * measure(cand)
                 if val < value and (best is None or val < best[0]):
                     best = (val, fc, fc_band)

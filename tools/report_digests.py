@@ -1,0 +1,84 @@
+"""SHA-256 digests of the reports of fixed runs, to show two trees agree.
+
+Run from the repository root, with one BLAS thread so the sums round the
+same way on every run::
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/report_digests.py
+
+It prints one line per run: the digest of ``reports.jsonl`` from
+``run_suite`` on ``surgery_corpus(1/64)`` (K = 200, k = 3, practical:1e12)
+and on ``default_corpus(1/64)`` (K = 100, k = 3, practical:1e6), then the
+digest of ``bounded_surgery`` over ``blob_union(1/64, s)`` for each listed
+seed range, penalty mode, K and k.  Per seed the bounded digest takes
+``json.dumps(report.to_dict(), sort_keys=True)``, then
+``repr((h, origin, shape))`` of the returned domain, then
+``np.packbits(occupancy)``; a seed that raises adds the exception's
+``repr`` instead.  Equal digests before and after a change mean
+byte-identical reports and rasters.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from eigsurgery.corpus import CorpusSpec, blob_union, default_corpus, surgery_corpus
+from eigsurgery.harness import RunConfig, run_suite
+from eigsurgery.surgery import bounded_surgery
+
+H = 1 / 64
+
+SUITES = (
+    ("surgery_corpus", surgery_corpus, RunConfig(K=200.0, k=3, mode="practical:1e12")),
+    ("default_corpus", default_corpus, RunConfig(K=100.0, k=3, mode="practical:1e6")),
+)
+
+# (seeds, mode, K, k) of each bounded_surgery digest
+BOUNDED = (
+    (range(60), "practical:1e6", 100.0, 2),
+    (range(30), "faithful", 100.0, 2),
+    (range(30), "practical:1e3", 100.0, 2),
+    (range(30), "practical:1e12", 100.0, 2),
+    (range(60), "practical:1e6", 50.0, 3),
+)
+
+
+def suite_digest(specs: Sequence[CorpusSpec], config: RunConfig) -> str:
+    """SHA-256 of the ``reports.jsonl`` that ``run_suite`` writes."""
+    with tempfile.TemporaryDirectory() as out:
+        run_suite(specs, replace(config, out_dir=out))
+        return hashlib.sha256((Path(out) / "reports.jsonl").read_bytes()).hexdigest()
+
+
+def bounded_digest(seeds: Iterable[int], mode: str, K: float, k: int) -> str:
+    """SHA-256 over the seeds of each bounded report and returned raster."""
+    digest = hashlib.sha256()
+    for seed in seeds:
+        try:
+            d, report = bounded_surgery(blob_union(H, seed=seed), K=K, k=k, mode=mode)
+        except Exception as exc:  # a raised error is part of the record
+            digest.update(repr(exc).encode())
+            continue
+        digest.update(json.dumps(report.to_dict(), sort_keys=True).encode())
+        digest.update(repr((d.h, d.origin, d.shape)).encode())
+        digest.update(np.packbits(d.occupancy).tobytes())
+    return digest.hexdigest()
+
+
+def main() -> None:
+    for name, corpus, config in SUITES:
+        print(f"{suite_digest(corpus(H), config)}  run_suite {name}(1/64)"
+              f" K={config.K:g} k={config.k} {config.mode}")
+    for seeds, mode, K, k in BOUNDED:
+        print(f"{bounded_digest(seeds, mode, K, k)}  bounded_surgery blob_union(1/64)"
+              f" seeds {seeds.start}-{seeds.stop - 1} K={K:g} k={k} {mode}")
+
+
+if __name__ == "__main__":
+    main()
