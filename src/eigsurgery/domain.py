@@ -18,7 +18,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.sparse import coo_array, csgraph
@@ -27,6 +27,9 @@ logger = logging.getLogger(__name__)
 
 # Cell centers sit at origin + (index + 1/2) * h;  `origin` is the real
 # coordinate of the lower corner of cell (0, ..., 0).
+
+# How near an edge of a strip, in cells, a column centre still counts as in it.
+_TIE = 1e-9
 
 __all__ = [
     "EmptyDomainError",
@@ -131,8 +134,12 @@ class GridDomain:
 class Strip:
     """The slab ``[center - half_width, center + half_width] x R^(N-1)``.
 
-    Strips are always orthogonal to the first coordinate axis; a cell belongs
-    to a strip iff its center does.
+    Strips are always orthogonal to the first coordinate axis.  On a raster
+    a strip is the run of first-axis columns whose centres lie in the closed
+    slab, and :meth:`columns` is the one place that decides which: it works
+    in cell units, where a column centre within ``1e-9`` of a cell of an
+    edge counts as inside.  So a slab whose edges land on column centres
+    holds ``2 * half_width / h + 1`` columns wherever it lies.
     """
 
     center: float
@@ -150,9 +157,14 @@ class Strip:
     def hi(self) -> float:
         return self.center + self.half_width
 
-    def contains(self, x1: np.ndarray | float) -> np.ndarray | bool:
-        """Membership of x1 coordinates in the closed slab."""
-        return (np.asarray(x1) >= self.lo) & (np.asarray(x1) <= self.hi)
+    def columns(self, d: GridDomain) -> slice:
+        """The first-axis columns of ``d``'s window whose centres lie in the slab."""
+        mid = (self.center - d.origin[0]) / d.h - 0.5  # column index of the centre
+        half = self.half_width / d.h
+        n = d.shape[0]
+        first = min(max(math.ceil(mid - half - _TIE), 0), n)
+        stop = min(max(math.floor(mid + half + _TIE) + 1, first), n)
+        return slice(first, stop)
 
 
 def from_mask(
@@ -303,40 +315,27 @@ def diameter(d: GridDomain) -> float:
     return total
 
 
-def _strip_column_mask(d: GridDomain, strips: Iterable[Strip]) -> np.ndarray:
-    xs = d.centers(0)
-    hit = np.zeros(xs.shape, dtype=bool)
-    for s in strips:
-        hit |= (xs >= s.lo) & (xs <= s.hi)
-    return hit
-
-
-def _check_disjoint(strips: Sequence[Strip]) -> None:
-    order = sorted(strips, key=lambda s: s.center)
-    for a, b in zip(order, order[1:]):
-        if b.lo < a.hi - 1e-12 * max(1.0, abs(a.hi)):
-            raise ValueError(
-                f"strips overlap: [{a.lo:g}, {a.hi:g}] and [{b.lo:g}, {b.hi:g}]"
-            )
-
-
 def remove_strips(d: GridDomain, strips: Sequence[Strip]) -> GridDomain:
-    """Clear occupancy on every cell whose center lies in one of the strips.
+    """Clear occupancy on the columns of every strip (:meth:`Strip.columns`).
 
-    Strips must be pairwise disjoint and at least ``2h`` in half-width so
+    Strips must share no column and be at least ``2h`` in half-width so
     they are resolvable on the grid.  Raises :class:`EmptyDomainError` if
     nothing remains.
     """
-    _check_disjoint(strips)
     for s in strips:
         if s.half_width < 2 * d.h * (1 - 1e-9):
             raise ValueError(
                 f"strip half_width {s.half_width:g} below the grid "
                 f"resolvability limit 2h = {2 * d.h:g}"
             )
-    hit = _strip_column_mask(d, strips)
+    cols = sorted((s.columns(d) for s in strips), key=lambda c: c.start)
+    for a, b in zip(cols, cols[1:]):
+        if b.start < a.stop:
+            raise ValueError(f"strips overlap: columns {a.start}-{a.stop - 1} "
+                             f"and {b.start}-{b.stop - 1}")
     occ = d.occupancy.copy()
-    occ[hit] = False
+    for c in cols:
+        occ[c] = False
     if not occ.any():
         raise EmptyDomainError("strip removal emptied the domain")
     return GridDomain(h=d.h, origin=d.origin, occupancy=occ)

@@ -842,8 +842,8 @@ def gamma_distance(
 
 
 def strip_max(f: TorsionField, s: Strip) -> float:
-    """Maximum of the field over cells with center in the strip (0 if none)."""
-    return float(f.values[s.contains(f.domain.centers(0))].max(initial=0.0))
+    """Maximum of the field over the strip's columns (0 if none)."""
+    return float(f.values[s.columns(f.domain)].max(initial=0.0))
 
 
 def _bisect(fn: Callable[[float], float], lo: float, hi: float) -> float:

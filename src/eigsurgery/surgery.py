@@ -350,13 +350,16 @@ def _occupied_span(d: GridDomain) -> tuple[float, float]:
 def _windowed_column_max(f: TorsionField, r0: float) -> np.ndarray:
     """Per first-axis column, the torsion maximum over the doubled strip.
 
-    Entry ``j`` is the maximum of ``f`` over the columns at most
-    ``floor(2 * r0 / h)`` away from column ``j``: the cells that
-    ``strip_max`` finds in ``Strip(x_j, 2 * r0)``.  Columns beyond the
+    Entry ``j`` is the maximum of ``f`` over the columns of
+    ``Strip(x_j, 2 * r0)``, the cells that ``strip_max`` reads: by the rule
+    of :meth:`Strip.columns`, the columns at most ``floor(2 * r0 / h)``
+    away from column ``j``, a column ``2 * r0`` away included.  The window
+    is read off the strip about the first column.  Columns beyond the
     window count as zero, which the field is there.
     """
+    d = f.domain
     colmax = _per_column(f.values, np.max)
-    win = int(math.floor(2 * r0 / f.domain.h + 1e-9))
+    win = Strip(float(d.centers(0)[0]), 2 * r0).columns(d).stop - 1
     return sliding_window_view(np.pad(colmax, win), 2 * win + 1).max(axis=1)
 
 
@@ -399,7 +402,7 @@ class SurgeryPlan:
     def __post_init__(self) -> None:
         order = sorted(self.strips_to_remove, key=lambda s: s.center)
         for a, b in zip(order, order[1:]):
-            if b.lo < a.hi - 1e-12:
+            if b.lo < a.hi:
                 raise ValueError("planned strips overlap")
 
     def to_dict(self) -> dict[str, Any]:
@@ -527,22 +530,21 @@ def plan_cuts(
     return plan
 
 
-def _discard_column_mask(
-    xs: np.ndarray, strips: Sequence[Strip]
-) -> np.ndarray:
-    """Columns removed or orphaned by the strips: tails, strips and gap middles.
+def _discard_column_mask(d: GridDomain, strips: Sequence[Strip]) -> np.ndarray:
+    """Columns of ``d`` removed or orphaned by the strips: tails, strips, gap middles.
 
     The strips alternate direction (away from the active region), so the
-    discarded set per gap is the single interval from the low strip's lower
-    edge to the high strip's upper edge, and the two tails extend to
-    infinity.  Comparisons reuse the strips' own interval arithmetic so the
+    discarded set per gap is the single run from the low strip's first
+    column to the high strip's last, and the two tails run to the window's
+    ends.  The columns are the strips' own (:meth:`Strip.columns`), so the
     mask matches :func:`eigsurgery.domain.remove_strips` bit for bit.
     """
-    order = sorted(strips, key=lambda s: s.center)
-    mask = xs <= order[0].hi
-    mask |= xs >= order[-1].lo
-    for lo_strip, hi_strip in zip(order[1::2], order[2::2]):
-        mask |= (xs >= lo_strip.lo) & (xs <= hi_strip.hi)
+    cols = [s.columns(d) for s in sorted(strips, key=lambda s: s.center)]
+    mask = np.zeros(d.shape[0], dtype=bool)
+    mask[: cols[0].stop] = True
+    mask[cols[-1].start :] = True
+    for lo, hi in zip(cols[1::2], cols[2::2]):
+        mask[lo.start : hi.stop] = True
     return mask
 
 
@@ -565,7 +567,6 @@ def select_cut_depth(
     r0 = plan.strips_to_remove[0].half_width
     h = d.h
     N = d.N
-    xs = d.centers(0)
     occ = d.occupancy
     col_mass = _per_column(occ) * h**N
     # faces between consecutive columns, and boundary faces owned per column
@@ -587,7 +588,7 @@ def select_cut_depth(
     masses, sigmas, p_inner, kept_pers, rescaled = [], [], [], [], []
     for t in t_grid:
         strips = _strips_at(plan.anchors, r0, float(t))
-        discard = _discard_column_mask(xs, strips)
+        discard = _discard_column_mask(d, strips)
         m = float(col_mass[discard].sum())
         cut_faces = int(adjacent[discard[:-1] != discard[1:]].sum())
         p_faces = int(own_faces[discard].sum())
@@ -1037,10 +1038,13 @@ def _descent_candidates(
     The removal of the sublevel set {w < tau} for tau on the geometric
     ladder ``max(w)/2, max(w)/4, ...`` (capping tau at half the maximum keeps
     the torsion peak within a factor two per move), then the removal of
-    either boundary strip of width ``r0`` along the first axis; ``r0`` is at
-    least ``4h`` (the rule of :func:`choose_strip_constants`), so the strips
-    are resolvable on the grid.  Every candidate is a strict, nonempty subset
-    of ``f.domain`` on its window.
+    either edge strip along the first axis: the strip of width ``r0`` from
+    the lowest (highest) occupied column's centre inwards, which by the rule
+    of :meth:`Strip.columns` is that column and the next ``floor(r0 / h)``,
+    5 columns at ``r0 = 4h``, at either end.  ``r0`` is at least ``4h`` (the
+    rule of :func:`choose_strip_constants`), so the strips are resolvable on
+    the grid.  Every candidate is a strict, nonempty subset of ``f.domain``
+    on its window.
     """
     current = f.domain
     wmax = f.max
@@ -1180,13 +1184,13 @@ def subsolution_truncate(
     f: TorsionField,
     c: float,
     r0: float,
-    factor: BandFactor | None = None,
-) -> tuple[TorsionField, tuple[dict[str, Any], ...], BandFactor | None]:
+    factor: BandFactor,
+) -> tuple[TorsionField, tuple[dict[str, Any], ...], BandFactor]:
     """Greedy monotone descent of E + c|.| over sublevel and edge-strip moves.
 
-    Starts from the torsion function ``f`` of ``f.domain``; ``factor``, if
-    given, is that raster's band factor (:func:`pde.factored_torsion`) and
-    is left unreleased.  Each step accepts the candidate move (see
+    Starts from the torsion function ``f`` of ``f.domain`` and that raster's
+    band factor ``factor`` (:func:`pde.factored_torsion`), which is left
+    unreleased.  Each step accepts the candidate move (see
     :func:`_descent_candidates`) of least penalized energy if it strictly
     decreases the energy; descent stops when none does or after
     ``DESCENT_MOVE_LIMIT`` accepted moves.  Ties are settled on the computed
@@ -1207,8 +1211,7 @@ def subsolution_truncate(
     third, only if that does not settle it, the two-point bound, one more.
     It is skipped as soon as a bound exceeds the threshold.  The current
     domain's factor lives for the whole step, and the winner's becomes the
-    next step's; without ``factor`` the first step has only the first
-    screen.  The bounds' lambda_1 floor is computed once, on the start
+    next step's.  The bounds' lambda_1 floor is computed once, on the start
     domain: every later domain is a subset of it, so by interlacing its
     lambda_1 is at least as large.  An occupancy settled earlier in the
     descent, solved or skipped, is not tried again: it lost to its first
@@ -1222,8 +1225,7 @@ def subsolution_truncate(
     """
     if c < 0:
         raise ValueError("penalty constant c must be nonnegative")
-    if factor is not None:
-        factor.check(f.domain)
+    factor.check(f.domain)
     value = torsion_energy(f) + c * measure(f.domain)
     floor = _lambda1_floor(f.domain)
     settled: set[tuple[tuple[int, ...], bytes]] = set()
@@ -1255,19 +1257,18 @@ def subsolution_truncate(
                 tally["repeated"] += 1
                 continue
             settled.add(key)
-            if factor is not None:
-                rises = _removal_bounds(f, factor, floor, cand)
-                screen = next(
-                    (
-                        s
-                        for s, rise in zip(("one_point", "two_point"), rises)
-                        if energy + rise + penalties[i] > target + slack
-                    ),
-                    None,
-                )
-                if screen is not None:
-                    tally[screen] += 1
-                    continue
+            rises = _removal_bounds(f, factor, floor, cand)
+            screen = next(
+                (
+                    s
+                    for s, rise in zip(("one_point", "two_point"), rises)
+                    if energy + rise + penalties[i] > target + slack
+                ),
+                None,
+            )
+            if screen is not None:
+                tally[screen] += 1
+                continue
             tally["solved"] += 1
             fc, band = factored_torsion(cand)
             val = torsion_energy(fc) + penalties[i]

@@ -359,6 +359,31 @@ class TestRemoveStrips:
             remove_strips(d, [Strip(0.5, d.h)])
 
 
+class TestStripColumns:
+    def test_edges_on_column_centres_are_inside(self):
+        h = 1 / 96  # not dyadic: the edges round off the centres
+        d = cell_square(h)
+        xs = d.centers(0)
+        for j in range(4, d.shape[0] - 4):
+            assert Strip(float(xs[j]), 4 * h).columns(d) == slice(j - 4, j + 5)
+            # centred on a face, the edges are faces too
+            assert Strip(float(xs[j]) + h / 2, 4 * h).columns(d) == slice(j - 3, j + 5)
+
+    def test_clamped_to_the_window(self):
+        d = cell_square(1 / 32)
+        n = d.shape[0]
+        assert Strip(-10.0, 1.0).columns(d) == slice(0, 0)
+        assert Strip(10.0, 1.0).columns(d) == slice(n, n)
+        assert Strip(0.5, 10.0).columns(d) == slice(0, n)
+        assert Strip(0.0, 0.1).columns(d) == slice(0, 4)  # centres up to 3.5h
+
+    def test_strips_sharing_an_edge_column_rejected(self):
+        d = cell_square(1 / 32)
+        x = float(d.centers(0)[12])
+        with pytest.raises(ValueError, match="overlap"):
+            remove_strips(d, [Strip(x - 0.125, 0.125), Strip(x + 0.125, 0.125)])
+
+
 class TestBallReplacement:
     def test_nothing_discarded_identity(self):
         d = cell_square(1 / 16)

@@ -5,7 +5,9 @@ The script is loaded from its file, as it is run.
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -39,3 +41,34 @@ def test_suite_digest_is_reproducible(report_digests):
     config = RunConfig(K=200.0, k=3, mode="practical:1e12")
     first = report_digests.suite_digest(specs, config)
     assert report_digests.suite_digest(specs, config) == first
+
+
+def test_seed_records_fold_into_the_digest(report_digests, monkeypatch, capsys):
+    run = (range(2), "practical:1e6", 100.0, 2)
+    records = [report_digests.bounded_record(seed, *run[1:]) for seed in run[0]]
+    digest = report_digests.bounded_digest(*run)
+    assert report_digests.fold(records) == digest
+    assert hashlib.sha256(b"".join(r.data for r in records)).hexdigest() == digest
+
+    monkeypatch.setattr(report_digests, "SUITES", ())
+    monkeypatch.setattr(report_digests, "BOUNDED", (run,))
+    report_digests.main()
+    out, err = capsys.readouterr()
+    assert out.split() == [digest, "bounded_surgery", "blob_union(1/64)", "seeds", "0-1",
+                           "K=100", "k=2", "practical:1e6"]
+    lines = err.splitlines()
+    assert lines == [f"K=100 k=2 practical:1e6 {r.line()}" for r in records]
+    for seed, (line, record) in enumerate(zip(lines, records)):
+        assert re.fullmatch(
+            rf"K=100 k=2 practical:1e6 seed {seed} "
+            rf"{hashlib.sha256(record.data).hexdigest()[:12]} (pass|no-op|fail) "
+            r"moves=\d+ cells=\d+",
+            line,
+        )
+
+
+def test_a_seed_that_raises_is_recorded(report_digests):
+    record = report_digests.bounded_record(0, "practical:1", 100.0, 2)
+    assert record.verdict == "raised ValueError"
+    assert record.data.startswith(b"ValueError(")
+    assert record.line().endswith(" raised ValueError moves=- cells=-")

@@ -288,11 +288,12 @@ def test_run_one_solves_the_replaced_tube_once(solves):
     assert per_raster and max(per_raster.values()) == 1
 
 
-@pytest.mark.parametrize("seed, count", [(3, 6), (10, 22)])
+@pytest.mark.parametrize("seed, count", [(3, 5), (10, 22)])
 def test_descent_factors_at_most_half_as_often(factorizations, seed, count):
     # band factorizations without the Schur-complement screens: 19 for seed
     # 3, 104 for seed 10; with the one-point bound alone, 9 and 53; the
-    # two-point bound settles more losers by a second back-solve
+    # two-point bound settles more losers by a second back-solve, seed 3's
+    # 5-column low edge strip among them
     rasters, _ = factorizations
     _, report = surgery.bounded_surgery(
         blob_union(1 / 64, seed=seed), K=100.0, k=2, mode="practical:1e6"
@@ -316,9 +317,6 @@ def test_descent_computes_the_lambda1_floor_once(monkeypatch):
     d = surgery._normalized(blob_union(1 / 64, seed=10))[0]
     f0, band0 = pde.factored_torsion(d)
     _, log, _ = surgery.subsolution_truncate(f0, 0.01, r0=4 * d.h, factor=band0)
-    assert len(log) > 1 and calls == [occupancy_key(d)]
-    calls.clear()
-    _, log, _ = surgery.subsolution_truncate(f0, 0.01, r0=4 * d.h)  # no factor
     assert len(log) > 1 and calls == [occupancy_key(d)]
 
 

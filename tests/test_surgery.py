@@ -20,6 +20,7 @@ from eigsurgery.corpus import (
     dumbbell,
     generate,
     square,
+    surgery_corpus,
     tube,
 )
 from eigsurgery.domain import (
@@ -464,14 +465,13 @@ class TestSelectCutDepth:
         d, _, report = cut_dumbbell
         d0 = normalized(d)
         led = report.ledger
-        xs = d0.centers(0)
         from eigsurgery.surgery import _discard_column_mask, _strips_at
 
         for i in (0, len(led["t"]) // 2, len(led["t"]) - 1):
             strips = _strips_at(
                 report.plan.anchors, report.constants.r0, led["t"][i]
             )
-            discard = _discard_column_mask(xs, strips)
+            discard = _discard_column_mask(d0, strips)
             occ = d0.occupancy & ~discard[:, None]
             direct = perimeter(GridDomain(d0.h, d0.origin, occ))
             assert abs(direct - led["kept_perimeter"][i]) < 1e-9
@@ -723,13 +723,14 @@ class TestStripSurgery:
 
 class TestSubsolutionTruncate:
     def test_zero_penalty_is_identity(self, blob):
-        f = solve_torsion(blob)
-        out, log, _ = subsolution_truncate(f, 0.0, r0=4 * blob.h)
+        f, band = factored_torsion(blob)
+        out, log, _ = subsolution_truncate(f, 0.0, r0=4 * blob.h, factor=band)
         assert out is f
         assert log == ()
 
     def test_strict_descent(self, blob):
-        f, log, _ = subsolution_truncate(solve_torsion(blob), 0.01, r0=4 * blob.h)
+        f, band = factored_torsion(blob)
+        f, log, _ = subsolution_truncate(f, 0.01, r0=4 * blob.h, factor=band)
         out = f.domain
         assert len(log) >= 1
         assert all(entry["delta"] < 0 for entry in log)
@@ -751,8 +752,9 @@ class TestSubsolutionTruncate:
         assert log == () and same is band0 and band0.band is not None
 
     def test_negative_penalty_rejected(self, blob):
+        f, band = factored_torsion(blob)
         with pytest.raises(ValueError):
-            subsolution_truncate(solve_torsion(blob), -1.0, r0=4 * blob.h)
+            subsolution_truncate(f, -1.0, r0=4 * blob.h, factor=band)
 
     @pytest.mark.parametrize(
         "mode", ["faithful", "practical:1e3", "practical:1e6", "practical:1e12"]
@@ -763,7 +765,7 @@ class TestSubsolutionTruncate:
         _, report = bounded_surgery(blob, K=100.0, k=2, mode=mode)
         d = normalized(blob)  # the raster the report's descent starts from
         c, r0 = report.constants.c, report.constants.r0
-        f0 = solve_torsion(d)
+        f0, band0 = factored_torsion(d)
         ref_field, ref_log, ref_solves = solve_every_candidate(f0, c, r0)
         solves = []
 
@@ -772,7 +774,7 @@ class TestSubsolutionTruncate:
             return factored_torsion(cand)
 
         monkeypatch.setattr("eigsurgery.surgery.factored_torsion", counting)
-        field, log, _ = subsolution_truncate(f0, c, r0=r0)
+        field, log, _ = subsolution_truncate(f0, c, r0=r0, factor=band0)
         assert log == ref_log == report.log
         assert field.domain.equals(ref_field.domain)
         assert np.array_equal(field.values, ref_field.values)
@@ -1023,6 +1025,80 @@ class TestWindowedMaxMatchesStripMax:
         idx = rng.integers(0, xs.size, size=120)
         for j in idx:
             assert filtered[j] == strip_max(f, Strip(float(xs[j]), 2 * r0))
+
+    @pytest.mark.parametrize("corpus", [surgery_corpus, default_corpus])
+    def test_every_column_at_lattice_widths(self, corpus):
+        # at r0 = 4h, the production width, the doubled strip's edges land
+        # on column centres; at 4.5h, on cell faces
+        for spec in corpus(1 / 96):
+            d = generate(spec)
+            f = solve_torsion(d)
+            xs = d.centers(0)
+            for r0 in (4 * d.h, 4.5 * d.h):
+                filtered = _windowed_column_max(f, r0)
+                for j, x in enumerate(xs):
+                    strip = Strip(float(x), 2 * r0)
+                    assert filtered[j] == strip_max(f, strip), (spec.name, r0, j)
+
+
+def edge_strips(f, r0):
+    """The descent's two edge-strip candidates from ``f.domain``, by kind."""
+    return {
+        kind: cand for kind, _, cand in _descent_candidates(f, r0)
+        if kind.startswith("edge_strip")
+    }
+
+
+def placed(f, origin, flip=False):
+    """``f`` on the same raster at another origin, mirrored along axis 0 if asked."""
+    occ, values = f.domain.occupancy, f.values
+    if flip:
+        occ, values = occ[::-1], values[::-1]
+    return TorsionField(GridDomain(f.domain.h, origin, occ), values, f.residual)
+
+
+class TestEdgeStrips:
+    """The descent's edge strips are columns: the same count at both ends,
+    under a mirror and at any window origin."""
+
+    @pytest.fixture(scope="class")
+    def starts(self):
+        fields = []
+        for seed in range(60):
+            d = normalized(blob_union(1 / 64, seed=seed))
+            fields.append(solve_torsion(d))
+        return fields
+
+    def test_mirror_swaps_low_and_high_bit_for_bit(self, starts):
+        for seed, f in enumerate(starts):
+            d, r0 = f.domain, 4 * f.domain.h
+            reflected = (-(d.origin[0] + d.shape[0] * d.h),) + d.origin[1:]
+            edges = edge_strips(f, r0)
+            mirror = edge_strips(placed(f, reflected, flip=True), r0)
+            for kind, other in (("edge_strip_low", "edge_strip_high"),
+                                ("edge_strip_high", "edge_strip_low")):
+                got = mirror[kind].occupancy
+                assert np.array_equal(got, edges[other].occupancy[::-1]), (seed, kind)
+
+    @pytest.mark.parametrize("offset", [1 / 3, 0.37, 2.5])
+    def test_cell_counts_do_not_depend_on_the_origin(self, starts, offset):
+        for seed, f in enumerate(starts):
+            d, r0 = f.domain, 4 * f.domain.h
+            moved = (d.origin[0] + offset * (1 + d.h),) + d.origin[1:]
+            counts = {k: c.cell_count for k, c in edge_strips(f, r0).items()}
+            shifted = edge_strips(placed(f, moved), r0)
+            assert {k: c.cell_count for k, c in shifted.items()} == counts, seed
+
+    def test_five_columns_at_either_end_at_r0_4h(self, starts):
+        for seed, f in enumerate(starts):
+            occ = f.domain.occupancy
+            first, *_, last = np.flatnonzero(occ.any(axis=1))
+            low, high = occ.copy(), occ.copy()
+            low[first : first + 5] = False
+            high[last - 4 : last + 1] = False
+            edges = edge_strips(f, 4 * f.domain.h)
+            assert np.array_equal(edges["edge_strip_low"].occupancy, low), seed
+            assert np.array_equal(edges["edge_strip_high"].occupancy, high), seed
 
 
 STRIP_CHECKS = (

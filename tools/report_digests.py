@@ -5,7 +5,7 @@ same way on every run::
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/report_digests.py
 
-It prints one line per run: the digest of ``reports.jsonl`` from
+It prints one line per run on stdout: the digest of ``reports.jsonl`` from
 ``run_suite`` on ``surgery_corpus(1/64)`` (K = 200, k = 3, practical:1e12)
 and on ``default_corpus(1/64)`` (K = 100, k = 3, practical:1e6), then the
 digest of ``bounded_surgery`` over ``blob_union(1/64, s)`` for each listed
@@ -15,14 +15,20 @@ seed range, penalty mode, K and k.  Per seed the bounded digest takes
 ``np.packbits(occupancy)``; a seed that raises adds the exception's
 ``repr`` instead.  Equal digests before and after a change mean
 byte-identical reports and rasters.
+
+On stderr it prints one line per bounded seed: the run, the seed, the first
+12 hex digits of that seed's own digest, the verdict, the accepted moves and
+the final cell count (``raised <error>`` and ``-`` for a seed that raises).
+Two trees' stderr differ exactly on the seeds whose records differ.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -49,6 +55,23 @@ BOUNDED = (
 )
 
 
+@dataclass(frozen=True)
+class SeedRecord:
+    """What one seed adds to a bounded digest, and its outcome."""
+
+    seed: int
+    data: bytes
+    verdict: str
+    moves: int | None = None
+    cells: int | None = None
+
+    def line(self) -> str:
+        digest = hashlib.sha256(self.data).hexdigest()[:12]
+        moves = "-" if self.moves is None else self.moves
+        cells = "-" if self.cells is None else self.cells
+        return f"seed {self.seed} {digest} {self.verdict} moves={moves} cells={cells}"
+
+
 def suite_digest(specs: Sequence[CorpusSpec], config: RunConfig) -> str:
     """SHA-256 of the ``reports.jsonl`` that ``run_suite`` writes."""
     with tempfile.TemporaryDirectory() as out:
@@ -56,28 +79,45 @@ def suite_digest(specs: Sequence[CorpusSpec], config: RunConfig) -> str:
         return hashlib.sha256((Path(out) / "reports.jsonl").read_bytes()).hexdigest()
 
 
+def bounded_record(seed: int, mode: str, K: float, k: int) -> SeedRecord:
+    """The bounded report and returned raster of one seed, as digest bytes."""
+    try:
+        d, report = bounded_surgery(blob_union(H, seed=seed), K=K, k=k, mode=mode)
+    except Exception as exc:  # a raised error is part of the record
+        return SeedRecord(seed, repr(exc).encode(), f"raised {type(exc).__name__}")
+    data = (
+        json.dumps(report.to_dict(), sort_keys=True).encode()
+        + repr((d.h, d.origin, d.shape)).encode()
+        + np.packbits(d.occupancy).tobytes()
+    )
+    return SeedRecord(seed, data, report.verdict, len(report.log), d.cell_count)
+
+
+def fold(records: Iterable[SeedRecord]) -> str:
+    """SHA-256 over the records' bytes, in order."""
+    digest = hashlib.sha256()
+    for record in records:
+        digest.update(record.data)
+    return digest.hexdigest()
+
+
 def bounded_digest(seeds: Iterable[int], mode: str, K: float, k: int) -> str:
     """SHA-256 over the seeds of each bounded report and returned raster."""
-    digest = hashlib.sha256()
-    for seed in seeds:
-        try:
-            d, report = bounded_surgery(blob_union(H, seed=seed), K=K, k=k, mode=mode)
-        except Exception as exc:  # a raised error is part of the record
-            digest.update(repr(exc).encode())
-            continue
-        digest.update(json.dumps(report.to_dict(), sort_keys=True).encode())
-        digest.update(repr((d.h, d.origin, d.shape)).encode())
-        digest.update(np.packbits(d.occupancy).tobytes())
-    return digest.hexdigest()
+    return fold(bounded_record(seed, mode, K, k) for seed in seeds)
 
 
 def main() -> None:
     for name, corpus, config in SUITES:
         print(f"{suite_digest(corpus(H), config)}  run_suite {name}(1/64)"
-              f" K={config.K:g} k={config.k} {config.mode}")
+              f" K={config.K:g} k={config.k} {config.mode}", flush=True)
     for seeds, mode, K, k in BOUNDED:
-        print(f"{bounded_digest(seeds, mode, K, k)}  bounded_surgery blob_union(1/64)"
-              f" seeds {seeds.start}-{seeds.stop - 1} K={K:g} k={k} {mode}")
+        label = f"K={K:g} k={k} {mode}"
+        records = []
+        for seed in seeds:
+            records.append(bounded_record(seed, mode, K, k))
+            print(f"{label} {records[-1].line()}", file=sys.stderr, flush=True)
+        print(f"{fold(records)}  bounded_surgery blob_union(1/64)"
+              f" seeds {seeds.start}-{seeds.stop - 1} {label}", flush=True)
 
 
 if __name__ == "__main__":
