@@ -36,7 +36,25 @@ def _too_coarse(generator: str, h: float) -> EmptyDomainError:
     )
 
 
+def _length(name: str, value: Any) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is positive and finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        0 < value < math.inf
+    ):
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+
+
+def _count(name: str, value: Any, least: int) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or (
+        value < least
+    ):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _normalize(d: GridDomain, normalize: bool, generator: str) -> GridDomain:
+    if not isinstance(normalize, bool):  # the string "False" would be true
+        raise ValueError(f"normalize must be true or false, got {normalize!r}")
     if d.cell_count == 0:
         raise _too_coarse(generator, d.h)
     if not normalize:
@@ -56,6 +74,7 @@ def _centered_grid(h: float, half_extent_x: float, half_extent_y: float):
 def ball(h: float, radius: float | None = None, normalize: bool = True) -> GridDomain:
     """Disk centered on a lattice corner; default radius gives unit area."""
     r = radius if radius is not None else 1.0 / math.sqrt(math.pi)
+    _length("radius", r)
     X, Y, origin = _centered_grid(h, r, r)
     d = from_mask(X**2 + Y**2 < r**2, h, origin)
     return _normalize(d, normalize, "ball")
@@ -72,6 +91,7 @@ def square(
     ``i*h``), the classical second-order raster for Dirichlet eigenvalue
     computations on the open square.
     """
+    _length("side", side)
     if aligned == "cell":
         n = round(side / h)
         if n < 1:
@@ -99,8 +119,9 @@ def dumbbell(
     ``neck_cells`` is the neck thickness in lattice cells (even, at least 2
     so the neck is resolvable and face-connected).
     """
-    if neck_cells < 2:
-        raise ValueError("neck thinner than 2 cells is not resolvable")
+    _length("bulb_radius", bulb_radius)
+    _length("neck_length", neck_length)
+    _count("neck_cells", neck_cells, 2)  # thinner is not resolvable
     if neck_cells % 2:
         raise ValueError("neck_cells must be even (symmetric band of rows)")
     half_span = bulb_radius + neck_length / 2 + bulb_radius  # bulb center + radius
@@ -117,8 +138,8 @@ def tube(
     h: float, length: float = 4.0, width_cells: int = 8, normalize: bool = True
 ) -> GridDomain:
     """Long thin axis-aligned rectangle (a high-eigenvalue stressor)."""
-    if width_cells < 2:
-        raise ValueError("tube thinner than 2 cells is not resolvable")
+    _length("length", length)
+    _count("width_cells", width_cells, 2)  # thinner is not resolvable
     nx = round(length / h)
     if nx < 1:
         raise _too_coarse("tube", h)
@@ -130,6 +151,8 @@ def blob_union(
     h: float, seed: int = 0, n_blobs: int = 4, normalize: bool = True
 ) -> GridDomain:
     """Union of seeded random disks (possibly disconnected)."""
+    _count("seed", seed, 0)
+    _count("n_blobs", n_blobs, 1)
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-0.35, 0.35, size=(n_blobs, 2))
     radii = rng.uniform(0.10, 0.28, size=n_blobs)
@@ -151,6 +174,10 @@ def perforated(
     normalize: bool = True,
 ) -> GridDomain:
     """Square with random circular holes: a high-perimeter stressor."""
+    _count("seed", seed, 0)
+    _count("holes", holes, 0)
+    _length("hole_radius", hole_radius)
+    _length("side", side)
     n = round(side / h)
     mask = np.ones((n, n), dtype=bool)
     rng = np.random.default_rng(seed)

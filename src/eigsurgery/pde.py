@@ -157,43 +157,63 @@ class Spectrum:
         )
 
 
-def _stencil(
-    d: GridDomain,
-) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """Occupied cells, the cell index map and the face-neighbour pairs.
+@dataclass(frozen=True, eq=False)
+class _Stencil:
+    """One raster's Dirichlet Laplacian: its occupied cells and face pairs.
 
-    Returns ``(cells, index, pairs)``: ``cells`` holds the flat window
-    position of each occupied cell in row-major order, ``index`` the row
-    number of each window cell (-1 if empty), and ``pairs`` one ``(j, i)``
-    pair of row arrays per axis: cell ``i`` is cell ``j``'s occupied
-    neighbour one step along +axis, so ``i > j``.  The empty margin keeps
-    every neighbour inside the window.
+    Built by :func:`_stencil`.  Every form of the Laplacian - the CSR
+    matrix, the lower band, the sparse LDL^T and the band inertia count -
+    is assembled from it, so all of them number the cells alike.
+    ``cells`` holds the flat window position of each occupied cell in
+    row-major order, and ``pairs`` one ``(j, i)`` pair of row arrays per
+    axis: cell ``i`` is cell ``j``'s occupied neighbour one step along
+    +axis, so ``i > j``.  ``b`` is the bandwidth, the largest row distance
+    of a face pair.
     """
+
+    occupancy: np.ndarray
+    h: float
+    cells: np.ndarray
+    pairs: list[tuple[np.ndarray, np.ndarray]]
+    b: int
+
+    @property
+    def n(self) -> int:
+        """The number of occupied cells, the matrix's order."""
+        return self.cells.size
+
+    def diagonal(self, shift: float) -> float:
+        """The diagonal entry of ``A - shift I``."""
+        return 2.0 * self.occupancy.ndim / (self.h * self.h) - shift
+
+    def check(self, d: GridDomain) -> None:
+        """Raise ``ValueError`` unless the stencil was built for ``d``'s raster."""
+        if d.h != self.h or not np.array_equal(d.occupancy, self.occupancy):
+            raise ValueError("the band factor was built for a different raster")
+
+
+def _stencil(d: GridDomain) -> _Stencil:
+    """The :class:`_Stencil` of ``d``; its empty margin keeps every neighbour inside."""
     occ = d.occupancy
     cells = np.flatnonzero(occ)
-    n = cells.size
-    if n == 0:
+    if cells.size == 0:
         raise EmptyDomainError("cannot assemble a Laplacian on an empty domain")
     index = np.full(occ.size, -1, dtype=np.int64)
-    index[cells] = np.arange(n)
+    index[cells] = np.arange(cells.size)
     pairs = []
     for axis in range(occ.ndim):
         up = index[cells + int(np.prod(occ.shape[axis + 1 :]))]
         j = np.flatnonzero(up >= 0)
         pairs.append((j, up[j]))
-    return cells, index, pairs
+    b = max((int((i - j).max()) for j, i in pairs if j.size), default=0)
+    return _Stencil(occupancy=occ, h=d.h, cells=cells, pairs=pairs, b=b)
 
 
 def _shifted_laplacian(
-    d: GridDomain,
-    n: int,
-    pairs: list[tuple[np.ndarray, np.ndarray]],
-    sigma: float = 0.0,
-    perm: np.ndarray | None = None,
+    st: _Stencil, sigma: float = 0.0, perm: np.ndarray | None = None
 ) -> sparse.csr_matrix:
     """``A - sigma I`` in CSR form, assembled straight from the stencil.
 
-    ``n`` and ``pairs`` are :func:`_stencil`'s cell count and face pairs.
     With ``perm`` the rows and columns are permuted: cell ``c`` becomes row
     and column ``perm[c]``.  Each row's columns come out sorted.  The
     matrix is symmetric, so its transpose is its CSC form.
@@ -201,10 +221,11 @@ def _shifted_laplacian(
     # Row i's columns: its -axis neighbours (outermost axis first), i, its
     # +axis neighbours (innermost first), -1 if empty.  Row-major numbering
     # keeps that order, so each row's columns come out sorted.
-    cols = np.full((n, 2 * d.N + 1), -1, dtype=np.int64)
-    cols[:, d.N] = np.arange(n)
-    for axis, (j, i) in enumerate(pairs):
-        cols[j, 2 * d.N - axis] = i
+    n, N = st.n, st.occupancy.ndim
+    cols = np.full((n, 2 * N + 1), -1, dtype=np.int64)
+    cols[:, N] = np.arange(n)
+    for axis, (j, i) in enumerate(st.pairs):
+        cols[j, 2 * N - axis] = i
         cols[i, axis] = j
     if perm is not None:
         permuted = np.empty_like(cols)
@@ -214,8 +235,8 @@ def _shifted_laplacian(
     keep = cols >= 0
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(keep.sum(axis=1), out=indptr[1:])
-    h2 = d.h * d.h
-    vals = np.where(cols == np.arange(n)[:, None], 2.0 * d.N / h2 - sigma, -1.0 / h2)
+    off = -1.0 / (st.h * st.h)
+    vals = np.where(cols == np.arange(n)[:, None], st.diagonal(sigma), off)
     return sparse.csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
 
 
@@ -318,8 +339,10 @@ def build_laplacian(d: GridDomain) -> tuple[sparse.csr_matrix, np.ndarray]:
     Returns ``(A, index)`` where ``index`` holds the row number of each
     occupied cell and -1 elsewhere.
     """
-    cells, index, pairs = _stencil(d)
-    return _shifted_laplacian(d, cells.size, pairs), index.reshape(d.shape)
+    st = _stencil(d)
+    index = np.full(d.shape, -1, dtype=np.int64)
+    index.flat[st.cells] = np.arange(st.n)
+    return _shifted_laplacian(st), index
 
 
 @dataclass(eq=False)
@@ -336,20 +359,12 @@ class BandFactor:
     once on a narrow raster, whose eigensolve factors its own band at a
     shift just below lambda_1, and on a raster above its band-size bound,
     whose eigensolve runs on a sparse LDL^T.  A released factor can no
-    longer solve.  ``cells`` and ``pairs`` are the raster's :func:`_stencil`.
+    longer solve; its ``stencil`` still checks rasters and residuals.
     """
 
-    occupancy: np.ndarray
-    h: float
-    cells: np.ndarray
-    pairs: list[tuple[np.ndarray, np.ndarray]]
+    stencil: _Stencil
     band: np.ndarray | None  # LAPACK lower band storage of the Cholesky factor
     shift: float = 0.0  # the factor is of A - shift I
-
-    def check(self, d: GridDomain) -> None:
-        """Raise ``ValueError`` unless the factor was built for ``d``'s raster."""
-        if d.h != self.h or not np.array_equal(d.occupancy, self.occupancy):
-            raise ValueError("the band factor was built for a different raster")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """``(A - shift I)^-1 b`` by two triangular band solves."""
@@ -359,10 +374,10 @@ class BandFactor:
 
     def residual(self, x: np.ndarray, b: np.ndarray | float) -> np.ndarray:
         """``(A - shift I) x - b`` from the stencil, axis by axis; needs no band."""
-        h2 = self.h * self.h
-        off = -1.0 / h2
-        r = (2.0 * self.occupancy.ndim / h2 - self.shift) * x - b
-        for j, i in self.pairs:
+        st = self.stencil
+        off = -1.0 / (st.h * st.h)
+        r = st.diagonal(self.shift) * x - b
+        for j, i in st.pairs:
             r[j] += off * x[i]
             r[i] += off * x[j]
         return r
@@ -372,24 +387,16 @@ class BandFactor:
         self.band = None
 
 
-def _bandwidth(pairs: list[tuple[np.ndarray, np.ndarray]]) -> int:
-    """The Laplacian's bandwidth: the largest row distance of a face pair."""
-    return max((int((i - j).max()) for j, i in pairs if j.size), default=0)
-
-
-def _lower_band(
-    d: GridDomain, n: int, pairs: list[tuple[np.ndarray, np.ndarray]], shift: float
-) -> np.ndarray:
+def _lower_band(st: _Stencil, shift: float) -> np.ndarray:
     """The lower band of ``A - shift I`` in LAPACK storage, from the stencil.
 
-    ``n`` and ``pairs`` are :func:`_stencil`'s.  ``ab[i - j, j]`` holds
-    ``A[i, j] - shift [i = j]`` for ``i >= j``, in an F-ordered
-    ``(b + 1, n)`` array, ``b`` being :func:`_bandwidth`.
+    ``ab[i - j, j]`` holds ``A[i, j] - shift [i = j]`` for ``i >= j``, in an
+    F-ordered ``(b + 1, n)`` array, ``b`` being the stencil's bandwidth.
     """
-    ab = np.zeros((_bandwidth(pairs) + 1, n), order="F")
-    ab[0] = 2.0 * d.N / (d.h * d.h) - shift
-    for j, i in pairs:
-        ab[i - j, j] = -1.0 / (d.h * d.h)
+    ab = np.zeros((st.b + 1, st.n), order="F")
+    ab[0] = st.diagonal(shift)
+    for j, i in st.pairs:
+        ab[i - j, j] = -1.0 / (st.h * st.h)
     return ab
 
 
@@ -406,15 +413,8 @@ def factor_laplacian(d: GridDomain, shift: float = 0.0) -> BandFactor:
     ``(b + 1) n`` memory, so 3-D rasters pay far more than 2-D ones.
     Raises ``LinAlgError`` if ``shift`` is not below lambda_1.
     """
-    cells, _, pairs = _stencil(d)
-    return BandFactor(
-        occupancy=d.occupancy,
-        h=d.h,
-        cells=cells,
-        pairs=pairs,
-        band=_band_cholesky(_lower_band(d, cells.size, pairs, shift)),
-        shift=shift,
-    )
+    st = _stencil(d)
+    return BandFactor(st, _band_cholesky(_lower_band(st, shift)), shift)
 
 
 def solve_torsion(d: GridDomain, factor: BandFactor | None = None) -> TorsionField:
@@ -428,12 +428,12 @@ def solve_torsion(d: GridDomain, factor: BandFactor | None = None) -> TorsionFie
     if factor is None:
         factor = factor_laplacian(d)
     else:
-        factor.check(d)
+        factor.stencil.check(d)
         if factor.shift != 0.0:
             raise ValueError(
                 f"the torsion solve needs a factor of A, not of A - {factor.shift!r} I"
             )
-    n = factor.cells.size
+    n = factor.stencil.n
     w = factor.solve(np.ones(n))
     residual = float(np.linalg.norm(factor.residual(w, 1.0)) / math.sqrt(n))
     if residual > DEFAULT_CG_TOL:
@@ -441,7 +441,7 @@ def solve_torsion(d: GridDomain, factor: BandFactor | None = None) -> TorsionFie
             f"torsion solve residual {residual:.3e} above {DEFAULT_CG_TOL:g}"
         )
     values = np.zeros(d.shape)
-    values.flat[factor.cells] = w
+    values.flat[factor.stencil.cells] = w
     return TorsionField(domain=d, values=values, residual=residual)
 
 
@@ -467,31 +467,26 @@ def torsion_energy(f: TorsionField) -> float:
 
 
 def _ldlt(
-    d: GridDomain,
-    n: int,
-    pairs: list[tuple[np.ndarray, np.ndarray]],
-    sigma: float,
-    perm: np.ndarray | None = None,
+    st: _Stencil, sigma: float, perm: np.ndarray | None = None
 ) -> tuple[sparse_linalg.SuperLU, np.ndarray]:
     """Sparse LDL^T of ``A - sigma I``, as a symmetric-mode LU, and its order.
 
-    ``n`` and ``pairs`` are :func:`_stencil`'s.  Without ``perm`` the
-    matrix is assembled in row-major order and ordered by minimum degree on
-    ``A + A^T``; the returned ``perm`` is that ordering (a copy of
-    ``perm_c``: cell ``c`` is pivot ``perm[c]``).  With ``perm`` the matrix
-    is assembled in that order and factored as it stands (``NATURAL``).
-    Minimum degree reads only the sparsity pattern, which every shift
-    shares, so this is the factor it would give again, without the ordering
-    pass.  Diagonal pivots only, so the row and column permutations agree
-    and the diagonal of ``U`` is ``D``.  Single-column panels without
-    supernode relaxation (``relax=1``, ``panel_size=1``) factor the
-    five-point stencil's thin supernodes about a quarter faster than
-    SuperLU's defaults, with the same pivot signs on 192 factorizations
-    checked against them.  Other settings are untested: 32/32 and 64/32
-    aborted at process exit with a double free.  Raises ``RuntimeError`` if
-    SuperLU permuted rows and columns apart.
+    Without ``perm`` the matrix is assembled in row-major order and ordered by
+    minimum degree on ``A + A^T``; the returned ``perm`` is that ordering (a
+    copy of ``perm_c``: cell ``c`` is pivot ``perm[c]``).  With ``perm`` the
+    matrix is assembled in that order and factored as it stands (``NATURAL``).
+    Minimum degree reads only the sparsity pattern, which every shift shares,
+    so this is the factor it would give again, without the ordering pass.
+    Diagonal pivots only, so the row and column permutations agree and the
+    diagonal of ``U`` is ``D``.  Single-column panels without supernode
+    relaxation (``relax=1``, ``panel_size=1``) factor the five-point stencil's
+    thin supernodes about a quarter faster than SuperLU's defaults, with the
+    same pivot signs on 192 factorizations checked against them.  Other
+    settings are untested: 32/32 and 64/32 aborted at process exit with a
+    double free.  Raises ``RuntimeError`` if SuperLU permuted rows and columns
+    apart.
     """
-    M = _shifted_laplacian(d, n, pairs, sigma, perm)
+    M = _shifted_laplacian(st, sigma, perm)
     lu = sparse_linalg.splu(
         M.T,  # the CSC form of a symmetric CSR matrix, without a copy
         permc_spec="MMD_AT_PLUS_A" if perm is None else "NATURAL",
@@ -515,33 +510,30 @@ def _negative_pivots(lu: sparse_linalg.SuperLU) -> int:
     return int(np.count_nonzero(lu.U.diagonal() < 0))
 
 
-def _band_inertia(
-    d: GridDomain, n: int, pairs: list[tuple[np.ndarray, np.ndarray]], sigma: float
-) -> int:
+def _band_inertia(st: _Stencil, sigma: float) -> int:
     """Eigenvalues of ``A`` below ``sigma``: the negative pivots of a band LDL^T.
 
-    ``n`` and ``pairs`` are :func:`_stencil`'s.  ``A - sigma I`` is factored
-    in row-major order, without pivoting, as ``L D L^T``; by Sylvester's law
-    of inertia ``D`` has as many negative entries as ``A`` has eigenvalues
-    below ``sigma``.  The positive pivots go through LAPACK ``dpbtf2``,
-    without the GIL, which stops at the first non-positive one.  Reference
-    ``dpbtf2`` is right-looking: each column's ``DSYR`` updates the trailing
-    band window before the next pivot is read, so when it stops at column
-    ``j``, ``ab[0, j]`` is the pivot ``d`` and columns ``j`` onwards hold the
-    Schur complement ``S`` of the columns before ``j``.  A negative ``d`` is
-    counted, ``S`` loses column ``j`` by the rank-1 update ``S -= a a^T / d``
-    (``a = ab[1:, j]``, which touches only the next ``b`` columns), and
-    ``dpbtf2`` resumes on the columns after ``j``: the same elimination,
-    one pivot at a time.  The blocked ``dpbtrf`` would not do here: above
-    ``kd = 64`` it stops mid-panel, with the trailing columns not yet
-    updated.  The band costs ``(b + 1) n`` doubles and about ``n b^2``
-    flops; each negative pivot adds an update of ``b^2 / 2`` entries.
-    Tests check the counts against dense spectra in 2-D and 3-D.  Raises
+    ``A - sigma I`` is factored in row-major order, without pivoting, as
+    ``L D L^T``; by Sylvester's law of inertia ``D`` has as many negative
+    entries as ``A`` has eigenvalues below ``sigma``.  The positive pivots go
+    through LAPACK ``dpbtf2``, without the GIL, which stops at the first
+    non-positive one.  Reference ``dpbtf2`` is right-looking: each column's
+    ``DSYR`` updates the trailing band window before the next pivot is read, so
+    when it stops at column ``j``, ``ab[0, j]`` is the pivot ``d`` and columns
+    ``j`` onwards hold the Schur complement ``S`` of the columns before ``j``.
+    A negative ``d`` is counted, ``S`` loses column ``j`` by the rank-1 update
+    ``S -= a a^T / d`` (``a = ab[1:, j]``, which touches only the next ``b``
+    columns), and ``dpbtf2`` resumes on the columns after ``j``: the same
+    elimination, one pivot at a time.  The blocked ``dpbtrf`` would not do
+    here: above ``kd = 64`` it stops mid-panel, with the trailing columns not
+    yet updated.  The band costs ``(b + 1) n`` doubles and about ``n b^2``
+    flops; each negative pivot adds an update of ``b^2 / 2`` entries.  Tests
+    check the counts against dense spectra in 2-D and 3-D.  Raises
     ``RuntimeError`` on an exactly zero or a non-finite pivot, where the
     unpivoted factor has no answer (a singular leading minor).
     """
-    ab = _lower_band(d, n, pairs, sigma)
-    kd = ab.shape[0] - 1
+    ab = _lower_band(st, sigma)
+    n, kd = st.n, st.b
     negative, start = 0, 0
     while start < n:
         window = ab[:, start:]
@@ -681,16 +673,13 @@ def eigenvalues(
     reproducible for a fixed seed.
     """
     if factor is not None:
-        factor.check(d)
-        n, pairs = factor.cells.size, factor.pairs
-    else:
-        cells, _, pairs = _stencil(d)
-        n = cells.size
+        factor.stencil.check(d)
+    st = _stencil(d) if factor is None else factor.stencil
+    n = st.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= occupied cells, got k={k}, cells={n}")
-    b = _bandwidth(pairs)
-    on_band = (b + 1) * n <= _BAND_ENTRIES
-    if factor is not None and (b <= _NARROW_BAND or not on_band):
+    on_band = (st.b + 1) * n <= _BAND_ENTRIES
+    if factor is not None and (st.b <= _NARROW_BAND or not on_band):
         factor.release()  # Lanczos factors its own inverse about sigma0
         factor = None
     v0 = np.random.default_rng(seed).standard_normal(n)
@@ -699,15 +688,15 @@ def eigenvalues(
 
     def inertia(sigma: float) -> int:
         if on_band:
-            return _band_inertia(d, n, pairs, sigma)
-        lu, _ = _ldlt(d, n, pairs, sigma, perm)
+            return _band_inertia(st, sigma)
+        lu, _ = _ldlt(st, sigma, perm)
         return _negative_pivots(lu)
 
     wanted = k
     for _ in range(_CERTIFY_ROUNDS):
         lanczos = n > _DENSE_CUTOFF and wanted < n - 1
         if not lanczos:  # the full spectrum
-            vals = scipy.linalg.eigvalsh(_shifted_laplacian(d, n, pairs).toarray())
+            vals = scipy.linalg.eigvalsh(_shifted_laplacian(st).toarray())
         elif on_band:
             if factor is None:
                 sigma0 = _FLOOR_FRACTION * _lambda1_floor(d)
@@ -724,7 +713,7 @@ def eigenvalues(
             sigma0 = _FLOOR_FRACTION * _lambda1_floor(d)
             # a factor in a reused order runs Lanczos in that order
             start = v0 if perm is None else v0[np.argsort(perm)]
-            lu, perm = _ldlt(d, n, pairs, sigma0, perm)
+            lu, perm = _ldlt(st, sigma0, perm)
             vals = _lanczos(lu.solve, sigma0, n, wanted, start)
             del lu  # before the certificate's factorization
         if factor is not None:

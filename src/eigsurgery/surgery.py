@@ -892,6 +892,15 @@ def _cut_stage(
     return d_clean, plan, ledger, checks, flags
 
 
+def _above_K(name: str, i: int, K: float, before: float, after: float) -> IneqReport:
+    """The vacuous report of eigenvalue ``i``, which starts above ``K``."""
+    return IneqReport.precondition_unmet(
+        name,
+        {"index": i, "K": K, "before": before, "after": after},
+        f"eigenvalue {i} starts above K: outside the guarantee",
+    )
+
+
 def _check_stage(
     plan: SurgeryPlan, ledger: dict[str, Any], constants: SurgeryConstants,
     K: float, before: dict[str, Any], after: dict[str, Any],
@@ -961,13 +970,7 @@ def _check_stage(
                 )
             )
         else:
-            checks.append(
-                IneqReport.precondition_unmet(
-                    name,
-                    {"index": i, "K": K, "before": lam_before, "after": lam_after},
-                    f"eigenvalue {i} starts above K: outside the guarantee",
-                )
-            )
+            checks.append(_above_K(name, i, K, lam_before, lam_after))
     checks.append(
         IneqReport.compare(
             "diam_e1_bound",
@@ -1142,11 +1145,12 @@ def _removal_bounds(
     is shrunk by ``4 n`` ulps.
     """
     d = f.domain
-    n = factor.cells.size
+    cells = factor.stencil.cells
+    n = cells.size
     eps = float(np.finfo(float).eps)
     noise = (2 * d.N + 2) * eps
     a_norm = 4 * d.N / (d.h * d.h)
-    w = f.values.ravel()[factor.cells]
+    w = f.values.ravel()[cells]
     r_w = math.sqrt(n) * (f.residual + noise) + noise * a_norm * float(np.linalg.norm(w))
 
     def bound(u: np.ndarray, g: np.ndarray) -> float:
@@ -1160,7 +1164,7 @@ def _removal_bounds(
         ugu = float(u @ g) + norm_u * r_g / floor
         return 0.5 * d.h**d.N * uw * uw / ugu * (1 - 4 * n * eps)
 
-    kept = cand.occupancy.ravel()[factor.cells]
+    kept = cand.occupancy.ravel()[cells]
     u1 = np.where(kept, 0.0, w)
     g1 = factor.solve(u1)
     rise = bound(u1, g1)
@@ -1225,7 +1229,7 @@ def subsolution_truncate(
     """
     if c < 0:
         raise ValueError("penalty constant c must be nonnegative")
-    factor.check(f.domain)
+    factor.stencil.check(f.domain)
     value = torsion_energy(f) + c * measure(f.domain)
     floor = _lambda1_floor(f.domain)
     settled: set[tuple[tuple[int, ...], bytes]] = set()
@@ -1342,11 +1346,7 @@ def verify_choicec(
             )
         else:
             reports.append(
-                IneqReport.precondition_unmet(
-                    f"rescaled_eigenvalue_{i}",
-                    ctx,
-                    f"eigenvalue {i} starts above K: outside the guarantee",
-                )
+                _above_K(f"rescaled_eigenvalue_{i}", i, K, s_before[i], s_after[i])
             )
         upper = chain * table[i] * s_before[i]
         lower_margin = s_after[i] - s_before[i]

@@ -360,6 +360,32 @@ class TestCli:
         assert main([*argv, "--h", "1/16"]) == 2
         assert [r.getMessage() for r in caplog.records] == [message]
 
+    @pytest.mark.parametrize(
+        "generator, key, text",
+        [
+            ("ball", "radius", "-1"),
+            ("ball", "radius", "nan"),
+            ("ball", "radius", "NaN"),
+            ("dumbbell", "bulb_radius", "-0.4"),
+            ("dumbbell", "neck_length", "-3"),
+            ("tube", "width_cells", "2.5"),
+            ("blob_union", "n_blobs", "0"),
+            ("perforated", "holes", "-3"),
+            ("perforated", "hole_radius", '"wide"'),
+            ("square", "normalize", "False"),
+        ],
+    )
+    def test_bad_generator_parameter_is_named(
+        self, tmp_path, caplog, generator, key, text
+    ):
+        params = cli._parse_params([f"{key}={text}"])
+        spec = CorpusSpec(generator, generator, 1 / 32, params=params)
+        with pytest.raises(ValueError, match=rf"^{key} must be ") as exc:
+            generate(spec)
+        argv = ["gen", "--spec", generator, "--param", f"{key}={text}", "--h", "1/32"]
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert [r.getMessage() for r in caplog.records] == [str(exc.value)]
+
     def test_study_without_a_spacing_exits_2(self, caplog):
         assert main(["study", "--spec", "square", "--h-list", ","]) == 2
         assert [r.getMessage() for r in caplog.records] == [
@@ -510,7 +536,7 @@ class TestCli:
         with caplog.at_level(logging.DEBUG, logger="eigsurgery.cli"):
             assert main(["torsion", "--spec", "ball", "--param", "radius=abc",
                          "--h", "1/16"]) == 2
-        assert caplog.records[-1].exc_info[0] is TypeError
+        assert caplog.records[-1].exc_info[0] is ValueError  # radius is not a number
 
     def test_unknown_generator_exits_2(self, capsys):
         assert main(["gen", "--spec", "pentagon", "--h", "1/64"]) == 2

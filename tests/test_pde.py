@@ -337,10 +337,10 @@ def test_csr_assembly_matches_coo(spec):
 @pytest.mark.parametrize("spec", BOTH_CORPORA_64, ids=lambda spec: spec.name)
 def test_shifted_assembly_matches_the_permuted_matrix(spec):
     d = generate(spec)
-    cells, _, pairs = pde._stencil(d)
-    n = cells.size
+    stencil = pde._stencil(d)
+    n = stencil.n
     perm = np.random.default_rng(n).permutation(n)
-    M = pde._shifted_laplacian(d, n, pairs, 7.5, perm)
+    M = pde._shifted_laplacian(stencil, 7.5, perm)
     order = np.argsort(perm)  # order[r] is the cell in row r
     ref = (coo_laplacian(d) - 7.5 * sparse.identity(n, format="csr"))[order][:, order]
     ref.sort_indices()
@@ -389,6 +389,40 @@ def lower_band(d: GridDomain, sigma: float = 0.0) -> np.ndarray:
     return ab
 
 
+@pytest.mark.parametrize("sigma", [0.0, 7.5])
+@pytest.mark.parametrize(
+    "spec",
+    [*BOTH_CORPORA_64, None],
+    ids=lambda spec: "ball-3d" if spec is None else spec.name,
+)
+def test_every_stencil_form_matches_coo(spec, sigma):
+    # the CSR matrix, the lower band and the residual, each against the
+    # pair-by-pair reference, none read off another
+    d = ball_3d() if spec is None else generate(spec)
+    stencil = pde._stencil(d)
+    ref = coo_laplacian(d) - sigma * sparse.identity(stencil.n, format="csr")
+    ref.sort_indices()
+    M = pde._shifted_laplacian(stencil, sigma)
+    assert np.array_equal(M.indptr, ref.indptr)
+    assert np.array_equal(M.indices, ref.indices)
+    assert np.array_equal(M.data, ref.data)
+
+    ab = pde._lower_band(stencil, sigma)
+    low = sparse.tril(ref).tocoo()
+    assert ab.shape == (int((low.row - low.col).max()) + 1, stencil.n)
+    dense = np.zeros_like(ab)  # the band of the reference's lower triangle
+    dense[low.row - low.col, low.col] = low.data
+    assert np.array_equal(ab, dense)
+
+    rng = np.random.default_rng(stencil.n)
+    x, b = rng.standard_normal(stencil.n), rng.standard_normal(stencil.n)
+    got = pde.BandFactor(stencil=stencil, band=None, shift=sigma).residual(x, b)
+    # each side rounds by at most 2N + 2 ulps of |A - sigma I| |x| + |b|
+    scale = abs(ref) @ np.abs(x) + np.abs(b)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got - (ref @ x - b)) <= 2 * (2 * d.N + 2) * eps * scale)
+
+
 @pytest.mark.parametrize(
     "spec",
     [*BOTH_CORPORA_64, None],
@@ -420,7 +454,7 @@ def test_bad_band_arguments_raise_before_lapack(monkeypatch):
         raise AssertionError("LAPACK ran on unchecked arguments")
 
     factor = factor_laplacian(ball(1 / 16))
-    n = factor.cells.size
+    n = factor.stencil.n
     monkeypatch.setattr(pde, "_DPBTRF", never)
     monkeypatch.setattr(pde, "_DPBTRS", never)
     for b in (np.ones(n - 1), np.ones(n + 1), np.ones((n, 1)), np.ones((1, n))):
@@ -486,9 +520,9 @@ def recording_ldlt(monkeypatch) -> list[float]:
     shifts: list[float] = []
     ldlt = pde._ldlt
 
-    def run(d, n, pairs, sigma, perm=None):
+    def run(stencil, sigma, perm=None):
         shifts.append(sigma)
-        return ldlt(d, n, pairs, sigma, perm)
+        return ldlt(stencil, sigma, perm)
 
     monkeypatch.setattr(pde, "_ldlt", run)
     return shifts
@@ -499,9 +533,9 @@ def recording_inertia(monkeypatch) -> list[float]:
     shifts: list[float] = []
     inertia = pde._band_inertia
 
-    def run(d, n, pairs, sigma):
+    def run(stencil, sigma):
         shifts.append(sigma)
-        return inertia(d, n, pairs, sigma)
+        return inertia(stencil, sigma)
 
     monkeypatch.setattr(pde, "_band_inertia", run)
     return shifts
@@ -635,8 +669,8 @@ class TestCertificate:
 
     def test_sparse_side_releases_the_band_and_orders_once(self, monkeypatch):
         d = ball(1 / 32)
-        cells, _, pairs = pde._stencil(d)
-        entries = (pde._bandwidth(pairs) + 1) * cells.size
+        stencil = pde._stencil(d)
+        entries = (stencil.b + 1) * stencil.n
         monkeypatch.setattr(pde, "_BAND_ENTRIES", entries - 1)  # just above the bound
         calls: list[int] = []
         monkeypatch.setattr(pde.sparse_linalg, "eigsh", dropping_eigsh(calls, 1))
@@ -686,11 +720,11 @@ class TestCertificate:
         shifts = recording_inertia(monkeypatch)
         record = pde._band_inertia
 
-        def singular_first(d, n, pairs, sigma):
+        def singular_first(stencil, sigma):
             if len(shifts) == 0:
                 shifts.append(sigma)
                 raise RuntimeError("band LDL^T pivot 0.0")
-            return record(d, n, pairs, sigma)
+            return record(stencil, sigma)
 
         monkeypatch.setattr(pde, "_band_inertia", singular_first)
         s = eigenvalues(d, factor_laplacian(d), k=4)
@@ -701,7 +735,7 @@ class TestCertificate:
         assert s.inertia_count == want.inertia_count == 3
 
     def test_certificate_shift_moves_only_once(self, monkeypatch):
-        def singular(d, n, pairs, sigma):
+        def singular(stencil, sigma):
             raise RuntimeError("band LDL^T pivot 0.0")
 
         monkeypatch.setattr(pde, "_band_inertia", singular)
@@ -710,9 +744,9 @@ class TestCertificate:
             eigenvalues(d, factor_laplacian(d), k=4)
 
     def test_sparse_certificate_shift_moves_only_once(self, monkeypatch):
-        def singular(d, n, pairs, sigma, perm=None):
+        def singular(stencil, sigma, perm=None):
             if perm is None:  # the sigma0 factor
-                return ldlt(d, n, pairs, sigma)
+                return ldlt(stencil, sigma)
             raise RuntimeError("symmetric-mode LU pivoted off the diagonal")
 
         ldlt = pde._ldlt
@@ -728,9 +762,9 @@ class TestCertificate:
         inertia = pde._band_inertia
         shifts = []
 
-        def at_the_diagonal(d, n, pairs, sigma):
+        def at_the_diagonal(stencil, sigma):
             shifts.append(sigma)
-            return inertia(d, n, pairs, 2.0 * d.N / (d.h * d.h))
+            return inertia(stencil, stencil.diagonal(0.0))
 
         monkeypatch.setattr(pde, "_band_inertia", at_the_diagonal)
         with pytest.raises(RuntimeError, match="pivot 0.0 at row 0"):
@@ -779,17 +813,17 @@ class TestSharedOrdering:
     )
     def test_counts_like_a_fresh_ordering(self, spec):
         d = generate(spec)
-        cells, _, pairs = pde._stencil(d)
+        stencil = pde._stencil(d)
         s = eigenvalues(d, k=5)
         sigma0 = pde._FLOOR_FRACTION * pde._lambda1_floor(d)
-        _, perm = pde._ldlt(d, cells.size, pairs, sigma0)
-        shared, _ = pde._ldlt(d, cells.size, pairs, s.shift, perm)
-        fresh, fresh_perm = pde._ldlt(d, cells.size, pairs, s.shift)
+        _, perm = pde._ldlt(stencil, sigma0)
+        shared, _ = pde._ldlt(stencil, s.shift, perm)
+        fresh, fresh_perm = pde._ldlt(stencil, s.shift)
         assert np.array_equal(fresh_perm, perm)  # the order reads only the pattern
         assert shared.nnz == fresh.nnz
         assert pde._negative_pivots(shared) == pde._negative_pivots(fresh)
         assert pde._negative_pivots(shared) == s.inertia_count
-        assert pde._band_inertia(d, cells.size, pairs, s.shift) == s.inertia_count
+        assert pde._band_inertia(stencil, s.shift) == s.inertia_count
 
     @given(
         mask=st.tuples(st.integers(1, 20), st.integers(1, 20)).flatmap(
@@ -802,8 +836,8 @@ class TestSharedOrdering:
         if not mask.any():
             return
         d = from_mask(mask, 1 / 16)
-        cells, _, pairs = pde._stencil(d)
-        n = cells.size
+        stencil = pde._stencil(d)
+        n = stencil.n
         vals = dense_eigenvalues(d, n)
         # a shift between the j-th and (j+1)-th eigenvalue, or past either end
         j = min(int(t * (n + 1)), n)
@@ -811,23 +845,21 @@ class TestSharedOrdering:
         hi = vals[j] if j < n else 2 * vals[-1]
         if hi - lo < 1e-9 * vals[-1]:
             return  # copies of one eigenvalue
-        _, perm = pde._ldlt(d, n, pairs, pde._FLOOR_FRACTION * pde._lambda1_floor(d))
+        _, perm = pde._ldlt(stencil, pde._FLOOR_FRACTION * pde._lambda1_floor(d))
         # Off the midpoint: the grid graph is bipartite, so the spectrum is
         # symmetric about the diagonal entry 2N/h^2, and the middle gap's
         # midpoint is that entry, where every first pivot is zero (see
         # test_no_ldlt_at_the_diagonal_entry).
-        shared, _ = pde._ldlt(d, n, pairs, lo + (hi - lo) / math.e, perm)
+        shared, _ = pde._ldlt(stencil, lo + (hi - lo) / math.e, perm)
         assert pde._negative_pivots(shared) == j
 
     @pytest.mark.parametrize("shape", [(1, 2), (3, 4)])
     def test_no_ldlt_at_the_diagonal_entry(self, shape):
         d = from_mask(np.ones(shape, dtype=bool), 1 / 16)
-        cells, _, pairs = pde._stencil(d)
-        _, perm = pde._ldlt(
-            d, cells.size, pairs, pde._FLOOR_FRACTION * pde._lambda1_floor(d)
-        )
+        stencil = pde._stencil(d)
+        _, perm = pde._ldlt(stencil, pde._FLOOR_FRACTION * pde._lambda1_floor(d))
         with pytest.raises(RuntimeError, match="pivoted off the diagonal"):
-            pde._ldlt(d, cells.size, pairs, 2.0 * d.N / (d.h * d.h), perm)
+            pde._ldlt(stencil, 2.0 * d.N / (d.h * d.h), perm)
 
 
 class TestBandInertia:
@@ -848,8 +880,8 @@ class TestBandInertia:
         if not mask.any():
             return
         d = from_mask(mask, 1 / 16)
-        cells, _, pairs = pde._stencil(d)
-        n = cells.size
+        stencil = pde._stencil(d)
+        n = stencil.n
         vals = dense_eigenvalues(d, n)
         j = min(int(t * (n + 1)), n)
         if below and j < n:
@@ -864,35 +896,34 @@ class TestBandInertia:
             if hi - lo < 1e-9 * vals[-1]:
                 return  # copies of one eigenvalue
             sigma = lo + (hi - lo) / math.e  # off the diagonal entry (see below)
-        assert pde._band_inertia(d, n, pairs, sigma) == j
+        assert pde._band_inertia(stencil, sigma) == j
 
     @pytest.mark.parametrize("shape", [(1, 2), (3, 4), (2, 3, 2)])
     def test_zero_pivot_at_the_diagonal_entry_raises(self, shape):
         d = from_mask(np.ones(shape, dtype=bool), 1 / 16)
-        cells, _, pairs = pde._stencil(d)
         with pytest.raises(RuntimeError, match="pivot 0.0 at row 0"):
-            pde._band_inertia(d, cells.size, pairs, 2.0 * d.N / (d.h * d.h))
+            pde._band_inertia(pde._stencil(d), 2.0 * d.N / (d.h * d.h))
 
     def test_counts_like_the_ldlt_on_the_blobs(self):
         # the descent's inputs, at its k = 2
         for seed in range(60):
             d = blob_union(1 / 64, seed=seed)
-            cells, _, pairs = pde._stencil(d)
+            stencil = pde._stencil(d)
             s = eigenvalues(d, k=2)
-            _, perm = pde._ldlt(d, cells.size, pairs, 0.5 * s[1])
-            lu, _ = pde._ldlt(d, cells.size, pairs, s.shift, perm)
-            count = pde._band_inertia(d, cells.size, pairs, s.shift)
+            _, perm = pde._ldlt(stencil, 0.5 * s[1])
+            lu, _ = pde._ldlt(stencil, s.shift, perm)
+            count = pde._band_inertia(stencil, s.shift)
             assert count == pde._negative_pivots(lu) == s.inertia_count
 
     def test_band_inertia_releases_the_gil(self):
         # a band of 300 rows' width: dpbtf2 runs far longer than the assembly
         d = from_mask(np.ones((100, 300), dtype=bool), 1 / 256)
-        cells, _, pairs = pde._stencil(d)
+        stencil = pde._stencil(d)
         span = {}
 
         def count():
             start = time.perf_counter()
-            span["count"] = pde._band_inertia(d, cells.size, pairs, 0.0)
+            span["count"] = pde._band_inertia(stencil, 0.0)
             span["call"] = time.perf_counter() - start
 
         worker = threading.Thread(target=count)
@@ -1002,9 +1033,9 @@ class TestNarrowBand:
         ids=["tube", "tube-thin", "strip-1", "strip-3"],
     )
     def test_spectrum_matches_dense(self, d):
-        cells, _, pairs = pde._stencil(d)
-        assert cells.size > pde._DENSE_CUTOFF
-        assert pde._bandwidth(pairs) <= pde._NARROW_BAND
+        stencil = pde._stencil(d)
+        assert stencil.n > pde._DENSE_CUTOFF
+        assert stencil.b <= pde._NARROW_BAND
         want = dense_eigenvalues(d, 5)
         for s in (eigenvalues(d, k=5), solve_raster(d, k=5)[1]):
             np.testing.assert_allclose(s.eigenvalues, want, rtol=DEFAULT_EIG_TOL, atol=0)
@@ -1022,7 +1053,7 @@ class TestNarrowBand:
     def test_band_at_sigma0_matches_the_sparse_ldlt(self, monkeypatch, spec):
         # the corpora's narrow rasters, at the sizes the benchmark runs
         d = generate(spec)
-        assert pde._bandwidth(pde._stencil(d)[2]) <= pde._NARROW_BAND
+        assert pde._stencil(d).b <= pde._NARROW_BAND
         bands = recording_factors(monkeypatch)
         band = eigenvalues(d, k=5)
         monkeypatch.setattr(pde, "_BAND_ENTRIES", 0)  # the sparse LDL^T about sigma0
@@ -1042,7 +1073,7 @@ class TestNarrowBand:
     ):
         # the floor is exact on boxes, so sigma0 = 0.99 lambda_1
         d = from_mask(np.ones((rows, cols), dtype=bool), 1 / 64)
-        assert (pde._bandwidth(pde._stencil(d)[2]) <= pde._NARROW_BAND) == narrow
+        assert (pde._stencil(d).b <= pde._NARROW_BAND) == narrow
         bands = recording_factors(monkeypatch)
         want = box_eigenvalues(rows, cols, d.h, 6)
         sigma0 = pde._FLOOR_FRACTION * pde._lambda1_floor(d)
@@ -1061,10 +1092,10 @@ class TestNarrowBand:
         inertia = pde._band_inertia
         shifts = []
 
-        def one_factor_alive(d, n, pairs, sigma):
+        def one_factor_alive(stencil, sigma):
             assert all(b.band is None for b in bands)
             shifts.append(sigma)
-            return inertia(d, n, pairs, sigma)
+            return inertia(stencil, sigma)
 
         monkeypatch.setattr(pde, "_band_inertia", one_factor_alive)
         s = solve_raster(d, k=4)[1] if shared else eigenvalues(d, k=4)
@@ -1078,7 +1109,7 @@ class TestNarrowBand:
         d = tube(1 / 32)
         sigma0 = pde._FLOOR_FRACTION * pde._lambda1_floor(d)
         band = factor_laplacian(d, sigma0)
-        b = np.random.default_rng(0).standard_normal(band.cells.size)
+        b = np.random.default_rng(0).standard_normal(band.stencil.n)
         x = band.solve(b)
         assert np.linalg.norm(band.residual(x, b)) < 1e-9 * np.linalg.norm(b)
         with pytest.raises(ValueError, match="not of A - "):

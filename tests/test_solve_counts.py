@@ -56,9 +56,9 @@ def factorizations(monkeypatch):
         rasters.append(occupancy_key(d))
         return original(d, shift)
 
-    def recording_ldlt(d, n, pairs, sigma, perm=None):
+    def recording_ldlt(stencil, sigma, perm=None):
         shifts.append(sigma)
-        return ldlt(d, n, pairs, sigma, perm)
+        return ldlt(stencil, sigma, perm)
 
     def recording_cholesky(ab):
         lapack_calls.append(ab.shape)
@@ -95,9 +95,9 @@ def certificates(monkeypatch):
     shifts = []
     inertia = pde._band_inertia
 
-    def recording(d, n, pairs, sigma):
+    def recording(stencil, sigma):
         shifts.append(sigma)
-        return inertia(d, n, pairs, sigma)
+        return inertia(stencil, sigma)
 
     monkeypatch.setattr(pde, "_band_inertia", recording)
     return shifts
@@ -175,8 +175,8 @@ def test_raster_above_the_bound_releases_its_band(
 ):
     rasters, shifts = factorizations
     d = suite_raster("dumbbell-0")
-    cells, _, pairs = pde._stencil(d)
-    monkeypatch.setattr(pde, "_BAND_ENTRIES", (pde._bandwidth(pairs) + 1) * cells.size - 1)
+    stencil = pde._stencil(d)
+    monkeypatch.setattr(pde, "_BAND_ENTRIES", (stencil.b + 1) * stencil.n - 1)
     orderings = []
     splu = pde.sparse_linalg.splu
 

@@ -745,7 +745,7 @@ class TestSubsolutionTruncate:
         f0, band0 = factored_torsion(blob)
         f, log, band = subsolution_truncate(f0, 0.01, r0=4 * blob.h, factor=band0)
         assert log and band is not band0 and band.band is not None
-        band.check(f.domain)  # the final raster's band, for its eigensolve
+        band.stencil.check(f.domain)  # the final raster's band, for its eigensolve
         assert np.array_equal(solve_torsion(f.domain, band).values, f.values)
         # no move: the start domain's own factor comes back, unreleased
         _, log, same = subsolution_truncate(f0, 0.0, r0=4 * blob.h, factor=band0)
