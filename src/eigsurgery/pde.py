@@ -15,6 +15,8 @@ import ctypes
 import json
 import logging
 import math
+import threading
+from contextlib import ContextDecorator
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -259,6 +261,74 @@ def _lapack_routine(name: str, nargs: int) -> Callable[..., None]:
     return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(address)
 
 
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The getter and setter of the thread count of SciPy's OpenBLAS, or ``None``.
+
+    They are looked up through the extension that the LAPACK routines come
+    from, so they act on the library that factors.  ``None`` where that
+    library does not export them (a SciPy not built on scipy-openblas).
+    """
+    lib = ctypes.CDLL(cython_lapack.__file__)
+    try:
+        get = lib.scipy_openblas_get_num_threads
+        put = lib.scipy_openblas_set_num_threads
+    except AttributeError:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+class _OneBlasThread(ContextDecorator):
+    """Runs its block, or the function it decorates, on one OpenBLAS thread.
+
+    On these band matrices OpenBLAS's threading loses: the thread hand-offs
+    in ``dpbtrf``'s and ``dpbtf2``'s small level-2 and level-3 updates cost
+    more than a second core gives back.  On a 2-core VM, the minimum of 15
+    interleaved runs (7 at 1/256), OpenBLAS's default of two threads
+    against one: the 1/96 ball's band factorization (n = 9216, b = 108)
+    15.2 against 10.2 ms and its ``dpbtf2`` count 29.5 against 15.7 ms,
+    ``blobs-1``'s factorization at 1/96 5.6 against 3.4 ms, and
+    ``dumbbell-0``'s at 1/256 (b = 216) 290 against 192 ms.  Band solves
+    (``dpbtrs``) are not threaded, so they are left unpinned.
+
+    Reentrant and shared by threads: the thread count is one process-wide
+    setting, so a depth count under a lock saves the caller's count on the
+    outermost entry and restores it on the last exit, also when the block
+    raises.  SciPy 1.17's OpenBLAS exports no thread-local setter.  A no-op
+    without ``controls``.  NumPy's own OpenBLAS is a separate library with
+    its own count, which this leaves as it is.
+    """
+
+    def __init__(self, controls: tuple[Callable[[], int], Callable[[int], None]] | None):
+        self.controls = controls
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = 1
+
+    def __enter__(self) -> None:
+        if self.controls is None:
+            return
+        get, put = self.controls
+        with self._lock:
+            if self._depth == 0:
+                self._saved = get()
+                put(1)
+            self._depth += 1
+
+    def __exit__(self, *exc: object) -> None:
+        if self.controls is None:
+            return
+        _, put = self.controls
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                put(self._saved)
+
+
+_ONE_BLAS_THREAD = _OneBlasThread(_openblas_threads())
+
+
 _DPBTRF = _lapack_routine("dpbtrf", 6)  # (uplo, n, kd, ab, ldab, info)
 _DPBTF2 = _lapack_routine("dpbtf2", 6)  # dpbtrf's unblocked, right-looking form
 _DPBTRS = _lapack_routine("dpbtrs", 9)  # (uplo, n, kd, nrhs, ab, ldab, b, ldb, info)
@@ -400,6 +470,7 @@ def _lower_band(st: _Stencil, shift: float) -> np.ndarray:
     return ab
 
 
+@_ONE_BLAS_THREAD
 def factor_laplacian(d: GridDomain, shift: float = 0.0) -> BandFactor:
     """Band Cholesky factor of ``A - shift I``, ``A`` being ``d``'s Laplacian.
 
@@ -411,6 +482,7 @@ def factor_laplacian(d: GridDomain, shift: float = 0.0) -> BandFactor:
     in 3-D).  Its lower band is assembled straight from
     the stencil and factored by LAPACK ``pbtrf``: ``n b^2`` time and
     ``(b + 1) n`` memory, so 3-D rasters pay far more than 2-D ones.
+    The factorization runs on one OpenBLAS thread (:class:`_OneBlasThread`).
     Raises ``LinAlgError`` if ``shift`` is not below lambda_1.
     """
     st = _stencil(d)
@@ -621,6 +693,7 @@ def _lanczos(
     return np.sort(vals)
 
 
+@_ONE_BLAS_THREAD
 def eigenvalues(
     d: GridDomain,
     factor: BandFactor | None = None,
@@ -668,7 +741,8 @@ def eigenvalues(
     Each shifted matrix is assembled once, straight from the stencil.  The
     sparse side's first LDL^T chooses the minimum-degree order and every
     later one reuses it.  Each factor is freed before the next one is made,
-    so one factor is alive at a time.
+    so one factor is alive at a time.  Every factorization, count and
+    Lanczos step runs on one OpenBLAS thread (:class:`_OneBlasThread`).
     Raises ``ValueError`` for a factor of another raster.  Results are
     reproducible for a fixed seed.
     """

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import sys
 import threading
 import time
 
@@ -15,6 +16,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as sparse_linalg
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import LinAlgError
 
 from eigsurgery import cli, pde
 from eigsurgery.corpus import (
@@ -27,6 +29,7 @@ from eigsurgery.corpus import (
     tube,
 )
 from eigsurgery.domain import GridDomain, Strip, from_mask, measure, rescale
+from eigsurgery.harness import RunConfig, run_suite
 from eigsurgery.pde import (
     DEFAULT_EIG_TOL,
     Spectrum,
@@ -1114,3 +1117,147 @@ class TestNarrowBand:
         assert np.linalg.norm(band.residual(x, b)) < 1e-9 * np.linalg.norm(b)
         with pytest.raises(ValueError, match="not of A - "):
             solve_torsion(d, band)
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Set SciPy's OpenBLAS to two threads, as a caller might; yield the getter."""
+    if pde._ONE_BLAS_THREAD.controls is None:
+        pytest.skip("SciPy's OpenBLAS exports no thread controls")
+    get, put = pde._ONE_BLAS_THREAD.controls
+    before = get()
+    put(2)
+    yield get
+    put(before)
+
+
+def recording_threads(monkeypatch, get) -> list[tuple[str, int]]:
+    """Record the OpenBLAS thread count at every band factorization, band
+    count, SuperLU factorization and Lanczos operator application."""
+    seen: list[tuple[str, int]] = []
+
+    def recorded(name, fn):
+        def run(*args, **kwargs):
+            seen.append((name, get()))
+            return fn(*args, **kwargs)
+
+        return run
+
+    for name in ("_DPBTRF", "_DPBTF2"):
+        monkeypatch.setattr(pde, name, recorded(name, getattr(pde, name)))
+    monkeypatch.setattr(pde.sparse_linalg, "splu", recorded("splu", sparse_linalg.splu))
+    lanczos = pde._lanczos
+
+    def run(solve, *args):
+        return lanczos(recorded("lanczos", solve), *args)
+
+    monkeypatch.setattr(pde, "_lanczos", run)
+    return seen
+
+
+# a wide band-side raster (torsion band handed on), a narrow one (its own
+# sigma0 band) and, with no band entries allowed, the sparse side
+PIN_CASES = [(ball(1 / 64), None), (tube(1 / 64), None), (ball(1 / 64), 0)]
+
+
+class TestOneBlasThread:
+    @pytest.mark.parametrize("d, entries", PIN_CASES)
+    def test_every_kernel_runs_on_one_thread(self, monkeypatch, two_blas_threads, d, entries):
+        if entries is not None:
+            monkeypatch.setattr(pde, "_BAND_ENTRIES", entries)
+        seen = recording_threads(monkeypatch, two_blas_threads)
+        solve_raster(d, k=3)
+        assert two_blas_threads() == 2
+        eigenvalues(d, k=3)
+        assert two_blas_threads() == 2
+        factor_laplacian(d)
+        assert two_blas_threads() == 2
+        names = {name for name, _ in seen}
+        assert {"_DPBTRF", "lanczos"} <= names
+        assert ("splu" in names) == (entries == 0)
+        assert ("_DPBTF2" in names) == (entries is None)
+        assert all(count == 1 for _, count in seen)
+
+    def test_restored_after_a_failed_factorization(self, two_blas_threads):
+        d = ball(1 / 32)
+        with pytest.raises(LinAlgError):
+            factor_laplacian(d, 1.05 * eigenvalues(d, k=1)[1])
+        assert two_blas_threads() == 2
+
+    def test_restored_after_a_two_worker_suite(self, monkeypatch, two_blas_threads):
+        seen = recording_threads(monkeypatch, two_blas_threads)
+        config = RunConfig(K=200.0, k=3, mode="practical:1e12", workers=2)
+        result = run_suite(surgery_corpus(1 / 32)[:2], config)
+        assert len(result.rows) == 2
+        assert two_blas_threads() == 2
+        assert seen and all(count == 1 for _, count in seen)
+
+    def test_no_op_without_the_thread_controls(self, monkeypatch, two_blas_threads):
+        class NoSymbols:
+            def __init__(self, path):
+                pass
+
+            def __getattr__(self, name):
+                raise AttributeError(name)
+
+        monkeypatch.setattr(pde.ctypes, "CDLL", NoSymbols)
+        assert pde._openblas_threads() is None
+        monkeypatch.setattr(pde._ONE_BLAS_THREAD, "controls", None)
+        seen = recording_threads(monkeypatch, two_blas_threads)
+        solve_raster(ball(1 / 64), k=3)
+        assert seen and all(count == 2 for _, count in seen)
+        assert two_blas_threads() == 2
+
+    def test_nested_and_raising_blocks_restore_the_count(self, two_blas_threads):
+        with pytest.raises(RuntimeError):
+            with pde._ONE_BLAS_THREAD:
+                with pde._ONE_BLAS_THREAD:
+                    assert two_blas_threads() == 1
+                assert two_blas_threads() == 1
+                raise RuntimeError
+        assert two_blas_threads() == 2
+
+    def test_threads_share_the_pin(self, two_blas_threads):
+        # more threads than cores, switching often: a lost update of the depth
+        # count would restore the count early (a 2 read inside) or never
+        errors: list[int] = []
+
+        def enter_many():
+            for _ in range(300):
+                with pde._ONE_BLAS_THREAD:
+                    with pde._ONE_BLAS_THREAD:
+                        if two_blas_threads() != 1:
+                            errors.append(two_blas_threads())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=enter_many) for _ in range(6)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert errors == []
+        assert two_blas_threads() == 2
+
+    def test_results_are_bit_identical_without_the_pin(self, monkeypatch, two_blas_threads):
+        cases = PIN_CASES + [(ball(1 / 96), None), (blob_union(1 / 96, seed=1), None)]
+
+        def solve_all():
+            out = []
+            for d, entries in cases:
+                with monkeypatch.context() as m:
+                    if entries is not None:
+                        m.setattr(pde, "_BAND_ENTRIES", entries)
+                    out.append(solve_raster(d, k=5))
+            return out
+
+        pinned = solve_all()
+        monkeypatch.setattr(pde._ONE_BLAS_THREAD, "controls", None)
+        for (f1, s1), (f2, s2) in zip(pinned, solve_all()):
+            assert f1.values.tobytes() == f2.values.tobytes()
+            assert f1.residual == f2.residual
+            assert s1 == s2

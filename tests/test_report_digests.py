@@ -54,9 +54,12 @@ def test_seed_records_fold_into_the_digest(report_digests, monkeypatch, capsys):
     monkeypatch.setattr(report_digests, "BOUNDED", (run,))
     report_digests.main()
     out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 1  # stdout has digest lines only
     assert out.split() == [digest, "bounded_surgery", "blob_union(1/64)", "seeds", "0-1",
                            "K=100", "k=2", "practical:1e6"]
-    lines = err.splitlines()
+    header, *lines = err.splitlines()
+    assert header == report_digests.machine_line()
+    assert re.fullmatch(r"nproc=\d+ blas_threads=(\d+|unknown) openblas=.+", header)
     assert lines == [f"K=100 k=2 practical:1e6 {r.line()}" for r in records]
     for seed, (line, record) in enumerate(zip(lines, records)):
         assert re.fullmatch(

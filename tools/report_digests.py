@@ -1,9 +1,12 @@
 """SHA-256 digests of the reports of fixed runs, to show two trees agree.
 
-Run from the repository root, with one BLAS thread so the sums round the
-same way on every run::
+Run from the repository root::
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/report_digests.py
+    PYTHONPATH=src python3 tools/report_digests.py
+
+The solvers run their factorizations on one OpenBLAS thread whatever the
+caller's setting, and the digests are the same with ``OPENBLAS_NUM_THREADS``
+unset or set to 1.
 
 It prints one line per run on stdout: the digest of ``reports.jsonl`` from
 ``run_suite`` on ``surgery_corpus(1/64)`` (K = 200, k = 3, practical:1e12)
@@ -16,16 +19,22 @@ seed range, penalty mode, K and k.  Per seed the bounded digest takes
 ``repr`` instead.  Equal digests before and after a change mean
 byte-identical reports and rasters.
 
-On stderr it prints one line per bounded seed: the run, the seed, the first
-12 hex digits of that seed's own digest, the verdict, the accepted moves and
-the final cell count (``raised <error>`` and ``-`` for a seed that raises).
-Two trees' stderr differ exactly on the seeds whose records differ.
+On stderr it first prints one line of machine facts, for citing the
+digests: ``nproc`` (the CPUs this process may run on), the thread count of
+the OpenBLAS that SciPy's LAPACK comes from, as the caller left it, and
+that library's build configuration.  Then it prints one line per bounded
+seed: the run, the seed, the first 12 hex digits of that seed's own digest,
+the verdict, the accepted moves and the final cell count (``raised
+<error>`` and ``-`` for a seed that raises).  Two trees' stderr differ
+exactly on the seeds whose records differ, and on machine facts.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
+import os
 import sys
 import tempfile
 from dataclasses import dataclass, replace
@@ -33,6 +42,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.linalg import cython_lapack
 
 from eigsurgery.corpus import CorpusSpec, blob_union, default_corpus, surgery_corpus
 from eigsurgery.harness import RunConfig, run_suite
@@ -106,7 +116,23 @@ def bounded_digest(seeds: Iterable[int], mode: str, K: float, k: int) -> str:
     return fold(bounded_record(seed, mode, K, k) for seed in seeds)
 
 
+def machine_line() -> str:
+    """``nproc``, and the thread count and configuration of SciPy's OpenBLAS."""
+    lib = ctypes.CDLL(cython_lapack.__file__)
+    threads, config = "unknown", "unknown"
+    if hasattr(lib, "scipy_openblas_get_num_threads"):
+        get = lib.scipy_openblas_get_num_threads
+        get.argtypes, get.restype = [], ctypes.c_int
+        threads = str(get())
+    if hasattr(lib, "scipy_openblas_get_config"):
+        get = lib.scipy_openblas_get_config
+        get.argtypes, get.restype = [], ctypes.c_char_p
+        config = get().decode().strip()
+    return f"nproc={len(os.sched_getaffinity(0))} blas_threads={threads} openblas={config}"
+
+
 def main() -> None:
+    print(machine_line(), file=sys.stderr, flush=True)
     for name, corpus, config in SUITES:
         print(f"{suite_digest(corpus(H), config)}  run_suite {name}(1/64)"
               f" K={config.K:g} k={config.k} {config.mode}", flush=True)
