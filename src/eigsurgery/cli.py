@@ -86,6 +86,13 @@ def _positive(cast: Callable[[str], Any]) -> Callable[[str], Any]:
     return parse
 
 
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _optional(cast: Callable[[str], Any]) -> Callable[[str], Any]:
     def parse(text: str) -> Any:
         return None if text.lower() in ("none", "") else cast(text)
@@ -107,7 +114,7 @@ _SETTINGS: dict[str, tuple[Callable[[str], Any], Any, str]] = {
     "P": (_optional(_positive(float)), None,
           "perimeter budget (default: 1.02 x measured perimeter)"),
     "h": (_spacing, 1 / 256, "grid spacing, e.g. 1/256"),
-    "seed": (int, 0, "seed for generators and eigensolver start vectors"),
+    "seed": (_non_negative, 0, "seed for generators and eigensolver start vectors"),
     "mode": (_mode, "faithful", "faithful | practical:<factor>"),
     "out": (_optional(str), None, "output directory"),
     "workers": (_positive(int), 1,
@@ -387,7 +394,10 @@ def _cmd_bounded_surgery(args: argparse.Namespace) -> int:
 
 
 def _cmd_study(args: argparse.Namespace) -> int:
-    h_list = [_spacing(part) for part in args.h_list.split(",") if part.strip()]
+    try:
+        h_list = [_spacing(part) for part in args.h_list.split(",") if part.strip()]
+    except ValueError as exc:
+        raise ValueError(f"h_list: {exc}") from exc
     if not h_list:
         raise ValueError("h_list must contain at least one grid spacing")
     spec = CorpusSpec(

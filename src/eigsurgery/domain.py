@@ -38,6 +38,7 @@ __all__ = [
     "connected_components",
     "diam_e",
     "diameter",
+    "face_pairs",
     "from_mask",
     "load_domain",
     "measure",
@@ -196,19 +197,28 @@ def measure(d: GridDomain) -> float:
     return d.cell_count * d.h**d.N
 
 
-def _face_count(occ: np.ndarray) -> int:
-    """Number of lattice faces between occupied and unoccupied cells.
+def face_pairs(occupancy: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The occupied face-neighbour pairs, one ``(p, p + stride)`` per axis.
 
-    The empty margin guarantees all such faces are interior to the window.
+    ``p`` holds, in ascending order, the flat row-major positions of the
+    occupied cells whose neighbour one step along +axis is occupied too,
+    and ``stride`` is that axis's row-major stride.  This is the one
+    adjacency rule of the package: the perimeter, the components, the
+    Laplacian's stencil and the cut ledger all read it.
+
+    Two cells ``stride`` apart in the flat order are +axis neighbours unless
+    the first lies on the window's last slab along the axis, where the step
+    wraps into the next line.  ``occupancy`` has an empty margin, as every
+    domain's does, so such a cell is empty and no pair wraps.  For the same
+    reason every face of an occupied cell lies inside the window.
     """
-    total = 0
-    for axis in range(occ.ndim):
-        lead = [slice(None)] * occ.ndim
-        trail = [slice(None)] * occ.ndim
-        lead[axis] = slice(1, None)
-        trail[axis] = slice(None, -1)
-        total += int(np.count_nonzero(occ[tuple(lead)] != occ[tuple(trail)]))
-    return total
+    flat = occupancy.ravel()
+    pairs = []
+    for axis in range(occupancy.ndim):
+        stride = math.prod(occupancy.shape[axis + 1 :])
+        p = np.flatnonzero(flat[:-stride] & flat[stride:])
+        pairs.append((p, p + stride))
+    return pairs
 
 
 def perimeter(d: GridDomain) -> float:
@@ -219,7 +229,9 @@ def perimeter(d: GridDomain) -> float:
     times the Euclidean perimeter; before/after comparisons use the same
     functional, so the anisotropy factor cancels.
     """
-    return _face_count(d.occupancy) * d.h ** (d.N - 1)
+    # each occupied cell has 2N faces, and each face pair hides two of them
+    pairs = sum(p.size for p, _ in face_pairs(d.occupancy))
+    return (2 * d.N * d.cell_count - 2 * pairs) * d.h ** (d.N - 1)
 
 
 def diam_e(d: GridDomain, axis: int = 0) -> float:
@@ -238,32 +250,25 @@ def _component_masks(occ: np.ndarray) -> list[np.ndarray]:
     """Face-adjacency component masks, in raster order of their first cell.
 
     The graph's nodes are the runs of occupied cells along the last axis,
-    numbered in row-major order, so the labels come out in raster order.
-    ``occ`` has an empty margin, as every domain's occupancy does, so no run
-    or face pair found in the flat row-major order wraps across a line.
+    numbered in row-major order, so the labels come out in raster order; its
+    edges are the face pairs (:func:`face_pairs`) along every other axis.
     """
-    flat = occ.ravel()
-    starts = flat.copy()
-    starts[1:] &= ~flat[:-1]
+    *across, (_, along) = face_pairs(occ)
+    starts = occ.flatten()
+    starts[along] = False  # a run starts where no last-axis pair ends
     run = np.cumsum(starts) - 1  # run index of each occupied cell
     n_runs = int(run[-1]) + 1
     if n_runs == 0:
         return []
-    rows, cols = [np.empty(0, dtype=run.dtype)], [np.empty(0, dtype=run.dtype)]
-    for axis in range(occ.ndim - 1):
-        stride = math.prod(occ.shape[axis + 1 :])
-        src = np.flatnonzero(flat[:-stride] & flat[stride:])
-        rows.append(run[src])
-        cols.append(run[src + stride])
-    rows_a, cols_a = np.concatenate(rows), np.concatenate(cols)
+    # one edge per face pair across lines; the empty block serves N = 1
+    edges = np.hstack([np.empty((2, 0), dtype=run.dtype), *map(np.stack, across)])
+    rows, cols = run[edges]
     graph = coo_array(
-        (np.ones(rows_a.size, dtype=np.int8), (rows_a, cols_a)), shape=(n_runs, n_runs)
+        (np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n_runs, n_runs)
     )
     n, labels = csgraph.connected_components(graph, directed=False)
-    field = np.zeros(occ.shape, dtype=np.int64)
-    cells = np.flatnonzero(flat)
-    field.flat[cells] = labels[run[cells]] + 1
-    return [field == i for i in range(1, n + 1)]
+    field = np.where(occ, labels[run].reshape(occ.shape), -1)
+    return [field == i for i in range(n)]
 
 
 def _pointset_diameter(pts: np.ndarray) -> float:

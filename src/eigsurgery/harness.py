@@ -66,10 +66,10 @@ __all__ = [
 class RunConfig:
     """Shared settings for every run in a batch.
 
-    ``K`` and ``P`` must be positive and finite.  ``P = None`` derives the
-    perimeter budget per domain as 1.02 times the measured perimeter of the
-    unit-measure normalization, so every corpus member is admissible by
-    construction.  ``mode`` is either ``"faithful"`` or
+    ``K`` and ``P`` must be positive and finite, and ``seed`` non-negative.
+    ``P = None`` derives the perimeter budget per domain as 1.02 times the
+    measured perimeter of the unit-measure normalization, so every corpus
+    member is admissible by construction.  ``mode`` is either ``"faithful"`` or
     ``"practical:<factor>"`` with a finite factor above 1 (the rule of
     :func:`~eigsurgery.surgery.parse_mode`); the factor scales only the
     energy-penalty constant and is recorded in each report.  The strip
@@ -97,6 +97,8 @@ class RunConfig:
                 f"perimeter bound P must be positive and finite, got {self.P}"
             )
         parse_mode(self.mode)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 

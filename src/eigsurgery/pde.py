@@ -29,7 +29,9 @@ import scipy.sparse.linalg as sparse_linalg
 from scipy import special
 from scipy.linalg import LinAlgError, cython_lapack
 
-from eigsurgery.domain import EmptyDomainError, GridDomain, Strip, unit_ball_volume
+from eigsurgery.domain import (
+    EmptyDomainError, GridDomain, Strip, face_pairs, unit_ball_volume
+)
 
 DEFAULT_CG_TOL = 1e-10  # bound on the torsion solve's relative residual
 DEFAULT_EIG_TOL = 1e-8  # the eigensolver's relative tolerance
@@ -195,18 +197,14 @@ class _Stencil:
 
 
 def _stencil(d: GridDomain) -> _Stencil:
-    """The :class:`_Stencil` of ``d``; its empty margin keeps every neighbour inside."""
+    """The :class:`_Stencil` of ``d``: its face pairs (:func:`face_pairs`) as rows."""
     occ = d.occupancy
     cells = np.flatnonzero(occ)
     if cells.size == 0:
         raise EmptyDomainError("cannot assemble a Laplacian on an empty domain")
-    index = np.full(occ.size, -1, dtype=np.int64)
+    index = np.empty(occ.size, dtype=np.int64)  # read at occupied cells only
     index[cells] = np.arange(cells.size)
-    pairs = []
-    for axis in range(occ.ndim):
-        up = index[cells + int(np.prod(occ.shape[axis + 1 :]))]
-        j = np.flatnonzero(up >= 0)
-        pairs.append((j, up[j]))
+    pairs = [(index[p], index[q]) for p, q in face_pairs(occ)]
     b = max((int((i - j).max()) for j, i in pairs if j.size), default=0)
     return _Stencil(occupancy=occ, h=d.h, cells=cells, pairs=pairs, b=b)
 

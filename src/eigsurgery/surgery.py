@@ -31,6 +31,7 @@ from eigsurgery.domain import (
     connected_components,
     diam_e,
     diameter,
+    face_pairs,
     measure,
     perimeter,
     remove_strips,
@@ -450,7 +451,6 @@ def plan_cuts(
     """
     r0, l0, m_hat, p = constants.r0, constants.l0, constants.m_hat, constants.p
     delta = 4 * r0 + l0
-    xs = d.centers(0)
     col_mass = _per_column(d.occupancy) * d.h**d.N
     vol = float(col_mass.sum())
     flags: list[str] = []
@@ -462,18 +462,18 @@ def plan_cuts(
         return [(iv[i][1], iv[i + 1][0]) for i in range(len(iv) - 1)]
 
     def collar_mass(s: int) -> float:
-        """Mass within ``delta`` outside the edges and the gap ends at slide s."""
-        shift = s * delta
-        windows = [
-            (lo_edge - shift - delta, lo_edge - shift),
-            (hi_edge + shift, hi_edge + shift + delta),
-        ]
+        """Mass within ``delta`` outside the edges and the gap ends at slide s.
+
+        Each collar is the closed window of ``delta`` beside an edge, and its
+        columns are those of the strip it spans (:meth:`Strip.columns`).
+        """
+        shift, half = s * delta, delta / 2
+        centres = [lo_edge - shift - half, hi_edge + shift + half]
         for a, b in segments:
-            windows.append((a + shift, a + shift + delta))
-            windows.append((b - shift - delta, b - shift))
-        hit = np.zeros(xs.shape, dtype=bool)
-        for lo, hi in windows:
-            hit |= (xs >= lo) & (xs <= hi)
+            centres += [a + shift + half, b - shift - half]
+        hit = np.zeros(d.shape[0], dtype=bool)
+        for centre in centres:
+            hit[Strip(centre, half).columns(d)] = True
         return float(col_mass[hit].sum())
 
     if not X:
@@ -569,17 +569,14 @@ def select_cut_depth(
     N = d.N
     occ = d.occupancy
     col_mass = _per_column(occ) * h**N
-    # faces between consecutive columns, and boundary faces owned per column
-    adjacent = _per_column(occ[:-1] & occ[1:]).astype(np.int64)
-    neighbor_count = np.zeros(occ.shape, dtype=np.int64)
-    for axis in range(occ.ndim):
-        for shift in (1, -1):
-            rolled = np.roll(occ, shift, axis=axis)
-            edge = [slice(None)] * occ.ndim
-            edge[axis] = 0 if shift == 1 else -1
-            rolled[tuple(edge)] = False
-            neighbor_count += rolled
-    own_faces = _per_column((2 * N - neighbor_count) * occ)
+    # per first-axis column (flat position // column): the faces it shares
+    # with the next column, its axis-0 face pairs, and the boundary faces its
+    # cells own, 2N per cell less one per face pair end
+    pairs = face_pairs(occ)
+    column = occ[0].size
+    adjacent = np.bincount(pairs[0][0] // column, minlength=occ.shape[0] - 1)
+    ends = np.concatenate([np.concatenate(pq) for pq in pairs]) // column
+    own_faces = 2 * N * _per_column(occ) - np.bincount(ends, minlength=occ.shape[0])
     per_before = perimeter(d)
     vol = float(col_mass.sum())
     face_unit = h ** (N - 1)
@@ -636,19 +633,15 @@ def select_cut_depth(
 def _component_field(comp: GridDomain, f: TorsionField) -> TorsionField:
     """Torsion function of ``comp``, a component of a subdomain of ``f.domain``.
 
-    A whole component of ``f.domain`` (no face neighbour there outside it)
-    takes ``f`` restricted to it, since the stencil decouples components
-    exactly; its relative residual is at most the parent's times
+    A whole component of ``f.domain``, one that no face pair of the parent
+    (:func:`~eigsurgery.domain.face_pairs`) joins to the rest, takes ``f``
+    restricted to it, since the stencil decouples components exactly; its
+    relative residual is at most the parent's times
     ``sqrt(parent cells / component cells)``.  Any other is solved.
     """
     occ = comp.occupancy.ravel()
-    rest = f.domain.occupancy.ravel() & ~occ
-    for axis in range(comp.N):
-        # the +axis face neighbour in row-major order; the empty margin
-        # keeps these pairs from wrapping across a line
-        s = math.prod(comp.shape[axis + 1 :])
-        if (occ[:-s] & rest[s:]).any() or (occ[s:] & rest[:-s]).any():
-            return solve_torsion(comp)
+    if any((occ[p] != occ[q]).any() for p, q in face_pairs(f.domain.occupancy)):
+        return solve_torsion(comp)
     return TorsionField(
         domain=comp,
         values=np.where(comp.occupancy, f.values, 0.0),

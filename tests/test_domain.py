@@ -21,6 +21,7 @@ from eigsurgery.domain import (
     connected_components,
     diam_e,
     diameter,
+    face_pairs,
     from_mask,
     load_domain,
     measure,
@@ -44,6 +45,11 @@ def raster_disk(h: float, radius: float) -> GridDomain:
     c = (np.arange(n) - n / 2 + 0.5) * h
     X, Y = np.meshgrid(c, c, indexing="ij")
     return from_mask(X**2 + Y**2 < radius**2, h, origin=(-n / 2 * h, -n / 2 * h))
+
+
+def raster_masks(ndim: int):
+    side = {1: 40, 2: 12, 3: 6, 4: 4}[ndim]
+    return arrays(bool, st.tuples(*[st.integers(1, side)] * ndim))
 
 
 class TestConstruction:
@@ -108,6 +114,18 @@ class TestPerimeter:
         per = perimeter(raster_disk(h, r))
         assert per == pytest.approx(8 * r, rel=0.01)
         assert per == pytest.approx((4 / math.pi) * 2 * math.pi * r, rel=0.01)
+
+    @given(mask=st.integers(1, 3).flatmap(raster_masks))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_an_independent_face_count(self, mask):
+        # a boundary face is a change of occupancy between neighbours along
+        # an axis of the zero-padded raster
+        d = from_mask(mask, 0.1)
+        padded = np.pad(d.occupancy, 1).astype(np.int8)
+        faces = sum(
+            int(np.count_nonzero(np.diff(padded, axis=a))) for a in range(d.N)
+        )
+        assert perimeter(d) == faces * 0.1 ** (d.N - 1)
 
     def test_isoperimetric_sanity(self):
         # the face-count perimeter dominates the Euclidean one, so the sharp
@@ -214,11 +232,6 @@ def corpus_rasters() -> list[GridDomain]:
     return [generate(s) for s in surgery_corpus(1 / 64) + default_corpus(1 / 96)]
 
 
-def raster_masks(ndim: int):
-    side = 12 if ndim == 2 else 6
-    return arrays(bool, st.tuples(*[st.integers(1, side)] * ndim))
-
-
 def label_masks(occ: np.ndarray) -> list[np.ndarray]:
     structure = ndimage.generate_binary_structure(occ.ndim, 1)
     labels, n = ndimage.label(occ, structure=structure)
@@ -250,10 +263,24 @@ class TestOracles:
         for d in corpus_rasters():
             assert_same_masks(d.occupancy)
 
-    @given(mask=st.integers(2, 3).flatmap(raster_masks))
-    @settings(max_examples=150, deadline=None)
+    @given(mask=st.integers(1, 4).flatmap(raster_masks))
+    @settings(max_examples=200, deadline=None)
     def test_labels_on_random_rasters(self, mask):
         assert_same_masks(from_mask(mask, 0.1).occupancy)
+
+    @given(mask=st.integers(1, 4).flatmap(raster_masks))
+    @settings(max_examples=200, deadline=None)
+    def test_face_pairs_on_random_rasters(self, mask):
+        occ = from_mask(mask, 0.1).occupancy
+        pairs = face_pairs(occ)
+        assert len(pairs) == occ.ndim
+        cells = np.argwhere(occ)
+        for axis, (p, q) in enumerate(pairs):
+            step = np.eye(occ.ndim, dtype=int)[axis]
+            # every occupied cell whose +axis neighbour is occupied, by index
+            low = cells[occ[tuple((cells + step).T)]]
+            assert np.array_equal(p, np.ravel_multi_index(low.T, occ.shape))
+            assert np.array_equal(q, np.ravel_multi_index((low + step).T, occ.shape))
 
     def test_diameter_on_the_corpora(self):
         for d in corpus_rasters():

@@ -42,6 +42,7 @@ TUBE = CorpusSpec("tube", "tube", H)
 # neck thinner than two cells makes the generator raise; used as a crash dummy
 BROKEN = CorpusSpec("broken", "dumbbell", H, params={"neck_cells": 1})
 
+NEGATIVE_SEED = "seed: expected a non-negative integer, got '-1'"
 PRACTICAL = RunConfig(K=200.0, k=2, mode="practical:1e12")
 
 
@@ -93,6 +94,7 @@ class TestRunConfig:
             {"mode": "practical:inf"},
             {"P": math.inf},
             {"K": math.inf},
+            {"seed": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -349,16 +351,30 @@ class TestCli:
              "(factor 1 is spelled mode='faithful')"),
             (["spectrum", "--spec", "ball", "--k", "0"],
              "k: expected a positive finite value, got '0'"),
+            (["spectrum", "--spec", "ball", "--seed", "-1"], NEGATIVE_SEED),
+            (["bounded-surgery", "--spec", "ball", "--seed", "-1"], NEGATIVE_SEED),
+            (["check", "--corpus", "surgery", "--seed", "-1"], NEGATIVE_SEED),
+            (["surgery", "--corpus", "surgery", "--seed", "-1"], NEGATIVE_SEED),
+            (["gen", "--spec", "ball", "--seed", "-1"], NEGATIVE_SEED),
         ],
         ids=["spectrum-k", "check-corpus-seed", "bounded-K", "bounded-mode",
-             "spectrum-k-0"],
+             "spectrum-k-0", "spectrum-seed-negative", "bounded-seed-negative",
+             "check-corpus-seed-negative", "surgery-corpus-seed-negative",
+             "gen-seed-negative"],
     )
     def test_bad_setting_exits_2_before_any_domain_is_made(
         self, monkeypatch, caplog, argv, message
     ):
-        monkeypatch.setattr(cli, "generate", lambda spec: pytest.fail("generated"))
+        for module in (cli, harness):
+            monkeypatch.setattr(module, "generate", lambda spec: pytest.fail("generated"))
         assert main([*argv, "--h", "1/16"]) == 2
         assert [r.getMessage() for r in caplog.records] == [message]
+
+    def test_negative_seed_from_the_environment_exits_2(self, monkeypatch, caplog):
+        monkeypatch.setenv("EIGSURGERY_seed", "-1")
+        monkeypatch.setattr(cli, "generate", lambda spec: pytest.fail("generated"))
+        assert main(["spectrum", "--spec", "ball", "--h", "1/16"]) == 2
+        assert [r.getMessage() for r in caplog.records] == [NEGATIVE_SEED]
 
     @pytest.mark.parametrize(
         "generator, key, text",
@@ -390,6 +406,13 @@ class TestCli:
         assert main(["study", "--spec", "square", "--h-list", ","]) == 2
         assert [r.getMessage() for r in caplog.records] == [
             "h_list must contain at least one grid spacing"
+        ]
+
+    def test_bad_study_spacing_is_named(self, monkeypatch, caplog):
+        monkeypatch.setattr(harness, "generate", lambda spec: pytest.fail("generated"))
+        assert main(["study", "--spec", "square", "--h-list", "1/64,abc"]) == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            "h_list: could not convert string to float: 'abc'"
         ]
 
     def test_too_coarse_spacing_names_the_generator(self, caplog):

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 from eigsurgery import pde, surgery
 from eigsurgery.corpus import (
@@ -424,6 +426,29 @@ class TestPlanCuts:
         assert bases[0] == pytest.approx(xs.min() - 2 * const.r0)
         assert bases[1] == pytest.approx(xs.max() + 2 * const.r0)
 
+    def test_collar_counts_the_column_on_its_edge(self):
+        # a 60 x 60 bulb with a two-cell neck along +x; the active interval
+        # ends 2 r0 past the bulb's last column j, so the high collar, delta =
+        # 4 r0 + l0 = 112 h wide, holds neck columns j + 8 to j + 120, both
+        # edges on column centres (by float sums that round past the last)
+        h = 1 / 96
+        mask = np.zeros((201, 60), dtype=bool)
+        mask[1:61] = True
+        mask[61:, 29:31] = True
+        d = from_mask(mask, h)
+        const = SurgeryConstants(
+            N=2, K=1.0, k=1, P=10.0, volume=1.0, c=1.0, C0=1e-3, r0=4 * h,
+            l0=96 * h, m_hat=0.08, beta=1.0, p=3,
+        )
+        xs = d.centers(0)
+        first, last = 2, 61  # the bulb's columns in the padded window
+        X = ((float(xs[first] - 2 * const.r0), float(xs[last] + 2 * const.r0)),)
+        plan = plan_cuts(d, X, const)
+        assert plan.flags == ()  # slide 0 meets the mass threshold
+        collar = int(d.occupancy[last + 8 : last + 121].sum())
+        assert collar == 113 * 2
+        assert plan.y_mass == pytest.approx(collar * h * h, rel=1e-12)
+
     def test_unmet_mass_threshold_is_flagged(self, tailed_disk):
         d, f, _ = tailed_disk
         const = derive_constants(
@@ -467,7 +492,7 @@ class TestSelectCutDepth:
         led = report.ledger
         from eigsurgery.surgery import _discard_column_mask, _strips_at
 
-        for i in (0, len(led["t"]) // 2, len(led["t"]) - 1):
+        for i in range(len(led["t"])):
             strips = _strips_at(
                 report.plan.anchors, report.constants.r0, led["t"][i]
             )
@@ -575,6 +600,31 @@ class TestComponentCleanup:
         part = GridDomain(h=d.h, origin=d.origin, occupancy=occ)
         solved = surgery._component_field(part, f)
         assert np.array_equal(solved.values, solve_torsion(part).values)
+
+    @given(
+        shape=st.sampled_from([(9, 9), (12, 6), (5, 5, 5), (6, 4, 5)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_component_field_restricts_whole_components_only(self, shape, seed):
+        # a component of a random subset is whole iff its face dilation
+        # misses the rest of the parent; random parent values tell the
+        # restricted field from a solved one
+        rng = np.random.default_rng(seed)
+        d = from_mask(rng.random(shape) < 0.7, 1 / 16)
+        f = TorsionField(d, np.where(d.occupancy, rng.random(d.shape) + 1, 0.0), 1e-14)
+        sub = d.occupancy & (rng.random(d.shape) < 0.8)
+        if not sub.any():
+            return
+        face = ndimage.generate_binary_structure(d.N, 1)
+        for comp in connected_components(GridDomain(d.h, d.origin, sub)):
+            rest = d.occupancy & ~comp.occupancy
+            whole = not (ndimage.binary_dilation(comp.occupancy, face) & rest).any()
+            got = surgery._component_field(comp, f)
+            want = np.where(comp.occupancy, f.values, 0.0) if whole else (
+                solve_torsion(comp).values
+            )
+            assert np.array_equal(got.values, want)
 
     def test_everything_active_is_noop(self):
         d, _, _ = self._two_squares()

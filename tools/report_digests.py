@@ -12,7 +12,11 @@ It prints one line per run on stdout: the digest of ``reports.jsonl`` from
 ``run_suite`` on ``surgery_corpus(1/64)`` (K = 200, k = 3, practical:1e12)
 and on ``default_corpus(1/64)`` (K = 100, k = 3, practical:1e6), then the
 digest of ``bounded_surgery`` over ``blob_union(1/64, s)`` for each listed
-seed range, penalty mode, K and k.  Per seed the bounded digest takes
+seed range, penalty mode, K and k, and last the digest of ``run_suite`` on
+``surgery_corpus(1/160)`` (K = 200, k = 3, practical:1e12).  The 1/64
+suites cut nothing; at 1/160 dumbbells 0, 2 and 5 and tubes 0 and 1 are
+cut, so the cut depth ledger, component cleanup, strip removal and ball
+replacement are digested there.  Per seed the bounded digest takes
 ``json.dumps(report.to_dict(), sort_keys=True)``, then
 ``repr((h, origin, shape))`` of the returned domain, then
 ``np.packbits(occupancy)``; a seed that raises adds the exception's
@@ -39,7 +43,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.linalg import cython_lapack
@@ -50,9 +54,15 @@ from eigsurgery.surgery import bounded_surgery
 
 H = 1 / 64
 
+SURGERY = RunConfig(K=200.0, k=3, mode="practical:1e12")
+
+# (name, corpus, h, config) of each run_suite digest.  Those at H print
+# before the bounded digests and the rest after them, so each line keeps
+# the place it had before finer suites were added.
 SUITES = (
-    ("surgery_corpus", surgery_corpus, RunConfig(K=200.0, k=3, mode="practical:1e12")),
-    ("default_corpus", default_corpus, RunConfig(K=100.0, k=3, mode="practical:1e6")),
+    ("surgery_corpus", surgery_corpus, H, SURGERY),
+    ("default_corpus", default_corpus, H, RunConfig(K=100.0, k=3, mode="practical:1e6")),
+    ("surgery_corpus", surgery_corpus, 1 / 160, SURGERY),
 )
 
 # (seeds, mode, K, k) of each bounded_surgery digest
@@ -131,11 +141,16 @@ def machine_line() -> str:
     return f"nproc={len(os.sched_getaffinity(0))} blas_threads={threads} openblas={config}"
 
 
+def print_suites(suites: Iterable[tuple[str, Callable, float, RunConfig]]) -> None:
+    """One stdout line per run_suite digest."""
+    for name, corpus, h, config in suites:
+        print(f"{suite_digest(corpus(h), config)}  run_suite {name}(1/{round(1 / h)})"
+              f" K={config.K:g} k={config.k} {config.mode}", flush=True)
+
+
 def main() -> None:
     print(machine_line(), file=sys.stderr, flush=True)
-    for name, corpus, config in SUITES:
-        print(f"{suite_digest(corpus(H), config)}  run_suite {name}(1/64)"
-              f" K={config.K:g} k={config.k} {config.mode}", flush=True)
+    print_suites(s for s in SUITES if s[2] == H)
     for seeds, mode, K, k in BOUNDED:
         label = f"K={K:g} k={k} {mode}"
         records = []
@@ -144,6 +159,7 @@ def main() -> None:
             print(f"{label} {records[-1].line()}", file=sys.stderr, flush=True)
         print(f"{fold(records)}  bounded_surgery blob_union(1/64)"
               f" seeds {seeds.start}-{seeds.stop - 1} {label}", flush=True)
+    print_suites(s for s in SUITES if s[2] != H)
 
 
 if __name__ == "__main__":
