@@ -15,9 +15,10 @@ order:
 Grid spacings accept fractions (``--h 1/256``).  Results print as JSON with
 sorted keys on stdout; diagnostics go to stderr.  Exit codes: 0 on success
 (for ``check``/``surgery``/``bounded-surgery``: all checks passed), 1 when a
-check or suite run failed, 2 on usage or runtime errors.  K and P must be
-positive and finite, k and workers positive, and a practical factor finite
-and above 1, on every path; a bad value exits 2 before any domain is made.
+check or suite run failed, 2 on usage or runtime errors.  Every setting but
+``h`` is a :class:`~eigsurgery.harness.RunConfig` field (``out`` is
+``out_dir``), and ``RunConfig`` holds its default and its rule; a bad value
+exits 2 before any domain is made, on every path.
 """
 
 from __future__ import annotations
@@ -61,35 +62,22 @@ from eigsurgery.pde import (
     solve_torsion,
     torsion_energy,
 )
-from eigsurgery.surgery import bounded_surgery, parse_mode, strip_surgery
+from eigsurgery.surgery import bounded_surgery, strip_surgery
 
 logger = logging.getLogger(__name__)
 
 ENV_PREFIX = "EIGSURGERY_"
 
 
-def _fraction(text: str) -> float:
-    """Parse a float, accepting fraction syntax like ``1/256``."""
+def _spacing(text: str) -> float:
+    """Parse a positive finite grid spacing, accepting fractions like ``1/256``."""
     if "/" in text:
         num, den = (float(part) for part in text.split("/", 1))
-        return num / den if den else math.nan
-    return float(text)
-
-
-def _positive(cast: Callable[[str], Any]) -> Callable[[str], Any]:
-    def parse(text: str) -> Any:
-        value = cast(text)
-        if not (value > 0 and math.isfinite(value)):
-            raise ValueError(f"expected a positive finite value, got {text!r}")
-        return value
-
-    return parse
-
-
-def _non_negative(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"expected a non-negative integer, got {text!r}")
+        value = num / den if den else math.nan
+    else:
+        value = float(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"expected a positive finite value, got {text!r}")
     return value
 
 
@@ -100,25 +88,19 @@ def _optional(cast: Callable[[str], Any]) -> Callable[[str], Any]:
     return parse
 
 
-def _mode(text: str) -> str:
-    parse_mode(text)
-    return text
+DEFAULT_H = 1 / 256
 
-
-_spacing = _positive(_fraction)
-
-# name -> (cast from string, default, help); cases are significant (K vs k).
-_SETTINGS: dict[str, tuple[Callable[[str], Any], Any, str]] = {
-    "K": (_positive(float), 100.0, "spectral threshold"),
-    "k": (_positive(int), 3, "number of eigenvalues under control"),
-    "P": (_optional(_positive(float)), None,
-          "perimeter budget (default: 1.02 x measured perimeter)"),
-    "h": (_spacing, 1 / 256, "grid spacing, e.g. 1/256"),
-    "seed": (_non_negative, 0, "seed for generators and eigensolver start vectors"),
-    "mode": (_mode, "faithful", "faithful | practical:<factor>"),
-    "out": (_optional(str), None, "output directory"),
-    "workers": (_positive(int), 1,
-                "thread-pool size for corpus runs, capped at the usable CPUs"),
+# name -> (cast from text, help); cases are significant (K vs k).  Every name
+# but h is a RunConfig field, out standing for out_dir.
+_SETTINGS: dict[str, tuple[Callable[[str], Any], str]] = {
+    "K": (float, "spectral threshold"),
+    "k": (int, "number of eigenvalues under control"),
+    "P": (_optional(float), "perimeter budget (default: 1.02 x measured perimeter)"),
+    "h": (_spacing, "grid spacing, e.g. 1/256"),
+    "seed": (int, "seed for generators and eigensolver start vectors"),
+    "mode": (str, "faithful | practical:<factor>"),
+    "out": (_optional(str), "output directory"),
+    "workers": (int, "thread-pool size for corpus runs, capped at the usable CPUs"),
 }
 
 
@@ -141,11 +123,13 @@ def _read_config_file(path: str | Path) -> dict[str, str]:
 
 
 def _resolve_settings(args: argparse.Namespace) -> None:
-    """Write each setting the subcommand declares onto ``args``, cast once.
+    """Cast each setting the subcommand declares, once, and admit them all.
 
     A setting takes the first of its flag, its ``EIGSURGERY_`` variable and
-    its ``--config`` entry that is present, else its default.  A value that
-    fails its cast raises ``ValueError`` prefixed with the setting's name.
+    its ``--config`` entry that is present, else its default.  The spacing
+    goes to ``args.h`` and the rest to one :class:`RunConfig` in
+    ``args.run``.  A value that fails its cast or its rule raises
+    ``ValueError`` that starts with the setting's name.
     """
     unknown = sorted(
         name
@@ -158,25 +142,24 @@ def _resolve_settings(args: argparse.Namespace) -> None:
             f"{sorted(ENV_PREFIX + key for key in _SETTINGS)}"
         )
     file = _read_config_file(args.config) if args.config else {}
-    for key, (cast, default, _) in _SETTINGS.items():
+    values: dict[str, Any] = {}
+    for key, (cast, _) in _SETTINGS.items():
         if not hasattr(args, key):
             continue
         sources = (getattr(args, key), os.environ.get(ENV_PREFIX + key), file.get(key))
         text = next((t for t in sources if t is not None), None)
+        if text is None:
+            continue
         try:
-            setattr(args, key, default if text is None else cast(text))
+            values["out_dir" if key == "out" else key] = cast(text)
         except ValueError as exc:
             raise ValueError(f"{key}: {exc}") from exc
+    args.h = values.pop("h", DEFAULT_H)
+    args.run = RunConfig(**values)
 
 
 # --------------------------------------------------------------------------
 # argument plumbing
-
-
-def _add_setting_flags(p: argparse.ArgumentParser, names: Sequence[str]) -> None:
-    for name in names:
-        flag = "--" + name.replace("_", "-")
-        p.add_argument(flag, dest=name, default=None, help=_SETTINGS[name][2])
 
 
 def _add_domain_source(p: argparse.ArgumentParser) -> None:
@@ -221,7 +204,7 @@ def _domain_from_args(args: argparse.Namespace) -> tuple[str, GridDomain]:
             name=args.name or args.spec,
             generator=args.spec,
             h=args.h,
-            seed=args.seed,
+            seed=args.run.seed,
             params=_parse_params(args.param),
         )
         return spec.name, generate(spec)
@@ -252,9 +235,9 @@ def _print_report_line(r: IneqReport) -> None:
 
 
 def _out_dir(args: argparse.Namespace) -> Path | None:
-    if args.out is None:
+    if args.run.out_dir is None:
         return None
-    path = Path(args.out)
+    path = Path(args.run.out_dir)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -299,7 +282,7 @@ def _cmd_torsion(args: argparse.Namespace) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     name, d = _domain_from_args(args)
-    s = eigenvalues(d, k=args.k, seed=args.seed)
+    s = eigenvalues(d, k=args.run.k, seed=args.run.seed)
     info: dict[str, Any] = {
         "id": name,
         "k": s.k,
@@ -322,7 +305,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         domains = [_domain_from_args(args)]
     failed = 0
     for name, d in domains:
-        f, s = solve_raster(d, k=BATTERY_K, seed=args.seed)
+        f, s = solve_raster(d, k=BATTERY_K, seed=args.run.seed)
         sanity, battery = inequality_battery(d, f, s)
         reports = sanity + battery
         ok = all(r.passed for r in reports)
@@ -336,18 +319,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.corpus:
         print(f"{len(specs) - failed}/{len(specs)} domains passed")
     return 0 if failed == 0 else 1
-
-
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        K=args.K,
-        k=args.k,
-        P=args.P,
-        mode=args.mode,
-        seed=args.seed,
-        workers=args.workers,
-        out_dir=args.out,
-    )
 
 
 def _finish_surgery(
@@ -373,23 +344,23 @@ def _finish_surgery(
 
 
 def _cmd_surgery(args: argparse.Namespace) -> int:
+    run = args.run
     if args.corpus:
-        result = run_suite(_corpus(args), _run_config(args))
+        result = run_suite(_corpus(args), run)
         print(summary_table(result.rows))
         return result.exit_code
     name, d = _domain_from_args(args)
-    f, s = solve_raster(d, k=args.k, seed=args.seed)
+    f, s = solve_raster(d, k=run.k, seed=run.seed)
     result, report = strip_surgery(
-        f, s, K=args.K, k=args.k, P=args.P, mode=args.mode, seed=args.seed
+        f, s, K=run.K, k=run.k, P=run.P, mode=run.mode, seed=run.seed
     )
     return _finish_surgery(name, result, report, _out_dir(args))
 
 
 def _cmd_bounded_surgery(args: argparse.Namespace) -> int:
+    run = args.run
     name, d = _domain_from_args(args)
-    result, report = bounded_surgery(
-        d, K=args.K, k=args.k, mode=args.mode, seed=args.seed
-    )
+    result, report = bounded_surgery(d, K=run.K, k=run.k, mode=run.mode, seed=run.seed)
     return _finish_surgery(name, result, report, _out_dir(args))
 
 
@@ -404,10 +375,10 @@ def _cmd_study(args: argparse.Namespace) -> int:
         name=args.name or args.spec,
         generator=args.spec,
         h=h_list[0],
-        seed=args.seed,
+        seed=args.run.seed,
         params=_parse_params(args.param),
     )
-    study = convergence_study(spec, h_list, seed=args.seed)
+    study = convergence_study(spec, h_list, seed=args.run.seed)
     _print_json(study)
     out = _out_dir(args)
     if out is not None:
@@ -419,6 +390,24 @@ def _cmd_study(args: argparse.Namespace) -> int:
 
 # --------------------------------------------------------------------------
 # parser
+
+# name, help, handler, settings, whether it takes --corpus
+_COMMANDS = (
+    ("gen", "rasterize a domain and save it as PBM plus a JSON sidecar",
+     _cmd_gen, ("h", "seed", "out"), False),
+    ("torsion", "solve the torsion problem on a domain",
+     _cmd_torsion, ("h", "seed", "out"), False),
+    ("spectrum", "lowest Dirichlet eigenvalues of a domain",
+     _cmd_spectrum, ("h", "seed", "k", "out"), False),
+    ("check", "run the inequality battery",
+     _cmd_check, ("h", "seed"), True),
+    ("surgery", "strip surgery on a domain or corpus",
+     _cmd_surgery, ("K", "k", "P", "h", "seed", "mode", "workers", "out"), True),
+    ("bounded-surgery", "penalized-energy descent on a domain",
+     _cmd_bounded_surgery, ("K", "k", "h", "seed", "mode", "out"), False),
+    ("study", "grid-convergence study for one generator",
+     _cmd_study, ("seed", "out"), False),
+)  # fmt: skip
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -438,68 +427,24 @@ def build_parser() -> argparse.ArgumentParser:
         "-v", "--verbose", action="count", default=argparse.SUPPRESS
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "gen",
-        parents=[common],
-        help="rasterize a domain and save it as PBM plus a JSON sidecar",
-    )
-    _add_domain_source(p)
-    _add_setting_flags(p, ["h", "seed", "out"])
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser(
-        "torsion",
-        parents=[common], help="solve the torsion problem on a domain")
-    _add_domain_source(p)
-    _add_setting_flags(p, ["h", "seed", "out"])
-    p.set_defaults(func=_cmd_torsion)
-
-    p = sub.add_parser(
-        "spectrum",
-        parents=[common], help="lowest Dirichlet eigenvalues of a domain")
-    _add_domain_source(p)
-    _add_setting_flags(p, ["h", "seed", "k", "out"])
-    p.set_defaults(func=_cmd_spectrum)
-
-    p = sub.add_parser(
-        "check",
-        parents=[common], help="run the inequality battery")
-    _add_domain_source(p)
-    p.add_argument("--corpus", help="run on a whole corpus: default or surgery")
-    _add_setting_flags(p, ["h", "seed"])
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser(
-        "surgery",
-        parents=[common], help="strip surgery on a domain or corpus")
-    _add_domain_source(p)
-    p.add_argument("--corpus", help="run the batch suite: default or surgery")
-    _add_setting_flags(p, ["K", "k", "P", "h", "seed", "mode", "workers", "out"])
-    p.set_defaults(func=_cmd_surgery)
-
-    p = sub.add_parser(
-        "bounded-surgery",
-        parents=[common], help="penalized-energy descent on a domain"
-    )
-    _add_domain_source(p)
-    _add_setting_flags(p, ["K", "k", "h", "seed", "mode", "out"])
-    p.set_defaults(func=_cmd_bounded_surgery)
-
-    p = sub.add_parser(
-        "study",
-        parents=[common], help="grid-convergence study for one generator")
-    p.add_argument("--spec", required=True, help="domain generator name")
-    p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
-    p.add_argument("--name", help="domain id (default: the generator name)")
-    p.add_argument(
-        "--h-list",
-        default="1/64,1/128,1/256",
-        help="comma-separated grid spacings, e.g. 1/64,1/128,1/256",
-    )
-    _add_setting_flags(p, ["seed", "out"])
-    p.set_defaults(func=_cmd_study)
-
+    for name, help_text, func, settings, takes_corpus in _COMMANDS:
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        if name == "study":
+            p.add_argument("--spec", required=True, help="domain generator name")
+            p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
+            p.add_argument("--name", help="domain id (default: the generator name)")
+            p.add_argument(
+                "--h-list",
+                default="1/64,1/128,1/256",
+                help="comma-separated grid spacings, e.g. 1/64,1/128,1/256",
+            )
+        else:
+            _add_domain_source(p)
+        if takes_corpus:
+            p.add_argument("--corpus", help="run on a whole corpus: default or surgery")
+        for key in settings:
+            p.add_argument("--" + key, dest=key, default=None, help=_SETTINGS[key][1])
+        p.set_defaults(func=func)
     return parser
 
 

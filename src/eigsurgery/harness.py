@@ -23,6 +23,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace as dc_replace
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -64,15 +65,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Shared settings for every run in a batch.
+    """Shared settings for every run in a batch: each default and each rule.
 
-    ``K`` and ``P`` must be positive and finite, and ``seed`` non-negative.
-    ``P = None`` derives the perimeter budget per domain as 1.02 times the
-    measured perimeter of the unit-measure normalization, so every corpus
-    member is admissible by construction.  ``mode`` is either ``"faithful"`` or
-    ``"practical:<factor>"`` with a finite factor above 1 (the rule of
-    :func:`~eigsurgery.surgery.parse_mode`); the factor scales only the
-    energy-penalty constant and is recorded in each report.  The strip
+    ``K`` and ``P`` are positive finite real numbers, ``k`` and ``workers``
+    positive integers and ``seed`` a non-negative integer; bools are not
+    numbers here.  ``P = None`` derives the perimeter budget per domain as
+    1.02 times the measured perimeter of the unit-measure normalization, so
+    every corpus member is admissible by construction.  ``mode`` is either
+    ``"faithful"`` or ``"practical:<factor>"`` with a finite factor above 1
+    (the rule of :func:`~eigsurgery.surgery.parse_mode`); the factor scales
+    only the energy-penalty constant and is recorded in each report.
+    ``out_dir`` is a directory path or ``None``.  A bad value raises
+    ``ValueError`` whose message starts with the setting's name.  The strip
     half-width ``r0`` is not a setting: the constant chain derives it from
     the grid and the domain's extent.
     """
@@ -86,21 +90,28 @@ class RunConfig:
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if not (self.K > 0 and math.isfinite(self.K)):
-            raise ValueError(
-                f"spectral threshold K must be positive and finite, got {self.K}"
-            )
-        if self.k < 1:
-            raise ValueError(f"eigenvalue count k must be >= 1, got {self.k}")
-        if self.P is not None and not (self.P > 0 and math.isfinite(self.P)):
-            raise ValueError(
-                f"perimeter bound P must be positive and finite, got {self.P}"
-            )
-        parse_mode(self.mode)
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        _admit("K", self.K, Real, 0, "a positive finite number")
+        _admit("k", self.k, Integral, 0, "a positive integer")
+        if self.P is not None:
+            _admit("P", self.P, Real, 0, "a positive finite number or None")
+        _admit("seed", self.seed, Integral, -1, "a non-negative integer")
+        _admit("workers", self.workers, Integral, 0, "a positive integer")
+        if not isinstance(self.mode, str):
+            raise ValueError(f"mode: expected a string, got {self.mode!r}")
+        try:
+            parse_mode(self.mode)
+        except ValueError as exc:
+            raise ValueError(f"mode: {exc}") from exc
+        if not isinstance(self.out_dir, (str, type(None))):
+            raise ValueError(f"out_dir: expected a path string, got {self.out_dir!r}")
+
+
+def _admit(name: str, value: Any, kind: type, above: int, wanted: str) -> None:
+    """Raise unless ``value`` is a non-bool ``kind`` in ``(above, inf)``."""
+    if isinstance(value, bool) or not isinstance(value, kind) or not (
+        above < value < math.inf
+    ):
+        raise ValueError(f"{name}: expected {wanted}, got {value!r}")
 
 
 # --------------------------------------------------------------------------
@@ -148,52 +159,50 @@ def run_one(spec: CorpusSpec, config: RunConfig = RunConfig()) -> dict[str, Any]
     d = generate(spec)
     f, s = solve_raster(d, k=max(config.k, BATTERY_K), seed=config.seed)
     sanity, checks = inequality_battery(d, f, s)
-    row: dict[str, Any] = {
-        "id": spec.name,
-        "spec": _spec_dict(spec),
-        "status": "ok",
-        "error": None,
-        "geometry": {
-            "measure": measure(d),
-            "perimeter": perimeter(d),
-            "spectrum": list(s.eigenvalues),
-        },
-        "sanity": [r.to_dict() for r in sanity],
-        "inequalities": [],
-        "surgery": None,
-        "passed": False,
+    geometry = {
+        "measure": measure(d),
+        "perimeter": perimeter(d),
+        "spectrum": list(s.eigenvalues),
     }
     if not all(r.passed for r in sanity):
-        row["status"] = "sanity_failed"
         logger.error("domain %s failed the sanity gate", spec.name)
-        return row
-    row["inequalities"] = [r.to_dict() for r in checks]
-
+        return _row(spec, "sanity_failed", geometry=geometry, sanity=sanity)
     _, report = strip_surgery(
-        f,
-        s,
-        K=config.K,
-        k=config.k,
-        P=config.P,
-        mode=config.mode,
-        seed=config.seed,
+        f, s, K=config.K, k=config.k, P=config.P, mode=config.mode, seed=config.seed
     )
-    row["surgery"] = report.to_dict()
-    row["passed"] = all(r.passed for r in checks) and report.passed
-    return row
+    return _row(
+        spec,
+        "ok",
+        geometry=geometry,
+        sanity=sanity,
+        inequalities=checks,
+        surgery=report.to_dict(),
+        passed=all(r.passed for r in checks) and report.passed,
+    )
 
 
-def _error_row(spec: CorpusSpec, exc: Exception) -> dict[str, Any]:
+def _row(
+    spec: CorpusSpec,
+    status: str,
+    *,
+    error: str | None = None,
+    geometry: dict[str, Any] | None = None,
+    sanity: Sequence[IneqReport] = (),
+    inequalities: Sequence[IneqReport] = (),
+    surgery: dict[str, Any] | None = None,
+    passed: bool = False,
+) -> dict[str, Any]:
+    """The one shape of a report row: ok, sanity-failed and error rows alike."""
     return {
         "id": spec.name,
         "spec": _spec_dict(spec),
-        "status": "error",
-        "error": f"{type(exc).__name__}: {exc}",
-        "geometry": None,
-        "sanity": [],
-        "inequalities": [],
-        "surgery": None,
-        "passed": False,
+        "status": status,
+        "error": error,
+        "geometry": geometry,
+        "sanity": [r.to_dict() for r in sanity],
+        "inequalities": [r.to_dict() for r in inequalities],
+        "surgery": surgery,
+        "passed": passed,
     }
 
 
@@ -202,7 +211,7 @@ def _safe_run(spec: CorpusSpec, config: RunConfig) -> dict[str, Any]:
         return run_one(spec, config)
     except Exception as exc:  # per-domain isolation
         logger.exception("domain %s failed", spec.name)
-        return _error_row(spec, exc)
+        return _row(spec, "error", error=f"{type(exc).__name__}: {exc}")
 
 
 # --------------------------------------------------------------------------
@@ -226,14 +235,14 @@ def run_suite(
     """Run every corpus member and merge the rows in corpus order.
 
     Returns exit code 0 when every row passes (an empty corpus passes), and
-    1 when any row errors or fails a check.  With ``config.workers > 1`` the
-    members are processed by a thread pool of at most one thread per CPU
-    this process may run on: band factors, band solves and band inertia
-    counts release the GIL, so threads overlap them, while more threads
-    than cores only add band memory.  Rows are still merged by corpus position, never by completion
-    order.  When ``config.out_dir`` is set the
-    rows are appended to ``reports.jsonl`` there and ``summary.csv`` is
-    regenerated from the whole log.
+    1 when any row errors or fails a check.  The members are processed by a
+    thread pool of ``config.workers`` threads, capped at one per CPU this
+    process may run on: band factors, band solves and band inertia counts
+    release the GIL, so threads overlap them, while more threads than cores
+    only add band memory.  One thread is the serial run.  Rows are merged by
+    corpus position, never by completion order.  When ``config.out_dir`` is
+    set the rows are appended to ``reports.jsonl`` there and ``summary.csv``
+    is regenerated from the whole log.
     """
     names = [s.name for s in specs]
     if len(set(names)) != len(names):
@@ -241,11 +250,8 @@ def run_suite(
         raise ValueError(f"duplicate domain ids in corpus: {dupes}")
 
     workers = min(config.workers, len(os.sched_getaffinity(0)))
-    if workers > 1 and len(specs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda sp: _safe_run(sp, config), specs))
-    else:
-        rows = [_safe_run(sp, config) for sp in specs]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        rows = list(pool.map(lambda sp: _safe_run(sp, config), specs))
 
     exit_code = 0 if all(r["passed"] for r in rows) else 1
     result = SuiteResult(rows=tuple(rows), exit_code=exit_code)
@@ -341,7 +347,8 @@ def richardson(h_values: Sequence[float], values: Sequence[float]) -> dict[str, 
 
     Requires three grid spacings with a uniform refinement ratio r (h0/h1 ==
     h1/h2).  Order p = log((v0 - v1) / (v1 - v2)) / log(r); the limit is
-    v2 + (v2 - v1) / (r^p - 1).
+    v2 + (v2 - v1) / (r^p - 1).  Raises ``ValueError`` when the differences
+    change sign, vanish or are equal (order 0).
     """
     if len(h_values) != 3 or len(values) != 3:
         raise ValueError("richardson extrapolation needs exactly three levels")
@@ -358,6 +365,8 @@ def richardson(h_values: Sequence[float], values: Sequence[float]) -> dict[str, 
             "differences are not monotone with refinement; cannot estimate order"
         )
     p = math.log(d01 / d12) / math.log(r)
+    if r**p == 1.0:
+        raise ValueError("equal differences give order 0; cannot extrapolate a limit")
     limit = v2 + (v2 - v1) / (r**p - 1.0)
     return {"order": p, "limit": limit}
 

@@ -657,6 +657,9 @@ def component_cleanup(
 ) -> tuple[GridDomain, dict[str, Any]]:
     """Replace components whose projection misses the active region by one ball.
 
+    A component misses ``X`` when none of its first-axis columns is a column
+    of an interval of ``X`` read as a strip (:meth:`Strip.columns`).
+
     Every such component must carry torsion at most ``C0 * r0`` (measured on
     the parent field, which dominates the component's own torsion exactly);
     a violating component is kept and flagged.  For each replaced component
@@ -671,9 +674,11 @@ def component_cleanup(
     discarded = 0
     discarded_measure = 0.0
     discard = np.zeros(d.shape, dtype=bool)
+    active = np.zeros(d.shape[0], dtype=bool)  # columns of X, by the strip rule
+    for lo, hi in X:
+        active[Strip((lo + hi) / 2, (hi - lo) / 2).columns(d)] = True
     for comp in connected_components(d):
-        lo_c, hi_c = _occupied_span(comp)
-        if any(hi_c >= lo and lo_c <= hi for lo, hi in X):
+        if (active & _per_column(comp.occupancy, np.any)).any():
             continue
         wmax = float(f.values[comp.occupancy].max())
         comp_measure = measure(comp)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import math
@@ -42,7 +43,7 @@ TUBE = CorpusSpec("tube", "tube", H)
 # neck thinner than two cells makes the generator raise; used as a crash dummy
 BROKEN = CorpusSpec("broken", "dumbbell", H, params={"neck_cells": 1})
 
-NEGATIVE_SEED = "seed: expected a non-negative integer, got '-1'"
+NEGATIVE_SEED = "seed: expected a non-negative integer, got -1"
 PRACTICAL = RunConfig(K=200.0, k=2, mode="practical:1e12")
 
 
@@ -95,10 +96,16 @@ class TestRunConfig:
             {"P": math.inf},
             {"K": math.inf},
             {"seed": -1},
+            {"k": 2.5},
+            {"k": True},
+            {"seed": 1.5},
+            {"workers": 1.5},
+            {"K": "200"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=f"^{name}: "):
             RunConfig(**kwargs)
 
     def test_practical_factor_one_must_be_spelled_faithful(self):
@@ -161,7 +168,7 @@ class TestRunSuite:
 
     @pytest.mark.parametrize(
         "cpus, workers, pool_size",
-        [(2, 4, 2), (4, 3, 3), (1, 4, None), (2, 1, None)],
+        [(2, 4, 2), (4, 3, 3), (1, 4, 1), (2, 1, 1)],
     )
     def test_pool_is_capped_at_the_usable_cpus(
         self, monkeypatch, cpus, workers, pool_size
@@ -194,7 +201,7 @@ class TestRunSuite:
             [BALL, TUBE], RunConfig(K=200.0, k=2, mode="practical:1e12", workers=workers)
         )
         assert [r["id"] for r in result.rows] == ["ball", "tube"]
-        assert pools == ([] if pool_size is None else [pool_size])
+        assert pools == [pool_size]
 
     def test_double_run_is_byte_identical(self, tmp_path):
         specs = [BALL, TUBE]
@@ -257,6 +264,8 @@ class TestConvergenceStudy:
             richardson([0.4, 0.2, 0.05], [1.0, 1.1, 1.11])
         with pytest.raises(ValueError, match="monotone"):
             richardson([0.4, 0.2, 0.1], [1.0, 2.0, 1.5])
+        with pytest.raises(ValueError, match="order 0"):
+            richardson([0.4, 0.2, 0.1], [3.0, 2.0, 1.0])
 
 
 # --------------------------------------------------------------------------
@@ -350,7 +359,7 @@ class TestCli:
              "mode: practical-mode factor must be finite and above 1, got 0.5 "
              "(factor 1 is spelled mode='faithful')"),
             (["spectrum", "--spec", "ball", "--k", "0"],
-             "k: expected a positive finite value, got '0'"),
+             "k: expected a positive integer, got 0"),
             (["spectrum", "--spec", "ball", "--seed", "-1"], NEGATIVE_SEED),
             (["bounded-surgery", "--spec", "ball", "--seed", "-1"], NEGATIVE_SEED),
             (["check", "--corpus", "surgery", "--seed", "-1"], NEGATIVE_SEED),
@@ -375,6 +384,34 @@ class TestCli:
         monkeypatch.setattr(cli, "generate", lambda spec: pytest.fail("generated"))
         assert main(["spectrum", "--spec", "ball", "--h", "1/16"]) == 2
         assert [r.getMessage() for r in caplog.records] == [NEGATIVE_SEED]
+
+    @pytest.mark.parametrize("source", ["env", "config"])
+    @pytest.mark.parametrize(
+        "key, text, message",
+        [
+            ("K", "inf", "K: expected a positive finite number, got inf"),
+            ("k", "2.5", "k: invalid literal for int() with base 10: '2.5'"),
+            ("P", "-1", "P: expected a positive finite number or None, got -1.0"),
+            ("workers", "0", "workers: expected a positive integer, got 0"),
+            ("mode", "practical:1",
+             "mode: practical-mode factor must be finite and above 1, got 1.0 "
+             "(factor 1 is spelled mode='faithful')"),
+        ],
+    )
+    def test_bad_setting_from_env_or_config_exits_2(
+        self, monkeypatch, tmp_path, caplog, source, key, text, message
+    ):
+        for module in (cli, harness):
+            monkeypatch.setattr(module, "generate", lambda spec: pytest.fail("generated"))
+        argv = ["surgery", "--spec", "tube", "--h", "1/16"]
+        if source == "env":
+            monkeypatch.setenv(f"EIGSURGERY_{key}", text)
+        else:
+            cfg = tmp_path / "eigsurgery.cfg"
+            cfg.write_text(f"{key} = {text}\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        assert [r.getMessage() for r in caplog.records] == [message]
 
     @pytest.mark.parametrize(
         "generator, key, text",
@@ -603,6 +640,26 @@ class TestCli:
 
 class TestCliPrecedence:
     """--flag beats EIGSURGERY_<name> beats --config file beats default."""
+
+    def test_settings_are_the_run_config_fields_and_h(self):
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        assert set(cli._SETTINGS) == fields - {"out_dir"} | {"out", "h"}
+        for name, *_ in cli._COMMANDS:
+            args = cli.build_parser().parse_args([name, "--spec", "ball"])
+            cli._resolve_settings(args)
+            assert args.run == RunConfig()
+            assert args.h == cli.DEFAULT_H
+        args = cli.build_parser().parse_args(
+            ["surgery", "--spec", "ball", "--K", "200", "--k", "2", "--P", "5",
+             "--h", "1/32", "--seed", "4", "--mode", "practical:1e6",
+             "--workers", "2", "--out", "reports"]
+        )
+        cli._resolve_settings(args)
+        assert args.run == RunConfig(
+            K=200.0, k=2, P=5.0, mode="practical:1e6", seed=4, workers=2,
+            out_dir="reports",
+        )
+        assert args.h == 1 / 32
 
     def _gen_h(self, capsys, *argv):
         # cell-aligned square keeps its spacing (no unit-measure rescale)

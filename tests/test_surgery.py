@@ -626,6 +626,22 @@ class TestComponentCleanup:
             )
             assert np.array_equal(got.values, want)
 
+    def test_component_at_the_active_edge_is_kept(self):
+        # a 4x4 component ends 2 r0 (8 columns) left of a hot column; off a
+        # dyadic origin hot - 2 r0 rounds above that column's centre
+        h, r0, hot = 1 / 64, 4 / 64, 60
+        mask = np.zeros((80, 8), dtype=bool)
+        mask[hot - 11 : hot - 7, 2:6] = True
+        mask[hot - 6 : hot + 7, 2:6] = True
+        d = from_mask(mask, h, origin=(0.1, 0.0))
+        x = d.centers(0)
+        assert x[hot] - 2 * r0 > x[hot - 8]
+        X = ((x[hot] - 2 * r0, x[hot] + 2 * r0),)
+        constants = replace(self._constants(C0=1.0), r0=r0)
+        out, info = component_cleanup(d, X, solve_torsion(d), constants)
+        assert out is d
+        assert info["discarded_components"] == 0
+
     def test_everything_active_is_noop(self):
         d, _, _ = self._two_squares()
         f = solve_torsion(d)
