@@ -14,7 +14,7 @@ from typing import Any
 
 import numpy as np
 
-from eigsurgery.domain import EmptyDomainError, GridDomain, from_mask, measure, rescale
+from eigsurgery.domain import EmptyDomainError, GridDomain, _normalized, from_mask
 
 __all__ = [
     "CorpusSpec",
@@ -59,7 +59,7 @@ def _normalize(d: GridDomain, normalize: bool, generator: str) -> GridDomain:
         raise _too_coarse(generator, d.h)
     if not normalize:
         return d
-    return rescale(d, measure(d) ** (-1.0 / d.N))
+    return _normalized(d)[0]
 
 
 def _centered_grid(h: float, half_extent_x: float, half_extent_y: float):

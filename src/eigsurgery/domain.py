@@ -452,6 +452,12 @@ def rescale(d: GridDomain, t: float) -> GridDomain:
     )
 
 
+def _normalized(d: GridDomain) -> tuple[GridDomain, float]:
+    """The unit-measure copy of ``d`` and the scale factor that makes it."""
+    t = measure(d) ** (-1 / d.N)
+    return rescale(d, t), t
+
+
 def save_domain(d: GridDomain, path: str | Path) -> tuple[Path, Path]:
     """Write occupancy as binary PBM (P4) plus a JSON metadata sidecar.
 

@@ -42,6 +42,7 @@ __all__ = [
     "default_tolerance",
     "li_yau_constant",
     "max_index_below",
+    "vdb_constant",
 ]
 
 
@@ -167,17 +168,22 @@ def check_talenti(d: GridDomain, f: TorsionField) -> IneqReport:
     )
 
 
+def vdb_constant(N: int) -> float:
+    """The van den Berg constant ``4 + 3 N log 2``: ``max w <= it / lambda_1``."""
+    return 4 + 3 * N * math.log(2)
+
+
 def check_vdb(d: GridDomain, f: TorsionField, spectrum: Spectrum) -> IneqReport:
     """Double-sided torsion/eigenvalue bound.
 
-    ``1/lambda_1 <= max w <= (4 + 3 N log 2) / lambda_1``.  The report's
+    ``1/lambda_1 <= max w <= vdb_constant(N) / lambda_1``.  The report's
     lhs/rhs form the upper side; the lower side is folded into the margin
     (the minimum of the two margins decides the verdict) and recorded in the
     context.
     """
     lam1 = spectrum[1]
     lower = 1.0 / lam1
-    upper = (4 + 3 * d.N * math.log(2)) / lam1
+    upper = vdb_constant(d.N) / lam1
     rel = default_tolerance(d.h)
     up = IneqReport.compare("vdb", f.max, upper, rel, _context(d, lambda1=lam1, lower=lower))
     low = IneqReport.compare("vdb_lower", lower, f.max, rel)

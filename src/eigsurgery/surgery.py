@@ -28,6 +28,7 @@ from eigsurgery.domain import (
     EmptyDomainError,
     GridDomain,
     Strip,
+    _normalized,
     connected_components,
     diam_e,
     diameter,
@@ -36,7 +37,6 @@ from eigsurgery.domain import (
     perimeter,
     remove_strips,
     replace_components_with_ball,
-    rescale,
     unit_ball_volume,
 )
 from eigsurgery.inequalities import (
@@ -44,6 +44,7 @@ from eigsurgery.inequalities import (
     IneqReport,
     check_positive_energy,
     default_m_table,
+    vdb_constant,
 )
 from eigsurgery.pde import (
     DEFAULT_CG_TOL,
@@ -127,14 +128,16 @@ def choose_c(
     the ratio bound ``M_k`` of :func:`default_m_table`, and the
     gamma-stability remainder.  The trace names the active bound.  The chain
     bound carries ``k^4``, as written in the source formula (the factor
-    ``k^2`` appears twice).
+    ``k^2`` appears twice), and the chain factor is twice the van den Berg
+    constant (:func:`vdb_constant`), because the torsion floor at most
+    halves the peak.
     """
     if not (K > 0 and math.isfinite(K) and volume > 0):
         raise ValueError("K must be positive and finite, and volume positive")
     if k < 1:
         raise ValueError("k must be at least 1")
     M_k = float(default_m_table(k, N)[k])
-    chain = 8 + 6 * N * math.log(2)
+    chain = 2 * vdb_constant(N)
     C_N = energy_volume_constant(N)
     bounds = {
         "energy_volume": C_N / (2 * volume * (2 * K) ** ((N + 2) / 2)),
@@ -313,13 +316,29 @@ def derive_constants(
 # strip test and active region
 
 
+def _strip_test(f: TorsionField, strip: Strip, threshold: float) -> IneqReport:
+    """The ``strip_test`` check of ``strip``: the torsion over the doubled
+    strip is at most ``threshold``."""
+    doubled = Strip(center=strip.center, half_width=2 * strip.half_width)
+    return IneqReport.compare(
+        "strip_test",
+        strip_max(f, doubled),
+        threshold,
+        0.0,
+        {"center": strip.center, "half_width": strip.half_width},
+    )
+
+
 def strip_removal_test(
     f: TorsionField, x1: float, r: float, C0: float, r0: float
 ) -> bool:
-    """True iff the torsion over the doubled strip S_{2r}(x1) stays below C0*r0."""
+    """True iff the torsion over the doubled strip S_{2r}(x1) is at most C0*r0.
+
+    This is the strip pipeline's own test (:func:`_strip_test`).
+    """
     if not 0 < r <= r0 * (1 + 1e-12):
         raise ValueError(f"strip half-width r = {r:g} must lie in (0, r0 = {r0:g}]")
-    return strip_max(f, Strip(center=x1, half_width=2 * r)) <= C0 * r0
+    return _strip_test(f, Strip(center=x1, half_width=r), C0 * r0).passed
 
 
 def _merge_intervals(
@@ -367,14 +386,15 @@ def _windowed_column_max(f: TorsionField, r0: float) -> np.ndarray:
 def detect_active_region(
     f: TorsionField, C0: float, r0: float
 ) -> tuple[tuple[float, float], ...]:
-    """Intervals of first-axis positions whose doubled strip carries torsion >= C0*r0.
+    """Intervals of first-axis positions whose doubled strip holds torsion above C0*r0.
 
     Computes the sliding-window maximum of the per-column torsion maximum
-    (window half-width 2*r0), thresholds it at C0*r0, and widens each hot
-    column by 2*r0 on either side; overlapping widenings merge, so the
+    (window half-width 2*r0) and marks a column hot where it exceeds C0*r0,
+    exactly where :func:`strip_removal_test` fails.  Each hot column is
+    widened by 2*r0 on either side; overlapping widenings merge, so the
     returned intervals are at least 4*r0 wide.
     """
-    hot = f.domain.centers(0)[_windowed_column_max(f, r0) >= C0 * r0]
+    hot = f.domain.centers(0)[_windowed_column_max(f, r0) > C0 * r0]
     widened = zip((hot - 2 * r0).tolist(), (hot + 2 * r0).tolist())
     return tuple(_merge_intervals(widened))
 
@@ -781,12 +801,6 @@ class SurgeryReport:
         }
 
 
-def _normalized(d: GridDomain) -> tuple[GridDomain, float]:
-    """The unit-measure copy of ``d`` and the scale factor that makes it."""
-    t = measure(d) ** (-1 / d.N)
-    return rescale(d, t), t
-
-
 def _setup(
     d: GridDomain, K: float, k: int, P: float | None, mode: str
 ) -> tuple[GridDomain, float, float, SurgeryConstants]:
@@ -848,13 +862,7 @@ def _cut_stage(
     checks: list[IneqReport] = []
     kept_strips = []
     for strip in _strips_at(plan.anchors, r0, t):
-        test = IneqReport.compare(
-            "strip_test",
-            strip_max(f, Strip(center=strip.center, half_width=2 * r0)),
-            constants.C0 * r0,
-            0.0,
-            {"center": strip.center, "half_width": strip.half_width},
-        )
+        test = _strip_test(f, strip, constants.C0 * r0)
         checks.append(test)
         if test.passed:
             kept_strips.append(strip)
@@ -1032,51 +1040,43 @@ def strip_surgery(
 
 
 def _descent_candidates(
-    f: TorsionField, r0: float
+    f: TorsionField, r0: float, k: int
 ) -> list[tuple[str, float | None, GridDomain]]:
     """One descent step's moves from ``f.domain``: ``(kind, tau, candidate)``.
 
-    The removal of the sublevel set {w < tau} for tau on the geometric
+    Each move is the mask of the cells it keeps, on ``f.domain``'s window.
+    First the removal of the sublevel set {w < tau} for tau on the geometric
     ladder ``max(w)/2, max(w)/4, ...`` (capping tau at half the maximum keeps
     the torsion peak within a factor two per move), then the removal of
     either edge strip along the first axis: the strip of width ``r0`` from
     the lowest (highest) occupied column's centre inwards, which by the rule
     of :meth:`Strip.columns` is that column and the next ``floor(r0 / h)``,
-    5 columns at ``r0 = 4h``, at either end.  ``r0`` is at least ``4h`` (the
-    rule of :func:`choose_strip_constants`), so the strips are resolvable on
-    the grid.  Every candidate is a strict, nonempty subset of ``f.domain``
-    on its window.
+    5 columns at ``r0 = 4h``, at either end.  A move is offered iff it
+    removes a cell and keeps at least ``k`` cells, so that the descended
+    raster still has the ``k`` eigenvalues its report checks.  Equal
+    sublevel sets may be offered twice; the descent's settled set skips the
+    copy.
     """
-    current = f.domain
-    wmax = f.max
-    candidates: list[tuple[str, float | None, GridDomain]] = []
-    prev_removed = -1
-    for j in range(20):
-        tau = wmax / 2 * 2.0 ** (-j)
-        occ_new = current.occupancy & (f.values >= tau)
-        removed = current.cell_count - int(occ_new.sum())
-        if removed == 0:
-            break
-        if removed == prev_removed or not occ_new.any():
-            prev_removed = removed
-            continue
-        prev_removed = removed
-        candidates.append(
-            ("sublevel", tau, GridDomain(current.h, current.origin, occ_new))
-        )
-    lo, hi = _occupied_span(current)
-    edge_strips = (
+    d = f.domain
+    top, low = f.max / 2, float(f.values[d.occupancy].min())
+    ladder = [top * 2.0 ** (-j) for j in range(20)]
+    # a rung at or below the least value removes nothing, so it is not built
+    moves = [
+        ("sublevel", tau, d.occupancy & (f.values >= tau)) for tau in ladder if tau > low
+    ]
+    lo, hi = _occupied_span(d)
+    for kind, strip in (
         ("edge_strip_low", Strip(lo + r0 / 2, r0 / 2)),
         ("edge_strip_high", Strip(hi - r0 / 2, r0 / 2)),
-    )
-    for kind, strip in edge_strips:
-        try:
-            trimmed = remove_strips(current, [strip])
-        except EmptyDomainError:
-            continue
-        if trimmed.cell_count < current.cell_count:
-            candidates.append((kind, None, trimmed))
-    return candidates
+    ):
+        kept = d.occupancy.copy()
+        kept[strip.columns(d)] = False
+        moves.append((kind, None, kept))
+    return [
+        (kind, tau, GridDomain(d.h, d.origin, kept))
+        for kind, tau, kept in moves
+        if k <= int(kept.sum()) < d.cell_count
+    ]
 
 
 def _energy_bound(f: TorsionField, cand: GridDomain) -> float:
@@ -1186,10 +1186,12 @@ def subsolution_truncate(
     f: TorsionField,
     c: float,
     r0: float,
+    k: int,
     factor: BandFactor,
 ) -> tuple[TorsionField, tuple[dict[str, Any], ...], BandFactor]:
     """Greedy monotone descent of E + c|.| over sublevel and edge-strip moves.
 
+    No move leaves fewer than ``k`` cells (:func:`_descent_candidates`).
     Starts from the torsion function ``f`` of ``f.domain`` and that raster's
     band factor ``factor`` (:func:`pde.factored_torsion`), which is left
     unreleased.  Each step accepts the candidate move (see
@@ -1236,9 +1238,7 @@ def subsolution_truncate(
         ("candidates", "m_matrix", "one_point", "two_point", "repeated", "solved"), 0
     )
     for _ in range(DESCENT_MOVE_LIMIT):
-        if f.max <= 0:
-            break
-        candidates = _descent_candidates(f, r0)
+        candidates = _descent_candidates(f, r0, k)
         penalties = [c * measure(cand) for _, _, cand in candidates]
         bounds = [
             _energy_bound(f, cand) + p for (_, _, cand), p in zip(candidates, penalties)
@@ -1315,7 +1315,7 @@ def verify_choicec(
     For each index the rescaled monotonicity
     ``lambda_i(after) |after|^{2/N} <= lambda_i(before) |before|^{2/N}``
     (reported only while ``lambda_i(before) <= K``) and the growth sandwich
-    ``lambda_i(before) <= lambda_i(after) <= (8 + 6 N log 2) M_i
+    ``lambda_i(before) <= lambda_i(after) <= 2 vdb_constant(N) M_i
     lambda_i(before)`` are checked on the given spectra ``s_before`` and
     ``s_after`` of the two domains, with ``M_i`` from :func:`default_m_table`
     and relative tolerance 1e-6.  Requires ``after`` to be contained in
@@ -1328,7 +1328,7 @@ def verify_choicec(
     table = default_m_table(k, N)
     rel_tol = 1e-6
     vol_b, vol_a = measure(before), measure(after)
-    chain = 8 + 6 * N * math.log(2)
+    chain = 2 * vdb_constant(N)
     reports: list[IneqReport] = []
     for i in range(1, k + 1):
         ctx = {"index": i, "K": K, "before": s_before[i], "after": s_after[i]}
@@ -1375,12 +1375,16 @@ def bounded_surgery(
     penalized-energy comparison against the input, the torsion-peak floor
     ``max w(after) >= max w(before) / 2``, the volume floor ``beta``, and the
     per-index eigenvalue guarantees of :func:`verify_choicec`.  Diameter and
-    perimeter are measured and reported without an a-priori bound.  When no
-    move is accepted the normalized input itself is returned (a no-op).
+    perimeter are measured and reported without an a-priori bound.  No move
+    leaves fewer than ``k`` cells, so both rasters have the ``k`` eigenvalues
+    the report checks.  When no move is accepted the normalized input itself
+    is returned (a no-op).
     """
     d0, _, _, constants = _setup(d, K, k, None, mode)
     f0, band0 = factored_torsion(d0)
-    f1, log, band1 = subsolution_truncate(f0, constants.c, r0=constants.r0, factor=band0)
+    f1, log, band1 = subsolution_truncate(
+        f0, constants.c, r0=constants.r0, k=k, factor=band0
+    )
     s0 = eigenvalues(d0, band0, k=k, seed=seed)  # releases band0, so after the descent
     d_desc = f1.domain
     before = measure_domain(d0, s0, k)

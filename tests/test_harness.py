@@ -510,6 +510,15 @@ class TestCli:
         assert code == 0
         assert "verdict: no-op" in capsys.readouterr().out
 
+    def test_bounded_surgery_with_a_failed_check_exits_1(self, capsys):
+        # this descent would end on one cell, fewer than k; it stops on nine,
+        # where the floors fail: a failed check, not a solver error
+        code = main(["bounded-surgery", "--spec", "blob_union", "--seed", "46",
+                     "--h", "1/64", "--K", "100", "--k", "2",
+                     "--mode", "practical:1e12"])
+        assert code == 1
+        assert "verdict: fail" in capsys.readouterr().out
+
     def test_study_single_h(self, capsys):
         assert main(["study", "--spec", "square", "--param", "aligned=node",
                      "--h-list", "1/32"]) == 0

@@ -24,6 +24,7 @@ from eigsurgery.inequalities import (
     default_tolerance,
     li_yau_constant,
     max_index_below,
+    vdb_constant,
 )
 from eigsurgery.pde import TorsionField, eigenvalues, solve_torsion
 
@@ -113,6 +114,13 @@ class TestVdb:
         d = dumbbell(1 / 96)
         r = check_vdb(d, solve_torsion(d), eigenvalues(d, k=1))
         assert r.passed
+
+    @pytest.mark.parametrize("N", range(1, 9))
+    def test_chain_factor_is_twice_the_constant_bit_for_bit(self, N):
+        # the descent's chain factor is written 2 * vdb_constant(N); it must
+        # equal the literal 8 + 6 N log 2 it replaced, to the last bit
+        assert vdb_constant(N) == 4 + 3 * N * math.log(2)
+        assert 2 * vdb_constant(N) == 8 + 6 * N * math.log(2)
 
 
 class TestBerezinLiYau:

@@ -316,7 +316,7 @@ def test_descent_computes_the_lambda1_floor_once(monkeypatch):
     monkeypatch.setattr(surgery, "_lambda1_floor", counting)
     d = surgery._normalized(blob_union(1 / 64, seed=10))[0]
     f0, band0 = pde.factored_torsion(d)
-    _, log, _ = surgery.subsolution_truncate(f0, 0.01, r0=4 * d.h, factor=band0)
+    _, log, _ = surgery.subsolution_truncate(f0, 0.01, r0=4 * d.h, k=2, factor=band0)
     assert len(log) > 1 and calls == [occupancy_key(d)]
 
 

@@ -29,6 +29,7 @@ from eigsurgery.domain import (
     EmptyDomainError,
     GridDomain,
     Strip,
+    _normalized,
     connected_components,
     from_mask,
     measure,
@@ -95,9 +96,7 @@ def blob():
 
 
 def normalized(d: GridDomain) -> GridDomain:
-    from eigsurgery.domain import rescale
-
-    return rescale(d, measure(d) ** (-1 / d.N))
+    return _normalized(d)[0]
 
 
 @pytest.fixture(scope="module")
@@ -339,6 +338,19 @@ class TestStripRemovalTest:
         with pytest.raises(ValueError):
             strip_removal_test(disk_field, 0.0, 0.1, C0=0.06, r0=0.05)
 
+    def test_is_the_pipelines_own_test(self, tailed_disk):
+        # C06 validates strip_removal_test, so it must decide every strip of
+        # a strip surgery as the cut stage did
+        d0, t0 = _normalized(tailed_disk[0])
+        f = tailed_disk[1].rescaled(t0, d0)
+        _, report = strip_surgery_of(tailed_disk)
+        C0, r0 = report.constants.C0, report.constants.r0
+        tests = checks_named(report, "strip_test")
+        assert tests
+        for test in tests:
+            center, r = test.context["center"], test.context["half_width"]
+            assert strip_removal_test(f, center, r, C0, r0) == test.passed
+
 
 class TestDetectActiveRegion:
     def test_zero_field(self, disk_field):
@@ -373,6 +385,25 @@ class TestDetectActiveRegion:
 
     def test_huge_threshold_empty(self, disk_field):
         assert detect_active_region(disk_field, C0=1e6, r0=4 / 96) == ()
+
+    def test_a_column_is_active_exactly_where_its_strip_test_fails(self):
+        # at r0 = 4h = 1/16, a power of two, C0 = w / r0 gives C0 * r0 == w
+        # exactly: the hottest column's doubled strip reads the threshold
+        h = 1 / 64
+        x, y = np.indices((48, 48))
+        f = solve_torsion(from_mask((x - 24) ** 2 + (y - 24) ** 2 <= 20**2, h))
+        r0 = 4 * h
+        windowed = _windowed_column_max(f, r0)
+        j = int(np.argmax(windowed))
+        x_j = float(f.domain.centers(0)[j])
+        w = float(windowed[j])
+        C0 = w / r0
+        assert C0 * r0 == w
+        assert strip_removal_test(f, x_j, r0, C0, r0)
+        assert detect_active_region(f, C0, r0) == ()
+        below = float(np.nextafter(C0, 0.0))
+        assert not strip_removal_test(f, x_j, r0, below, r0)
+        assert detect_active_region(f, below, r0) != ()
 
 
 class TestPlanCuts:
@@ -790,13 +821,13 @@ class TestStripSurgery:
 class TestSubsolutionTruncate:
     def test_zero_penalty_is_identity(self, blob):
         f, band = factored_torsion(blob)
-        out, log, _ = subsolution_truncate(f, 0.0, r0=4 * blob.h, factor=band)
+        out, log, _ = subsolution_truncate(f, 0.0, r0=4 * blob.h, k=2, factor=band)
         assert out is f
         assert log == ()
 
     def test_strict_descent(self, blob):
         f, band = factored_torsion(blob)
-        f, log, _ = subsolution_truncate(f, 0.01, r0=4 * blob.h, factor=band)
+        f, log, _ = subsolution_truncate(f, 0.01, r0=4 * blob.h, k=2, factor=band)
         out = f.domain
         assert len(log) >= 1
         assert all(entry["delta"] < 0 for entry in log)
@@ -809,18 +840,18 @@ class TestSubsolutionTruncate:
 
     def test_returns_the_final_domains_factor(self, blob):
         f0, band0 = factored_torsion(blob)
-        f, log, band = subsolution_truncate(f0, 0.01, r0=4 * blob.h, factor=band0)
+        f, log, band = subsolution_truncate(f0, 0.01, r0=4 * blob.h, k=2, factor=band0)
         assert log and band is not band0 and band.band is not None
         band.stencil.check(f.domain)  # the final raster's band, for its eigensolve
         assert np.array_equal(solve_torsion(f.domain, band).values, f.values)
         # no move: the start domain's own factor comes back, unreleased
-        _, log, same = subsolution_truncate(f0, 0.0, r0=4 * blob.h, factor=band0)
+        _, log, same = subsolution_truncate(f0, 0.0, r0=4 * blob.h, k=2, factor=band0)
         assert log == () and same is band0 and band0.band is not None
 
     def test_negative_penalty_rejected(self, blob):
         f, band = factored_torsion(blob)
         with pytest.raises(ValueError):
-            subsolution_truncate(f, -1.0, r0=4 * blob.h, factor=band)
+            subsolution_truncate(f, -1.0, r0=4 * blob.h, k=2, factor=band)
 
     @pytest.mark.parametrize(
         "mode", ["faithful", "practical:1e3", "practical:1e6", "practical:1e12"]
@@ -840,7 +871,7 @@ class TestSubsolutionTruncate:
             return factored_torsion(cand)
 
         monkeypatch.setattr("eigsurgery.surgery.factored_torsion", counting)
-        field, log, _ = subsolution_truncate(f0, c, r0=r0, factor=band0)
+        field, log, _ = subsolution_truncate(f0, c, r0=r0, k=2, factor=band0)
         assert log == ref_log == report.log
         assert field.domain.equals(ref_field.domain)
         assert np.array_equal(field.values, ref_field.values)
@@ -853,8 +884,8 @@ class TestSubsolutionTruncate:
         f0, band0 = factored_torsion(normalized(blob))
         steps, solves = [], []
 
-        def listing(f, r0):
-            steps.append(_descent_candidates(f, r0))
+        def listing(f, r0, k):
+            steps.append(_descent_candidates(f, r0, k))
             return steps[-1]
 
         def counting(cand):
@@ -864,7 +895,7 @@ class TestSubsolutionTruncate:
         monkeypatch.setattr("eigsurgery.surgery._descent_candidates", listing)
         monkeypatch.setattr("eigsurgery.surgery.factored_torsion", counting)
         with caplog.at_level(logging.INFO, logger="eigsurgery.surgery"):
-            _, log, _ = subsolution_truncate(f0, c, r0=r0, factor=band0)
+            _, log, _ = subsolution_truncate(f0, c, r0=r0, k=2, factor=band0)
         [message] = [r.getMessage() for r in caplog.records if "descent" in r.getMessage()]
         moves, candidates, m_matrix, one_point, two_point, repeated, solved = map(
             int, re.findall(r"\d+", message)
@@ -889,7 +920,7 @@ def solve_every_candidate(f, c, r0):
         slack = _descent_slack(f, value)
         energy = torsion_energy(f)
         best = None
-        for kind, tau, cand in _descent_candidates(f, r0):
+        for kind, tau, cand in _descent_candidates(f, r0, 2):
             fc, fc_band = factored_torsion(cand)
             solves += 1
             val = torsion_energy(fc) + c * measure(cand)
@@ -977,7 +1008,7 @@ class TestRemovalBound:
         moves = 0
         while True:
             best = None
-            for _, _, cand in _descent_candidates(f, r0):
+            for _, _, cand in _descent_candidates(f, r0, 2):
                 fc, fc_band = factored_torsion(cand)
                 one, two = _removal_bounds(f, band, floor, cand)
                 assert torsion_energy(f) + one <= torsion_energy(fc)
@@ -1072,6 +1103,25 @@ class TestBoundedSurgery:
         assert abs(measure(out) - 1.0) <= 1e-12
         assert all(c.passed for c in report.checks)
 
+    def test_descent_keeps_k_cells(self):
+        # unbounded, this descent ends on one cell, below the k = 2
+        # eigenvalues its report checks; it now stops on nine, where the
+        # floors fail and the report says so
+        d = blob_union(1 / 64, seed=46)
+        out, report = bounded_surgery(d, K=100.0, k=2, mode="practical:1e12")
+        assert report.verdict == "fail"
+        assert out.cell_count == 9
+        assert [c.name for c in report.checks if not c.passed] == [
+            "torsion_floor", "volume_floor",
+            "eigenvalue_growth_1", "eigenvalue_growth_2",
+        ]
+
+    def test_no_descent_raises_at_k_5(self):
+        for seed in range(60):
+            d = blob_union(1 / 64, seed=seed)
+            out, report = bounded_surgery(d, K=100.0, k=5, mode="practical:1e12")
+            assert out.cell_count >= 5 and len(report.after["spectrum"]) == 5, seed
+
     def test_measure_domain_fields(self, blob):
         info = measure_domain(blob, eigenvalues(blob, k=3), k=2)
         assert set(info) == {"measure", "perimeter", "diam_e1", "diameter", "spectrum"}
@@ -1107,10 +1157,37 @@ class TestWindowedMaxMatchesStripMax:
                     assert filtered[j] == strip_max(f, strip), (spec.name, r0, j)
 
 
+class TestDescentCandidates:
+    @given(
+        shape=st.sampled_from([(9, 9), (12, 6), (5, 5, 5)]),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 60),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_move_keeps_k_to_all_but_one_cells(self, shape, seed, k):
+        rng = np.random.default_rng(seed)
+        mask = rng.random(shape) < 0.7
+        mask.flat[0] = True
+        d = from_mask(mask, 1 / 16)
+        f = solve_torsion(d)
+        every = _descent_candidates(f, 4 * d.h, 1)
+        moves = _descent_candidates(f, 4 * d.h, k)
+        for _, _, cand in moves:
+            assert k <= cand.cell_count <= d.cell_count - 1
+            assert cand.shape == d.shape and cand.origin == d.origin
+            assert not (cand.occupancy & ~d.occupancy).any()
+        # the floor only drops moves: those that keep fewer than k cells
+        assert [(kind, tau, cand.cell_count) for kind, tau, cand in moves] == [
+            (kind, tau, cand.cell_count)
+            for kind, tau, cand in every
+            if cand.cell_count >= k
+        ]
+
+
 def edge_strips(f, r0):
     """The descent's two edge-strip candidates from ``f.domain``, by kind."""
     return {
-        kind: cand for kind, _, cand in _descent_candidates(f, r0)
+        kind: cand for kind, _, cand in _descent_candidates(f, r0, 1)
         if kind.startswith("edge_strip")
     }
 
