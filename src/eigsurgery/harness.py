@@ -38,7 +38,7 @@ from eigsurgery.inequalities import (
     check_vdb,
 )
 from eigsurgery.pde import Spectrum, TorsionField, solve_raster
-from eigsurgery.surgery import parse_mode, strip_surgery
+from eigsurgery.surgery import SurgeryReport, parse_mode, strip_surgery
 
 logger = logging.getLogger(__name__)
 
@@ -176,8 +176,7 @@ def run_one(spec: CorpusSpec, config: RunConfig = RunConfig()) -> dict[str, Any]
         geometry=geometry,
         sanity=sanity,
         inequalities=checks,
-        surgery=report.to_dict(),
-        passed=all(r.passed for r in checks) and report.passed,
+        surgery=report,
     )
 
 
@@ -189,10 +188,13 @@ def _row(
     geometry: dict[str, Any] | None = None,
     sanity: Sequence[IneqReport] = (),
     inequalities: Sequence[IneqReport] = (),
-    surgery: dict[str, Any] | None = None,
-    passed: bool = False,
+    surgery: SurgeryReport | None = None,
 ) -> dict[str, Any]:
-    """The one shape of a report row: ok, sanity-failed and error rows alike."""
+    """The one shape of a report row: ok, sanity-failed and error rows alike.
+
+    A row passes iff it reached surgery and every check it holds passes.
+    """
+    checks = (*sanity, *inequalities)
     return {
         "id": spec.name,
         "spec": _spec_dict(spec),
@@ -201,8 +203,8 @@ def _row(
         "geometry": geometry,
         "sanity": [r.to_dict() for r in sanity],
         "inequalities": [r.to_dict() for r in inequalities],
-        "surgery": surgery,
-        "passed": passed,
+        "surgery": None if surgery is None else surgery.to_dict(),
+        "passed": surgery is not None and surgery.passed and all(r.passed for r in checks),
     }
 
 
@@ -220,13 +222,23 @@ def _safe_run(spec: CorpusSpec, config: RunConfig) -> dict[str, Any]:
 
 @dataclass(frozen=True)
 class SuiteResult:
-    """Rows (one dict per corpus member, in corpus order) plus an exit code."""
+    """Rows (one dict per corpus member, in corpus order) and their exit code."""
 
     rows: tuple[dict[str, Any], ...]
-    exit_code: int
+
+    @property
+    def exit_code(self) -> int:
+        """0 when every row passes (an empty corpus passes), else 1."""
+        return 0 if all(r["passed"] for r in self.rows) else 1
 
     def to_jsonl(self) -> str:
         return "".join(json.dumps(r, sort_keys=True) + "\n" for r in self.rows)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (all CPUs where affinity is unknown)."""
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def run_suite(
@@ -249,14 +261,12 @@ def run_suite(
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise ValueError(f"duplicate domain ids in corpus: {dupes}")
 
-    workers = min(config.workers, len(os.sched_getaffinity(0)))
+    workers = min(config.workers, _usable_cpus())
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(lambda sp: _safe_run(sp, config), specs))
+        result = SuiteResult(rows=tuple(pool.map(lambda sp: _safe_run(sp, config), specs)))
 
-    exit_code = 0 if all(r["passed"] for r in rows) else 1
-    result = SuiteResult(rows=tuple(rows), exit_code=exit_code)
     logger.info("suite finished: %d rows, exit %d\n%s",
-                len(rows), exit_code, summary_table(rows))
+                len(result.rows), result.exit_code, summary_table(result.rows))
     if config.out_dir is not None:
         write_reports(result, config.out_dir)
     return result

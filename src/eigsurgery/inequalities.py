@@ -2,16 +2,18 @@
 
 Each checker returns a structured :class:`IneqReport` carrying both sides of
 the inequality in the convention ``lhs <= rhs``; ``margin = rhs - lhs`` and
-the check passes iff ``margin >= -tolerance`` (tolerances are relative to
-the magnitude of the compared quantities).  Checkers whose hypotheses are
-not met report ``precondition unmet`` instead of a failure.
+the check passes iff ``margin >= -tolerance``.  The verdict is derived from
+the margin and never stored.  Tolerances are relative to the magnitude of
+the compared quantities, and an infinite magnitude gets no relative slack.
+Checkers whose hypotheses are not met report ``precondition unmet`` instead
+of a failure.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -69,7 +71,6 @@ class IneqReport:
     rhs: float
     margin: float
     tolerance: float
-    passed: bool
     context: dict[str, Any] = field(default_factory=dict)
     note: str = ""
 
@@ -83,16 +84,13 @@ class IneqReport:
         context: dict[str, Any] | None = None,
         note: str = "",
     ) -> "IneqReport":
-        margin = rhs - lhs
         scale = max(abs(lhs), abs(rhs))
-        tolerance = rel_tol * scale
         return cls(
             name=name,
             lhs=float(lhs),
             rhs=float(rhs),
-            margin=float(margin),
-            tolerance=float(tolerance),
-            passed=bool(margin >= -tolerance),
+            margin=float(rhs - lhs),
+            tolerance=float(rel_tol * scale if math.isfinite(scale) else 0.0),
             context=dict(context or {}),
             note=note,
         )
@@ -108,10 +106,14 @@ class IneqReport:
             rhs=0.0,
             margin=0.0,
             tolerance=0.0,
-            passed=True,
             context=dict(context or {}),
             note=note or "precondition unmet",
         )
+
+    @property
+    def passed(self) -> bool:
+        """The one pass rule: ``margin >= -tolerance`` (NaN fails)."""
+        return bool(self.margin >= -self.tolerance)
 
     @property
     def relative_margin(self) -> float:
@@ -187,16 +189,10 @@ def check_vdb(d: GridDomain, f: TorsionField, spectrum: Spectrum) -> IneqReport:
     rel = default_tolerance(d.h)
     up = IneqReport.compare("vdb", f.max, upper, rel, _context(d, lambda1=lam1, lower=lower))
     low = IneqReport.compare("vdb_lower", lower, f.max, rel)
-    margin = min(up.margin, low.margin)
-    tolerance = min(up.tolerance, low.tolerance)
-    return IneqReport(
-        name="vdb",
-        lhs=up.lhs,
-        rhs=up.rhs,
-        margin=margin,
-        tolerance=tolerance,
-        passed=bool(margin >= -tolerance),
-        context=up.context,
+    return replace(
+        up,
+        margin=min(up.margin, low.margin),
+        tolerance=min(up.tolerance, low.tolerance),
         note="double-sided: margin is the worse of the two sides",
     )
 

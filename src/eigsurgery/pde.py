@@ -131,19 +131,21 @@ class Spectrum:
     """
 
     eigenvalues: tuple[float, ...]
-    k: int
     shift: float | None = None
     inertia_count: int | None = None
 
     def __post_init__(self) -> None:
         vals = tuple(float(v) for v in self.eigenvalues)
-        if len(vals) != self.k:
-            raise ValueError("eigenvalue count does not match k")
         if any(v <= 0 for v in vals):
             raise ValueError("Dirichlet eigenvalues must be strictly positive")
         if any(b < a for a, b in zip(vals, vals[1:])):
             raise ValueError("eigenvalues must be ascending")
         object.__setattr__(self, "eigenvalues", vals)
+
+    @property
+    def k(self) -> int:
+        """The number of eigenvalues held."""
+        return len(self.eigenvalues)
 
     def __getitem__(self, i: int) -> float:
         """1-based access: spectrum[1] is the first eigenvalue."""
@@ -155,7 +157,6 @@ class Spectrum:
         """Spectrum of the domain rescaled by t: eigenvalues divide by t^2."""
         return Spectrum(
             eigenvalues=tuple(v / t**2 for v in self.eigenvalues),
-            k=self.k,
             shift=None if self.shift is None else self.shift / t**2,
             inertia_count=self.inertia_count,
         )
@@ -814,7 +815,6 @@ def eigenvalues(
                 )
             return Spectrum(
                 eigenvalues=tuple(float(v) for v in vals[:k]),
-                k=k,
                 shift=shift,
                 inertia_count=count,
             )

@@ -776,13 +776,21 @@ class SurgeryReport:
     diameter_bound: dict[str, Any]
     checks: tuple[IneqReport, ...]
     flags: tuple[str, ...]
-    verdict: str  # "pass", "no-op" or "fail"
+    changed: bool  # whether the surgery changed the domain
     ledger: dict[str, Any] = field(default_factory=dict)
     log: tuple[dict[str, Any], ...] = ()
 
     @property
     def passed(self) -> bool:
-        return self.verdict in ("pass", "no-op")
+        return all(c.passed for c in self.checks)
+
+    @property
+    def verdict(self) -> str:
+        """``"fail"`` if any check fails, else ``"pass"`` if the surgery
+        changed the domain and ``"no-op"`` if not."""
+        if not self.passed:
+            return "fail"
+        return "pass" if self.changed else "no-op"
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -827,12 +835,10 @@ def _setup(
 def _report(
     kind: str, changed: bool, checks: list[IneqReport], **fields: Any
 ) -> SurgeryReport:
-    """Report tail shared by both pipelines: ``"fail"`` if any check fails,
-    else ``"pass"`` if the surgery changed the domain and ``"no-op"`` if not."""
-    all_pass = all(c.passed for c in checks)
-    verdict = ("pass" if changed else "no-op") if all_pass else "fail"
-    logger.info("%s surgery verdict: %s (%d checks)", kind, verdict, len(checks))
-    return SurgeryReport(kind=kind, checks=tuple(checks), verdict=verdict, **fields)
+    """Report tail shared by both pipelines: the report and its logged verdict."""
+    report = SurgeryReport(kind=kind, checks=tuple(checks), changed=changed, **fields)
+    logger.info("%s surgery verdict: %s (%d checks)", kind, report.verdict, len(checks))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -1356,9 +1362,7 @@ def verify_choicec(
             {**ctx, "chain_factor": chain, "M_i": table[i], "lower_margin": lower_margin},
             note="lower side lambda_i(before) <= lambda_i(after) folded into margin",
         )
-        margin = min(upper_report.margin, lower_margin)
-        passed = bool(margin >= -upper_report.tolerance)
-        reports.append(dc_replace(upper_report, margin=margin, passed=passed))
+        reports.append(dc_replace(upper_report, margin=min(upper_report.margin, lower_margin)))
     return reports
 
 
@@ -1399,15 +1403,7 @@ def bounded_surgery(
     if log:
         worst_delta = max(entry["delta"] for entry in log)
         checks.append(
-            IneqReport(
-                name="descent_monotone",
-                lhs=worst_delta,
-                rhs=0.0,
-                margin=-worst_delta,
-                tolerance=0.0,
-                passed=bool(worst_delta < 0),
-                context={"moves": len(log)},
-            )
+            IneqReport.compare("descent_monotone", worst_delta, 0.0, 0.0, {"moves": len(log)})
         )
     else:
         checks.append(

@@ -19,6 +19,7 @@ from eigsurgery.domain import GridDomain, measure, save_domain
 from eigsurgery.harness import (
     BATTERY_K,
     RunConfig,
+    SuiteResult,
     convergence_study,
     inequality_battery,
     richardson,
@@ -154,6 +155,11 @@ class TestRunSuite:
         # the healthy rows still ran end to end
         assert result.rows[0]["passed"] and result.rows[2]["passed"]
 
+    def test_exit_code_is_read_from_the_rows(self):
+        assert SuiteResult(rows=()).exit_code == 0
+        assert SuiteResult(rows=({"passed": True},)).exit_code == 0
+        assert SuiteResult(rows=({"passed": True}, {"passed": False})).exit_code == 1
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             run_suite([BALL, BALL], PRACTICAL)
@@ -197,11 +203,15 @@ class TestRunSuite:
             "_safe_run",
             lambda spec, config: {"id": spec.name, "status": "ok", "passed": True},
         )
-        result = run_suite(
-            [BALL, TUBE], RunConfig(K=200.0, k=2, mode="practical:1e12", workers=workers)
-        )
+        config = RunConfig(K=200.0, k=2, mode="practical:1e12", workers=workers)
+        result = run_suite([BALL, TUBE], config)
         assert [r["id"] for r in result.rows] == ["ball", "tube"]
         assert pools == [pool_size]
+        # Without affinity (macOS) the cap is every CPU.
+        monkeypatch.delattr(harness.os, "sched_getaffinity")
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        assert run_suite([BALL, TUBE], config).exit_code == 0
+        assert pools == [pool_size, pool_size]
 
     def test_double_run_is_byte_identical(self, tmp_path):
         specs = [BALL, TUBE]

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from eigsurgery.corpus import ball, dumbbell, square
 from eigsurgery.domain import GridDomain, from_mask, measure
@@ -281,6 +284,34 @@ class TestReportPlumbing:
         assert r.passed == (r.margin >= -r.tolerance)
         r2 = IneqReport.compare("x", 2.0, 1.0, 1e-6)
         assert not r2.passed
+
+    @given(
+        lhs=st.floats(allow_nan=False, allow_infinity=False),
+        rhs=st.floats(allow_nan=False, allow_infinity=False),
+        rel_tol=st.floats(0.0, 1.0),
+        m=st.floats(allow_nan=False),
+    )
+    def test_pass_is_read_from_the_margin(self, lhs, rhs, rel_tol, m):
+        r = IneqReport.compare("x", lhs, rhs, rel_tol)
+        assert r.passed == (r.margin >= -r.tolerance)
+        assert replace(r, margin=m).passed == (m >= -r.tolerance)
+
+    @pytest.mark.parametrize(
+        "lhs, rhs, rel_tol, passed",
+        [
+            (math.inf, 1.0, 1e-3, False),
+            (1.0, -math.inf, 1e-3, False),
+            (5.0, math.inf, 0.0, True),
+            (100.0, math.inf, 1e-12, True),
+            (math.nan, 1.0, 1e-3, False),
+            (1.0, math.nan, 1e-3, False),
+        ],
+    )
+    def test_no_relative_slack_at_infinity(self, lhs, rhs, rel_tol, passed):
+        r = IneqReport.compare("x", lhs, rhs, rel_tol)
+        assert r.passed is passed
+        assert math.isfinite(r.tolerance)
+        json.dumps({"tolerance": r.tolerance, "pass": r.passed}, allow_nan=False)
 
     def test_default_tolerance(self):
         assert default_tolerance(1 / 256) == pytest.approx(5 / 256)

@@ -204,9 +204,17 @@ class TestEigenvalues:
 
     def test_spectrum_validation(self):
         with pytest.raises(ValueError):
-            Spectrum(eigenvalues=(2.0, 1.0), k=2)
+            Spectrum(eigenvalues=(2.0, 1.0))
         with pytest.raises(ValueError):
-            Spectrum(eigenvalues=(-1.0,), k=1)
+            Spectrum(eigenvalues=(-1.0,))
+
+    def test_spectrum_k_is_its_length(self):
+        s = Spectrum((1.0, 2.0))
+        assert s.k == 2
+        assert s.rescaled(2.0).k == 2
+        assert s[2] == 2.0
+        with pytest.raises(IndexError):
+            s[3]
 
 
 class TestGammaDistance:

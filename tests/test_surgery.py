@@ -36,6 +36,7 @@ from eigsurgery.domain import (
     perimeter,
     remove_strips,
 )
+from eigsurgery.inequalities import IneqReport
 from eigsurgery.pde import (
     TorsionField,
     eigenvalues,
@@ -696,6 +697,15 @@ class TestStripSurgery:
         assert report.plan.mass_removed <= report.constants.m_hat
         assert len(connected_components(out)) == 3
         assert report.after["diam_e1"] < report.before["diam_e1"]
+
+    def test_verdict_is_derived_from_checks(self, cut_dumbbell):
+        _, _, report = cut_dumbbell
+        failing = IneqReport.compare("x", 2.0, 1.0, 0.0)
+        failed = replace(report, checks=report.checks + (failing,))
+        assert failed.verdict == "fail"
+        assert failed.passed is False
+        assert report.passed
+        assert replace(report, changed=False).verdict == "no-op"
 
     def test_disk_is_verified_noop(self):
         d = ball(1 / 96)

@@ -38,7 +38,6 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import json
-import os
 import sys
 import tempfile
 from dataclasses import dataclass, replace
@@ -49,7 +48,7 @@ import numpy as np
 from scipy.linalg import cython_lapack
 
 from eigsurgery.corpus import CorpusSpec, blob_union, default_corpus, surgery_corpus
-from eigsurgery.harness import RunConfig, run_suite
+from eigsurgery.harness import RunConfig, _usable_cpus, run_suite
 from eigsurgery.surgery import bounded_surgery
 
 H = 1 / 64
@@ -138,7 +137,7 @@ def machine_line() -> str:
         get = lib.scipy_openblas_get_config
         get.argtypes, get.restype = [], ctypes.c_char_p
         config = get().decode().strip()
-    return f"nproc={len(os.sched_getaffinity(0))} blas_threads={threads} openblas={config}"
+    return f"nproc={_usable_cpus()} blas_threads={threads} openblas={config}"
 
 
 def print_suites(suites: Iterable[tuple[str, Callable, float, RunConfig]]) -> None:
