@@ -335,7 +335,7 @@ def _finish_surgery(
     if out is not None:
         report_path = out / f"{name}-report.json"
         report_path.write_text(
-            json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n",
+            json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n",
             encoding="ascii",
         )
         save_domain(result, out / f"{name}-after")

@@ -232,7 +232,9 @@ class SuiteResult:
         return 0 if all(r["passed"] for r in self.rows) else 1
 
     def to_jsonl(self) -> str:
-        return "".join(json.dumps(r, sort_keys=True) + "\n" for r in self.rows)
+        return "".join(
+            json.dumps(r, sort_keys=True, allow_nan=False) + "\n" for r in self.rows
+        )
 
 
 def _usable_cpus() -> int:
@@ -265,8 +267,9 @@ def run_suite(
     with ThreadPoolExecutor(max_workers=workers) as pool:
         result = SuiteResult(rows=tuple(pool.map(lambda sp: _safe_run(sp, config), specs)))
 
-    logger.info("suite finished: %d rows, exit %d\n%s",
-                len(result.rows), result.exit_code, summary_table(result.rows))
+    if logger.isEnabledFor(logging.INFO):
+        logger.info("suite finished: %d rows, exit %d\n%s",
+                    len(result.rows), result.exit_code, summary_table(result.rows))
     if config.out_dir is not None:
         write_reports(result, config.out_dir)
     return result

@@ -121,16 +121,23 @@ class IneqReport:
         return self.margin / scale if scale > 0 else 0.0
 
     def to_dict(self) -> dict[str, Any]:
+        """The report as strict JSON values: a non-finite number is written
+        as its name, ``"inf"``, ``"-inf"`` or ``"nan"``."""
         return {
             "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "tolerance": self.tolerance,
+            "lhs": _json_number(self.lhs),
+            "rhs": _json_number(self.rhs),
+            "margin": _json_number(self.margin),
+            "tolerance": _json_number(self.tolerance),
             "pass": self.passed,
             "context": self.context,
             "note": self.note,
         }
+
+
+def _json_number(x: float) -> float | str:
+    """``x``, or ``repr(x)`` where strict JSON has no number for it."""
+    return x if math.isfinite(x) else repr(x)
 
 
 def _context(d: GridDomain, **extra: Any) -> dict[str, Any]:

@@ -27,7 +27,7 @@ import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sparse_linalg
 from scipy import special
-from scipy.linalg import LinAlgError, cython_lapack
+from scipy.linalg import LinAlgError, cython_blas, cython_lapack
 
 from eigsurgery.domain import (
     EmptyDomainError, GridDomain, Strip, face_pairs, unit_ball_volume
@@ -52,7 +52,9 @@ _FLOOR_FRACTION = 0.99  # Lanczos about sigma0 shifts to 0.99 x the lambda_1 flo
 # 6.63 s.  The bandwidth alone does not separate the sides: at b = 108 the
 # 1/96 ball (1.0 M entries) is faster on the band and the 1/128 dumbbells
 # (2.0 M) on the sparse LDL^T.  At 1/256, dumbbell-0 (15.9 M) takes 0.42 s
-# for a band count against 0.19 s for SuperLU's certificate.
+# for a band count against 0.19 s for SuperLU's certificate.  These timings
+# predate the reversed-order factor and its faster band solves (see
+# BandFactor), which favour the band side; the bound is not refitted here.
 _BAND_ENTRIES = 1_200_000
 # On the band side, Lanczos runs on its own band of A - sigma0 I where the
 # bandwidth b is at most this, even when a torsion band at 0 is handed in.
@@ -63,7 +65,9 @@ _BAND_ENTRIES = 1_200_000
 # on dumbbells, balls, squares and blobs it saved none.  At the same sigma0
 # the band beat the sparse LDL^T: solve_raster(k=5) on the 1/64 tubes took
 # 4.6-8.4 ms against 6.0-9.6 ms (one BLAS thread), and band solves release
-# the GIL where SuperLU's hold it.
+# the GIL where SuperLU's hold it.  These timings predate the reversed-order
+# factor (see BandFactor), whose solves are cheaper while a factorization
+# costs about 7% more; the bound is not refitted here.
 _NARROW_BAND = 20
 
 logger = logging.getLogger(__name__)
@@ -241,15 +245,16 @@ def _shifted_laplacian(
     return sparse.csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
 
 
-def _lapack_routine(name: str, nargs: int) -> Callable[..., None]:
-    """SciPy's LAPACK ``name`` as a ctypes function of ``nargs`` pointers.
+def _capsule_routine(module: object, name: str, nargs: int) -> Callable[..., None]:
+    """SciPy's BLAS or LAPACK ``name`` as a ctypes function of ``nargs`` pointers.
 
-    ``scipy.linalg.cython_lapack`` publishes each routine's address in a
-    capsule.  A ``CFUNCTYPE`` call releases the GIL while LAPACK runs, which
-    SciPy's own wrappers do not, so threads can factor and solve at once.
-    ctypes checks nothing: the callers check every argument first.
+    ``module`` is ``scipy.linalg.cython_blas`` or ``cython_lapack``, which
+    publish each routine's address in a capsule.  A ``CFUNCTYPE`` call
+    releases the GIL while the routine runs, which SciPy's own wrappers do
+    not, so threads can factor and solve at once.  ctypes checks nothing:
+    the callers check every argument first.
     """
-    capsule = cython_lapack.__pyx_capi__[name]
+    capsule = module.__pyx_capi__[name]
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi)
     )
@@ -288,8 +293,11 @@ class _OneBlasThread(ContextDecorator):
     against one: the 1/96 ball's band factorization (n = 9216, b = 108)
     15.2 against 10.2 ms and its ``dpbtf2`` count 29.5 against 15.7 ms,
     ``blobs-1``'s factorization at 1/96 5.6 against 3.4 ms, and
-    ``dumbbell-0``'s at 1/256 (b = 216) 290 against 192 ms.  Band solves
-    (``dpbtrs``) are not threaded, so they are left unpinned.
+    ``dumbbell-0``'s at 1/256 (b = 216) 290 against 192 ms.  These timings
+    are of the row-major band, before the factor was reversed to upper
+    storage.  Band solves (two ``dtbsv`` passes) are not threaded, so they
+    are left unpinned: on the 1/96 ball a solve took 0.67 ms on one
+    thread and on two.
 
     Reentrant and shared by threads: the thread count is one process-wide
     setting, so a depth count under a lock saves the caller's count on the
@@ -328,10 +336,13 @@ class _OneBlasThread(ContextDecorator):
 _ONE_BLAS_THREAD = _OneBlasThread(_openblas_threads())
 
 
-_DPBTRF = _lapack_routine("dpbtrf", 6)  # (uplo, n, kd, ab, ldab, info)
-_DPBTF2 = _lapack_routine("dpbtf2", 6)  # dpbtrf's unblocked, right-looking form
-_DPBTRS = _lapack_routine("dpbtrs", 9)  # (uplo, n, kd, nrhs, ab, ldab, b, ldb, info)
-_LOWER = ctypes.create_string_buffer(b"L", 1)  # uplo: the lower band is stored
+_DPBTRF = _capsule_routine(cython_lapack, "dpbtrf", 6)  # (uplo, n, kd, ab, ldab, info)
+# dpbtrf's unblocked, right-looking form, with the same arguments
+_DPBTF2 = _capsule_routine(cython_lapack, "dpbtf2", 6)
+# (uplo, trans, diag, n, k, a, lda, x, incx): one triangular band solve
+_DTBSV = _capsule_routine(cython_blas, "dtbsv", 9)
+_L, _U, _N, _T = (ctypes.create_string_buffer(c, 1) for c in (b"L", b"U", b"N", b"T"))
+_FLIP_CHUNK = 65_536  # doubles per chunk of the in-place band reversal, 512 KB
 
 
 def _address(a: np.ndarray) -> int:
@@ -344,13 +355,13 @@ def _address(a: np.ndarray) -> int:
 
 
 def _band_args(band: np.ndarray) -> tuple[np.ndarray, int]:
-    """Check a lower band and pack LAPACK's integer arguments.
+    """Check a band and pack the BLAS and LAPACK integer arguments.
 
     ``band`` must be a writeable F-ordered float64 array of shape
-    ``(kd + 1, n)``.  Returns one ``intc`` array ``[n, kd, ldab, nrhs, ldb,
-    info]``, for one right-hand side, and its address ``p``: entry ``i`` is
-    at ``p + 4 i``.  Each integer goes by that address, without a ctypes
-    object per argument.
+    ``(kd + 1, n)``.  Returns one ``intc`` array ``[n, kd, ldab, incx,
+    info]``, with ``incx = 1`` for a contiguous vector, and its address
+    ``p``: entry ``i`` is at ``p + 4 i``.  Each integer goes by that
+    address, without a ctypes object per argument.
     """
     if not (
         band.dtype == np.float64
@@ -360,8 +371,7 @@ def _band_args(band: np.ndarray) -> tuple[np.ndarray, int]:
         and band.shape[0] >= 1
     ):
         raise ValueError("the band must be a writeable F-ordered float64 (kd+1, n) array")
-    n = band.shape[1]
-    ints = np.array([n, band.shape[0] - 1, band.shape[0], 1, n, 0], dtype=np.intc)
+    ints = np.array([band.shape[1], band.shape[0] - 1, band.shape[0], 1, 0], dtype=np.intc)
     return ints, _address(ints)
 
 
@@ -376,29 +386,51 @@ def _raise_info(info: int, routine: str) -> None:
 def _band_cholesky(ab: np.ndarray) -> np.ndarray:
     """Factor a lower band in place by LAPACK ``dpbtrf``, without the GIL.
 
-    ``ab`` holds ``A[i, j]`` at ``ab[i - j, j]`` for ``i >= j`` and becomes
+    ``ab`` holds ``M[i, j]`` at ``ab[i - j, j]`` for ``i >= j`` and becomes
     the band of the lower Cholesky factor; it is returned.  Raises
-    ``LinAlgError`` if ``A`` is not positive definite.
+    ``LinAlgError`` if ``M`` is not positive definite.
     """
     ints, p = _band_args(ab)
-    _DPBTRF(_LOWER, p, p + 4, _address(ab), p + 8, p + 20)
-    _raise_info(int(ints[5]), "pbtrf")
+    _DPBTRF(_L, p, p + 4, _address(ab), p + 8, p + 16)
+    _raise_info(int(ints[4]), "pbtrf")
+    return ab
+
+
+def _reverse_in_place(ab: np.ndarray) -> np.ndarray:
+    """Reverse an F-ordered band's memory in place, ``_FLIP_CHUNK`` doubles at a time.
+
+    Flat entry ``d + c (kd + 1)`` moves to ``(kd - d) + (n - 1 - c) (kd + 1)``,
+    so the lower band storage of ``L`` becomes the upper band storage of
+    ``J L J``, ``J`` the order reversal.  Chunks from the two ends swap
+    through one chunk-sized copy, so no second band is alive.
+    """
+    if not ab.flags.f_contiguous:
+        raise ValueError("only an F-ordered band is reversed in place")
+    flat = ab.ravel(order="F")  # a view of the F-ordered band
+    size, half = flat.size, flat.size // 2
+    for lo in range(0, half, _FLIP_CHUNK):
+        hi = min(lo + _FLIP_CHUNK, half)
+        head = flat[lo:hi].copy()
+        flat[lo:hi] = flat[size - hi : size - lo][::-1]
+        flat[size - hi : size - lo] = head[::-1]
     return ab
 
 
 def _band_solve(band: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``A^-1 b`` from :func:`_band_cholesky`'s factor by ``dpbtrs``, without the GIL.
+    """``(R R^T)^-1 b`` for ``R`` in upper band storage, by two ``dtbsv``, without the GIL.
 
-    ``b`` is a vector of length ``n``; it is copied, never overwritten.
+    ``R y = b`` ('U', 'N'), then ``R^T x = y`` ('U', 'T').  ``b`` is a
+    vector of length ``n``; it is copied, never overwritten.
     """
-    x = np.array(b, dtype=np.float64)  # LAPACK overwrites its copy
+    x = np.array(b, dtype=np.float64)  # BLAS overwrites its copy
     if x.shape != band.shape[-1:]:
         raise ValueError(
             f"right-hand side of shape {x.shape} for a band of {band.shape[-1]} rows"
         )
-    ints, p = _band_args(band)
-    _DPBTRS(_LOWER, p, p + 4, p + 12, _address(band), p + 8, _address(x), p + 16, p + 20)
-    _raise_info(int(ints[5]), "pbtrs")
+    ints, p = _band_args(band)  # held while BLAS reads the integers at p
+    a, px = _address(band), _address(x)
+    _DTBSV(_U, _N, _N, p, p + 4, a, p + 8, px, p + 12)
+    _DTBSV(_U, _T, _N, p, p + 4, a, p + 8, px, p + 12)
     return x
 
 
@@ -429,14 +461,24 @@ class BandFactor:
     shift just below lambda_1, and on a raster above its band-size bound,
     whose eigensolve runs on a sparse LDL^T.  A released factor can no
     longer solve; its ``stencil`` still checks rasters and residuals.
+
+    The factor is ``A - shift I = R R^T`` with ``R`` upper triangular, held
+    in LAPACK upper band storage in the cells' row-major order (see
+    :func:`factor_laplacian`), and :meth:`solve` makes two BLAS ``dtbsv``
+    passes on it without the GIL: ``R y = b`` ('U', 'N'), then
+    ``R^T x = y`` ('U', 'T').  In SciPy's OpenBLAS 0.3.30 (SkylakeX kernels,
+    2-core VM, best of 5 x 200) on ``dumbbell-0`` at 1/64 (n = 4744,
+    b = 54) these two take 0.084 and 0.070 ms, and the lower band's
+    'L', 'N' 0.086 ms, but its 'L', 'T' 0.18 ms: LAPACK ``dpbtrs`` on the
+    lower factor, which pays that one, took 0.30 ms a solve against 0.155.
     """
 
     stencil: _Stencil
-    band: np.ndarray | None  # LAPACK lower band storage of the Cholesky factor
+    band: np.ndarray | None  # LAPACK upper band storage of R, A - shift I = R R^T
     shift: float = 0.0  # the factor is of A - shift I
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """``(A - shift I)^-1 b`` by two triangular band solves."""
+        """``(A - shift I)^-1 b`` by two triangular band solves, ``R`` then ``R^T``."""
         if self.band is None:
             raise ValueError("the band factor was released")
         return _band_solve(self.band, b)
@@ -456,16 +498,18 @@ class BandFactor:
         self.band = None
 
 
-def _lower_band(st: _Stencil, shift: float) -> np.ndarray:
-    """The lower band of ``A - shift I`` in LAPACK storage, from the stencil.
+def _reversed_band(st: _Stencil, shift: float) -> np.ndarray:
+    """The lower band of ``J (A - shift I) J`` in LAPACK storage, from the stencil.
 
-    ``ab[i - j, j]`` holds ``A[i, j] - shift [i = j]`` for ``i >= j``, in an
-    F-ordered ``(b + 1, n)`` array, ``b`` being the stencil's bandwidth.
+    ``J`` reverses the row-major cell order: cell ``c`` is row ``n - 1 - c``.
+    A face pair ``(j, i)``, ``i > j``, puts its entry at ``ab[i - j, n - 1 - i]``
+    of an F-ordered ``(b + 1, n)`` array, ``b`` being the stencil's bandwidth.
     """
-    ab = np.zeros((st.b + 1, st.n), order="F")
+    n = st.n
+    ab = np.zeros((st.b + 1, n), order="F")
     ab[0] = st.diagonal(shift)
     for j, i in st.pairs:
-        ab[i - j, j] = -1.0 / (st.h * st.h)
+        ab[i - j, n - 1 - i] = -1.0 / (st.h * st.h)
     return ab
 
 
@@ -478,14 +522,24 @@ def factor_laplacian(d: GridDomain, shift: float = 0.0) -> BandFactor:
     at 0 or the raster is narrow.  In row-major order the Laplacian is an
     SPD band matrix whose bandwidth ``b`` is the largest row distance
     between face neighbours, about the occupied cells per row (per plane
-    in 3-D).  Its lower band is assembled straight from
-    the stencil and factored by LAPACK ``pbtrf``: ``n b^2`` time and
-    ``(b + 1) n`` memory, so 3-D rasters pay far more than 2-D ones.
-    The factorization runs on one OpenBLAS thread (:class:`_OneBlasThread`).
-    Raises ``LinAlgError`` if ``shift`` is not below lambda_1.
+    in 3-D).  The lower band of ``J (A - shift I) J``, ``J`` the reversal
+    of the cell order (:func:`_reversed_band`), is assembled straight from
+    the stencil and factored by LAPACK ``dpbtrf`` ('L') as ``L L^T``:
+    ``n b^2`` time and ``(b + 1) n`` memory, so 3-D rasters pay far more
+    than 2-D ones.  Reversing the factor's memory in place
+    (:func:`_reverse_in_place`) then gives the upper band storage of
+    ``R = J L J``, so that ``A - shift I = R R^T`` in the original order, and
+    :meth:`BandFactor.solve` runs on OpenBLAS's fast upper-band kernels.
+    The reversal costs about 7% of a factorization (0.19 against 2.6 ms on
+    ``dumbbell-0`` at 1/64).  Factoring the upper band by ``dpbtrf`` ('U')
+    instead is slower: 144 against 101 ms over the 20 rasters of
+    ``default_corpus(1/96)``, each the best of 3.  The factorization
+    runs on one OpenBLAS thread (:class:`_OneBlasThread`).  Raises
+    ``LinAlgError`` if ``shift`` is not below lambda_1.
     """
     st = _stencil(d)
-    return BandFactor(st, _band_cholesky(_lower_band(st, shift)), shift)
+    band = _band_cholesky(_reversed_band(st, shift))
+    return BandFactor(st, _reverse_in_place(band), shift)
 
 
 def solve_torsion(d: GridDomain, factor: BandFactor | None = None) -> TorsionField:
@@ -584,9 +638,12 @@ def _negative_pivots(lu: sparse_linalg.SuperLU) -> int:
 def _band_inertia(st: _Stencil, sigma: float) -> int:
     """Eigenvalues of ``A`` below ``sigma``: the negative pivots of a band LDL^T.
 
-    ``A - sigma I`` is factored in row-major order, without pivoting, as
-    ``L D L^T``; by Sylvester's law of inertia ``D`` has as many negative
-    entries as ``A`` has eigenvalues below ``sigma``.  The positive pivots go
+    The band that :func:`factor_laplacian` factors, of ``J (A - sigma I) J``
+    (``J`` reverses the row-major cell order, and the row numbers below are
+    in that order), is factored without pivoting as ``L D L^T``.  It is
+    congruent to ``A - sigma I``, so by Sylvester's law of inertia ``D`` has
+    as many negative entries as ``A`` has eigenvalues below ``sigma``,
+    whatever the order.  The positive pivots go
     through LAPACK ``dpbtf2``, without the GIL, which stops at the first
     non-positive one.  Reference ``dpbtf2`` is right-looking: each column's
     ``DSYR`` updates the trailing band window before the next pivot is read, so
@@ -603,14 +660,14 @@ def _band_inertia(st: _Stencil, sigma: float) -> int:
     ``RuntimeError`` on an exactly zero or a non-finite pivot, where the
     unpivoted factor has no answer (a singular leading minor).
     """
-    ab = _lower_band(st, sigma)
+    ab = _reversed_band(st, sigma)
     n, kd = st.n, st.b
     negative, start = 0, 0
     while start < n:
         window = ab[:, start:]
         ints, p = _band_args(window)
-        _DPBTF2(_LOWER, p, p + 4, _address(window), p + 8, p + 20)
-        info = int(ints[5])
+        _DPBTF2(_L, p, p + 4, _address(window), p + 8, p + 16)
+        info = int(ints[4])
         if info <= 0:
             _raise_info(info, "pbtf2")
             break

@@ -234,6 +234,32 @@ class TestRunSuite:
         assert len(rows) == 3  # header + one record per appended row
         assert rows[1] == rows[2]
 
+    @pytest.mark.parametrize(
+        "lhs, rhs, want",
+        [
+            (math.inf, 1.0, {"lhs": "inf", "rhs": 1.0, "margin": "-inf", "tolerance": 0.0}),
+            (1.0, -math.inf, {"lhs": 1.0, "rhs": "-inf", "margin": "-inf", "tolerance": 0.0}),
+            (math.nan, 1.0, {"lhs": "nan", "rhs": 1.0, "margin": "nan", "tolerance": 0.0}),
+        ],
+    )
+    def test_non_finite_check_values_dump_as_strict_json(self, lhs, rhs, want):
+        check = IneqReport.compare("x", lhs, rhs, 1e-3).to_dict()
+        result = SuiteResult(rows=({"id": "x", "passed": False, "inequalities": [check]},))
+        line = result.to_jsonl()  # dumped with allow_nan=False
+        got = json.loads(line)["inequalities"][0]
+        assert {key: got[key] for key in want} == want
+        assert got["pass"] is False
+
+    def test_summary_is_built_only_for_an_info_log(self, monkeypatch, caplog):
+        built = []
+        monkeypatch.setattr(harness, "summary_table", lambda rows: built.append(rows) or "")
+        caplog.set_level(logging.WARNING, logger=harness.logger.name)
+        run_suite([], PRACTICAL)
+        assert built == []
+        caplog.set_level(logging.INFO, logger=harness.logger.name)
+        run_suite([], PRACTICAL)
+        assert built == [()]
+
     def test_summary_table_lists_every_domain(self):
         result = run_suite([BALL, TUBE], PRACTICAL)
         table = summary_table(result.rows)

@@ -8,6 +8,7 @@ import math
 import sys
 import threading
 import time
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -390,12 +391,15 @@ def test_band_solve_matches_sparse_lu_in_3d():
     assert_torsion_matches_sparse_lu(ball_3d())
 
 
-def lower_band(d: GridDomain, sigma: float = 0.0) -> np.ndarray:
-    """LAPACK lower band storage of ``A - sigma I``, read off the sparse matrix."""
+def reversed_band(d: GridDomain, sigma: float = 0.0) -> np.ndarray:
+    """LAPACK lower band storage of ``J (A - sigma I) J``, read off the sparse
+    matrix; ``J`` reverses the cell order."""
     A = build_laplacian(d)[0].tocoo()
-    low = A.row >= A.col
-    ab = np.zeros((int((A.row - A.col).max()) + 1, A.shape[0]), order="F")
-    ab[(A.row - A.col)[low], A.col[low]] = A.data[low]
+    n = A.shape[0]
+    row, col = n - 1 - A.row, n - 1 - A.col
+    low = row >= col
+    ab = np.zeros((int((row - col).max()) + 1, n), order="F")
+    ab[(row - col)[low], col[low]] = A.data[low]
     ab[0] -= sigma
     return ab
 
@@ -407,7 +411,7 @@ def lower_band(d: GridDomain, sigma: float = 0.0) -> np.ndarray:
     ids=lambda spec: "ball-3d" if spec is None else spec.name,
 )
 def test_every_stencil_form_matches_coo(spec, sigma):
-    # the CSR matrix, the lower band and the residual, each against the
+    # the CSR matrix, the reversed band and the residual, each against the
     # pair-by-pair reference, none read off another
     d = ball_3d() if spec is None else generate(spec)
     stencil = pde._stencil(d)
@@ -418,10 +422,11 @@ def test_every_stencil_form_matches_coo(spec, sigma):
     assert np.array_equal(M.indices, ref.indices)
     assert np.array_equal(M.data, ref.data)
 
-    ab = pde._lower_band(stencil, sigma)
-    low = sparse.tril(ref).tocoo()
+    ab = pde._reversed_band(stencil, sigma)
+    flip = np.arange(stencil.n)[::-1]  # J: cell c is row n - 1 - c
+    low = sparse.tril(ref[flip][:, flip]).tocoo()
     assert ab.shape == (int((low.row - low.col).max()) + 1, stencil.n)
-    dense = np.zeros_like(ab)  # the band of the reference's lower triangle
+    dense = np.zeros_like(ab)  # the band of J (A - sigma I) J's lower triangle
     dense[low.row - low.col, low.col] = low.data
     assert np.array_equal(ab, dense)
 
@@ -441,18 +446,23 @@ def test_every_stencil_form_matches_coo(spec, sigma):
 )
 def test_band_lapack_matches_scipy_bit_for_bit(spec):
     d = ball_3d() if spec is None else generate(spec)
-    ref = scipy.linalg.cholesky_banded(lower_band(d), lower=True)
+    low = scipy.linalg.cholesky_banded(reversed_band(d), lower=True)
     factor = factor_laplacian(d)
-    assert np.array_equal(factor.band, ref)
-    b = np.random.default_rng(5).standard_normal(ref.shape[1])
+    # L of J A J = L L^T, memory reversed: the upper band storage of R = J L J
+    R = np.asfortranarray(low[::-1, ::-1])
+    assert np.array_equal(factor.band, R)
+    b = np.random.default_rng(5).standard_normal(R.shape[1])
     kept = b.copy()
-    assert np.array_equal(factor.solve(b), scipy.linalg.cho_solve_banded((ref, True), b))
+    kd = R.shape[0] - 1
+    y = scipy.linalg.blas.dtbsv(kd, R, b)  # R y = b
+    x = scipy.linalg.blas.dtbsv(kd, R, y, trans=1)  # R^T x = y
+    assert np.array_equal(factor.solve(b), x)
     assert np.array_equal(b, kept)  # the right-hand side is not overwritten
 
 
 def test_band_of_an_indefinite_shift_raises_like_scipy():
     d = ball(1 / 32)
-    ab = lower_band(d, sigma=1.05 * eigenvalues(d, k=1)[1])
+    ab = reversed_band(d, sigma=1.05 * eigenvalues(d, k=1)[1])
     with pytest.raises(np.linalg.LinAlgError) as ref:
         scipy.linalg.cholesky_banded(ab, lower=True)
     with pytest.raises(np.linalg.LinAlgError, match="leading minor not positive definite") as got:
@@ -467,27 +477,31 @@ def test_bad_band_arguments_raise_before_lapack(monkeypatch):
     factor = factor_laplacian(ball(1 / 16))
     n = factor.stencil.n
     monkeypatch.setattr(pde, "_DPBTRF", never)
-    monkeypatch.setattr(pde, "_DPBTRS", never)
+    monkeypatch.setattr(pde, "_DTBSV", never)
     for b in (np.ones(n - 1), np.ones(n + 1), np.ones((n, 1)), np.ones((1, n))):
         with pytest.raises(ValueError, match="right-hand side"):
             factor.solve(b)
-    ab = lower_band(ball(1 / 16))
+    ab = reversed_band(ball(1 / 16))
     for bad in (np.ascontiguousarray(ab), ab.astype(np.float32), ab[:, ::2], ab[0]):
         with pytest.raises(ValueError, match="F-ordered float64"):
             pde._band_cholesky(bad)
+    with pytest.raises(ValueError, match="F-ordered band"):
+        pde._reverse_in_place(np.ascontiguousarray(ab))
 
 
-def test_band_factor_releases_the_gil():
-    # A band of 300 rows' width: LAPACK runs far longer than the assembly.
-    d = from_mask(np.ones((100, 300), dtype=bool), 1 / 256)
-    span = {}
+@pytest.mark.parametrize("size", [1, 2, 5, 6, 11])
+def test_band_reversal_is_chunked_and_exact(monkeypatch, size):
+    monkeypatch.setattr(pde, "_FLIP_CHUNK", 2)  # several chunks and a middle entry
+    for shape in ((1, size), (size, 1)):
+        ab = np.asfortranarray(np.arange(size, dtype=float).reshape(shape))
+        want = ab[::-1, ::-1].copy()
+        assert pde._reverse_in_place(ab) is ab
+        assert np.array_equal(ab, want)
 
-    def factor():
-        start = time.perf_counter()
-        factor_laplacian(d)
-        span["call"] = time.perf_counter() - start
 
-    worker = threading.Thread(target=factor)
+def watch_the_gil(work: Callable[[], None]) -> float:
+    """Run ``work`` on a thread; the longest this thread waited to wake up, in s."""
+    worker = threading.Thread(target=work)
     stall, last = 0.0, time.perf_counter()
     deadline = last + 60.0
     worker.start()
@@ -497,8 +511,63 @@ def test_band_factor_releases_the_gil():
         stall, last = max(stall, now - last), now
     worker.join(timeout=1.0)
     assert not worker.is_alive()
+    return stall
+
+
+# A band of 300 rows' width: BLAS and LAPACK run far longer than the assembly.
+WIDE_BAND = from_mask(np.ones((100, 300), dtype=bool), 1 / 256)
+
+
+def test_band_factor_releases_the_gil():
+    span = {}
+
+    def factor():
+        start = time.perf_counter()
+        factor_laplacian(WIDE_BAND)
+        span["call"] = time.perf_counter() - start
+
+    stall = watch_the_gil(factor)
     # holding the GIL, the factorization stalls this thread for most of the call
     assert stall < 0.1 * span["call"]
+
+
+def test_band_solve_releases_the_gil():
+    factor = factor_laplacian(WIDE_BAND)
+    b = np.ones(factor.stencil.n)
+    calls = []
+
+    def solve():
+        for _ in range(10):
+            start = time.perf_counter()
+            factor.solve(b)
+            calls.append(time.perf_counter() - start)
+
+    # holding the GIL, a solve would stall this thread for most of it in
+    # every round; one round's scheduling noise does not fail the test
+    stall = min(watch_the_gil(solve) for _ in range(3))
+    assert stall < 0.3 * float(np.median(calls))
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [np.indices((6, 7)).sum(axis=0) % 2 == 0, np.ones(9, dtype=bool)],
+    ids=["no-face-pairs", "1-d"],
+)
+def test_edge_rasters_factor_solve_and_certify(mask):
+    d = from_mask(mask, 1 / 8)
+    stencil = pde._stencil(d)
+    assert stencil.b == (0 if d.N == 2 else 1)
+    A = build_laplacian(d)[0].toarray()
+    factor = factor_laplacian(d)
+    assert factor.band.shape == (stencil.b + 1, stencil.n)
+    b = np.random.default_rng(3).standard_normal(stencil.n)
+    np.testing.assert_allclose(factor.solve(b), np.linalg.solve(A, b), rtol=1e-12, atol=0)
+    f = solve_torsion(d, factor)
+    np.testing.assert_allclose(f.values[d.occupancy], np.linalg.solve(A, np.ones(stencil.n)))
+    vals = np.linalg.eigvalsh(A)
+    cuts = np.unique(np.concatenate([[0.5 * vals[0], 2 * vals[-1]], 0.5 * (vals[1:] + vals[:-1])]))
+    for sigma in cuts[~np.isin(cuts, vals)]:  # a shift between two eigenvalues
+        assert pde._band_inertia(stencil, sigma) == np.count_nonzero(vals < sigma)
 
 
 def square_cell_eigenvalues(M: int, k: int) -> np.ndarray:
@@ -927,9 +996,7 @@ class TestBandInertia:
             assert count == pde._negative_pivots(lu) == s.inertia_count
 
     def test_band_inertia_releases_the_gil(self):
-        # a band of 300 rows' width: dpbtf2 runs far longer than the assembly
-        d = from_mask(np.ones((100, 300), dtype=bool), 1 / 256)
-        stencil = pde._stencil(d)
+        stencil = pde._stencil(WIDE_BAND)
         span = {}
 
         def count():
@@ -937,16 +1004,7 @@ class TestBandInertia:
             span["count"] = pde._band_inertia(stencil, 0.0)
             span["call"] = time.perf_counter() - start
 
-        worker = threading.Thread(target=count)
-        stall, last = 0.0, time.perf_counter()
-        deadline = last + 60.0
-        worker.start()
-        while worker.is_alive() and last < deadline:
-            time.sleep(0.001)  # yield the core, so only the GIL can hold this thread up
-            now = time.perf_counter()
-            stall, last = max(stall, now - last), now
-        worker.join(timeout=1.0)
-        assert not worker.is_alive()
+        stall = watch_the_gil(count)
         assert span["count"] == 0
         # holding the GIL, the factorization stalls this thread for most of the call
         assert stall < 0.1 * span["call"]
