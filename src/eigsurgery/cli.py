@@ -193,6 +193,17 @@ def _parse_params(pairs: Sequence[str]) -> dict[str, Any]:
     return params
 
 
+def _spec(args: argparse.Namespace, h: float) -> CorpusSpec:
+    """The corpus spec named by ``--spec``, ``--param`` and ``--name``, at ``h``."""
+    return CorpusSpec(
+        name=args.name or args.spec,
+        generator=args.spec,
+        h=h,
+        seed=args.run.seed,
+        params=_parse_params(args.param),
+    )
+
+
 def _domain_from_args(args: argparse.Namespace) -> tuple[str, GridDomain]:
     if args.domain and args.spec:
         raise ValueError("give either --spec or --domain, not both")
@@ -200,13 +211,7 @@ def _domain_from_args(args: argparse.Namespace) -> tuple[str, GridDomain]:
         path = Path(args.domain)
         return args.name or path.stem, load_domain(path)
     if args.spec:
-        spec = CorpusSpec(
-            name=args.name or args.spec,
-            generator=args.spec,
-            h=args.h,
-            seed=args.run.seed,
-            params=_parse_params(args.param),
-        )
+        spec = _spec(args, args.h)
         return spec.name, generate(spec)
     raise ValueError("a domain is required: pass --spec or --domain")
 
@@ -371,13 +376,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
         raise ValueError(f"h_list: {exc}") from exc
     if not h_list:
         raise ValueError("h_list must contain at least one grid spacing")
-    spec = CorpusSpec(
-        name=args.name or args.spec,
-        generator=args.spec,
-        h=h_list[0],
-        seed=args.run.seed,
-        params=_parse_params(args.param),
-    )
+    spec = _spec(args, h_list[0])
     study = convergence_study(spec, h_list, seed=args.run.seed)
     _print_json(study)
     out = _out_dir(args)

@@ -22,7 +22,7 @@ import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import asdict, dataclass, replace as dc_replace
 from numbers import Integral, Real
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -138,16 +138,6 @@ def inequality_battery(
     return sanity, battery
 
 
-def _spec_dict(spec: CorpusSpec) -> dict[str, Any]:
-    return {
-        "name": spec.name,
-        "generator": spec.generator,
-        "h": spec.h,
-        "seed": spec.seed,
-        "params": dict(spec.params),
-    }
-
-
 def run_one(spec: CorpusSpec, config: RunConfig = RunConfig()) -> dict[str, Any]:
     """Run the full pipeline on one corpus spec and return its report row.
 
@@ -197,7 +187,7 @@ def _row(
     checks = (*sanity, *inequalities)
     return {
         "id": spec.name,
-        "spec": _spec_dict(spec),
+        "spec": asdict(spec),
         "status": status,
         "error": error,
         "geometry": geometry,
@@ -428,4 +418,4 @@ def convergence_study(
                 extrapolation[name] = richardson(hs3, [row[name] for row in tail])
             except ValueError:
                 extrapolation[name] = None
-    return {"spec": _spec_dict(spec), "rows": rows, "extrapolation": extrapolation}
+    return {"spec": asdict(spec), "rows": rows, "extrapolation": extrapolation}

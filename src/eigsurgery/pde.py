@@ -140,8 +140,8 @@ class Spectrum:
 
     def __post_init__(self) -> None:
         vals = tuple(float(v) for v in self.eigenvalues)
-        if any(v <= 0 for v in vals):
-            raise ValueError("Dirichlet eigenvalues must be strictly positive")
+        if not all(0 < v < math.inf for v in vals):
+            raise ValueError("Dirichlet eigenvalues must be positive and finite")
         if any(b < a for a, b in zip(vals, vals[1:])):
             raise ValueError("eigenvalues must be ascending")
         object.__setattr__(self, "eigenvalues", vals)

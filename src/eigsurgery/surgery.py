@@ -42,6 +42,7 @@ from eigsurgery.domain import (
 from eigsurgery.inequalities import (
     GAMMA_STABILITY_CONSTANT,
     IneqReport,
+    _json_number,
     check_positive_energy,
     default_m_table,
     vdb_constant,
@@ -176,9 +177,7 @@ def choose_strip_constants(
     return C0, float(r0)
 
 
-def choose_cut_constants(
-    P: float, C0: float, r0: float, K: float, N: int = 2
-) -> tuple[float, float, int]:
+def choose_cut_constants(P: float, N: int = 2) -> tuple[float, float, int]:
     """Mass threshold, slide length and slide count for the cut planner.
 
     ``m_hat`` is the largest mass for which (a) the rescaled-perimeter slack
@@ -189,8 +188,6 @@ def choose_cut_constants(
     """
     if not (P > 0 and math.isfinite(P)):
         raise ValueError("perimeter bound P must be positive and finite")
-    if C0 * r0 > 1 / (2 * K) * (1 + 1e-9):
-        raise ValueError("strip-test product C0*r0 must not exceed 1/(2K)")
     q = (N - 1) / N
 
     def slack(m: float) -> float:
@@ -284,7 +281,7 @@ def derive_constants(
     c_base, trace = choose_c(K, k, volume=volume, N=N)
     c = c_base * factor
     C0, r0 = choose_strip_constants(c, K, h, window_extent=window_extent)
-    m_hat, l0, p = choose_cut_constants(P, C0, r0, K, N=N)
+    m_hat, l0, p = choose_cut_constants(P, N=N)
     beta = unit_ball_volume(N) * (N / K) ** (N / 2) * volume
     trace = dict(trace)
     trace.update(
@@ -571,20 +568,21 @@ def _discard_column_mask(d: GridDomain, strips: Sequence[Strip]) -> np.ndarray:
 def select_cut_depth(
     d: GridDomain,
     plan: SurgeryPlan,
-    P: float,
+    constants: SurgeryConstants,
 ) -> tuple[float, dict[str, Any]]:
     """Scan cut depths t in {0, h, ..., t_max} and pick by the perimeter ledger.
 
     For each t the removed mass m(t), the fresh cut surface sigma(t) and the
     boundary surface p(t) carried away are computed exactly on the raster;
-    the rescaled perimeter is ``(1 - m)^{-(N-1)/N} (Per - p + sigma)``.  The
-    smallest rescaled perimeter not exceeding Per wins (smallest t breaks
-    ties); if no depth qualifies the minimizer is returned flagged.  The
-    perimeter bound ``P`` is recorded in the ledger.
+    the rescaled perimeter is ``(1 - m)^{-(N-1)/N} (Per - p + sigma)``, and
+    infinite where the strips leave no column.  The smallest rescaled
+    perimeter wins (smallest t breaks ties); it is flagged if it exceeds
+    Per, since then no depth qualifies.  The strips have the half-width
+    ``constants.r0``, and the perimeter bound ``constants.P`` is recorded in
+    the ledger; the ledger writes an infinite value as ``"inf"``.
     """
     if len(plan.anchors) < 2 or len(plan.anchors) % 2 != 0:
         raise ValueError("plan must carry an even number (>= 2) of strip anchors")
-    r0 = plan.strips_to_remove[0].half_width
     h = d.h
     N = d.N
     occ = d.occupancy
@@ -604,7 +602,7 @@ def select_cut_depth(
     t_grid = np.arange(0.0, plan.t_max + h / 2, h)
     masses, sigmas, p_inner, kept_pers, rescaled = [], [], [], [], []
     for t in t_grid:
-        strips = _strips_at(plan.anchors, r0, float(t))
+        strips = _strips_at(plan.anchors, constants.r0, float(t))
         discard = _discard_column_mask(d, strips)
         m = float(col_mass[discard].sum())
         cut_faces = int(adjacent[discard[:-1] != discard[1:]].sum())
@@ -622,23 +620,18 @@ def select_cut_depth(
         kept_pers.append(kept)
         rescaled.append(value)
 
-    resc = np.asarray(rescaled)
-    feasible = resc <= per_before * (1 + 1e-12)
-    flagged = not bool(feasible.any())
-    if flagged:
-        idx = int(np.argmin(resc))
-    else:
-        idx = int(np.argmin(np.where(feasible, resc, np.inf)))
+    idx = int(np.argmin(rescaled))
+    flagged = bool(rescaled[idx] > per_before * (1 + 1e-12))
     ledger = {
         "t": [float(t) for t in t_grid],
         "mass": masses,
         "sigma": sigmas,
         "p_inside": p_inner,
         "kept_perimeter": kept_pers,
-        "rescaled_perimeter": rescaled,
+        "rescaled_perimeter": [_json_number(v) for v in rescaled],
         "perimeter_before": per_before,
         "volume": vol,
-        "P": P,
+        "P": constants.P,
         "chosen_index": idx,
         "chosen_t": float(t_grid[idx]),
         "flagged": flagged,
@@ -811,9 +804,9 @@ class SurgeryReport:
 
 def _setup(
     d: GridDomain, K: float, k: int, P: float | None, mode: str
-) -> tuple[GridDomain, float, float, SurgeryConstants]:
+) -> tuple[GridDomain, float, SurgeryConstants]:
     """Set-up shared by both pipelines: the unit-measure copy of ``d``, its
-    scale factor, the perimeter bound and the constants derived on the copy.
+    scale factor and the constants derived on the copy.
 
     ``P`` defaults to 1.02 times the copy's perimeter; a stated ``P`` must
     not be below it.
@@ -829,7 +822,7 @@ def _setup(
         K, k, P, d0.h, volume=measure(d0), mode=mode,
         window_extent=hi - lo + d0.h, N=d0.N,
     )
-    return d0, t0, P, constants
+    return d0, t0, constants
 
 
 def _report(
@@ -846,9 +839,9 @@ def _report(
 
 
 def _cut_stage(
-    d0: GridDomain, f: TorsionField, constants: SurgeryConstants, P: float
+    f: TorsionField, constants: SurgeryConstants
 ) -> tuple[GridDomain, SurgeryPlan, dict[str, Any], list[IneqReport], list[str]]:
-    """Plan and cut the strips of the unit-measure ``d0``, then clean up.
+    """Plan and cut the strips of the unit-measure ``d0 = f.domain``, then clean up.
 
     Detects the active region of ``f`` (the torsion function of ``d0``),
     plans the strips, scans the cut depth, tests every strip and removes the
@@ -856,12 +849,12 @@ def _cut_stage(
     cleaned domain, the plan as executed, the cut-depth ledger, the strip
     and cleanup checks, and the flags raised.
     """
-    r0 = constants.r0
+    d0, r0 = f.domain, constants.r0
     X = detect_active_region(f, constants.C0, r0)
     logger.info("active region: %d interval(s)", len(X))
     plan = plan_cuts(d0, X, constants)
     flags = list(plan.flags)
-    t, ledger = select_cut_depth(d0, plan, P)
+    t, ledger = select_cut_depth(d0, plan, constants)
     if ledger["flagged"]:
         flags.append("cut_depth_infeasible")
 
@@ -915,16 +908,16 @@ def _above_K(name: str, i: int, K: float, before: float, after: float) -> IneqRe
 
 def _check_stage(
     plan: SurgeryPlan, ledger: dict[str, Any], constants: SurgeryConstants,
-    K: float, before: dict[str, Any], after: dict[str, Any],
+    before: dict[str, Any], after: dict[str, Any],
 ) -> tuple[list[IneqReport], dict[str, Any]]:
     """Re-measured guarantees of a strip surgery, and its diameter bound.
 
     Checks exact unit measure, perimeter non-increase (void on a flagged cut
     depth), eigenvalue non-increase for every index whose starting
-    eigenvalue is at most ``K``, and ``diam_e1`` against the bound computed
-    from the plan.
+    eigenvalue is at most ``constants.K``, and ``diam_e1`` against the bound
+    computed from the plan.
     """
-    r0, l0, N = constants.r0, constants.l0, constants.N
+    K, r0, l0, N = constants.K, constants.r0, constants.l0, constants.N
     n_gaps = len(plan.segments)
     h1_active = sum(hi - lo for lo, hi in plan.active_region)
     delta = 4 * r0 + l0
@@ -1015,9 +1008,9 @@ def strip_surgery(
     unit-measure domain and the report.  A run that changes nothing is a
     verified no-op.
     """
-    d0, t0, P, constants = _setup(f.domain, K, k, P, mode)
+    d0, t0, constants = _setup(f.domain, K, k, P, mode)
     f = f.rescaled(t0, d0)
-    d_clean, plan, ledger, checks, flags = _cut_stage(d0, f, constants, P)
+    d_clean, plan, ledger, checks, flags = _cut_stage(f, constants)
     before = measure_domain(d0, s.rescaled(t0), k)
     changed = not np.array_equal(d_clean.occupancy, d0.occupancy)
     if changed:
@@ -1025,7 +1018,7 @@ def strip_surgery(
         after = measure_domain(d_out, eigenvalues(d_out, k=k, seed=seed), k)
     else:
         d_out, after = d0, before
-    more, diameter_bound = _check_stage(plan, ledger, constants, K, before, after)
+    more, diameter_bound = _check_stage(plan, ledger, constants, before, after)
     return d_out, _report(
         "strip",
         changed,
@@ -1384,7 +1377,7 @@ def bounded_surgery(
     the report checks.  When no move is accepted the normalized input itself
     is returned (a no-op).
     """
-    d0, _, _, constants = _setup(d, K, k, None, mode)
+    d0, _, constants = _setup(d, K, k, None, mode)
     f0, band0 = factored_torsion(d0)
     f1, log, band1 = subsolution_truncate(
         f0, constants.c, r0=constants.r0, k=k, factor=band0

@@ -208,6 +208,9 @@ class TestEigenvalues:
             Spectrum(eigenvalues=(2.0, 1.0))
         with pytest.raises(ValueError):
             Spectrum(eigenvalues=(-1.0,))
+        for bad in ((math.nan,), (1.0, math.nan), (math.inf,), (1.0, math.inf)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                Spectrum(eigenvalues=bad)
 
     def test_spectrum_k_is_its_length(self):
         s = Spectrum((1.0, 2.0))

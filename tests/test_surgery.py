@@ -200,7 +200,7 @@ def cut_slack(m: float, P: float, N: int) -> float:
 class TestChooseCutConstants:
     def test_root_satisfies_condition(self):
         P = 5.0
-        m_hat, l0, p = choose_cut_constants(P, 1.0, 0.0025, 200.0)
+        m_hat, l0, p = choose_cut_constants(P)
         q = 0.5
         slack = lambda m: (1 - m) ** q - 1 + m**q / (2 * P)
         assert abs(slack(m_hat)) < 1e-12
@@ -209,34 +209,30 @@ class TestChooseCutConstants:
         assert slack(min(m_hat * 1.5, 0.999)) < 0
 
     def test_slide_length_formula(self):
-        m_hat, l0, _ = choose_cut_constants(5.0, 1.0, 0.0025, 200.0)
+        m_hat, l0, _ = choose_cut_constants(5.0)
         expected = 1.01 * 8 * math.sqrt(m_hat) / (2 * math.sqrt(math.pi) - 1)
         assert l0 == pytest.approx(expected, rel=1e-13)
 
     def test_slide_count_is_ceiling(self):
-        m_hat, _, p = choose_cut_constants(5.0, 1.0, 0.0025, 200.0)
+        m_hat, _, p = choose_cut_constants(5.0)
         assert p == math.ceil(1 / m_hat)
 
     def test_spectral_cap_for_small_perimeter_bound(self):
         # At P = 1/2 the perimeter condition holds everywhere, so the cap
         # (1 - m)^{2/N} >= 1/2 binds.
-        m_hat, _, p = choose_cut_constants(0.5, 1.0, 0.0025, 200.0)
+        m_hat, _, p = choose_cut_constants(0.5)
         assert m_hat == pytest.approx(0.5, rel=1e-12)
         assert p == 2
 
     def test_tightens_with_perimeter(self):
-        m5 = choose_cut_constants(5.0, 1.0, 0.0025, 200.0)[0]
-        m20 = choose_cut_constants(20.0, 1.0, 0.0025, 200.0)[0]
+        m5 = choose_cut_constants(5.0)[0]
+        m20 = choose_cut_constants(20.0)[0]
         assert m20 < m5
-
-    def test_rejects_oversized_strip_product(self):
-        with pytest.raises(ValueError):
-            choose_cut_constants(5.0, 1.0, 0.1, 200.0)
 
     @pytest.mark.parametrize("P, N", [(1e7, 2), (1e4, 3), (1e12, 2)])
     def test_root_below_the_default_bracket(self, P, N):
         # the root lies below 1e-12, where the bracket used to start
-        m_hat, l0, p = choose_cut_constants(P, 1.0, 0.0025, 200.0, N=N)
+        m_hat, l0, p = choose_cut_constants(P, N=N)
         assert (2 * P) ** (-N) <= m_hat < 1e-12
         assert p == math.ceil(1 / m_hat) and l0 > 0
         assert cut_slack(0.99 * m_hat, P, N) > 0 > cut_slack(1.01 * m_hat, P, N)
@@ -254,14 +250,14 @@ class TestChooseCutConstants:
         A slack that cancels, (1-m)^q - 1 as written, is off by hundreds of
         ulp at P = 50.
         """
-        m_hat = choose_cut_constants(P, 1.0, 0.0025, 200.0)[0]
+        m_hat = choose_cut_constants(P)[0]
         F = Fraction(P)
         exact = float(min(16 * F**2 / (4 * F**2 + 1) ** 2, Fraction(1, 2)))
         assert abs(m_hat - exact) <= 8 * math.ulp(exact)
 
     @pytest.mark.parametrize("P", np.logspace(0, 9, 19).tolist())
     def test_three_dimensional_sign_change(self, P):
-        m_hat = choose_cut_constants(P, 1.0, 0.0025, 200.0, N=3)[0]
+        m_hat = choose_cut_constants(P, N=3)[0]
         assert cut_slack(m_hat, P, 3) >= 0
         if m_hat < 1 - 2 ** (-1.5):  # below the spectral cap: the root
             assert cut_slack(math.nextafter(m_hat, 1.0), P, 3) < 0
@@ -545,22 +541,35 @@ class TestSelectCutDepth:
         ]
         assert feasible and chosen == min(feasible)
 
-    def test_no_feasible_depth_takes_the_flagged_minimum(self):
-        # cutting the unit square's sides off raises the rescaled perimeter
-        # at every depth up to 0.1
+    @staticmethod
+    def _square_cut(lo, hi):
+        """The unit square at h = 1/32, a plan with strips of half-width 4h
+        anchored at ``lo`` and ``hi`` that slide outwards up to 0.1, and
+        constants with that ``r0``."""
         d = square(1 / 32)
-        anchors = ((0.25, -1.0), (0.75, 1.0))
+        r0 = 4 * d.h
+        anchors = ((lo, -1.0), (hi, 1.0))
         plan = SurgeryPlan(
-            active_region=((0.25, 0.75),),
+            active_region=((lo, hi),),
             segments=(),
             slide_index=0,
             anchors=anchors,
-            strips_to_remove=_strips_at(anchors, 4 * d.h, 0.0),
+            strips_to_remove=_strips_at(anchors, r0, 0.0),
             cut_depth=0.0,
             t_max=0.1,
             y_mass=0.0,
         )
-        t, led = select_cut_depth(d, plan, P=20.0)
+        const = SurgeryConstants(
+            N=2, K=1.0, k=1, P=20.0, volume=1.0, c=1.0, C0=1e-3, r0=r0,
+            l0=1.0, m_hat=0.1, beta=1.0, p=10,
+        )  # fmt: skip
+        return d, plan, const
+
+    def test_no_feasible_depth_takes_the_flagged_minimum(self):
+        # cutting the unit square's sides off raises the rescaled perimeter
+        # at every depth up to 0.1
+        d, plan, const = self._square_cut(0.25, 0.75)
+        t, led = select_cut_depth(d, plan, const)
         assert led["flagged"]
         assert min(led["rescaled_perimeter"]) > led["perimeter_before"]
         idx = int(np.argmin(led["rescaled_perimeter"]))
@@ -573,10 +582,26 @@ class TestSelectCutDepth:
             200.0, 2, 20.0, d.h, mode="practical:1e12", window_extent=8.0
         )
         plan = plan_cuts(d, (), const)
-        t, led = select_cut_depth(d, plan, P=20.0)
+        t, led = select_cut_depth(d, plan, const)
         assert t == 0.0
         assert all(m == 0.0 for m in led["mass"])
         assert all(s == 0.0 for s in led["sigma"])
+
+    def test_depth_reads_the_strip_width_from_the_constants(self):
+        # the strips a plan holds play no part in the scan
+        d, plan, const = self._square_cut(0.25, 0.75)
+        fresh = select_cut_depth(d, plan, const)
+        assert select_cut_depth(d, replace(plan, strips_to_remove=()), const) == fresh
+
+    def test_ledger_is_strict_json_where_no_column_is_kept(self):
+        # the two strips share an edge at t = 0, so they discard every column
+        d, plan, const = self._square_cut(0.375, 0.625)
+        t, led = select_cut_depth(d, plan, const)
+        assert led["mass"][0] == pytest.approx(1.0)
+        assert led["rescaled_perimeter"][0] == "inf"
+        assert all(isinstance(v, float) for v in led["rescaled_perimeter"][1:])
+        assert led["chosen_index"] > 0 and t > 0
+        json.dumps(led, allow_nan=False)
 
 
 class TestComponentCleanup:
@@ -826,6 +851,19 @@ class TestStripSurgery:
         _, _, report = cut_dumbbell
         blob = json.dumps(report.to_dict(), sort_keys=True)
         assert '"verdict": "pass"' in blob
+
+    def test_int_thresholds_are_written_as_floats(self):
+        # the checks and the ledger read K and P from the constants
+        d = dumbbell(1 / 192, bulb_radius=0.42, neck_length=1.8)
+        _, report = strip_surgery(
+            solve_torsion(d), eigenvalues(d, k=3), K=200, k=3, P=10,
+            mode="practical:1e12",
+        )  # fmt: skip
+        assert report.changed
+        rows = [c for c in report.checks if c.name.startswith("eigenvalue_")]
+        assert [c.context["K"] for c in rows] == [200.0] * 3
+        assert all(type(c.context["K"]) is float for c in rows)
+        assert type(report.ledger["P"]) is float and report.ledger["P"] == 10.0
 
 
 class TestSubsolutionTruncate:
