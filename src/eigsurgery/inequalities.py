@@ -146,35 +146,43 @@ def _context(d: GridDomain, **extra: Any) -> dict[str, Any]:
     return ctx
 
 
+def _continuum(
+    name: str, d: GridDomain, lhs: float, rhs: float, **context: Any
+) -> IneqReport:
+    """A continuum inequality judged on the raster ``d``.
+
+    The one place its slack is set: ``default_tolerance(d.h)``, the O(h)
+    gap between the FD raster and the continuum; the context records the
+    raster's ``h``, ``N`` and measure, then ``context``.
+    """
+    return IneqReport.compare(name, lhs, rhs, default_tolerance(d.h), _context(d, **context))
+
+
+def _same_raster(d: GridDomain, f: TorsionField) -> None:
+    """Raise ``ValueError`` unless ``f`` is the torsion field of raster ``d``."""
+    if not f.domain.equals(d):
+        raise ValueError("the torsion field is not the field of the raster checked")
+
+
 def check_saint_venant(d: GridDomain, f: TorsionField) -> IneqReport:
     """Saint-Venant: the ball maximizes the L1 norm of the torsion function.
 
     ``integral(w) <= |O|^{(N+2)/N} * omega_N^{-2/N} / (N (N+2))``.
     """
+    _same_raster(d, f)
     N = d.N
     vol = measure(d)
     omega = unit_ball_volume(N)
     rhs = vol ** ((N + 2) / N) * omega ** (-2 / N) / (N * (N + 2))
-    return IneqReport.compare(
-        "saint_venant",
-        f.integral,
-        rhs,
-        default_tolerance(d.h),
-        _context(d),
-    )
+    return _continuum("saint_venant", d, f.integral, rhs)
 
 
 def check_talenti(d: GridDomain, f: TorsionField) -> IneqReport:
     """Talenti: ``max w <= (|O| / omega_N)^{2/N} / (2N)``."""
+    _same_raster(d, f)
     N = d.N
     rhs = (measure(d) / unit_ball_volume(N)) ** (2 / N) / (2 * N)
-    return IneqReport.compare(
-        "talenti",
-        f.max,
-        rhs,
-        default_tolerance(d.h),
-        _context(d),
-    )
+    return _continuum("talenti", d, f.max, rhs)
 
 
 def vdb_constant(N: int) -> float:
@@ -190,12 +198,12 @@ def check_vdb(d: GridDomain, f: TorsionField, spectrum: Spectrum) -> IneqReport:
     (the minimum of the two margins decides the verdict) and recorded in the
     context.
     """
+    _same_raster(d, f)
     lam1 = spectrum[1]
     lower = 1.0 / lam1
     upper = vdb_constant(d.N) / lam1
-    rel = default_tolerance(d.h)
-    up = IneqReport.compare("vdb", f.max, upper, rel, _context(d, lambda1=lam1, lower=lower))
-    low = IneqReport.compare("vdb_lower", lower, f.max, rel)
+    up = _continuum("vdb", d, f.max, upper, lambda1=lam1, lower=lower)
+    low = _continuum("vdb_lower", d, lower, f.max)
     return replace(
         up,
         margin=min(up.margin, low.margin),
@@ -216,13 +224,7 @@ def check_berezin_li_yau(d: GridDomain, k: int, spectrum: Spectrum) -> IneqRepor
     """Berezin-Li-Yau: ``lambda_k >= C_N (k / |O|)^{2/N}``."""
     C = li_yau_constant(d.N)
     lhs = C * (k / measure(d)) ** (2 / d.N)
-    return IneqReport.compare(
-        "berezin_li_yau",
-        lhs,
-        spectrum[k],
-        default_tolerance(d.h),
-        _context(d, k=k, constant=C),
-    )
+    return _continuum("berezin_li_yau", d, lhs, spectrum[k], k=k, constant=C)
 
 
 def max_index_below(K: float, volume: float, N: int = 2) -> int:
@@ -264,13 +266,7 @@ def check_ratio_bound(
     if k not in table:
         raise KeyError(f"no ratio bound M_{k} available; provide it in m_table")
     ratio = spectrum[k] / spectrum[1]
-    return IneqReport.compare(
-        "ratio_bound",
-        ratio,
-        table[k],
-        default_tolerance(d.h),
-        _context(d, k=k, M_k=table[k]),
-    )
+    return _continuum("ratio_bound", d, ratio, table[k], k=k, M_k=table[k])
 
 
 # The eigenvalue-stability constant written ``e^{1/4pi}`` in the source,
@@ -293,19 +289,15 @@ def check_gamma_stability(
         <= 2 k^2 e^{1/(4 pi)} lambda_k(d2)^{N/2} d_gamma(d1, d2)``
     on the spectra ``s1``, ``s2`` and torsion functions ``f1``, ``f2``.
     """
+    _same_raster(d1, f1)
+    _same_raster(d2, f2)
     a1, a2 = embed_union(d1, d2, d1.occupancy, d2.occupancy)
     if (a1 & ~a2).any():
         raise ValueError("gamma stability requires d1 to be contained in d2")
     dg = gamma_distance(d1, d2, f1, f2)
     lhs = abs(1 / s1[k] - 1 / s2[k])
     rhs = 2 * k**2 * GAMMA_STABILITY_CONSTANT * s2[k] ** (d1.N / 2) * dg
-    return IneqReport.compare(
-        "gamma_stability",
-        lhs,
-        rhs,
-        default_tolerance(d1.h),
-        _context(d1, k=k, gamma_distance=dg),
-    )
+    return _continuum("gamma_stability", d1, lhs, rhs, k=k, gamma_distance=dg)
 
 
 def check_density_lemma(
@@ -321,6 +313,8 @@ def check_density_lemma(
     """
     d = f.domain
     N = d.N
+    if len(x) != N:
+        raise ValueError(f"the point has {len(x)} coordinates, the raster {N} axes")
     delta0 = math.sqrt(theta * (N + 2))
     ctx = _context(d, theta=theta, delta=delta, delta0=delta0)
     idx = tuple(
@@ -342,12 +336,8 @@ def check_density_lemma(
     ball_mask = dist2 < delta**2
     integral = float(f.values[ball_mask].sum()) * d.h**N
     lhs = theta * unit_ball_volume(N) * delta**N / 2
-    return IneqReport.compare(
-        "density_lemma",
-        lhs,
-        integral,
-        default_tolerance(d.h),
-        ctx,
+    return _continuum(
+        "density_lemma", d, lhs, integral, theta=theta, delta=delta, delta0=delta0
     )
 
 
@@ -363,6 +353,7 @@ def check_positive_energy(
     If ``A`` is a subset of the parent domain with ``max_A w_parent <= C0 r0``
     then ``E(A) + c |A| >= 0``; ``f`` is the torsion function of ``A``.
     """
+    _same_raster(dA, f)
     parent = parent_field.domain
     ctx = _context(dA, c=c, C0r0=C0r0)
     if dA.cell_count == 0:
@@ -379,11 +370,5 @@ def check_positive_energy(
             f"max w on A = {w_on_A:g} exceeds C0 r0 = {C0r0:g}",
         )
     value = torsion_energy(f) + c * measure(dA)
-    return IneqReport.compare(
-        "positive_energy",
-        0.0,
-        value,
-        default_tolerance(dA.h),
-        ctx,
-    )
+    return _continuum("positive_energy", dA, 0.0, value, c=c, C0r0=C0r0)
 

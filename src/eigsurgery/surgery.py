@@ -67,6 +67,10 @@ logger = logging.getLogger(__name__)
 
 # Accepted moves after which the descent stops.
 DESCENT_MOVE_LIMIT = 50
+# Relative slack of every exact-geometry comparison (measure, perimeter,
+# diam_e1, their budgets): it covers only floating-point rounding, of cell
+# and face counts times powers of h and of the unit-measure rescale.
+_GEOMETRY_SLACK = 1e-12
 
 __all__ = [
     "SurgeryConstants",
@@ -621,7 +625,7 @@ def select_cut_depth(
         rescaled.append(value)
 
     idx = int(np.argmin(rescaled))
-    flagged = bool(rescaled[idx] > per_before * (1 + 1e-12))
+    flagged = bool(rescaled[idx] > per_before * (1 + _GEOMETRY_SLACK))
     ledger = {
         "t": [float(t) for t in t_grid],
         "mass": masses,
@@ -878,7 +882,7 @@ def _cut_stage(
 
     # net mass actually removed (the slab middles come back as the ball)
     strip_mass = measure(d0) - measure(d_cut)
-    if strip_mass > constants.m_hat * measure(d0) * (1 + 1e-12):
+    if strip_mass > constants.m_hat * measure(d0) * (1 + _GEOMETRY_SLACK):
         flags.append("strip_mass_exceeds_threshold")
     idx = ledger["chosen_index"]
     plan = dc_replace(
@@ -938,7 +942,7 @@ def _check_stage(
         IneqReport.compare(
             "unit_measure",
             abs(after["measure"] - 1.0),
-            1e-12,
+            _GEOMETRY_SLACK,
             0.0,
             {"measure": after["measure"]},
         )
@@ -957,7 +961,7 @@ def _check_stage(
                 "perimeter_non_increase",
                 after["perimeter"],
                 before["perimeter"],
-                1e-12,
+                _GEOMETRY_SLACK,
                 {"cut_depth": plan.cut_depth},
             )
         )
@@ -981,7 +985,7 @@ def _check_stage(
             "diam_e1_bound",
             after["diam_e1"],
             diameter_bound["total"],
-            1e-12,
+            _GEOMETRY_SLACK,
             {"base": base, "rescaled_total": diameter_bound["rescaled_total"]},
         )
     )
@@ -1429,7 +1433,7 @@ def bounded_surgery(
             "volume_floor",
             constants.beta,
             measure(d_desc),
-            1e-12,
+            _GEOMETRY_SLACK,
             {"beta": constants.beta, "mode": mode},
         )
     )

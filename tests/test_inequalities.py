@@ -316,3 +316,93 @@ class TestReportPlumbing:
     def test_default_tolerance(self):
         assert default_tolerance(1 / 256) == pytest.approx(5 / 256)
         assert default_tolerance(1e-9) == 1e-6
+
+
+class TestInputGuards:
+    @pytest.fixture(scope="class")
+    def fields(self):
+        d = ball(1 / 32)
+        other = square(1 / 32, normalize=True)
+        return d, solve_torsion(d), solve_torsion(other)
+
+    @pytest.mark.parametrize("x", [(0.0, 0.0, 0.0), (0.0,)])
+    def test_density_point_has_one_coordinate_per_axis(self, fields, x):
+        _, f, _ = fields
+        with pytest.raises(ValueError, match=f"{len(x)} coordinates, the raster 2 axes"):
+            check_density_lemma(f, x, theta=0.01, delta=0.1)
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda d, f: check_saint_venant(d, f),
+            lambda d, f: check_talenti(d, f),
+            lambda d, f: check_vdb(d, f, eigenvalues(d, k=1)),
+            lambda d, f: check_positive_energy(d, f, f, c=1.0, C0r0=1.0),
+        ],
+        ids=["saint_venant", "talenti", "vdb", "positive_energy"],
+    )
+    def test_field_of_another_raster_is_refused(self, fields, check):
+        d, _, g = fields
+        with pytest.raises(ValueError, match="not the field of the raster"):
+            check(d, g)
+
+    @pytest.mark.parametrize("wrong", [0, 1])
+    def test_gamma_stability_refuses_either_foreign_field(self, fields, wrong):
+        d, f, g = fields
+        s = eigenvalues(d, k=1)
+        pair = [f, f]
+        pair[wrong] = g
+        with pytest.raises(ValueError, match="not the field of the raster"):
+            check_gamma_stability(d, d, 1, s, s, *pair)
+
+
+def _continuum_reports() -> dict[str, tuple[GridDomain, IneqReport]]:
+    """Every continuum report, with the raster it is judged on."""
+    d = ball(1 / 32)
+    f, s = solve_torsion(d), eigenvalues(d, k=2)
+    occ = d.occupancy.copy()
+    occ[: d.shape[0] // 4] = False
+    sub = GridDomain(h=d.h, origin=d.origin, occupancy=occ)
+    peak = np.unravel_index(f.values.argmax(), d.shape)
+    centre = tuple(d.centers(axis)[i] for axis, i in enumerate(peak))
+    return {
+        "saint_venant": (d, check_saint_venant(d, f)),
+        "talenti": (d, check_talenti(d, f)),
+        "vdb": (d, check_vdb(d, f, s)),
+        "berezin_li_yau": (d, check_berezin_li_yau(d, 2, s)),
+        "ratio_bound": (d, check_ratio_bound(d, 2, s)),
+        "gamma_stability": (
+            sub,
+            check_gamma_stability(
+                sub, d, 1, eigenvalues(sub, k=1), s, solve_torsion(sub), f
+            ),
+        ),
+        "density_lemma": (
+            d, check_density_lemma(f, centre, theta=0.9 * f.max, delta=0.1)
+        ),
+        "positive_energy": (d, check_positive_energy(d, f, f, c=1.0, C0r0=f.max)),
+    }
+
+
+class TestContinuumSlack:
+    @pytest.fixture(scope="class")
+    def reports(self):
+        return _continuum_reports()
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "saint_venant", "talenti", "vdb", "berezin_li_yau", "ratio_bound",
+            "gamma_stability", "density_lemma", "positive_energy",
+        ],
+    )
+    def test_slack_and_context_come_from_the_raster(self, reports, name):
+        d, r = reports[name]
+        assert r.name == name and r.tolerance > 0
+        scale = max(abs(r.lhs), abs(r.rhs))
+        if name == "vdb":  # the smaller of the upper and the lower side's
+            scale = min(scale, max(abs(r.context["lower"]), abs(r.lhs)))
+        assert r.tolerance == default_tolerance(d.h) * scale
+        assert (r.context["h"], r.context["N"], r.context["measure"]) == (
+            d.h, d.N, measure(d)
+        )

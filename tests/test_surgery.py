@@ -48,6 +48,7 @@ from eigsurgery.pde import (
 )
 from eigsurgery.surgery import (
     DESCENT_MOVE_LIMIT,
+    _GEOMETRY_SLACK,
     SurgeryConstants,
     SurgeryPlan,
     _descent_candidates,
@@ -722,6 +723,13 @@ class TestStripSurgery:
         assert report.plan.mass_removed <= report.constants.m_hat
         assert len(connected_components(out)) == 3
         assert report.after["diam_e1"] < report.before["diam_e1"]
+
+    @pytest.mark.parametrize("name", ["perimeter_non_increase", "diam_e1_bound"])
+    def test_geometry_checks_carry_the_rounding_slack(self, cut_dumbbell, name):
+        _, _, report = cut_dumbbell
+        (check,) = [c for c in report.checks if c.name == name]
+        assert check.note == ""
+        assert check.tolerance == _GEOMETRY_SLACK * max(abs(check.lhs), abs(check.rhs))
 
     def test_verdict_is_derived_from_checks(self, cut_dumbbell):
         _, _, report = cut_dumbbell

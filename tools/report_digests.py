@@ -49,6 +49,7 @@ from scipy.linalg import cython_lapack
 
 from eigsurgery.corpus import CorpusSpec, blob_union, default_corpus, surgery_corpus
 from eigsurgery.harness import RunConfig, _usable_cpus, run_suite
+from eigsurgery.pde import _openblas_threads
 from eigsurgery.surgery import bounded_surgery
 
 H = 1 / 64
@@ -127,12 +128,9 @@ def bounded_digest(seeds: Iterable[int], mode: str, K: float, k: int) -> str:
 
 def machine_line() -> str:
     """``nproc``, and the thread count and configuration of SciPy's OpenBLAS."""
-    lib = ctypes.CDLL(cython_lapack.__file__)
-    threads, config = "unknown", "unknown"
-    if hasattr(lib, "scipy_openblas_get_num_threads"):
-        get = lib.scipy_openblas_get_num_threads
-        get.argtypes, get.restype = [], ctypes.c_int
-        threads = str(get())
+    controls = _openblas_threads()
+    threads = "unknown" if controls is None else str(controls[0]())
+    lib, config = ctypes.CDLL(cython_lapack.__file__), "unknown"
     if hasattr(lib, "scipy_openblas_get_config"):
         get = lib.scipy_openblas_get_config
         get.argtypes, get.restype = [], ctypes.c_char_p
