@@ -243,10 +243,13 @@ def run_suite(
     thread pool of ``config.workers`` threads, capped at one per CPU this
     process may run on: band factors, band solves and band inertia counts
     release the GIL, so threads overlap them, while more threads than cores
-    only add band memory.  One thread is the serial run.  Rows are merged by
-    corpus position, never by completion order.  When ``config.out_dir`` is
-    set the rows are appended to ``reports.jsonl`` there and ``summary.csv``
-    is regenerated from the whole log.
+    only add factor memory.  A raster above the band-size bound gets the
+    sparse kind of :class:`pde.Factor`, whose solves hold the GIL, so its
+    torsion solve and Lanczos steps do not overlap.  One thread is the
+    serial run.  Rows are merged by corpus position, never by completion
+    order.  When ``config.out_dir`` is set the rows are appended to
+    ``reports.jsonl`` there and ``summary.csv`` is regenerated from the
+    whole log.
     """
     names = [s.name for s in specs]
     if len(set(names)) != len(names):

@@ -40,21 +40,23 @@ _SHIFT_FACTOR = 10  # the certificate's shift sits 10 tol below lambda_k
 _CERTIFY_ROUNDS = 3  # Lanczos runs before a failed certificate raises
 _FLOOR_FRACTION = 0.99  # Lanczos about sigma0 shifts to 0.99 x the lambda_1 floor
 # On a raster whose band has at most this many entries, (b + 1) n for
-# bandwidth b and n cells, Lanczos and the certificate both run on bands;
-# above it, both run on the sparse LDL^T about sigma0 (one minimum-degree
-# order) and a handed-in band is released.  A band factorization and each
-# dpbtf2 count cost about n b^2 flops and a band solve 4 n b; SuperLU's fill
-# grows more slowly, so the sparse inverse wins on large wide rasters.
-# Timed over both corpora at h = 1/96, 1/112 and 1/128 (90 rasters, best of
-# 3, k = 5, one BLAS thread), with every raster below a bound T on the band
-# side: eigensolves without a factor took 6.44, 6.15, 6.20 and 6.59 s in all
-# at T = 0.6, 1.2, 2.0 and 3.0 M entries, solve_raster 7.65, 7.11, 6.72 and
-# 6.63 s.  The bandwidth alone does not separate the sides: at b = 108 the
-# 1/96 ball (1.0 M entries) is faster on the band and the 1/128 dumbbells
-# (2.0 M) on the sparse LDL^T.  At 1/256, dumbbell-0 (15.9 M) takes 0.42 s
-# for a band count against 0.19 s for SuperLU's certificate.  These timings
-# predate the reversed-order factor and its faster band solves (see
-# BandFactor), which favour the band side; the bound is not refitted here.
+# bandwidth b and n cells, factor_laplacian factors a band Cholesky; above
+# it, a sparse LDL^T (one minimum-degree order).  That one factor serves the
+# torsion solve, Lanczos and the certificate's count.  A band factorization
+# and each dpbtf2 count cost about n b^2 flops and a band solve 4 n b;
+# SuperLU's fill grows more slowly, so the sparse inverse wins on large wide
+# rasters.  Timed over both corpora at h = 1/96, 1/112 and 1/128 (90 rasters,
+# best of 3, k = 5, one BLAS thread), with every raster below a bound T on
+# the band side: eigensolves without a factor took 6.44, 6.15, 6.20 and
+# 6.59 s in all at T = 0.6, 1.2, 2.0 and 3.0 M entries, solve_raster 7.65,
+# 7.11, 6.72 and 6.63 s.  The bandwidth alone does not separate the sides: at
+# b = 108 the 1/96 ball (1.0 M entries) is faster on the band and the 1/128
+# dumbbells (2.0 M) on the sparse LDL^T.  At 1/256, dumbbell-0 (15.9 M) takes
+# 0.42 s for a band count against 0.19 s for SuperLU's certificate.  These
+# timings predate the reversed-order factor and its faster band solves (see
+# Factor), which favour the band side, and the bound's choosing the torsion's
+# kind too, which spares a raster above it a band; the bound is not refitted
+# here.
 _BAND_ENTRIES = 1_200_000
 # On the band side, Lanczos runs on its own band of A - sigma0 I where the
 # bandwidth b is at most this, even when a torsion band at 0 is handed in.
@@ -66,14 +68,14 @@ _BAND_ENTRIES = 1_200_000
 # the band beat the sparse LDL^T: solve_raster(k=5) on the 1/64 tubes took
 # 4.6-8.4 ms against 6.0-9.6 ms (one BLAS thread), and band solves release
 # the GIL where SuperLU's hold it.  These timings predate the reversed-order
-# factor (see BandFactor), whose solves are cheaper while a factorization
+# factor (see Factor), whose solves are cheaper while a factorization
 # costs about 7% more; the bound is not refitted here.
 _NARROW_BAND = 20
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "BandFactor",
+    "Factor",
     "Spectrum",
     "TorsionField",
     "ball_lambda1",
@@ -447,23 +449,24 @@ def build_laplacian(d: GridDomain) -> tuple[sparse.csr_matrix, np.ndarray]:
 
 
 @dataclass(eq=False)
-class BandFactor:
-    """Band Cholesky factor of one raster's shifted Laplacian ``A - shift I``.
+class Factor:
+    """Factor of one raster's shifted Laplacian ``A - shift I``, band or sparse.
 
-    Built by :func:`factor_laplacian` and passed explicitly, first to
-    :func:`solve_torsion` and then to :func:`eigenvalues` (see
-    :func:`solve_raster`), so a wide raster that needs both a torsion field
-    and a spectrum is factored once.  In between, :meth:`solve` serves
-    further back-solves on the raster and :meth:`residual` checks them.
-    :func:`eigenvalues` releases the band when its Lanczos run ends, before
-    its certificate counts on a band of its own.  It releases the band at
-    once on a narrow raster, whose eigensolve factors its own band at a
-    shift just below lambda_1, and on a raster above its band-size bound,
-    whose eigensolve runs on a sparse LDL^T.  A released factor can no
-    longer solve; its ``stencil`` still checks rasters and residuals.
+    Built by :func:`factor_laplacian`, which picks the kind once, and passed
+    explicitly, first to :func:`solve_torsion` and then to
+    :func:`eigenvalues` (see :func:`solve_raster`), so a raster that needs
+    both a torsion field and a spectrum is factored once.  In between,
+    :meth:`solve` serves further back-solves on the raster and
+    :meth:`residual` checks them.  :func:`eigenvalues` releases the factor
+    when its Lanczos run ends, before its certificate calls :meth:`count`,
+    which factors ``A - sigma I`` anew in this factor's kind and order and
+    so works after :meth:`release`.  It releases the factor at once on a
+    narrow raster, whose eigensolve factors its own at a shift just below
+    lambda_1.  A released factor can no longer solve; its ``stencil`` still
+    checks rasters and residuals.
 
-    The factor is ``A - shift I = R R^T`` with ``R`` upper triangular, held
-    in LAPACK upper band storage in the cells' row-major order (see
+    The band kind is ``A - shift I = R R^T`` with ``R`` upper triangular,
+    held in LAPACK upper band storage in the cells' row-major order (see
     :func:`factor_laplacian`), and :meth:`solve` makes two BLAS ``dtbsv``
     passes on it without the GIL: ``R y = b`` ('U', 'N'), then
     ``R^T x = y`` ('U', 'T').  In SciPy's OpenBLAS 0.3.30 (SkylakeX kernels,
@@ -471,20 +474,26 @@ class BandFactor:
     b = 54) these two take 0.084 and 0.070 ms, and the lower band's
     'L', 'N' 0.086 ms, but its 'L', 'T' 0.18 ms: LAPACK ``dpbtrs`` on the
     lower factor, which pays that one, took 0.30 ms a solve against 0.155.
+    The sparse kind is :func:`_ldlt`'s LDL^T ``lu`` and its minimum-degree
+    order ``perm``; its solves hold the GIL.
     """
 
     stencil: _Stencil
-    band: np.ndarray | None  # LAPACK upper band storage of R, A - shift I = R R^T
+    band: np.ndarray | None  # the band kind's R, LAPACK upper band storage
     shift: float = 0.0  # the factor is of A - shift I
+    lu: sparse_linalg.SuperLU | None = None  # the sparse kind's LDL^T
+    perm: np.ndarray | None = None  # the sparse kind's order; None on bands
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """``(A - shift I)^-1 b`` by two triangular band solves, ``R`` then ``R^T``."""
-        if self.band is None:
-            raise ValueError("the band factor was released")
-        return _band_solve(self.band, b)
+        """``(A - shift I)^-1 b``: two triangular band solves, or SuperLU's."""
+        if self.band is not None:
+            return _band_solve(self.band, b)
+        if self.lu is None:
+            raise ValueError("the factor was released")
+        return self.lu.solve(b)
 
     def residual(self, x: np.ndarray, b: np.ndarray | float) -> np.ndarray:
-        """``(A - shift I) x - b`` from the stencil, axis by axis; needs no band."""
+        """``(A - shift I) x - b`` from the stencil, axis by axis; needs no factor."""
         st = self.stencil
         off = -1.0 / (st.h * st.h)
         r = st.diagonal(self.shift) * x - b
@@ -493,9 +502,19 @@ class BandFactor:
             r[i] += off * x[j]
         return r
 
+    def count(self, sigma: float) -> int:
+        """Eigenvalues of ``A`` below ``sigma``, by an LDL^T of this kind and order.
+
+        :func:`_band_inertia` on the band kind; on the sparse kind, the
+        negative pivots of an :func:`_ldlt` in ``perm``.
+        """
+        if self.perm is None:
+            return _band_inertia(self.stencil, sigma)
+        return _negative_pivots(_ldlt(self.stencil, sigma, self.perm)[0])
+
     def release(self) -> None:
-        """Drop the band; its ``(b + 1) n`` doubles dominate the memory."""
-        self.band = None
+        """Drop the band or the LDL^T; they dominate the memory."""
+        self.band = self.lu = None
 
 
 def _reversed_band(st: _Stencil, shift: float) -> np.ndarray:
@@ -514,41 +533,52 @@ def _reversed_band(st: _Stencil, shift: float) -> np.ndarray:
 
 
 @_ONE_BLAS_THREAD
-def factor_laplacian(d: GridDomain, shift: float = 0.0) -> BandFactor:
-    """Band Cholesky factor of ``A - shift I``, ``A`` being ``d``'s Laplacian.
+def factor_laplacian(d: GridDomain, shift: float = 0.0) -> Factor:
+    """The :class:`Factor` of ``A - shift I``, ``A`` being ``d``'s Laplacian.
 
-    At ``shift = 0`` the factor serves both solvers; :func:`eigenvalues`
-    factors a raster at a shift just below lambda_1 when it has no factor
-    at 0 or the raster is narrow.  In row-major order the Laplacian is an
-    SPD band matrix whose bandwidth ``b`` is the largest row distance
-    between face neighbours, about the occupied cells per row (per plane
-    in 3-D).  The lower band of ``J (A - shift I) J``, ``J`` the reversal
-    of the cell order (:func:`_reversed_band`), is assembled straight from
-    the stencil and factored by LAPACK ``dpbtrf`` ('L') as ``L L^T``:
-    ``n b^2`` time and ``(b + 1) n`` memory, so 3-D rasters pay far more
-    than 2-D ones.  Reversing the factor's memory in place
-    (:func:`_reverse_in_place`) then gives the upper band storage of
-    ``R = J L J``, so that ``A - shift I = R R^T`` in the original order, and
-    :meth:`BandFactor.solve` runs on OpenBLAS's fast upper-band kernels.
-    The reversal costs about 7% of a factorization (0.19 against 2.6 ms on
-    ``dumbbell-0`` at 1/64).  Factoring the upper band by ``dpbtrf`` ('U')
-    instead is slower: 144 against 101 ms over the 20 rasters of
-    ``default_corpus(1/96)``, each the best of 3.  The factorization
-    runs on one OpenBLAS thread (:class:`_OneBlasThread`).  Raises
-    ``LinAlgError`` if ``shift`` is not below lambda_1.
+    At ``shift = 0`` the factor serves the torsion solve, Lanczos and the
+    certificate; :func:`eigenvalues` factors a raster at a shift just below
+    lambda_1 when it has no factor at 0 or the raster is narrow.  The kind
+    is picked here, once, by the raster's band size ``(b + 1) n``: a band
+    of at most ``_BAND_ENTRIES`` (1.2 M) entries gives the band kind, a
+    larger one the sparse kind, :func:`_ldlt`'s sparse LDL^T in a
+    minimum-degree order.
+
+    In row-major order the Laplacian is an SPD band matrix whose bandwidth
+    ``b`` is the largest row distance between face neighbours, about the
+    occupied cells per row (per plane in 3-D).  For the band kind, the
+    lower band of ``J (A - shift I) J``, ``J`` the reversal of the cell
+    order (:func:`_reversed_band`), is assembled straight from the stencil
+    and factored by LAPACK ``dpbtrf`` ('L') as ``L L^T``: ``n b^2`` time
+    and ``(b + 1) n`` memory, so 3-D rasters pay far more than 2-D ones.
+    Reversing the factor's memory in place (:func:`_reverse_in_place`) then
+    gives the upper band storage of ``R = J L J``, so that
+    ``A - shift I = R R^T`` in the original order, and :meth:`Factor.solve`
+    runs on OpenBLAS's fast upper-band kernels.  The reversal costs about
+    7% of a factorization (0.19 against 2.6 ms on ``dumbbell-0`` at 1/64).
+    Factoring the upper band by ``dpbtrf`` ('U') instead is slower: 144
+    against 101 ms over the 20 rasters of ``default_corpus(1/96)``, each the
+    best of 3.  The factorization runs on one OpenBLAS thread
+    (:class:`_OneBlasThread`).  The band kind raises ``LinAlgError`` if
+    ``shift`` is not below lambda_1.  The sparse kind does not test
+    definiteness: a ``shift`` at or above lambda_1 factors, and
+    :func:`eigenvalues` refuses it once its certificate has found lambda_1.
     """
     st = _stencil(d)
+    if (st.b + 1) * st.n > _BAND_ENTRIES:
+        lu, perm = _ldlt(st, shift)
+        return Factor(st, None, shift, lu, perm)
     band = _band_cholesky(_reversed_band(st, shift))
-    return BandFactor(st, _reverse_in_place(band), shift)
+    return Factor(st, _reverse_in_place(band), shift)
 
 
-def solve_torsion(d: GridDomain, factor: BandFactor | None = None) -> TorsionField:
-    """Solve ``-Lap w = 1`` on occupied cells, w = 0 outside, by band Cholesky.
+def solve_torsion(d: GridDomain, factor: Factor | None = None) -> TorsionField:
+    """Solve ``-Lap w = 1`` on occupied cells, w = 0 outside, by one direct solve.
 
-    ``factor`` is :func:`factor_laplacian` of ``d``; without it the band is
-    factored here.  ``A`` is an M-matrix, so ``w = A^-1 1`` is positive on
-    every occupied cell.  Raises ``ValueError`` for a factor of another
-    raster or of a shifted Laplacian.
+    ``factor`` is :func:`factor_laplacian` of ``d``, band or sparse; without
+    it one is factored here.  ``A`` is an M-matrix, so ``w = A^-1 1`` is
+    positive on every occupied cell.  Raises ``ValueError`` for a factor of
+    another raster or of a shifted Laplacian.
     """
     if factor is None:
         factor = factor_laplacian(d)
@@ -570,17 +600,15 @@ def solve_torsion(d: GridDomain, factor: BandFactor | None = None) -> TorsionFie
     return TorsionField(domain=d, values=values, residual=residual)
 
 
-def factored_torsion(d: GridDomain) -> tuple[TorsionField, BandFactor]:
-    """:func:`solve_torsion` of ``d`` and the band factor it was solved on.
+def factored_torsion(d: GridDomain) -> tuple[TorsionField, Factor]:
+    """:func:`solve_torsion` of ``d`` and the factor it was solved on.
 
     For callers that solve on the same raster again: by
-    :meth:`BandFactor.solve`, or by handing the factor to
-    :func:`eigenvalues`, which releases it.  Lanczos runs on it unless the
-    raster is narrow (its eigensolve then factors its own band about a
-    shift just below lambda_1) or its band is above the eigensolve's
-    band-size bound (then a sparse LDL^T serves).  The band is
-    ``(b + 1) n`` doubles, so a caller that needs only the field calls
-    :func:`solve_torsion`, which frees it at once.
+    :meth:`Factor.solve`, or by handing the factor to :func:`eigenvalues`,
+    which runs Lanczos on it (unless the raster is narrow: its eigensolve
+    then factors its own about a shift just below lambda_1) and releases
+    it.  A band is ``(b + 1) n`` doubles, so a caller that needs only the
+    field calls :func:`solve_torsion`, which frees the factor at once.
     """
     factor = factor_laplacian(d)
     return solve_torsion(d, factor), factor
@@ -752,7 +780,7 @@ def _lanczos(
 @_ONE_BLAS_THREAD
 def eigenvalues(
     d: GridDomain,
-    factor: BandFactor | None = None,
+    factor: Factor | None = None,
     *,
     k: int,
     seed: int = 0,
@@ -760,47 +788,40 @@ def eigenvalues(
     """Lowest ``k`` Dirichlet eigenvalues of the FD Laplacian, certified.
 
     Uses shift-invert Lanczos with a deterministic start vector; small
-    systems fall back to a dense solve.  Lanczos inverts ``A - sigma0 I``,
-    where ``sigma0`` is 0.99 times a lambda_1 floor that costs no solve
-    (:func:`_lambda1_floor`): nearer lambda_1, Lanczos converges in fewer
-    solves, most of all where the lowest eigenvalues cluster.
-
-    The inverse is chosen once, by the raster's band size ``(b + 1) n``
-    (``b`` the bandwidth, ``n`` the cells), and Lanczos and the certificate
-    both use its storage.  A band of at most ``_BAND_ENTRIES`` (1.2 M)
-    entries puts the raster on the band side: a wide raster's ``factor`` (:func:`factor_laplacian` of ``d``,
+    systems fall back to a dense solve.  Lanczos inverts ``A - sigma0 I``
+    by a :class:`Factor`, band or sparse as :func:`factor_laplacian` picked
+    it.  A wide raster's ``factor`` (:func:`factor_laplacian` of ``d``,
     released once Lanczos ends) serves as the inverse of ``A`` about
-    ``sigma0 = 0``, so the raster is factored once; without a factor, or
-    on a narrow raster (bandwidth at most 20 cells, where the refactoring
-    costs fewer than 2.5 Lanczos steps), Lanczos factors its own band of
-    ``A - sigma0 I`` and a ``factor`` handed in is released first.  Above
-    the bound is the sparse side: a ``factor`` is released at once and
-    ``A - sigma0 I`` is inverted by a sparse LDL^T (:func:`_ldlt`).
+    ``sigma0 = 0``, so the raster is factored once.  Without a factor, or
+    on a narrow raster (bandwidth at most 20 cells, where a band
+    refactoring costs fewer than 2.5 Lanczos steps), a ``factor`` handed in
+    is released first and Lanczos runs on its own
+    ``factor_laplacian(d, sigma0)``, where ``sigma0`` is 0.99 times a
+    lambda_1 floor that costs no solve (:func:`_lambda1_floor`): nearer
+    lambda_1, Lanczos converges in fewer solves, most of all where the
+    lowest eigenvalues cluster.
 
     Each spectrum is certified by an inertia count at the shift
     ``sigma = lambda_k (1 - 10 DEFAULT_EIG_TOL)``: the LDL^T of
     ``A - sigma I`` must have as many negative pivots as there are computed
     eigenvalues below ``sigma``, so no eigenvalue below lambda_k's cluster,
-    copies of a multiple eigenvalue included, was missed.  The band side
-    counts by :func:`_band_inertia`, the sparse side by an :func:`_ldlt`
-    in the sigma0 factor's order.  Where the count has no answer at that
-    shift (a singular leading minor), the shift moves once, halfway down to
-    the largest computed value below it (or to ``sigma0``), so the same
-    computed values lie below it.  The first computed value is then the
-    certified lambda_1, and it must lie above ``sigma0`` (else
-    ``RuntimeError``), so the ``k`` eigenvalues nearest ``sigma0`` are the
-    lowest ``k``.  On a deficit, which is rare, Lanczos runs again for that
-    many more eigenvalues about ``sigma0 > 0``, on a new factor of
-    ``A - sigma0 I`` of the same kind, band or sparse; if the count still
-    disagrees after three rounds a ``RuntimeError`` is raised.
+    copies of a multiple eigenvalue included, was missed.  The count is the
+    Lanczos factor's :meth:`Factor.count`, in its kind and order.  Where
+    the count has no answer at that shift (a singular leading minor), the
+    shift moves once, halfway down to the largest computed value below it
+    (or to ``sigma0``), so the same computed values lie below it.  The
+    first computed value is then the certified lambda_1, and it must lie
+    above ``sigma0`` (else ``RuntimeError``), so the ``k`` eigenvalues
+    nearest ``sigma0`` are the lowest ``k``.  On a deficit, which is rare,
+    Lanczos runs again for that many more eigenvalues about ``sigma0 > 0``,
+    on a new ``factor_laplacian(d, sigma0)``; if the count still disagrees
+    after three rounds a ``RuntimeError`` is raised.
 
-    Each shifted matrix is assembled once, straight from the stencil.  The
-    sparse side's first LDL^T chooses the minimum-degree order and every
-    later one reuses it.  Each factor is freed before the next one is made,
-    so one factor is alive at a time.  Every factorization, count and
-    Lanczos step runs on one OpenBLAS thread (:class:`_OneBlasThread`).
-    Raises ``ValueError`` for a factor of another raster.  Results are
-    reproducible for a fixed seed.
+    Each shifted matrix is assembled once, straight from the stencil.  Each
+    factor is freed before the next one is made, so one factor is alive at
+    a time.  Every factorization, count and Lanczos step runs on one
+    OpenBLAS thread (:class:`_OneBlasThread`).  Raises ``ValueError`` for a
+    factor of another raster.  Results are reproducible for a fixed seed.
     """
     if factor is not None:
         factor.stencil.check(d)
@@ -808,26 +829,17 @@ def eigenvalues(
     n = st.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= occupied cells, got k={k}, cells={n}")
-    on_band = (st.b + 1) * n <= _BAND_ENTRIES
-    if factor is not None and (st.b <= _NARROW_BAND or not on_band):
+    if factor is not None and st.b <= _NARROW_BAND:
         factor.release()  # Lanczos factors its own inverse about sigma0
         factor = None
     v0 = np.random.default_rng(seed).standard_normal(n)
     sigma0 = 0.0  # Lanczos's shift
-    perm = None  # the sparse LDL^T order, chosen by the first factor
-
-    def inertia(sigma: float) -> int:
-        if on_band:
-            return _band_inertia(st, sigma)
-        lu, _ = _ldlt(st, sigma, perm)
-        return _negative_pivots(lu)
-
     wanted = k
     for _ in range(_CERTIFY_ROUNDS):
         lanczos = n > _DENSE_CUTOFF and wanted < n - 1
         if not lanczos:  # the full spectrum
             vals = scipy.linalg.eigvalsh(_shifted_laplacian(st).toarray())
-        elif on_band:
+        else:
             if factor is None:
                 sigma0 = _FLOOR_FRACTION * _lambda1_floor(d)
                 try:
@@ -839,31 +851,24 @@ def eigenvalues(
                     ) from None
             sigma0 = factor.shift
             vals = _lanczos(factor.solve, sigma0, n, wanted, v0)
-        else:
-            sigma0 = _FLOOR_FRACTION * _lambda1_floor(d)
-            # a factor in a reused order runs Lanczos in that order
-            start = v0 if perm is None else v0[np.argsort(perm)]
-            lu, perm = _ldlt(st, sigma0, perm)
-            vals = _lanczos(lu.solve, sigma0, n, wanted, start)
-            del lu  # before the certificate's factorization
         if factor is not None:
             factor.release()  # before the certificate's factorization
-            factor = None  # a retry factors A - sigma0 I, sigma0 > 0
         # Just below lambda_k's cluster: a shift above it would also count
         # the copies of a multiple lambda_k beyond the k-th.
         shift = float(vals[k - 1]) * (1.0 - _SHIFT_FACTOR * DEFAULT_EIG_TOL)
         found = int(np.count_nonzero(vals < shift))
         if lanczos:
             try:
-                count = inertia(shift)
+                count = factor.count(shift)
             except RuntimeError:
                 # A leading minor of A - shift I is singular.  Once, move the
                 # shift halfway down to the computed value below it (sigma0
                 # if none is), which leaves ``found`` as it is.
                 shift = 0.5 * (shift + (float(vals[found - 1]) if found else sigma0))
-                count = inertia(shift)
+                count = factor.count(shift)
         else:
             count = found
+        factor = None  # a retry factors A - sigma0 I, sigma0 > 0
         if count == found:
             if vals[0] <= sigma0:
                 raise RuntimeError(
@@ -894,18 +899,16 @@ def solve_raster(
 ) -> tuple[TorsionField, Spectrum]:
     """Torsion function and lowest ``k`` eigenvalues of ``d``.
 
-    The band Cholesky factor of :func:`factor_laplacian` serves the torsion
-    solve and then, as Lanczos's inverse, the eigensolve, which releases it
-    and certifies the spectrum by a band inertia count.  A narrow raster's
-    eigensolve releases it at once and factors its own band about a shift
-    just below lambda_1: a second factorization that costs fewer Lanczos
-    steps than it saves.  On a raster whose band is above the eigensolve's
-    bound (1.2 M entries, about h = 1/112 on the corpora), the band serves
-    the torsion solve only and the eigensolve runs on a sparse LDL^T (see
-    :func:`eigenvalues`).
+    The factor of :func:`factor_laplacian`, band or sparse by the raster's
+    band size, serves the torsion solve and then, as Lanczos's inverse, the
+    eigensolve, which releases it and certifies the spectrum by a count in
+    the same kind and order (:meth:`Factor.count`).  A narrow raster's
+    eigensolve releases it at once and factors its own about a shift just
+    below lambda_1: a second factorization that costs fewer Lanczos steps
+    than it saves.
     """
-    f, band = factored_torsion(d)
-    return f, eigenvalues(d, band, k=k, seed=seed)
+    f, factor = factored_torsion(d)
+    return f, eigenvalues(d, factor, k=k, seed=seed)
 
 
 def _aligned_offset(d1: GridDomain, d2: GridDomain) -> tuple[int, ...]:

@@ -49,7 +49,7 @@ from eigsurgery.inequalities import (
 )
 from eigsurgery.pde import (
     DEFAULT_CG_TOL,
-    BandFactor,
+    Factor,
     Spectrum,
     TorsionField,
     _bisect,
@@ -181,6 +181,16 @@ def choose_strip_constants(
     return C0, float(r0)
 
 
+def _slide_floor(N: int, m_hat: float, margin: float = 1.0) -> float:
+    """``margin`` times the slide length's strict lower bound
+    ``4N m_hat^(1/N) / (2 omega_N^(1/N) - 1)``.
+
+    ``margin`` is the product's first factor: scaling the rounded floor
+    instead would move most slide lengths by an ulp.
+    """
+    return margin * 4 * N * m_hat ** (1 / N) / (2 * unit_ball_volume(N) ** (1 / N) - 1)
+
+
 def choose_cut_constants(P: float, N: int = 2) -> tuple[float, float, int]:
     """Mass threshold, slide length and slide count for the cut planner.
 
@@ -209,7 +219,7 @@ def choose_cut_constants(P: float, N: int = 2) -> tuple[float, float, int]:
         root = _bisect(slack, 0.5 * (2 * P) ** (-N), hi)
     spectral_cap = 1 - 2 ** (-N / 2)
     m_hat = min(root, spectral_cap)
-    l0 = 1.01 * 4 * N * m_hat ** (1 / N) / (2 * unit_ball_volume(N) ** (1 / N) - 1)
+    l0 = _slide_floor(N, m_hat, margin=1.01)
     p = math.ceil(1 / m_hat)
     return float(m_hat), float(l0), int(p)
 
@@ -257,12 +267,7 @@ class SurgeryConstants:
                 f"strip-test product C0*r0 = {self.C0 * self.r0:g} exceeds "
                 f"min(c/2, 1/(2K)) = {cap:g}"
             )
-        floor = (
-            4
-            * self.N
-            * self.m_hat ** (1 / self.N)
-            / (2 * unit_ball_volume(self.N) ** (1 / self.N) - 1)
-        )
+        floor = _slide_floor(self.N, self.m_hat)
         if not self.l0 > floor:
             raise ValueError(f"slide length l0 = {self.l0:g} must exceed {floor:g}")
 
@@ -1113,11 +1118,11 @@ def _descent_slack(f: TorsionField, value: float) -> float:
 
 
 def _removal_bounds(
-    f: TorsionField, factor: BandFactor, floor: float, cand: GridDomain
+    f: TorsionField, factor: Factor, floor: float, cand: GridDomain
 ) -> Iterator[float]:
     """Lower bounds on ``E(cand) - E(f.domain)``: one back-solve, then two.
 
-    ``factor`` is the band factor of ``f.domain``'s Laplacian ``A`` and
+    ``factor`` is the factor of ``f.domain``'s Laplacian ``A`` and
     ``floor`` a lower bound on its lambda_1 (:func:`pde._lambda1_floor`).
     Removing the cells R leaves the principal submatrix on the rest, and its
     Schur complement gives the energy's rise exactly:
@@ -1190,14 +1195,14 @@ def subsolution_truncate(
     c: float,
     r0: float,
     k: int,
-    factor: BandFactor,
-) -> tuple[TorsionField, tuple[dict[str, Any], ...], BandFactor]:
+    factor: Factor,
+) -> tuple[TorsionField, tuple[dict[str, Any], ...], Factor]:
     """Greedy monotone descent of E + c|.| over sublevel and edge-strip moves.
 
     No move leaves fewer than ``k`` cells (:func:`_descent_candidates`).
     Starts from the torsion function ``f`` of ``f.domain`` and that raster's
-    band factor ``factor`` (:func:`pde.factored_torsion`), which is left
-    unreleased.  Each step accepts the candidate move (see
+    factor ``factor`` (:func:`pde.factored_torsion`, band or sparse),
+    which is left unreleased.  Each step accepts the candidate move (see
     :func:`_descent_candidates`) of least penalized energy if it strictly
     decreases the energy; descent stops when none does or after
     ``DESCENT_MOVE_LIMIT`` accepted moves.  Ties are settled on the computed
@@ -1227,7 +1232,7 @@ def subsolution_truncate(
     INFO log line counts the candidates, how many each screen settled, the
     repeats and the solves.  Returns the torsion function of the final
     domain, a subsolution with respect to this move class only, the move
-    log, and the final domain's band factor, unreleased, for its
+    log, and the final domain's factor, unreleased, for its
     eigensolve: ``factor`` itself when no move was accepted.
     """
     if c < 0:
@@ -1248,7 +1253,7 @@ def subsolution_truncate(
         ]
         slack = _descent_slack(f, value)
         energy = torsion_energy(f)
-        best: tuple[float, int, TorsionField, BandFactor] | None = None
+        best: tuple[float, int, TorsionField, Factor] | None = None
         tally["candidates"] += len(candidates)
         order = sorted(range(len(candidates)), key=lambda i: (bounds[i], i))
         for pos, i in enumerate(order):
@@ -1275,11 +1280,11 @@ def subsolution_truncate(
                 tally[screen] += 1
                 continue
             tally["solved"] += 1
-            fc, band = factored_torsion(cand)
+            fc, fac = factored_torsion(cand)
             val = torsion_energy(fc) + penalties[i]
             if val < value and (best is None or (val, i) < best[:2]):
-                best = (val, i, fc, band)
-            del fc, band  # a loser's band is freed before the next factorization
+                best = (val, i, fc, fac)
+            del fc, fac  # a loser's factor is freed before the next factorization
         if best is None:
             break
         val, i, fc, factor = best
@@ -1382,15 +1387,15 @@ def bounded_surgery(
     is returned (a no-op).
     """
     d0, _, constants = _setup(d, K, k, None, mode)
-    f0, band0 = factored_torsion(d0)
-    f1, log, band1 = subsolution_truncate(
-        f0, constants.c, r0=constants.r0, k=k, factor=band0
+    f0, factor0 = factored_torsion(d0)
+    f1, log, factor1 = subsolution_truncate(
+        f0, constants.c, r0=constants.r0, k=k, factor=factor0
     )
-    s0 = eigenvalues(d0, band0, k=k, seed=seed)  # releases band0, so after the descent
+    s0 = eigenvalues(d0, factor0, k=k, seed=seed)  # releases factor0: after the descent
     d_desc = f1.domain
     before = measure_domain(d0, s0, k)
     if log:
-        s1 = eigenvalues(d_desc, band1, k=k, seed=seed)
+        s1 = eigenvalues(d_desc, factor1, k=k, seed=seed)
         d_out, t1 = _normalized(d_desc)
         after = measure_domain(d_out, s1.rescaled(t1), k)
     else:

@@ -435,7 +435,7 @@ def test_every_stencil_form_matches_coo(spec, sigma):
 
     rng = np.random.default_rng(stencil.n)
     x, b = rng.standard_normal(stencil.n), rng.standard_normal(stencil.n)
-    got = pde.BandFactor(stencil=stencil, band=None, shift=sigma).residual(x, b)
+    got = pde.Factor(stencil=stencil, band=None, shift=sigma).residual(x, b)
     # each side rounds by at most 2N + 2 ulps of |A - sigma I| |x| + |b|
     scale = abs(ref) @ np.abs(x) + np.abs(b)
     eps = np.finfo(float).eps
@@ -517,25 +517,47 @@ def watch_the_gil(work: Callable[[], None]) -> float:
     return stall
 
 
+def band_entries(d: GridDomain) -> int:
+    """The entries ``(b + 1) n`` of ``d``'s band, which pick the factor's kind."""
+    stencil = pde._stencil(d)
+    return (stencil.b + 1) * stencil.n
+
+
 # A band of 300 rows' width: BLAS and LAPACK run far longer than the assembly.
+# Its 9.03 M entries lie above the band-size bound, so the tests of the band
+# kernels raise the bound to them.
 WIDE_BAND = from_mask(np.ones((100, 300), dtype=bool), 1 / 256)
 
 
-def test_band_factor_releases_the_gil():
+def test_factor_kind_is_picked_by_the_band_size(monkeypatch):
+    d = ball(1 / 32)
+    monkeypatch.setattr(pde, "_BAND_ENTRIES", band_entries(d))  # at the bound
+    at = factor_laplacian(d)
+    monkeypatch.setattr(pde, "_BAND_ENTRIES", band_entries(d) - 1)  # one entry above
+    above = factor_laplacian(d)
+    assert at.band is not None and at.lu is None and at.perm is None
+    assert above.band is None and above.lu is not None and above.perm is not None
+
+
+def test_band_factor_releases_the_gil(monkeypatch):
+    monkeypatch.setattr(pde, "_BAND_ENTRIES", band_entries(WIDE_BAND))
     span = {}
 
     def factor():
         start = time.perf_counter()
-        factor_laplacian(WIDE_BAND)
+        span["factor"] = factor_laplacian(WIDE_BAND)
         span["call"] = time.perf_counter() - start
 
     stall = watch_the_gil(factor)
+    assert span["factor"].band is not None
     # holding the GIL, the factorization stalls this thread for most of the call
     assert stall < 0.1 * span["call"]
 
 
-def test_band_solve_releases_the_gil():
+def test_band_solve_releases_the_gil(monkeypatch):
+    monkeypatch.setattr(pde, "_BAND_ENTRIES", band_entries(WIDE_BAND))
     factor = factor_laplacian(WIDE_BAND)
+    assert factor.band is not None
     b = np.ones(factor.stencil.n)
     calls = []
 
@@ -726,17 +748,18 @@ class TestCertificate:
         assert ldlt_shifts == []
         np.testing.assert_allclose(s.eigenvalues, dense_eigenvalues(d, 4), rtol=1e-9)
 
-    def test_one_ordering_per_eigensolve(self, monkeypatch):
-        # a forced retry: the sigma0 factor, its certificate, and both again
+    def test_one_ordering_per_sparse_factor(self, monkeypatch):
+        # a forced retry: the sigma0 factor, its certificate in its order,
+        # and both again on the retry's new factor
         d = ball(1 / 32)
-        monkeypatch.setattr(pde, "_BAND_ENTRIES", 0)  # the sparse side
+        monkeypatch.setattr(pde, "_BAND_ENTRIES", 0)  # the sparse kind
         calls: list[int] = []
         monkeypatch.setattr(pde.sparse_linalg, "eigsh", dropping_eigsh(calls, 1))
         factors = recording_splu(monkeypatch)
         shifts = recording_ldlt(monkeypatch)
         s = eigenvalues(d, k=4)
         assert calls == [4, 5] and shifts[3] == s.shift
-        assert [spec for spec, _ in factors] == ["MMD_AT_PLUS_A"] + 3 * ["NATURAL"]
+        assert [spec for spec, _ in factors] == 2 * ["MMD_AT_PLUS_A", "NATURAL"]
         # only the certificates' factors are counted; the sigma0 ones are not
         assert ["U" in reads for _, reads in factors] == [False, True, False, True]
 
@@ -750,19 +773,23 @@ class TestCertificate:
         assert factors == []  # no ordering, no SuperLU factor, no copy of U
         np.testing.assert_allclose(s.eigenvalues, dense_eigenvalues(d, 4), rtol=1e-9)
 
-    def test_sparse_side_releases_the_band_and_orders_once(self, monkeypatch):
+    def test_handed_sparse_factor_serves_lanczos_and_its_certificate(self, monkeypatch):
         d = ball(1 / 32)
-        stencil = pde._stencil(d)
-        entries = (stencil.b + 1) * stencil.n
-        monkeypatch.setattr(pde, "_BAND_ENTRIES", entries - 1)  # just above the bound
+        monkeypatch.setattr(pde, "_BAND_ENTRIES", band_entries(d) - 1)  # just above the bound
         calls: list[int] = []
         monkeypatch.setattr(pde.sparse_linalg, "eigsh", dropping_eigsh(calls, 1))
-        band = factor_laplacian(d)
         factors = recording_splu(monkeypatch)
+        shifts = recording_ldlt(monkeypatch)
         inertia = recording_inertia(monkeypatch)
-        s = eigenvalues(d, band, k=4)
-        assert calls == [4, 5] and band.band is None and inertia == []
-        assert [spec for spec, _ in factors] == ["MMD_AT_PLUS_A"] + 3 * ["NATURAL"]
+        factor = factor_laplacian(d)
+        s = eigenvalues(d, factor, k=4)
+        assert calls == [4, 5] and factor.lu is None and inertia == []
+        # Lanczos about 0 on the handed factor and its certificate in its
+        # order, then the retry's factor about sigma0 and its certificate
+        sigma0 = pde._FLOOR_FRACTION * pde._lambda1_floor(d)
+        assert [shifts[0], shifts[2], shifts[3]] == [0.0, sigma0, s.shift]
+        assert sigma0 < shifts[1] and len(shifts) == 4
+        assert [spec for spec, _ in factors] == 2 * ["MMD_AT_PLUS_A", "NATURAL"]
         np.testing.assert_allclose(s.eigenvalues, dense_eigenvalues(d, 4), rtol=1e-9)
 
     @pytest.mark.parametrize("ratio", [1.2, 2.0, 3.0])
@@ -945,6 +972,20 @@ class TestSharedOrdering:
             pde._ldlt(stencil, 2.0 * d.N / (d.h * d.h), perm)
 
 
+def released_counts(monkeypatch, d: GridDomain, sigma: float) -> list[int]:
+    """``Factor.count(sigma)`` of the band kind, then of the sparse kind, each
+    called after ``release()``."""
+    counts = []
+    for entries in (band_entries(d), 0):
+        with monkeypatch.context() as m:
+            m.setattr(pde, "_BAND_ENTRIES", entries)
+            factor = factor_laplacian(d)
+        assert (factor.perm is None) == (entries > 0)
+        factor.release()
+        counts.append(factor.count(sigma))
+    return counts
+
+
 class TestBandInertia:
     """The band LDL^T that steps over negative pivots counts like the dense spectrum."""
 
@@ -987,8 +1028,9 @@ class TestBandInertia:
         with pytest.raises(RuntimeError, match="pivot 0.0 at row 0"):
             pde._band_inertia(pde._stencil(d), 2.0 * d.N / (d.h * d.h))
 
-    def test_counts_like_the_ldlt_on_the_blobs(self):
-        # the descent's inputs, at its k = 2
+    def test_counts_like_the_ldlt_on_the_blobs(self, monkeypatch):
+        # the descent's inputs, at its k = 2, each also counted by both kinds
+        # of Factor after release()
         for seed in range(60):
             d = blob_union(1 / 64, seed=seed)
             stencil = pde._stencil(d)
@@ -997,6 +1039,14 @@ class TestBandInertia:
             lu, _ = pde._ldlt(stencil, s.shift, perm)
             count = pde._band_inertia(stencil, s.shift)
             assert count == pde._negative_pivots(lu) == s.inertia_count
+            assert released_counts(monkeypatch, d, s.shift) == [s.inertia_count] * 2
+        # a 3-D ball of 872 cells, against its dense spectrum
+        x, y, z = np.indices((13, 14, 12))
+        mask = (x - 6.0) ** 2 + (y - 6.5) ** 2 + (z - 5.5) ** 2 <= 5.9**2
+        d = from_mask(mask, 1 / 16)
+        s = eigenvalues(d, k=4)
+        want = np.count_nonzero(dense_eigenvalues(d, d.cell_count) < s.shift)
+        assert released_counts(monkeypatch, d, s.shift) == [want] * 2 == [s.inertia_count] * 2
 
     def test_band_inertia_releases_the_gil(self):
         stencil = pde._stencil(WIDE_BAND)
@@ -1078,9 +1128,9 @@ def box_eigenvalues(rows: int, cols: int, h: float, k: int) -> np.ndarray:
     return np.sort((4 / h**2 * (s2[0][:, None] + s2[1][None, :])).ravel())[:k]
 
 
-def recording_factors(monkeypatch) -> list[pde.BandFactor]:
-    """Record every band factor ``eigenvalues`` makes."""
-    factors: list[pde.BandFactor] = []
+def recording_factors(monkeypatch) -> list[pde.Factor]:
+    """Record every factor ``eigenvalues`` makes."""
+    factors: list[pde.Factor] = []
     factor_laplacian = pde.factor_laplacian
 
     def run(d, shift=0.0):
@@ -1126,13 +1176,13 @@ class TestNarrowBand:
         # the corpora's narrow rasters, at the sizes the benchmark runs
         d = generate(spec)
         assert pde._stencil(d).b <= pde._NARROW_BAND
-        bands = recording_factors(monkeypatch)
+        factors = recording_factors(monkeypatch)
         band = eigenvalues(d, k=5)
         monkeypatch.setattr(pde, "_BAND_ENTRIES", 0)  # the sparse LDL^T about sigma0
         sparse_ldlt = eigenvalues(d, k=5)
-        # one band, the first run's: the second inverts by the sparse LDL^T
+        # a factor about sigma0 for each run: a band, then a sparse LDL^T
         sigma0 = pde._FLOOR_FRACTION * pde._lambda1_floor(d)
-        assert [b.shift for b in bands] == [sigma0]
+        assert [(f.shift, f.perm is None) for f in factors] == [(sigma0, True), (sigma0, False)]
         np.testing.assert_allclose(
             band.eigenvalues, sparse_ldlt.eigenvalues, rtol=1e-12, atol=0
         )
@@ -1225,7 +1275,7 @@ def recording_threads(monkeypatch, get) -> list[tuple[str, int]]:
 
 
 # a wide band-side raster (torsion band handed on), a narrow one (its own
-# sigma0 band) and, with no band entries allowed, the sparse side
+# sigma0 band) and, with no band entries allowed, the sparse kind
 PIN_CASES = [(ball(1 / 64), None), (tube(1 / 64), None), (ball(1 / 64), 0)]
 
 
@@ -1242,7 +1292,8 @@ class TestOneBlasThread:
         factor_laplacian(d)
         assert two_blas_threads() == 2
         names = {name for name, _ in seen}
-        assert {"_DPBTRF", "lanczos"} <= names
+        assert "lanczos" in names
+        assert ("_DPBTRF" in names) == (entries is None)
         assert ("splu" in names) == (entries == 0)
         assert ("_DPBTF2" in names) == (entries is None)
         assert all(count == 1 for _, count in seen)

@@ -53,8 +53,10 @@ def factorizations(monkeypatch):
     original, ldlt, cholesky = pde.factor_laplacian, pde._ldlt, pde._band_cholesky
 
     def recording_factor(d, shift=0.0):
-        rasters.append(occupancy_key(d))
-        return original(d, shift)
+        factor = original(d, shift)
+        if factor.band is not None:  # the band kind
+            rasters.append(occupancy_key(d))
+        return factor
 
     def recording_ldlt(stencil, sigma, perm=None):
         shifts.append(sigma)
@@ -80,8 +82,10 @@ def band_shifts(factorizations, monkeypatch):
     recorded = pde.factor_laplacian  # the factorizations fixture's recorder
 
     def recording(d, shift=0.0):
-        shifts.append(shift)
-        return recorded(d, shift)
+        factor = recorded(d, shift)
+        if factor.band is not None:  # the band kind
+            shifts.append(shift)
+        return factor
 
     for mod in MODULES:
         if getattr(mod, "factor_laplacian", None) is recorded:
@@ -170,7 +174,7 @@ def test_descent_makes_no_sparse_factorization(factorizations, certificates):
     assert shifts == [] and len(certificates) >= 12
 
 
-def test_raster_above_the_bound_releases_its_band(
+def test_raster_above_the_bound_makes_no_band(
     monkeypatch, factorizations, band_shifts, certificates
 ):
     rasters, shifts = factorizations
@@ -186,10 +190,10 @@ def test_raster_above_the_bound_releases_its_band(
 
     monkeypatch.setattr(pde.sparse_linalg, "splu", recording_splu)
     _, s = pde.solve_raster(d, k=5)
-    # the torsion's band only; Lanczos about sigma0 and the certificate on
-    # the sparse LDL^T, in one minimum-degree order
-    assert band_shifts == [0.0] and certificates == []
-    assert shifts == [sigma0(d), s.shift]
+    # one sparse LDL^T at 0 for the torsion and Lanczos, then the
+    # certificate's in its minimum-degree order; no band at all
+    assert rasters == band_shifts == certificates == []
+    assert shifts == [0.0, s.shift]
     assert orderings == ["MMD_AT_PLUS_A", "NATURAL"]
 
 
@@ -197,12 +201,13 @@ def test_eigensolve_without_a_factor_makes_two_sparse_factorizations(
     monkeypatch, factorizations
 ):
     rasters, shifts = factorizations
-    monkeypatch.setattr(pde, "_BAND_ENTRIES", 0)  # the sparse side
-    s = eigenvalues(ball(1 / 64), k=3)
+    monkeypatch.setattr(pde, "_BAND_ENTRIES", 0)  # the sparse kind
+    d = ball(1 / 64)
+    s = eigenvalues(d, k=3)
     assert rasters == []
     # Lanczos's inverse about 0 < sigma0 < lambda_1, then the certificate
-    assert len(shifts) == 2
-    assert 0 < shifts[0] < s[1] and shifts[1] == s.shift
+    assert shifts == [sigma0(d), s.shift]
+    assert 0 < shifts[0] < s[1]
 
 
 def test_eigensolve_without_a_factor_stays_on_the_band(

@@ -36,6 +36,7 @@ from eigsurgery.domain import (
     perimeter,
     remove_strips,
 )
+from eigsurgery.harness import RunConfig, run_suite
 from eigsurgery.inequalities import IneqReport
 from eigsurgery.pde import (
     TorsionField,
@@ -1183,6 +1184,53 @@ class TestBoundedSurgery:
         assert set(info) == {"measure", "perimeter", "diam_e1", "diameter", "spectrum"}
         assert len(info["spectrum"]) == 2
         assert info["spectrum"][0] < info["spectrum"][1]
+
+
+def sparse_only(monkeypatch) -> None:
+    """Put every raster on the sparse kind, and fail on any band routine."""
+
+    def no_band(*args):
+        raise AssertionError("a band routine ran on the sparse kind")
+
+    monkeypatch.setattr(pde, "_BAND_ENTRIES", 0)
+    monkeypatch.setattr(pde, "_band_cholesky", no_band)
+    monkeypatch.setattr(pde, "_band_inertia", no_band)
+
+
+class TestSparseKind:
+    """The descent's Schur screens and candidate solves, and the strip
+    suite, run on sparse factors as on bands."""
+
+    @pytest.mark.parametrize("seed", [3, 10, 16, 19])
+    def test_descent_matches_the_band(self, monkeypatch, seed):
+        def descend():
+            out, report = bounded_surgery(
+                blob_union(1 / 64, seed=seed), K=100.0, k=2, mode="practical:1e6"
+            )
+            return report.verdict, report.log, out.cell_count
+
+        verdict, log, cells = descend()
+        assert log
+        sparse_only(monkeypatch)
+        got_verdict, got_log, got_cells = descend()
+        assert (got_verdict, len(got_log), got_cells) == (verdict, len(log), cells)
+        # the same moves; the solves differ in the last bits, and so do the energies
+        for got, want in zip(got_log, log):
+            assert got == pytest.approx(want, rel=1e-9)
+
+    def test_strip_suite_matches_the_band(self, monkeypatch):
+        config = RunConfig(K=200.0, k=3, mode="practical:1e12")
+
+        def verdicts():
+            return [
+                (row["id"], row["passed"], row["surgery"]["verdict"],
+                 [c["pass"] for c in row["surgery"]["checks"]])
+                for row in run_suite(surgery_corpus(1 / 64), config).rows
+            ]
+
+        band = verdicts()
+        sparse_only(monkeypatch)
+        assert verdicts() == band
 
 
 class TestWindowedMaxMatchesStripMax:
