@@ -297,9 +297,11 @@ class _OneBlasThread(ContextDecorator):
     ``blobs-1``'s factorization at 1/96 5.6 against 3.4 ms, and
     ``dumbbell-0``'s at 1/256 (b = 216) 290 against 192 ms.  These timings
     are of the row-major band, before the factor was reversed to upper
-    storage.  Band solves (two ``dtbsv`` passes) are not threaded, so they
-    are left unpinned: on the 1/96 ball a solve took 0.67 ms on one
-    thread and on two.
+    storage, and the last is of a band that no longer exists: at 15.9 M
+    entries ``dumbbell-0`` at 1/256 lies above ``_BAND_ENTRIES`` and is
+    factored as the sparse kind.  Band solves (two ``dtbsv`` passes) are
+    not threaded, so they are left unpinned: on the 1/96 ball a solve took
+    0.67 ms on one thread and on two.
 
     Reentrant and shared by threads: the thread count is one process-wide
     setting, so a depth count under a lock saves the caller's count on the
@@ -462,8 +464,9 @@ class Factor:
     which factors ``A - sigma I`` anew in this factor's kind and order and
     so works after :meth:`release`.  It releases the factor at once on a
     narrow raster, whose eigensolve factors its own at a shift just below
-    lambda_1.  A released factor can no longer solve; its ``stencil`` still
-    checks rasters and residuals.
+    lambda_1, and on a raster that takes the dense spectrum.  A released
+    factor can no longer solve; its ``stencil`` still checks rasters and
+    residuals, and its ``perm`` orders a retry's factor.
 
     The band kind is ``A - shift I = R R^T`` with ``R`` upper triangular,
     held in LAPACK upper band storage in the cells' row-major order (see
@@ -533,16 +536,31 @@ def _reversed_band(st: _Stencil, shift: float) -> np.ndarray:
 
 
 @_ONE_BLAS_THREAD
+def _factor(st: _Stencil, shift: float, perm: np.ndarray | None = None) -> Factor:
+    """The :class:`Factor` of ``A - shift I``, ``A`` being ``st``'s Laplacian.
+
+    The builder behind :func:`factor_laplacian`, for callers that hold the
+    stencil already.  On the sparse kind, ``perm`` is the minimum-degree
+    order of an earlier factor of the raster, which every shift shares
+    (:func:`_ldlt`), so the pattern is not ordered again; the band kind
+    ignores it.
+    """
+    if (st.b + 1) * st.n > _BAND_ENTRIES:
+        lu, perm = _ldlt(st, shift, perm)
+        return Factor(st, None, shift, lu, perm)
+    band = _band_cholesky(_reversed_band(st, shift))
+    return Factor(st, _reverse_in_place(band), shift)
+
+
 def factor_laplacian(d: GridDomain, shift: float = 0.0) -> Factor:
     """The :class:`Factor` of ``A - shift I``, ``A`` being ``d``'s Laplacian.
 
     At ``shift = 0`` the factor serves the torsion solve, Lanczos and the
     certificate; :func:`eigenvalues` factors a raster at a shift just below
     lambda_1 when it has no factor at 0 or the raster is narrow.  The kind
-    is picked here, once, by the raster's band size ``(b + 1) n``: a band
-    of at most ``_BAND_ENTRIES`` (1.2 M) entries gives the band kind, a
-    larger one the sparse kind, :func:`_ldlt`'s sparse LDL^T in a
-    minimum-degree order.
+    is picked once, by the raster's band size ``(b + 1) n``: a band of at
+    most ``_BAND_ENTRIES`` (1.2 M) entries gives the band kind, a larger one
+    the sparse kind, :func:`_ldlt`'s sparse LDL^T in a minimum-degree order.
 
     In row-major order the Laplacian is an SPD band matrix whose bandwidth
     ``b`` is the largest row distance between face neighbours, about the
@@ -564,12 +582,7 @@ def factor_laplacian(d: GridDomain, shift: float = 0.0) -> Factor:
     definiteness: a ``shift`` at or above lambda_1 factors, and
     :func:`eigenvalues` refuses it once its certificate has found lambda_1.
     """
-    st = _stencil(d)
-    if (st.b + 1) * st.n > _BAND_ENTRIES:
-        lu, perm = _ldlt(st, shift)
-        return Factor(st, None, shift, lu, perm)
-    band = _band_cholesky(_reversed_band(st, shift))
-    return Factor(st, _reverse_in_place(band), shift)
+    return _factor(_stencil(d), shift)
 
 
 def solve_torsion(d: GridDomain, factor: Factor | None = None) -> TorsionField:
@@ -787,21 +800,23 @@ def eigenvalues(
 ) -> Spectrum:
     """Lowest ``k`` Dirichlet eigenvalues of the FD Laplacian, certified.
 
-    Uses shift-invert Lanczos with a deterministic start vector; small
-    systems fall back to a dense solve.  Lanczos inverts ``A - sigma0 I``
-    by a :class:`Factor`, band or sparse as :func:`factor_laplacian` picked
-    it.  A wide raster's ``factor`` (:func:`factor_laplacian` of ``d``,
-    released once Lanczos ends) serves as the inverse of ``A`` about
-    ``sigma0 = 0``, so the raster is factored once.  Without a factor, or
-    on a narrow raster (bandwidth at most 20 cells, where a band
-    refactoring costs fewer than 2.5 Lanczos steps), a ``factor`` handed in
-    is released first and Lanczos runs on its own
-    ``factor_laplacian(d, sigma0)``, where ``sigma0`` is 0.99 times a
-    lambda_1 floor that costs no solve (:func:`_lambda1_floor`): nearer
-    lambda_1, Lanczos converges in fewer solves, most of all where the
-    lowest eigenvalues cluster.
+    Two things are settled at entry.  A raster of at most ``_DENSE_CUTOFF``
+    cells, or a ``k`` of at least ``n - 1``, takes the full dense spectrum,
+    which is its own count.  Otherwise shift-invert Lanczos runs with a
+    deterministic start vector on a :class:`Factor` of ``A - sigma0 I``,
+    band or sparse as :func:`factor_laplacian` picks it.  A wide raster's
+    ``factor`` (:func:`factor_laplacian` of ``d``, released once Lanczos
+    ends) serves as the inverse of ``A`` about ``sigma0 = 0``, so the
+    raster is factored once.  Without a factor, or on a narrow raster
+    (bandwidth at most 20 cells, where a band refactoring costs fewer than
+    2.5 Lanczos steps), a ``factor`` handed in is released first and
+    Lanczos runs on its own factor about ``sigma0``, 0.99 times a lambda_1
+    floor that costs no solve (:func:`_lambda1_floor`): nearer lambda_1,
+    Lanczos converges in fewer solves, most of all where the lowest
+    eigenvalues cluster.  That factor is built from the stencil this
+    eigensolve already holds, so the raster is described once.
 
-    Each spectrum is certified by an inertia count at the shift
+    Each Lanczos spectrum is certified by an inertia count at the shift
     ``sigma = lambda_k (1 - 10 DEFAULT_EIG_TOL)``: the LDL^T of
     ``A - sigma I`` must have as many negative pivots as there are computed
     eigenvalues below ``sigma``, so no eigenvalue below lambda_k's cluster,
@@ -814,14 +829,16 @@ def eigenvalues(
     above ``sigma0`` (else ``RuntimeError``), so the ``k`` eigenvalues
     nearest ``sigma0`` are the lowest ``k``.  On a deficit, which is rare,
     Lanczos runs again for that many more eigenvalues about ``sigma0 > 0``,
-    on a new ``factor_laplacian(d, sigma0)``; if the count still disagrees
-    after three rounds a ``RuntimeError`` is raised.
+    on a new factor in the replaced factor's order (a sparse one is not
+    ordered again); if the count still disagrees after three rounds a
+    ``RuntimeError`` is raised.
 
     Each shifted matrix is assembled once, straight from the stencil.  Each
     factor is freed before the next one is made, so one factor is alive at
     a time.  Every factorization, count and Lanczos step runs on one
-    OpenBLAS thread (:class:`_OneBlasThread`).  Raises ``ValueError`` for a
-    factor of another raster.  Results are reproducible for a fixed seed.
+    OpenBLAS thread (:class:`_OneBlasThread`).  Raises ``ValueError`` unless
+    ``1 <= k <= n``, and for a factor of another raster.  Results are
+    reproducible for a fixed seed.
     """
     if factor is not None:
         factor.stencil.check(d)
@@ -829,57 +846,49 @@ def eigenvalues(
     n = st.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= occupied cells, got k={k}, cells={n}")
-    if factor is not None and st.b <= _NARROW_BAND:
-        factor.release()  # Lanczos factors its own inverse about sigma0
+    full = n <= _DENSE_CUTOFF or k >= n - 1
+    if factor is not None and (full or st.b <= _NARROW_BAND):
+        factor.release()  # the dense solve, or Lanczos's own inverse about sigma0
         factor = None
+    if full:  # the full spectrum, which is its own count
+        vals = scipy.linalg.eigvalsh(_shifted_laplacian(st).toarray())
+        shift = float(vals[k - 1]) * (1.0 - _SHIFT_FACTOR * DEFAULT_EIG_TOL)
+        return Spectrum(vals[:k], shift, int(np.count_nonzero(vals < shift)))
     v0 = np.random.default_rng(seed).standard_normal(n)
-    sigma0 = 0.0  # Lanczos's shift
-    wanted = k
+    wanted, perm = k, None
     for _ in range(_CERTIFY_ROUNDS):
-        lanczos = n > _DENSE_CUTOFF and wanted < n - 1
-        if not lanczos:  # the full spectrum
-            vals = scipy.linalg.eigvalsh(_shifted_laplacian(st).toarray())
-        else:
-            if factor is None:
-                sigma0 = _FLOOR_FRACTION * _lambda1_floor(d)
-                try:
-                    factor = factor_laplacian(d, sigma0)
-                except LinAlgError:
-                    raise RuntimeError(
-                        f"Lanczos shift {sigma0:.9g} is not below lambda_1: "
-                        "the band Cholesky of A - sigma0 I failed"
-                    ) from None
-            sigma0 = factor.shift
-            vals = _lanczos(factor.solve, sigma0, n, wanted, v0)
-        if factor is not None:
-            factor.release()  # before the certificate's factorization
+        if factor is None:
+            sigma0 = _FLOOR_FRACTION * _lambda1_floor(d)
+            try:
+                factor = _factor(st, sigma0, perm)
+            except LinAlgError:
+                raise RuntimeError(
+                    f"Lanczos shift {sigma0:.9g} is not below lambda_1: "
+                    "the band Cholesky of A - sigma0 I failed"
+                ) from None
+        sigma0, perm = factor.shift, factor.perm
+        vals = _lanczos(factor.solve, sigma0, n, wanted, v0)
+        factor.release()  # before the certificate's factorization
         # Just below lambda_k's cluster: a shift above it would also count
         # the copies of a multiple lambda_k beyond the k-th.
         shift = float(vals[k - 1]) * (1.0 - _SHIFT_FACTOR * DEFAULT_EIG_TOL)
         found = int(np.count_nonzero(vals < shift))
-        if lanczos:
-            try:
-                count = factor.count(shift)
-            except RuntimeError:
-                # A leading minor of A - shift I is singular.  Once, move the
-                # shift halfway down to the computed value below it (sigma0
-                # if none is), which leaves ``found`` as it is.
-                shift = 0.5 * (shift + (float(vals[found - 1]) if found else sigma0))
-                count = factor.count(shift)
-        else:
-            count = found
-        factor = None  # a retry factors A - sigma0 I, sigma0 > 0
+        try:
+            count = factor.count(shift)
+        except RuntimeError:
+            # A leading minor of A - shift I is singular.  Once, move the
+            # shift halfway down to the computed value below it (sigma0 if
+            # none is), which leaves ``found`` as it is.
+            shift = 0.5 * (shift + (float(vals[found - 1]) if found else sigma0))
+            count = factor.count(shift)
+        factor = None  # a retry factors A - sigma0 I, sigma0 > 0, in ``perm``
         if count == found:
             if vals[0] <= sigma0:
                 raise RuntimeError(
                     f"Lanczos shift {sigma0:.9g} is not below lambda_1: "
                     f"the certified lambda_1 is {vals[0]:.9g}"
                 )
-            return Spectrum(
-                eigenvalues=tuple(float(v) for v in vals[:k]),
-                shift=shift,
-                inertia_count=count,
-            )
+            return Spectrum(vals[:k], shift, count)
         if count < found:
             break  # a computed value below the shift is not an eigenvalue
         logger.info(
@@ -887,7 +896,7 @@ def eigenvalues(
             count - found,
             shift,
         )
-        wanted += count - found
+        wanted = min(wanted + count - found, n - 1)  # Lanczos finds at most n - 1
     raise RuntimeError(
         f"eigenvalue certificate failed: {count} negative pivots below the shift "
         f"{shift:.9g} against {found} computed eigenvalues"

@@ -1015,8 +1015,11 @@ def strip_surgery(
     replaces the far components; the check stage (:func:`_check_stage`)
     re-measures every guarantee on the result.  Returns the surgered
     unit-measure domain and the report.  A run that changes nothing is a
-    verified no-op.
+    verified no-op.  Raises ``ValueError``, before any cut, if ``s`` holds
+    fewer than ``k`` eigenvalues.
     """
+    if s.k < k:
+        raise ValueError(f"the spectrum holds {s.k} eigenvalues, fewer than k = {k}")
     d0, t0, constants = _setup(f.domain, K, k, P, mode)
     f = f.rescaled(t0, d0)
     d_clean, plan, ledger, checks, flags = _cut_stage(f, constants)
@@ -1384,7 +1387,8 @@ def bounded_surgery(
     perimeter are measured and reported without an a-priori bound.  No move
     leaves fewer than ``k`` cells, so both rasters have the ``k`` eigenvalues
     the report checks.  When no move is accepted the normalized input itself
-    is returned (a no-op).
+    is returned (a no-op).  Raises ``ValueError`` if ``d`` has fewer than
+    ``k`` cells (:func:`eigenvalues`).
     """
     d0, _, constants = _setup(d, K, k, None, mode)
     f0, factor0 = factored_torsion(d0)

@@ -750,7 +750,7 @@ class TestCertificate:
 
     def test_one_ordering_per_sparse_factor(self, monkeypatch):
         # a forced retry: the sigma0 factor, its certificate in its order,
-        # and both again on the retry's new factor
+        # and both again on the retry's new factor, in the same order
         d = ball(1 / 32)
         monkeypatch.setattr(pde, "_BAND_ENTRIES", 0)  # the sparse kind
         calls: list[int] = []
@@ -759,9 +759,41 @@ class TestCertificate:
         shifts = recording_ldlt(monkeypatch)
         s = eigenvalues(d, k=4)
         assert calls == [4, 5] and shifts[3] == s.shift
-        assert [spec for spec, _ in factors] == 2 * ["MMD_AT_PLUS_A", "NATURAL"]
+        assert [spec for spec, _ in factors] == ["MMD_AT_PLUS_A"] + 3 * ["NATURAL"]
         # only the certificates' factors are counted; the sigma0 ones are not
         assert ["U" in reads for _, reads in factors] == [False, True, False, True]
+
+    @pytest.mark.parametrize("entries", [None, 0], ids=["band", "sparse"])
+    def test_retry_builds_no_second_stencil(self, monkeypatch, entries):
+        # the retry's factor about sigma0 is built on the eigensolve's stencil
+        d = ball(1 / 32)
+        if entries is not None:
+            monkeypatch.setattr(pde, "_BAND_ENTRIES", entries)
+        calls: list[int] = []
+        monkeypatch.setattr(pde.sparse_linalg, "eigsh", dropping_eigsh(calls, 1))
+        built: list[GridDomain] = []
+        stencil = pde._stencil
+        monkeypatch.setattr(pde, "_stencil", lambda d: built.append(d) or stencil(d))
+        s = eigenvalues(d, k=4)
+        assert calls == [4, 5] and built == [d]
+        np.testing.assert_allclose(s.eigenvalues, dense_eigenvalues(d, 4), rtol=1e-9)
+
+    def test_retry_asks_lanczos_for_at_most_n_minus_1(self, monkeypatch):
+        # a first run that returns the top of the spectrum misses n - 2
+        # eigenvalues; the retry asks for n - 1 of them, which eigsh allows
+        d = from_mask(np.ones((21, 20), dtype=bool), 1 / 32)  # 420 cells
+        n = d.cell_count
+        every = dense_eigenvalues(d, n)
+        asked: list[int] = []
+
+        def fake(solve, sigma, size, k, v0):
+            asked.append(k)
+            return every[-k:] if len(asked) == 1 else every[:k]
+
+        monkeypatch.setattr(pde, "_lanczos", fake)
+        s = eigenvalues(d, k=2)
+        assert asked == [2, n - 1]
+        assert s.eigenvalues == tuple(every[:2]) and s.inertia_count == 1
 
     def test_band_path_makes_no_sparse_factorization(self, monkeypatch):
         d = ball(1 / 32)
@@ -785,11 +817,12 @@ class TestCertificate:
         s = eigenvalues(d, factor, k=4)
         assert calls == [4, 5] and factor.lu is None and inertia == []
         # Lanczos about 0 on the handed factor and its certificate in its
-        # order, then the retry's factor about sigma0 and its certificate
+        # order, then the retry's factor about sigma0 and its certificate,
+        # both in that order too
         sigma0 = pde._FLOOR_FRACTION * pde._lambda1_floor(d)
         assert [shifts[0], shifts[2], shifts[3]] == [0.0, sigma0, s.shift]
         assert sigma0 < shifts[1] and len(shifts) == 4
-        assert [spec for spec, _ in factors] == 2 * ["MMD_AT_PLUS_A", "NATURAL"]
+        assert [spec for spec, _ in factors] == ["MMD_AT_PLUS_A"] + 3 * ["NATURAL"]
         np.testing.assert_allclose(s.eigenvalues, dense_eigenvalues(d, 4), rtol=1e-9)
 
     @pytest.mark.parametrize("ratio", [1.2, 2.0, 3.0])
@@ -1131,13 +1164,13 @@ def box_eigenvalues(rows: int, cols: int, h: float, k: int) -> np.ndarray:
 def recording_factors(monkeypatch) -> list[pde.Factor]:
     """Record every factor ``eigenvalues`` makes."""
     factors: list[pde.Factor] = []
-    factor_laplacian = pde.factor_laplacian
+    build = pde._factor
 
-    def run(d, shift=0.0):
-        factors.append(factor_laplacian(d, shift))
+    def run(stencil, shift, perm=None):
+        factors.append(build(stencil, shift, perm))
         return factors[-1]
 
-    monkeypatch.setattr(pde, "factor_laplacian", run)
+    monkeypatch.setattr(pde, "_factor", run)
     return factors
 
 

@@ -7,7 +7,8 @@ are bound before the fixture patches the package, so the tests' own solves
 of their inputs are not recorded.  The ``factorizations`` fixture records
 every band Cholesky factorization and every sparse LDL^T shift; ``band_shifts``
 adds the shift of each band factorization, and ``certificates`` records the
-shift of each band inertia count.
+shift of each band inertia count.  ``stencils`` records every raster
+description (``pde._stencil``) that ``pde`` builds.
 """
 
 from __future__ import annotations
@@ -50,12 +51,12 @@ def solves(monkeypatch):
 def factorizations(monkeypatch):
     """Band factorizations by occupancy key, and sparse LDL^T shifts."""
     rasters, shifts, lapack_calls = [], [], []
-    original, ldlt, cholesky = pde.factor_laplacian, pde._ldlt, pde._band_cholesky
+    original, ldlt, cholesky = pde._factor, pde._ldlt, pde._band_cholesky
 
-    def recording_factor(d, shift=0.0):
-        factor = original(d, shift)
+    def recording_factor(stencil, shift, perm=None):
+        factor = original(stencil, shift, perm)
         if factor.band is not None:  # the band kind
-            rasters.append(occupancy_key(d))
+            rasters.append(occupancy_key(stencil))
         return factor
 
     def recording_ldlt(stencil, sigma, perm=None):
@@ -66,9 +67,7 @@ def factorizations(monkeypatch):
         lapack_calls.append(ab.shape)
         return cholesky(ab)
 
-    for mod in MODULES:
-        if getattr(mod, "factor_laplacian", None) is original:
-            monkeypatch.setattr(mod, "factor_laplacian", recording_factor)
+    monkeypatch.setattr(pde, "_factor", recording_factor)
     monkeypatch.setattr(pde, "_ldlt", recording_ldlt)
     monkeypatch.setattr(pde, "_band_cholesky", recording_cholesky)
     yield rasters, shifts
@@ -79,17 +78,15 @@ def factorizations(monkeypatch):
 def band_shifts(factorizations, monkeypatch):
     """The shift of every band factorization, in order."""
     shifts = []
-    recorded = pde.factor_laplacian  # the factorizations fixture's recorder
+    recorded = pde._factor  # the factorizations fixture's recorder
 
-    def recording(d, shift=0.0):
-        factor = recorded(d, shift)
+    def recording(stencil, shift, perm=None):
+        factor = recorded(stencil, shift, perm)
         if factor.band is not None:  # the band kind
             shifts.append(shift)
         return factor
 
-    for mod in MODULES:
-        if getattr(mod, "factor_laplacian", None) is recorded:
-            monkeypatch.setattr(mod, "factor_laplacian", recording)
+    monkeypatch.setattr(pde, "_factor", recording)
     return shifts
 
 
@@ -105,6 +102,20 @@ def certificates(monkeypatch):
 
     monkeypatch.setattr(pde, "_band_inertia", recording)
     return shifts
+
+
+@pytest.fixture
+def stencils(monkeypatch):
+    """The occupancy key of every stencil ``pde`` builds, in order."""
+    keys = []
+    stencil = pde._stencil
+
+    def recording(d):
+        keys.append(occupancy_key(d))
+        return stencil(d)
+
+    monkeypatch.setattr(pde, "_stencil", recording)
+    return keys
 
 
 @pytest.fixture
@@ -361,3 +372,23 @@ def test_lanczos_applications_at_k5(lanczos_applications):
     pde.solve_raster(suite_raster("dumbbell-0"), k=5)
     tube_1, dumbbell_0 = lanczos_applications
     assert tube_1 <= 25 and dumbbell_0 == 43
+
+
+@pytest.mark.parametrize("name", ["tube-1", "dumbbell-0"])
+def test_eigensolve_without_a_factor_builds_one_stencil(stencils, band_shifts, name):
+    # Lanczos's factor about sigma0 is built on the eigensolve's own stencil
+    d = suite_raster(name)
+    eigenvalues(d, k=5)
+    assert stencils == [occupancy_key(d)] and band_shifts == [sigma0(d)]
+
+
+@pytest.mark.parametrize("name", ["tube-1", "dumbbell-0"])
+def test_eigensolve_of_a_handed_factor_builds_no_stencil(stencils, band_shifts, name):
+    # a narrow raster's own sigma0 band is built on the handed factor's stencil
+    d = suite_raster(name)
+    factor = pde.factor_laplacian(d)
+    assert stencils == [occupancy_key(d)]
+    eigenvalues(d, factor, k=5)
+    assert stencils == [occupancy_key(d)]
+    narrow = factor.stencil.b <= pde._NARROW_BAND
+    assert band_shifts == ([0.0, sigma0(d)] if narrow else [0.0])

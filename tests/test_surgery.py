@@ -11,7 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from eigsurgery import pde, surgery
@@ -507,6 +508,62 @@ class TestPlanCuts:
             )
 
 
+class TestSlideSearch:
+    """No gap survives the slide search on a 2-D unit-measure raster.
+
+    On the unit-measure copy, ``_setup`` takes ``r0`` at least 0.01 times
+    the occupied extent, and ``P`` at least 4, the least perimeter of a
+    rectilinear set of unit measure, which gives ``p >= 17``.  So the
+    search's merge gap ``2 p delta``, ``delta = 4 r0 + l0``, is at least
+    1.36 times the extent, while every gap of an active region lies inside
+    the occupied span: ``detect_active_region`` widens each hot column,
+    which lies at most ``2 r0`` outside the span, by ``2 r0``.
+    """
+
+    @given(
+        # long rasters too, whose gaps outlast the first merge at 2 delta
+        mask=arrays(
+            bool,
+            st.tuples(st.integers(1, 320), st.integers(1, 24)),
+            elements=st.booleans(),
+            fill=st.booleans(),
+        ),
+        ends=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=10),
+        K=st.sampled_from([20.0, 200.0]),
+        mode=st.sampled_from(["faithful", "practical:1e12"]),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_no_gap_survives(self, mask, ends, K, mode):
+        assume(mask.any())
+        d0, _, const = surgery._setup(from_mask(mask, 1 / 16), K, 1, None, mode)
+        lo, hi = surgery._occupied_span(d0)
+        delta = 4 * const.r0 + const.l0
+        assert const.P >= 4 and const.p >= 17
+        assert 2 * const.p * delta >= 1.36 * (hi - lo + d0.h)
+        # gaps anywhere in the occupied span, between intervals that reach
+        # 4 r0 past it, as the widest the active region can be
+        cuts = sorted(lo + e * (hi - lo) for e in ends)[: 2 * (len(ends) // 2)]
+        edges = [lo - 4 * const.r0, *cuts, hi + 4 * const.r0]
+        X = list(zip(edges[0::2], edges[1::2]))
+        merged = surgery._merge_intervals(X, gap=2 * const.p * delta, strict=True)
+        assert merged == [(X[0][0], X[-1][1])]
+        # with a mass threshold no collar meets, the search always runs
+        for constants in (const, replace(const, m_hat=1e-300)):
+            plan = plan_cuts(d0, X, constants)
+            if "slide_search" in plan.flags:
+                assert plan.segments == ()
+
+    def test_dumbbell_at_1_128_ends_a_noop(self):
+        # its neck's collar mass at slide 0 exceeds m_hat, so the search
+        # runs, absorbs the neck's gap and leaves nothing to cut
+        spec = next(s for s in surgery_corpus(1 / 128) if s.name == "dumbbell-0")
+        f, s = solve_raster(generate(spec), k=3)
+        _, report = strip_surgery(f, s, K=200.0, k=3, mode="practical:1e12")
+        assert report.flags == report.plan.flags == ("slide_search",)
+        assert report.plan.slide_index == 0 and report.plan.segments == ()
+        assert report.verdict == "no-op"
+
+
 class TestSelectCutDepth:
     def test_sigma_is_mass_derivative(self, cut_dumbbell):
         _, _, report = cut_dumbbell
@@ -783,6 +840,16 @@ class TestStripSurgery:
         f, s = solve_torsion(d), eigenvalues(d, k=1)
         with pytest.raises(ValueError, match="perimeter"):
             strip_surgery(f, s, K=100.0, k=1, P=1.0)
+
+    def test_short_spectrum_raises_before_the_cut(self, monkeypatch):
+        def cut(*args):
+            raise AssertionError("the cut stage ran")
+
+        monkeypatch.setattr(surgery, "_cut_stage", cut)
+        d = ball(1 / 32)
+        f, s = solve_raster(d, k=2)
+        with pytest.raises(ValueError, match="holds 2 eigenvalues, fewer than k = 3"):
+            strip_surgery(f, s, K=100.0, k=3)
 
     def test_failed_strip_test_keeps_the_strip(self, tailed_disk, monkeypatch):
         monkeypatch.setattr(surgery, "strip_max", lambda f, s: math.inf)
