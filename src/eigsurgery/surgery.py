@@ -135,23 +135,29 @@ def choose_c(
     bound carries ``k^4``, as written in the source formula (the factor
     ``k^2`` appears twice), and the chain factor is twice the van den Berg
     constant (:func:`vdb_constant`), because the torsion floor at most
-    halves the peak.
+    halves the peak.  Raises ``ValueError`` naming ``K`` and ``k`` where
+    a bound overflows a float or the constant underflows to zero.
     """
     if not (K > 0 and math.isfinite(K) and volume > 0):
         raise ValueError("K must be positive and finite, and volume positive")
     if k < 1:
         raise ValueError("k must be at least 1")
-    M_k = float(default_m_table(k, N)[k])
     chain = 2 * vdb_constant(N)
     C_N = energy_volume_constant(N)
-    bounds = {
-        "energy_volume": C_N / (2 * volume * (2 * K) ** ((N + 2) / 2)),
-        "scale_threshold": C_N * K ** (-(N + 2) / 2),
-        "spectral_chain": ball_lambda1(N)
-        / (2 * M_k * chain * GAMMA_STABILITY_CONSTANT * k**4 * K ** (N / 2 + 2)),
-        "stability": 1.0 / (8 * k**2 * GAMMA_STABILITY_CONSTANT * K ** (N / 2 + 1)),
-    }
+    try:
+        M_k = float(default_m_table(k, N)[k])
+        bounds = {
+            "energy_volume": C_N / (2 * volume * (2 * K) ** ((N + 2) / 2)),
+            "scale_threshold": C_N * K ** (-(N + 2) / 2),
+            "spectral_chain": ball_lambda1(N)
+            / (2 * M_k * chain * GAMMA_STABILITY_CONSTANT * k**4 * K ** (N / 2 + 2)),
+            "stability": 1.0 / (8 * k**2 * GAMMA_STABILITY_CONSTANT * K ** (N / 2 + 1)),
+        }
+    except OverflowError:
+        raise ValueError(f"the penalty bounds overflow at K = {K:g}, k = {k}") from None
     active = min(bounds, key=lambda name: (bounds[name], name))
+    if not bounds[active] > 0:
+        raise ValueError(f"the penalty constant underflows to 0 at K = {K:g}, k = {k}")
     trace = {
         "bounds": {name: float(v) for name, v in sorted(bounds.items())},
         "active": active,
@@ -165,30 +171,13 @@ def choose_c(
     return float(bounds[active]), trace
 
 
-def choose_strip_constants(
-    c: float, K: float, h: float, window_extent: float | None = None
-) -> tuple[float, float]:
-    """Strip-test constants with ``C0 * r0 = min(c/2, 1/(2K))`` exact.
-
-    ``r0 = max(4h, 0.01 * window_extent)``, so a strip is always at least
-    four cells wide.
-    """
-    if not (c > 0 and K > 0 and h > 0):
-        raise ValueError("c, K and h must be positive")
+def choose_strip_constants(h: float, window_extent: float | None = None) -> float:
+    """Strip half-width ``r0 = max(4h, 0.01 * window_extent)``, so a strip is
+    always at least four cells wide."""
+    if not h > 0:
+        raise ValueError("h must be positive")
     geom = 0.01 * window_extent if window_extent is not None else 0.0
-    r0 = max(4 * h, geom)
-    C0 = min(c / 2, 1 / (2 * K)) / r0
-    return C0, float(r0)
-
-
-def _slide_floor(N: int, m_hat: float, margin: float = 1.0) -> float:
-    """``margin`` times the slide length's strict lower bound
-    ``4N m_hat^(1/N) / (2 omega_N^(1/N) - 1)``.
-
-    ``margin`` is the product's first factor: scaling the rounded floor
-    instead would move most slide lengths by an ulp.
-    """
-    return margin * 4 * N * m_hat ** (1 / N) / (2 * unit_ball_volume(N) ** (1 / N) - 1)
+    return float(max(4 * h, geom))
 
 
 def choose_cut_constants(P: float, N: int = 2) -> tuple[float, float, int]:
@@ -197,8 +186,11 @@ def choose_cut_constants(P: float, N: int = 2) -> tuple[float, float, int]:
     ``m_hat`` is the largest mass for which (a) the rescaled-perimeter slack
     ``(1-m)^{(N-1)/N} >= 1 - m^{(N-1)/N}/(2P)`` holds up to ``m_hat`` and
     (b) the spectral floor of a replaced component survives the final
-    rescale: ``(1-m_hat)^{2/N} >= 1/2``.  The slide length gets a 1% safety
-    margin over its strict lower bound.
+    rescale: ``(1-m_hat)^{2/N} >= 1/2``.  The slide length ``l0`` is 1.01
+    times its strict lower bound ``4N m_hat^(1/N) / (2 omega_N^(1/N) - 1)``,
+    and the slide count is ``p = ceil(1/m_hat)``.  Raises ``ValueError``
+    naming ``P`` where ``m_hat`` underflows a normal float, at ``P`` above
+    about 6.7e153 in 2-D.
     """
     if not (P > 0 and math.isfinite(P)):
         raise ValueError("perimeter bound P must be positive and finite")
@@ -219,14 +211,22 @@ def choose_cut_constants(P: float, N: int = 2) -> tuple[float, float, int]:
         root = _bisect(slack, 0.5 * (2 * P) ** (-N), hi)
     spectral_cap = 1 - 2 ** (-N / 2)
     m_hat = min(root, spectral_cap)
-    l0 = _slide_floor(N, m_hat, margin=1.01)
+    if m_hat < np.finfo(float).tiny:
+        raise ValueError(f"perimeter bound P = {P:g} is too large: m_hat underflows")
+    l0 = 1.01 * 4 * N * m_hat ** (1 / N) / (2 * unit_ball_volume(N) ** (1 / N) - 1)
     p = math.ceil(1 / m_hat)
     return float(m_hat), float(l0), int(p)
 
 
 @dataclass(frozen=True)
 class SurgeryConstants:
-    """All derived constants of one surgery run, with provenance trace."""
+    """The inputs of one surgery run's constant chain, with provenance trace.
+
+    The rest of the chain is derived, each constant by its one rule: ``C0``
+    and ``beta`` when read, and ``m_hat``, ``l0`` and ``p``
+    (:func:`choose_cut_constants`) once, at construction, so a bad ``P``
+    raises here.
+    """
 
     N: int
     K: float
@@ -234,45 +234,46 @@ class SurgeryConstants:
     P: float
     volume: float
     c: float
-    C0: float
     r0: float
-    l0: float
-    m_hat: float
-    beta: float
-    p: int
     trace: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        positive = {
-            "K": self.K,
-            "P": self.P,
-            "volume": self.volume,
-            "c": self.c,
-            "C0": self.C0,
-            "r0": self.r0,
-            "l0": self.l0,
-            "m_hat": self.m_hat,
-            "beta": self.beta,
-        }
-        for name, value in positive.items():
+        for name in ("K", "P", "volume", "c", "r0"):
+            value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"constant {name} must be positive, got {value!r}")
-        if self.N < 1 or self.k < 1 or self.p < 1:
-            raise ValueError("N, k and p must be positive integers")
-        if not self.m_hat < 1:
-            raise ValueError("mass threshold m_hat must be below 1")
-        cap = min(self.c / 2, 1 / (2 * self.K))
-        if self.C0 * self.r0 > cap * (1 + 1e-9):
-            raise ValueError(
-                f"strip-test product C0*r0 = {self.C0 * self.r0:g} exceeds "
-                f"min(c/2, 1/(2K)) = {cap:g}"
-            )
-        floor = _slide_floor(self.N, self.m_hat)
-        if not self.l0 > floor:
-            raise ValueError(f"slide length l0 = {self.l0:g} must exceed {floor:g}")
+        if self.N < 1 or self.k < 1:
+            raise ValueError("N and k must be positive integers")
+        object.__setattr__(self, "_cut", choose_cut_constants(self.P, self.N))
+
+    @property
+    def C0(self) -> float:
+        """Strip-test constant, with ``C0 * r0 = min(c/2, 1/(2K))``."""
+        return min(self.c / 2, 1 / (2 * self.K)) / self.r0
+
+    @property
+    def m_hat(self) -> float:
+        """Mass threshold of the cut planner."""
+        return self._cut[0]
+
+    @property
+    def l0(self) -> float:
+        """Slide length of the cut planner."""
+        return self._cut[1]
+
+    @property
+    def p(self) -> int:
+        """Slide count of the cut planner, ``ceil(1/m_hat)``."""
+        return self._cut[2]
+
+    @property
+    def beta(self) -> float:
+        """Volume floor of the descent, ``omega_N (N/K)^{N/2} volume``."""
+        return unit_ball_volume(self.N) * (self.N / self.K) ** (self.N / 2) * self.volume
 
     def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        derived = ("C0", "m_hat", "l0", "p", "beta")
+        return {**asdict(self), **{name: getattr(self, name) for name in derived}}
 
 
 def derive_constants(
@@ -288,10 +289,6 @@ def derive_constants(
     """Full constant chain for one run; the practical factor scales c only."""
     factor = parse_mode(mode)
     c_base, trace = choose_c(K, k, volume=volume, N=N)
-    c = c_base * factor
-    C0, r0 = choose_strip_constants(c, K, h, window_extent=window_extent)
-    m_hat, l0, p = choose_cut_constants(P, N=N)
-    beta = unit_ball_volume(N) * (N / K) ** (N / 2) * volume
     trace = dict(trace)
     trace.update(
         {
@@ -307,13 +304,8 @@ def derive_constants(
         k=int(k),
         P=float(P),
         volume=float(volume),
-        c=float(c),
-        C0=float(C0),
-        r0=float(r0),
-        l0=float(l0),
-        m_hat=float(m_hat),
-        beta=float(beta),
-        p=int(p),
+        c=float(c_base * factor),
+        r0=choose_strip_constants(h, window_extent=window_extent),
         trace=trace,
     )
 

@@ -589,6 +589,21 @@ class TestCli:
         assert capsys.readouterr().out.endswith("verdict: no-op\n")
 
     @pytest.mark.parametrize(
+        "setting, message",
+        [(["--K", "1e103"], "the penalty bounds overflow at K = 1e+103, k = 2"),
+         (["--K", "200", "--P", "1e155"],
+          "perimeter bound P = 1e+155 is too large: m_hat underflows")],
+        ids=["K", "P"],
+    )
+    def test_an_overflowing_constant_chain_names_its_setting(
+        self, caplog, setting, message
+    ):
+        assert main(["surgery", "--spec", "dumbbell", "--h", "1/32", *setting,
+                     "--k", "2", "--mode", "practical:1e12"]) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [message]
+
+    @pytest.mark.parametrize(
         "flag", ["--k-power", "--r0-fraction", "--eig-tol", "--r0"]
     )
     def test_removed_flags_exit_2(self, flag):

@@ -144,6 +144,49 @@ class TestEnergy:
             assert torsion_energy(solve_torsion(d1)) >= e2 - 1e-12
 
 
+def dense_torsion(occ: np.ndarray, h: float) -> float:
+    """``T(S) = h^N 1^T L_S^-1 1`` of the cells ``occ``, by an exact dense
+    solve; ``T`` of no cell is 0."""
+    if not occ.any():
+        return 0.0
+    A = build_laplacian(GridDomain(h, (0.0,) * occ.ndim, np.pad(occ, 1)))[0].toarray()
+    ones = np.ones(len(A))
+    return h**occ.ndim * float(ones @ scipy.linalg.solve(A, ones, assume_a="pos"))
+
+
+class TestSupermodularity:
+    @given(
+        pair=st.sampled_from([(16,), (5, 5), (7, 3), (3, 3, 3), (4, 3, 2)]).flatmap(
+            lambda shape: st.tuples(arrays(bool, shape), arrays(bool, shape))
+        )
+    )
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    def test_torsion_is_supermodular(self, pair):
+        """``T(A | B) + T(A & B) >= T(A) + T(B)`` on subsets of one window.
+
+        The lemma: ``T(S)`` is the maximum, over ``u`` supported on ``S``,
+        of ``h^N (2 sum(u) - u^T L u)``, attained at the torsion function,
+        which is nonnegative.  The grid Dirichlet form obeys
+        ``a(u | v) + a(u & v) <= a(u) + a(v)`` (max and min cellwise),
+        since ``(s - t)^2`` is submodular and ``s^2`` modular, and
+        ``sum(u)`` is modular.  With ``u`` and ``v`` optimal on ``A`` and
+        ``B``, ``u | v`` lives on ``A | B`` and ``u & v`` on ``A & B``, so
+        the inequality holds; hence the torsion energy ``E = -T/2``, and
+        ``E + c|.|`` with it, is submodular on the subsets of a raster.
+
+        The slack is 1e-12 of ``T(A | B)``, the largest of the four: each
+        solve's relative error is at most about ``kappa(L) n eps``, which
+        is 4.1e-13 on the full 16-cell line (kappa 116) and less on every
+        other window here, and on every subset, whose ``kappa`` is no
+        larger by interlacing.
+        """
+        a, b = pair
+        h = 1 / 8
+        union, meet = dense_torsion(a | b, h), dense_torsion(a & b, h)
+        gain = union + meet - dense_torsion(a, h) - dense_torsion(b, h)
+        assert gain >= -1e-12 * union
+
+
 class TestEigenvalues:
     def test_single_cell(self):
         h = 0.125

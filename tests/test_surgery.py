@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import math
@@ -117,9 +118,20 @@ def tailed_disk():
     return d, solve_torsion(d), eigenvalues(d, k=2)
 
 
+def with_cut(
+    constants: SurgeryConstants, m_hat: float, l0: float, p: int
+) -> SurgeryConstants:
+    """``constants`` with the cut constants ``(m_hat, l0, p)``, which the
+    chain never derives: they replace :func:`choose_cut_constants`' own
+    while the copy is built, which is when the copy reads them."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(surgery, "choose_cut_constants", lambda P, N: (m_hat, l0, p))
+        return replace(constants)
+
+
 def tight(constants: SurgeryConstants) -> SurgeryConstants:
     """The constants with a mass threshold no slide of the tail's collar meets."""
-    return replace(constants, m_hat=1e-6, l0=0.01, p=3)
+    return with_cut(constants, m_hat=1e-6, l0=0.01, p=3)
 
 
 def strip_surgery_of(solved):
@@ -172,26 +184,34 @@ class TestChooseC:
             choose_c(K, 2)
 
 
+def strip_constants(c, K, h, window_extent):
+    """``(C0, r0)`` of the constants with penalty ``c``, threshold ``K`` and
+    the strip half-width :func:`choose_strip_constants` gives."""
+    r0 = choose_strip_constants(h, window_extent=window_extent)
+    const = SurgeryConstants(N=2, K=K, k=1, P=8.0, volume=1.0, c=c, r0=r0)
+    return const.C0, const.r0
+
+
 class TestChooseStripConstants:
     # h = 0.001 and extent 2.0 give r0 = 0.01 * 2.0 = 0.02 above the 4h floor
     def test_formula_example(self):
-        C0, r0 = choose_strip_constants(1e-6, 100.0, h=0.001, window_extent=2.0)
+        C0, r0 = strip_constants(1e-6, 100.0, h=0.001, window_extent=2.0)
         assert r0 == 0.02
         assert C0 == pytest.approx(2.5e-5, rel=1e-13)
 
     def test_min_switches_branch(self):
-        C0, r0 = choose_strip_constants(1e9, 100.0, h=0.001, window_extent=2.0)
+        C0, r0 = strip_constants(1e9, 100.0, h=0.001, window_extent=2.0)
         assert C0 * r0 == pytest.approx(1 / 200.0, rel=1e-14)
 
     def test_product_exact(self):
         for c in (1e-8, 1e-2, 1e3):
-            C0, r0 = choose_strip_constants(c, 50.0, h=0.001, window_extent=5.0)
+            C0, r0 = strip_constants(c, 50.0, h=0.001, window_extent=5.0)
             assert C0 * r0 == pytest.approx(min(c / 2, 1 / 100.0), rel=1e-14)
 
     def test_default_radius_rule(self):
-        _, r0 = choose_strip_constants(1.0, 100.0, h=0.001, window_extent=10.0)
+        r0 = choose_strip_constants(h=0.001, window_extent=10.0)
         assert r0 == pytest.approx(0.1)  # fraction rule wins
-        _, r0 = choose_strip_constants(1.0, 100.0, h=0.01, window_extent=1.0)
+        r0 = choose_strip_constants(h=0.01, window_extent=1.0)
         assert r0 == pytest.approx(0.04)  # grid floor wins
 
 
@@ -258,6 +278,16 @@ class TestChooseCutConstants:
         exact = float(min(16 * F**2 / (4 * F**2 + 1) ** 2, Fraction(1, 2)))
         assert abs(m_hat - exact) <= 8 * math.ulp(exact)
 
+    @pytest.mark.parametrize("P, N", [(1e155, 2), (1e300, 2), (1e103, 3)])
+    def test_underflowing_mass_threshold_names_P(self, P, N):
+        with pytest.raises(ValueError, match="perimeter bound P = .* is too large"):
+            choose_cut_constants(P, N=N)
+
+    def test_largest_perimeter_bounds_still_give_a_slide_count(self):
+        for P, N in ((6e153, 2), (1e102, 3)):
+            m_hat, _, p = choose_cut_constants(P, N=N)
+            assert m_hat >= np.finfo(float).tiny and p == math.ceil(1 / m_hat)
+
     @pytest.mark.parametrize("P", np.logspace(0, 9, 19).tolist())
     def test_three_dimensional_sign_change(self, P):
         m_hat = choose_cut_constants(P, N=3)[0]
@@ -287,16 +317,34 @@ class TestDeriveConstants:
 
     def test_validation_rejects_inconsistent_constants(self):
         const = derive_constants(100.0, 2, P=8.0, h=1 / 256, window_extent=3.0)
-        fields = const.to_dict()
-        fields.pop("trace")
-        with pytest.raises(ValueError, match="C0"):
-            SurgeryConstants(**{**fields, "C0": fields["C0"] * 10})
-        with pytest.raises(ValueError, match="l0"):
-            SurgeryConstants(**{**fields, "l0": fields["l0"] / 100})
-        with pytest.raises(ValueError, match="m_hat"):
-            SurgeryConstants(**{**fields, "m_hat": 1.5})
         with pytest.raises(ValueError, match="positive"):
-            SurgeryConstants(**{**fields, "r0": -1.0})
+            replace(const, r0=-1.0)
+
+    def test_only_the_inputs_are_stored(self):
+        const = derive_constants(100.0, 2, P=8.0, h=1 / 256, window_extent=3.0)
+        names = [f.name for f in dataclasses.fields(const)]
+        assert names == ["N", "K", "k", "P", "volume", "c", "r0", "trace"]
+        derived = {"C0", "m_hat", "l0", "p", "beta"}
+        for name in derived:
+            with pytest.raises(TypeError):
+                replace(const, **{name: 1.0})
+            with pytest.raises(AttributeError):
+                setattr(const, name, 1.0)
+        row = const.to_dict()
+        assert set(row) == set(names) | derived
+        assert all(row[name] == getattr(const, name) for name in derived)
+        assert (row["m_hat"], row["l0"], row["p"]) == choose_cut_constants(8.0)
+        assert type(row["p"]) is int
+
+    @pytest.mark.parametrize(
+        "K, k, message",
+        [(1e103, 2, "overflow at K = 1e+103, k = 2"),
+         (1e100, 1000, "overflow at K = 1e+100, k = 1000"),
+         (5e102, 1, "underflows to 0 at K = 5e+102, k = 1")],
+    )  # fmt: skip
+    def test_out_of_range_threshold_names_K_and_k(self, K, k, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            derive_constants(K, k, P=8.0, h=1 / 256)
 
 
 class TestParseMode:
@@ -467,10 +515,10 @@ class TestPlanCuts:
         mask[1:61] = True
         mask[61:, 29:31] = True
         d = from_mask(mask, h)
-        const = SurgeryConstants(
-            N=2, K=1.0, k=1, P=10.0, volume=1.0, c=1.0, C0=1e-3, r0=4 * h,
-            l0=96 * h, m_hat=0.08, beta=1.0, p=3,
-        )
+        const = with_cut(
+            SurgeryConstants(N=2, K=1.0, k=1, P=10.0, volume=1.0, c=1.0, r0=4 * h),
+            m_hat=0.08, l0=96 * h, p=3,
+        )  # fmt: skip
         xs = d.centers(0)
         first, last = 2, 61  # the bulb's columns in the padded window
         X = ((float(xs[first] - 2 * const.r0), float(xs[last] + 2 * const.r0)),)
@@ -548,7 +596,7 @@ class TestSlideSearch:
         merged = surgery._merge_intervals(X, gap=2 * const.p * delta, strict=True)
         assert merged == [(X[0][0], X[-1][1])]
         # with a mass threshold no collar meets, the search always runs
-        for constants in (const, replace(const, m_hat=1e-300)):
+        for constants in (const, with_cut(const, 1e-300, const.l0, const.p)):
             plan = plan_cuts(d0, X, constants)
             if "slide_search" in plan.flags:
                 assert plan.segments == ()
@@ -562,6 +610,26 @@ class TestSlideSearch:
         assert report.flags == report.plan.flags == ("slide_search",)
         assert report.plan.slide_index == 0 and report.plan.segments == ()
         assert report.verdict == "no-op"
+
+    def test_a_tail_is_cut_at_slide_one(self):
+        # at h = 1/64, a disc of radius 0.4 (25.6 cells), a stick 0.1 wide
+        # along +x that ends 0.5 past the disc, and a one-cell line on the
+        # centre row that ends 1.0 further on; the active region ends on the
+        # line, whose collar holds more than m_hat at slide 0, and at slide
+        # 1 the collar runs past the line's end: the tail is cut there
+        i, j = np.indices((151, 55))
+        cx, cy, r = 27.6, 27, 25.6
+        end = cx + r + 0.5 * 64
+        occ = (i - cx) ** 2 + (j - cy) ** 2 <= r**2
+        occ |= (abs(j - cy) <= 0.05 * 64) & (i >= cx) & (i <= end)
+        occ |= (j == cy) & (i >= cx) & (i <= end + 64)
+        f, s = solve_raster(from_mask(occ, 1 / 64), k=3)
+        _, report = strip_surgery(f, s, K=200.0, k=3, mode="practical:1e12")
+        assert report.flags == report.plan.flags == ("slide_search",)
+        assert report.plan.slide_index == 1 and report.plan.segments == ()
+        assert report.plan.mass_removed > 0
+        assert report.verdict == "pass"
+        assert [c.name for c in report.checks if not c.passed] == []
 
 
 class TestSelectCutDepth:
@@ -618,10 +686,7 @@ class TestSelectCutDepth:
             t_max=0.1,
             y_mass=0.0,
         )
-        const = SurgeryConstants(
-            N=2, K=1.0, k=1, P=20.0, volume=1.0, c=1.0, C0=1e-3, r0=r0,
-            l0=1.0, m_hat=0.1, beta=1.0, p=10,
-        )  # fmt: skip
+        const = SurgeryConstants(N=2, K=1.0, k=1, P=20.0, volume=1.0, c=1.0, r0=r0)
         return d, plan, const
 
     def test_no_feasible_depth_takes_the_flagged_minimum(self):
@@ -674,11 +739,13 @@ class TestComponentCleanup:
         return from_mask(mask, h), n, gap
 
     @staticmethod
-    def _constants(C0):
-        return SurgeryConstants(
-            N=2, K=1.0, k=1, P=10.0, volume=1.0, c=1.0, C0=C0, r0=0.1, l0=1.0,
-            m_hat=0.1, beta=1.0, p=10,
+    def _constants(C0, r0=0.1):
+        # C0 * r0 = min(c/2, 1/(2K)) is c/2 while C0 * r0 <= 1/(2K) = 1/2
+        const = SurgeryConstants(
+            N=2, K=1.0, k=1, P=10.0, volume=1.0, c=2 * C0 * r0, r0=r0
         )
+        assert const.C0 == C0
+        return with_cut(const, m_hat=0.1, l0=1.0, p=10)
 
     def test_far_component_replaced_by_ball(self):
         d, n, gap = self._two_squares()
@@ -753,7 +820,7 @@ class TestComponentCleanup:
         x = d.centers(0)
         assert x[hot] - 2 * r0 > x[hot - 8]
         X = ((x[hot] - 2 * r0, x[hot] + 2 * r0),)
-        constants = replace(self._constants(C0=1.0), r0=r0)
+        constants = self._constants(C0=1.0, r0=r0)
         out, info = component_cleanup(d, X, solve_torsion(d), constants)
         assert out is d
         assert info["discarded_components"] == 0
