@@ -197,9 +197,13 @@ class _Stencil:
         """The diagonal entry of ``A - shift I``."""
         return 2.0 * self.occupancy.ndim / (self.h * self.h) - shift
 
+    def fits(self, d: GridDomain) -> bool:
+        """Whether the stencil was built for ``d``'s raster: its ``h`` and occupancy."""
+        return d.h == self.h and np.array_equal(d.occupancy, self.occupancy)
+
     def check(self, d: GridDomain) -> None:
         """Raise ``ValueError`` unless the stencil was built for ``d``'s raster."""
-        if d.h != self.h or not np.array_equal(d.occupancy, self.occupancy):
+        if not self.fits(d):
             raise ValueError("the band factor was built for a different raster")
 
 
@@ -454,10 +458,12 @@ def build_laplacian(d: GridDomain) -> tuple[sparse.csr_matrix, np.ndarray]:
 class Factor:
     """Factor of one raster's shifted Laplacian ``A - shift I``, band or sparse.
 
-    Built by :func:`factor_laplacian`, which picks the kind once, and passed
-    explicitly, first to :func:`solve_torsion` and then to
-    :func:`eigenvalues` (see :func:`solve_raster`), so a raster that needs
-    both a torsion field and a spectrum is factored once.  In between,
+    Built by :func:`factor_laplacian`, which picks the kind once, and used
+    first by :func:`solve_torsion` and then by :func:`eigenvalues`, so a
+    raster that needs both a torsion field and a spectrum is factored once:
+    passed explicitly (see :func:`factored_torsion`), or parked by
+    :func:`solve_torsion` for the thread's next :func:`eigenvalues` of the
+    same raster (see :func:`solve_raster`).  In between,
     :meth:`solve` serves further back-solves on the raster and
     :meth:`residual` checks them.  :func:`eigenvalues` releases the factor
     when its Lanczos run ends, before its certificate calls :meth:`count`,
@@ -535,6 +541,26 @@ def _reversed_band(st: _Stencil, shift: float) -> np.ndarray:
     return ab
 
 
+# One slot per thread: the factor at 0 that solve_torsion, called without a
+# factor, parks for the thread's next eigenvalues of the same raster.
+_PARKED = threading.local()
+
+
+def _unpark(d: GridDomain | None = None) -> Factor | None:
+    """Empty this thread's slot; return the factor parked there if it fits ``d``.
+
+    Every :func:`solve_torsion` and :func:`eigenvalues` entry and every
+    :func:`_factor` call, before it allocates, empties the slot, so a parked
+    factor never outlives the thread's next solver call and is never alive
+    next to a factor that ``pde`` builds.  Without ``d``, or for another raster (another ``h``
+    included), the parked factor is dropped and ``None`` returned.
+    """
+    factor, _PARKED.factor = getattr(_PARKED, "factor", None), None
+    if d is None or factor is None or not factor.stencil.fits(d):
+        return None
+    return factor
+
+
 @_ONE_BLAS_THREAD
 def _factor(st: _Stencil, shift: float, perm: np.ndarray | None = None) -> Factor:
     """The :class:`Factor` of ``A - shift I``, ``A`` being ``st``'s Laplacian.
@@ -543,8 +569,9 @@ def _factor(st: _Stencil, shift: float, perm: np.ndarray | None = None) -> Facto
     stencil already.  On the sparse kind, ``perm`` is the minimum-degree
     order of an earlier factor of the raster, which every shift shares
     (:func:`_ldlt`), so the pattern is not ordered again; the band kind
-    ignores it.
+    ignores it.  A factor parked by :func:`solve_torsion` is dropped first.
     """
+    _unpark()
     if (st.b + 1) * st.n > _BAND_ENTRIES:
         lu, perm = _ldlt(st, shift, perm)
         return Factor(st, None, shift, lu, perm)
@@ -589,13 +616,20 @@ def solve_torsion(d: GridDomain, factor: Factor | None = None) -> TorsionField:
     """Solve ``-Lap w = 1`` on occupied cells, w = 0 outside, by one direct solve.
 
     ``factor`` is :func:`factor_laplacian` of ``d``, band or sparse; without
-    it one is factored here.  ``A`` is an M-matrix, so ``w = A^-1 1`` is
-    positive on every occupied cell.  Raises ``ValueError`` for a factor of
-    another raster or of a shifted Laplacian.
+    it one is factored here and, once the solve has passed its residual
+    check, parked in a one-slot, per-thread hand-off: the same thread's next
+    :func:`eigenvalues` of ``d`` without a factor takes it as if it were
+    handed in, and any other solver call or factorization on the thread
+    drops it first (:func:`_unpark`), so it lives at most until that call.
+    A handed ``factor`` stays the caller's and is never parked.  ``A`` is an
+    M-matrix, so ``w = A^-1 1`` is positive on every occupied cell.  Raises
+    ``ValueError`` for a factor of another raster or of a shifted Laplacian.
     """
-    if factor is None:
+    parks = factor is None
+    if parks:
         factor = factor_laplacian(d)
     else:
+        _unpark()
         factor.stencil.check(d)
         if factor.shift != 0.0:
             raise ValueError(
@@ -610,18 +644,23 @@ def solve_torsion(d: GridDomain, factor: Factor | None = None) -> TorsionField:
         )
     values = np.zeros(d.shape)
     values.flat[factor.stencil.cells] = w
+    if parks:
+        _PARKED.factor = factor
     return TorsionField(domain=d, values=values, residual=residual)
 
 
 def factored_torsion(d: GridDomain) -> tuple[TorsionField, Factor]:
     """:func:`solve_torsion` of ``d`` and the factor it was solved on.
 
-    For callers that solve on the same raster again: by
-    :meth:`Factor.solve`, or by handing the factor to :func:`eigenvalues`,
-    which runs Lanczos on it (unless the raster is narrow: its eigensolve
-    then factors its own about a shift just below lambda_1) and releases
-    it.  A band is ``(b + 1) n`` doubles, so a caller that needs only the
-    field calls :func:`solve_torsion`, which frees the factor at once.
+    For callers that solve on the same raster again before its eigensolve,
+    by :meth:`Factor.solve`, and then hand the factor to
+    :func:`eigenvalues`, which runs Lanczos on it (unless the raster is
+    narrow: its eigensolve then factors its own about a shift just below
+    lambda_1) and releases it.  The factor is the caller's and is not
+    parked, so other solver calls in between do not drop it.  A caller that
+    needs the field and then the spectrum, with no solve in between, calls
+    :func:`solve_torsion` and :func:`eigenvalues`, which share the factor
+    through the hand-off.
     """
     factor = factor_laplacian(d)
     return solve_torsion(d, factor), factor
@@ -807,9 +846,15 @@ def eigenvalues(
     band or sparse as :func:`factor_laplacian` picks it.  A wide raster's
     ``factor`` (:func:`factor_laplacian` of ``d``, released once Lanczos
     ends) serves as the inverse of ``A`` about ``sigma0 = 0``, so the
-    raster is factored once.  Without a factor, or on a narrow raster
-    (bandwidth at most 20 cells, where a band refactoring costs fewer than
-    2.5 Lanczos steps), a ``factor`` handed in is released first and
+    raster is factored once.  Called without a factor, the eigensolve takes
+    the factor at 0 that this thread's :func:`solve_torsion` parked, if that
+    was of ``d``'s raster (the same ``h`` and occupancy) and no solver call
+    came in between, and uses it exactly as a handed one.  Every entry,
+    with a factor or without, empties that slot, so a parked factor of
+    another raster is dropped and a second eigensolve of ``d`` factors its
+    own.  With no factor handed or parked, or on a narrow raster (bandwidth
+    at most 20 cells, where a band refactoring costs fewer than 2.5 Lanczos
+    steps), a ``factor`` handed in is released first and
     Lanczos runs on its own factor about ``sigma0``, 0.99 times a lambda_1
     floor that costs no solve (:func:`_lambda1_floor`): nearer lambda_1,
     Lanczos converges in fewer solves, most of all where the lowest
@@ -838,9 +883,15 @@ def eigenvalues(
     a time.  Every factorization, count and Lanczos step runs on one
     OpenBLAS thread (:class:`_OneBlasThread`).  Raises ``ValueError`` unless
     ``1 <= k <= n``, and for a factor of another raster.  Results are
-    reproducible for a fixed seed.
+    reproducible for a fixed seed and a fixed choice of inverse: Lanczos
+    about 0 on a handed or parked factor, or about ``sigma0`` on its own,
+    whose results differ in their last digits (by at most 1.3e-13 relative
+    over ``default_corpus(1/96)``, k = 5).
     """
-    if factor is not None:
+    if factor is None:
+        factor = _unpark(d)
+    else:
+        _unpark()
         factor.stencil.check(d)
     st = _stencil(d) if factor is None else factor.stencil
     n = st.n
@@ -908,16 +959,16 @@ def solve_raster(
 ) -> tuple[TorsionField, Spectrum]:
     """Torsion function and lowest ``k`` eigenvalues of ``d``.
 
-    The factor of :func:`factor_laplacian`, band or sparse by the raster's
-    band size, serves the torsion solve and then, as Lanczos's inverse, the
-    eigensolve, which releases it and certifies the spectrum by a count in
-    the same kind and order (:meth:`Factor.count`).  A narrow raster's
-    eigensolve releases it at once and factors its own about a shift just
-    below lambda_1: a second factorization that costs fewer Lanczos steps
-    than it saves.
+    :func:`solve_torsion` then :func:`eigenvalues`, on one thread: the
+    torsion's factor at 0, band or sparse by the raster's band size, is
+    parked by the first and taken by the second as Lanczos's inverse, which
+    releases it and certifies the spectrum by a count in the same kind and
+    order (:meth:`Factor.count`).  A narrow raster's eigensolve releases it
+    at once and factors its own about a shift just below lambda_1: a second
+    factorization that costs fewer Lanczos steps than it saves.
     """
-    f, factor = factored_torsion(d)
-    return f, eigenvalues(d, factor, k=k, seed=seed)
+    f = solve_torsion(d)
+    return f, eigenvalues(d, k=k, seed=seed)
 
 
 def _aligned_offset(d1: GridDomain, d2: GridDomain) -> tuple[int, ...]:

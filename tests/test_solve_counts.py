@@ -8,12 +8,19 @@ of their inputs are not recorded.  The ``factorizations`` fixture records
 every band Cholesky factorization and every sparse LDL^T shift; ``band_shifts``
 adds the shift of each band factorization, and ``certificates`` records the
 shift of each band inertia count.  ``stencils`` records every raster
-description (``pde._stencil``) that ``pde`` builds.
+description (``pde._stencil``) that ``pde`` builds.  ``solve_torsion`` called
+without a factor parks its factor at 0 for the same thread's next
+``eigenvalues`` of the same raster; the hand-off tests check that it is taken
+there and nowhere else.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
+import weakref
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -340,21 +347,29 @@ def test_descent_computes_the_lambda1_floor_once(monkeypatch):
 def test_narrow_raster_factors_its_band_at_sigma0(
     factorizations, band_shifts, certificates, name
 ):
-    # the torsion's band at 0, Lanczos's own band at sigma0, the certificate
+    # the torsion's band at 0, parked and released at once, Lanczos's own
+    # band at sigma0, the certificate
     rasters, shifts = factorizations
     d = suite_raster(name)
-    _, s = pde.solve_raster(d, k=5)
+    solve_torsion(d)
+    s = eigenvalues(d, k=5)
     assert band_shifts == [0.0, sigma0(d)]
     assert rasters == [occupancy_key(d)] * 2
     assert certificates == [s.shift] and shifts == []
 
 
 def test_wide_raster_factors_once(factorizations, band_shifts, certificates):
+    # the C03 pipeline: solve_torsion parks its band at 0, and the next
+    # eigensolve of the raster runs Lanczos on it
     rasters, shifts = factorizations
     d = suite_raster("dumbbell-0")
-    _, s = pde.solve_raster(d, k=5)
+    solve_torsion(d)
+    s = eigenvalues(d, k=5)
     assert band_shifts == [0.0] and rasters == [occupancy_key(d)]
     assert certificates == [s.shift] and shifts == []
+    assert s == pde.solve_raster(d, k=5)[1]
+    _, factor = pde.factored_torsion(d)
+    assert s == eigenvalues(d, factor, k=5)  # exactly as a handed factor
 
 
 def test_narrow_eigensolve_without_a_factor(factorizations, band_shifts, certificates):
@@ -392,3 +407,171 @@ def test_eigensolve_of_a_handed_factor_builds_no_stencil(stencils, band_shifts, 
     assert stencils == [occupancy_key(d)]
     narrow = factor.stencil.b <= pde._NARROW_BAND
     assert band_shifts == ([0.0, sigma0(d)] if narrow else [0.0])
+
+
+def test_torsion_then_spectrum_over_the_default_corpus(factorizations, band_shifts):
+    rasters, shifts = factorizations
+    wide = 0
+    for spec in corpus.default_corpus(1 / 64):
+        d = corpus.generate(spec)
+        st = pde._stencil(d)
+        band_shifts.clear()
+        solve_torsion(d)
+        eigenvalues(d, k=5)
+        narrow = st.b <= pde._NARROW_BAND  # no raster here takes the dense spectrum
+        assert band_shifts == ([0.0, sigma0(d)] if narrow else [0.0]), spec.name
+        wide += not narrow
+    assert shifts == [] and wide == 18  # all but tube and tube-long
+
+
+def test_hand_off_skips_another_raster(band_shifts):
+    d1, d2 = suite_raster("dumbbell-0"), suite_raster("dumbbell-1")
+    solve_torsion(d1)
+    eigenvalues(d2, k=5)
+    eigenvalues(d1, k=5)  # the eigensolve of d2 dropped d1's parked band
+    assert band_shifts == [0.0, sigma0(d2), sigma0(d1)]
+
+
+def test_hand_off_skips_a_rescaled_copy(band_shifts):
+    d = suite_raster("dumbbell-0")
+    copy = domain.rescale(d, 2.0)  # the same occupancy at another h
+    solve_torsion(d)
+    s = eigenvalues(copy, k=5)
+    assert band_shifts == [0.0, sigma0(copy)]
+    assert s[1] == pytest.approx(eigenvalues(d, k=5)[1] / 4, rel=1e-7)
+
+
+def test_second_eigensolve_factors_its_own(band_shifts):
+    d = suite_raster("dumbbell-0")
+    solve_torsion(d)
+    first, second = eigenvalues(d, k=5), eigenvalues(d, k=5)
+    assert band_shifts == [0.0, sigma0(d)]
+    assert first.eigenvalues == pytest.approx(second.eigenvalues, rel=1e-7)
+
+
+def test_hand_off_skips_another_thread(band_shifts):
+    # the main thread's parked band is neither taken nor dropped by another
+    # thread's eigensolve of the same raster
+    d = suite_raster("dumbbell-0")
+    solve_torsion(d)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pool.submit(eigenvalues, d, k=5).result()
+    assert band_shifts == [0.0, sigma0(d)]
+    eigenvalues(d, k=5)
+    assert band_shifts == [0.0, sigma0(d)]
+
+
+def test_two_threads_interleaving_two_rasters(band_shifts):
+    # A solves d1, B solves d2, A's spectrum, B's spectrum: each thread's
+    # slot keeps its own band at 0, so neither eigensolve factors
+    d1, d2 = suite_raster("dumbbell-0"), suite_raster("dumbbell-1")
+    a_solved, b_solved, a_done = threading.Event(), threading.Event(), threading.Event()
+
+    def thread_b():
+        assert a_solved.wait(60)
+        solve_torsion(d2)
+        b_solved.set()
+        assert a_done.wait(60)
+        return eigenvalues(d2, k=5)
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        b = pool.submit(thread_b)
+        solve_torsion(d1)
+        a_solved.set()
+        assert b_solved.wait(60)
+        s1 = eigenvalues(d1, k=5)
+        a_done.set()
+        s2 = b.result()
+    assert band_shifts == [0.0, 0.0]
+    assert (s1, s2) == (pde.solve_raster(d1, k=5)[1], pde.solve_raster(d2, k=5)[1])
+
+
+def test_threads_keep_their_own_hand_off_under_stress(band_shifts):
+    # more threads than cores, switching often: if one thread's solve could
+    # drop or take another's parked band, some wide eigensolve would factor
+    # its own at sigma0
+    def wide(d):
+        st = pde._stencil(d)
+        return st.n > pde._DENSE_CUTOFF and st.b > pde._NARROW_BAND
+
+    rasters = [corpus.generate(s) for s in corpus.default_corpus(1 / 32)]
+    rasters = [d for d in rasters if wide(d)][:4]
+    assert len(rasters) == 4
+    expected = [pde.solve_raster(d, k=3)[1] for d in rasters]
+    band_shifts.clear()
+
+    def rounds(d):
+        spectra = []
+        for _ in range(5):
+            solve_torsion(d)
+            spectra.append(eigenvalues(d, k=3))
+        return spectra
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(rasters)) as pool:
+            futures = [pool.submit(rounds, d) for d in rasters]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert band_shifts == [0.0] * 20
+    assert results == [[s] * 5 for s in expected]
+
+
+def test_parked_factor_is_dead_before_the_next_factorization(monkeypatch):
+    # every band that pde assembles, for a factor or a count, is made after
+    # each parked factor was dropped or released
+    wide, narrow = suite_raster("dumbbell-0"), suite_raster("tube-1")
+    refs, alive = [], []
+    reversed_band = pde._reversed_band
+
+    def recording(st, shift):
+        alive.append(any(ref() is not None for ref in refs))
+        return reversed_band(st, shift)
+
+    monkeypatch.setattr(pde, "_reversed_band", recording)
+    for d, then in ((wide, None), (narrow, narrow), (wide, narrow)):
+        solve_torsion(d)
+        refs.append(weakref.ref(pde._PARKED.factor))
+        if then is not None:
+            eigenvalues(then, k=5)
+    # three bands at 0, and twice the narrow raster's band at sigma0 and its
+    # count: the first after its parked band was taken and released, the
+    # second after another raster's parked band was dropped
+    assert alive == [False] * 7
+    assert all(ref() is None for ref in refs)
+
+
+def test_sparse_factor_is_handed_off(monkeypatch, factorizations):
+    rasters, shifts = factorizations
+    monkeypatch.setattr(pde, "_BAND_ENTRIES", 0)  # the sparse kind
+    d = suite_raster("dumbbell-0")
+    solve_torsion(d)
+    s = eigenvalues(d, k=5)
+    # one sparse LDL^T at 0 for the torsion and Lanczos, then the certificate
+    assert rasters == [] and shifts == [0.0, s.shift]
+    _, factor = pde.factored_torsion(d)
+    assert s == eigenvalues(d, factor, k=5)
+
+
+def test_failed_torsion_solve_parks_nothing(monkeypatch, band_shifts):
+    d = suite_raster("dumbbell-0")
+    solve_torsion(d)  # parks its band at 0
+    tol = pde.DEFAULT_CG_TOL
+    monkeypatch.setattr(pde, "DEFAULT_CG_TOL", 0.0)
+    with pytest.raises(RuntimeError, match="residual"):
+        solve_torsion(d)  # drops the parked band, then fails its check
+    monkeypatch.setattr(pde, "DEFAULT_CG_TOL", tol)
+    assert pde._PARKED.factor is None
+    eigenvalues(d, k=5)
+    assert band_shifts == [0.0, 0.0, sigma0(d)]
+
+
+def test_torsion_solve_on_a_handed_factor_drops_the_parked_one(band_shifts):
+    d = suite_raster("dumbbell-0")
+    factor = pde.factor_laplacian(d)
+    solve_torsion(d)  # parks a second band at 0
+    solve_torsion(d, factor)  # a solver call: the parked band is dropped
+    eigenvalues(d, k=5)
+    assert band_shifts == [0.0, 0.0, sigma0(d)]
