@@ -222,8 +222,8 @@ def choose_cut_constants(P: float, N: int = 2) -> tuple[float, float, int]:
 class SurgeryConstants:
     """The inputs of one surgery run's constant chain, with provenance trace.
 
-    The rest of the chain is derived, each constant by its one rule: ``C0``
-    and ``beta`` when read, and ``m_hat``, ``l0`` and ``p``
+    The rest of the chain is derived, each constant by its one rule: ``C0``,
+    ``delta`` and ``beta`` when read, and ``m_hat``, ``l0`` and ``p``
     (:func:`choose_cut_constants`) once, at construction, so a bad ``P``
     raises here.
     """
@@ -265,6 +265,11 @@ class SurgeryConstants:
     def p(self) -> int:
         """Slide count of the cut planner, ``ceil(1/m_hat)``."""
         return self._cut[2]
+
+    @property
+    def delta(self) -> float:
+        """Slide step of the cut planner, ``4 r0 + l0``: one collar's width."""
+        return 4 * self.r0 + self.l0
 
     @property
     def beta(self) -> float:
@@ -340,14 +345,13 @@ def strip_removal_test(
 
 
 def _merge_intervals(
-    intervals: Sequence[tuple[float, float]], gap: float = 0.0, strict: bool = False
+    intervals: Sequence[tuple[float, float]], gap: float = 0.0
 ) -> list[tuple[float, float]]:
-    """Merge sorted intervals whose separation is <= gap (or < gap if strict)."""
+    """Merge sorted intervals whose separation is <= gap."""
     merged: list[list[float]] = []
     for lo, hi in sorted(intervals):
         if merged:
-            sep = lo - merged[-1][1]
-            if (sep < gap) if strict else (sep <= gap + 1e-12):
+            if lo - merged[-1][1] <= gap + 1e-12:
                 merged[-1][1] = max(merged[-1][1], hi)
                 continue
         merged.append([lo, hi])
@@ -457,18 +461,33 @@ def plan_cuts(
 ) -> SurgeryPlan:
     """Plan the strips: merge short gaps, choose the slide, place anchors.
 
-    Gaps of the active region no longer than ``8 r0 + 2 l0`` are absorbed
-    into it.  The collar mass around the cut positions is evaluated at slide
-    0 first; only if it exceeds ``m_hat`` are near-critical gaps absorbed
-    (those without room for ``p`` slides) and the smallest feasible slide in
-    ``[0, p-1]`` searched, falling back to the minimal-mass slide with a
-    flag.  Strip centers are emitted as (base, direction) anchors; the cut
-    depth ``t`` shifts each strip by ``direction * t`` away from the active
-    region and is chosen later by :func:`select_cut_depth`.  An empty active
-    region is one with no gaps, its edges at the occupied span and slide 0.
+    Gaps of the active region no longer than ``2 delta`` are absorbed into
+    it, where ``delta = 4 r0 + l0`` (:attr:`SurgeryConstants.delta`) is one
+    collar's width and one slide step.  The collar mass, within ``delta``
+    outside both edges and inside both ends of every gap, is evaluated at
+    slide 0 first.  Only if it exceeds ``m_hat`` does the slide search run:
+    it absorbs every gap, so the active region is one interval and only the
+    two tail strips slide, and it takes the first slide ``s`` in
+    ``[0, p-1]`` whose tail collars, moved ``s delta`` outwards, hold at
+    most ``m_hat``, falling back to the first slide of least mass with a
+    flag.
+
+    Absorbing every gap is the paper's merge of the gaps shorter than
+    ``2 p delta``, by this lemma.  For N >= 2, on the unit-measure copy
+    that ``_setup`` builds, ``r0`` is at least 0.01 times the occupied
+    extent and ``P`` at least 4, the least perimeter of a rectilinear set
+    of unit measure in 2-D, so ``p >= 17`` and ``2 p delta >= 8 p r0`` is
+    at least 1.36 times the extent, while every gap lies inside the
+    occupied span.  For N = 1 (``p = 4``), or for constants built by hand,
+    absorbing every gap is the rule, not a consequence of the lemma.
+
+    Strip centers are emitted as (base, direction) anchors; the cut depth
+    ``t`` shifts each strip by ``direction * t`` away from the active
+    region and is chosen later by :func:`select_cut_depth`.  An empty
+    active region is one with no gaps, its edges at the occupied span and
+    slide 0.
     """
-    r0, l0, m_hat, p = constants.r0, constants.l0, constants.m_hat, constants.p
-    delta = 4 * r0 + l0
+    r0, m_hat, p, delta = constants.r0, constants.m_hat, constants.p, constants.delta
     col_mass = _per_column(d.occupancy) * d.h**d.N
     vol = float(col_mass.sum())
     flags: list[str] = []
@@ -476,11 +495,9 @@ def plan_cuts(
     segments: list[tuple[float, float]] = []
     slide, y_mass = 0, 0.0
 
-    def gaps_of(iv: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
-        return [(iv[i][1], iv[i + 1][0]) for i in range(len(iv) - 1)]
-
     def collar_mass(s: int) -> float:
-        """Mass within ``delta`` outside the edges and the gap ends at slide s.
+        """Mass within ``delta`` outside the edges, moved ``s delta``
+        outwards, and inside the gap ends (which exist only at slide 0).
 
         Each collar is the closed window of ``delta`` beside an edge, and its
         columns are those of the strip it spans (:meth:`Strip.columns`).
@@ -488,7 +505,7 @@ def plan_cuts(
         shift, half = s * delta, delta / 2
         centres = [lo_edge - shift - half, hi_edge + shift + half]
         for a, b in segments:
-            centres += [a + shift + half, b - shift - half]
+            centres += [a + half, b - half]
         hit = np.zeros(d.shape[0], dtype=bool)
         for centre in centres:
             hit[Strip(centre, half).columns(d)] = True
@@ -498,17 +515,15 @@ def plan_cuts(
         flags.append("empty_active_region")
         lo_edge, hi_edge = _occupied_span(d)
     else:
-        active = _merge_intervals(X, gap=8 * r0 + 2 * l0)
-        segments = gaps_of(active)
+        active = _merge_intervals(X, gap=2 * delta)
+        segments = [(a[1], b[0]) for a, b in zip(active, active[1:])]
         lo_edge, hi_edge = active[0][0], active[-1][1]
         y_mass = collar_mass(0)
         if y_mass > m_hat * vol:
             flags.append("slide_search")
-            # absorb gaps without room for p slides (the edges stay), then
-            # take the first slide in 0..p-1 under the threshold, else the
-            # first of least mass
-            active = _merge_intervals(active, gap=2 * p * delta, strict=True)
-            segments = gaps_of(active)
+            # absorb every gap, then take the first slide in 0..p-1 under
+            # the threshold, else the first of least mass
+            active, segments = [(lo_edge, hi_edge)], []
             masses: list[float] = []
             for s in range(p):
                 masses.append(collar_mass(s))
@@ -522,8 +537,8 @@ def plan_cuts(
     shift = slide * delta
     anchor_list = [(lo_edge - shift - 2 * r0, -1.0)]
     for a, b in segments:
-        anchor_list.append((a + shift + 2 * r0, 1.0))
-        anchor_list.append((b - shift - 2 * r0, -1.0))
+        anchor_list.append((a + 2 * r0, 1.0))
+        anchor_list.append((b - 2 * r0, -1.0))
     anchor_list.append((hi_edge + shift + 2 * r0, 1.0))
     anchors = tuple(anchor_list)
 
@@ -534,7 +549,7 @@ def plan_cuts(
         anchors=anchors,
         strips_to_remove=_strips_at(anchors, r0, 0.0),
         cut_depth=0.0,
-        t_max=l0,
+        t_max=constants.l0,
         y_mass=y_mass,
         flags=tuple(flags),
     )
@@ -916,17 +931,18 @@ def _check_stage(
     Checks exact unit measure, perimeter non-increase (void on a flagged cut
     depth), eigenvalue non-increase for every index whose starting
     eigenvalue is at most ``constants.K``, and ``diam_e1`` against the bound
-    computed from the plan.
+    computed from the plan: ``base`` plus a slide allowance of the gap term
+    ``4 n_gaps p delta`` and the tails' outward slide ``2 slide delta``.
     """
-    K, r0, l0, N = constants.K, constants.r0, constants.l0, constants.N
+    K, r0, delta, N = constants.K, constants.r0, constants.delta, constants.N
     n_gaps = len(plan.segments)
     h1_active = sum(hi - lo for lo, hi in plan.active_region)
-    delta = 4 * r0 + l0
     base = (
-        2 * (h1_active + n_gaps * (8 * r0 + 2 * l0) + 2 * r0 * (n_gaps + 2))
+        2 * (h1_active + n_gaps * (2 * delta) + 2 * r0 * (n_gaps + 2))
         + 2 * unit_ball_volume(N) ** (-1 / N)
     )
-    slide_allowance = 4 * n_gaps * constants.p * delta
+    # each tail anchor moves slide * delta outwards
+    slide_allowance = 4 * n_gaps * constants.p * delta + 2 * plan.slide_index * delta
     diameter_bound = {
         "base": base,
         "slide_allowance": slide_allowance,

@@ -17,8 +17,16 @@ perimeter 4 sqrt(A), a raster disc about 4.5 sqrt(A)).
 expected to fail until the replacement keeps the perimeter; the suite checks
 the perimeter claim on every run that replaced no component.
 
-``derandomize=True`` keeps the examples fixed.  The share of runs that cut
-is shown by ``pytest --hypothesis-show-statistics``.
+A second family, at h = 1/64, draws a disc, a stick along +x and a
+one-cell line of length 0.5 to 4 on the stick's centre row
+(:func:`disc_stick_line`): the line's collar drives the strip pipeline's
+slide search, which slides the two tail strips outwards.  Every report
+passes ``unit_measure`` and ``diam_e1_bound``, whose bound counts that
+slide.
+
+``derandomize=True`` keeps the examples fixed.  The share of runs that cut,
+and of tail runs that slide, is shown by
+``pytest --hypothesis-show-statistics``.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from eigsurgery.pde import solve_raster
 from eigsurgery.surgery import bounded_surgery, strip_surgery
 
 H = 1 / 48
+TAIL_H = 1 / 64
 MODES = ["faithful", "practical:1e3", "practical:1e6", "practical:1e12"]
 # the documented ValueErrors of both pipelines on a raster that exists
 DOCUMENTED = ("need 1 <= k <= occupied cells",)  # eigenvalues: fewer than k cells
@@ -108,6 +117,34 @@ def test_contract(pipeline, seed, K, k, mode):
     for axis in (0, 1):
         m_out, m_report = pipeline(mirrored(d, axis), K, k, mode)
         assert (m_report.verdict, m_out.cell_count) == (report.verdict, out.cell_count)
+
+
+def disc_stick_line(radius: float, stick: float, line: float) -> GridDomain:
+    """At h = 1/64, a disc of ``radius``, a stick 0.1 wide along +x that
+    ends ``stick`` past the disc, and a one-cell line on the centre row that
+    ends ``line`` further on."""
+    r = radius / TAIL_H
+    cx = cy = r + 2
+    end = cx + r + stick / TAIL_H
+    x, y = np.indices((int(end + line / TAIL_H) + 3, int(2 * cy) + 1))
+    mask = (x - cx) ** 2 + (y - cy) ** 2 <= r * r
+    mask |= (abs(y - cy) <= 0.05 / TAIL_H) & (x >= cx) & (x <= end)
+    mask |= (y == round(cy)) & (x >= cx) & (x <= end + line / TAIL_H)
+    return from_mask(mask, TAIL_H)
+
+
+@given(
+    radius=st.floats(0.25, 0.45),
+    stick=st.floats(0.1, 1.0),
+    line=st.floats(0.5, 4.0),
+    mode=st.sampled_from(["practical:1e6", "practical:1e12"]),
+)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_a_slid_tail_keeps_measure_and_diameter_bound(radius, stick, line, mode):
+    _, report = strip_pipeline(disc_stick_line(radius, stick, line), 200.0, 3, mode)
+    event(f"slide {'> 0' if report.plan.slide_index > 0 else '0'}, {report.verdict}")
+    for c in report.checks:
+        assert c.passed or c.name not in ("unit_measure", "diam_e1_bound"), c
 
 
 @pytest.mark.xfail(

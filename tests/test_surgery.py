@@ -474,7 +474,7 @@ class TestPlanCuts:
                 assert center + 2 * r0 <= lo + 1e-9 or center - 2 * r0 >= hi - 1e-9
 
     def test_short_gap_merged(self):
-        d = dumbbell(1 / 64)  # neck 1.5: gap below 8 r0 + 2 l0 at this grid
+        d = dumbbell(1 / 64)  # neck 1.5: gap below 2 delta at this grid
         d0 = normalized(d)
         const = derive_constants(
             200.0,
@@ -556,16 +556,31 @@ class TestPlanCuts:
             )
 
 
-class TestSlideSearch:
-    """No gap survives the slide search on a 2-D unit-measure raster.
+def disc_with_tail(line: float, rows: int) -> GridDomain:
+    """At h = 1/64, a disc of radius 0.4 (25.6 cells), a stick 0.1 wide
+    along +x that ends 0.5 past the disc, and a one-cell line on the centre
+    row that ends ``line`` further on, in a ``rows x 55`` window."""
+    i, j = np.indices((rows, 55))
+    cx, cy, r = 27.6, 27, 25.6
+    end = cx + r + 0.5 * 64
+    occ = (i - cx) ** 2 + (j - cy) ** 2 <= r**2
+    occ |= (abs(j - cy) <= 0.05 * 64) & (i >= cx) & (i <= end)
+    occ |= (j == cy) & (i >= cx) & (i <= end + line * 64)
+    return from_mask(occ, 1 / 64)
 
-    On the unit-measure copy, ``_setup`` takes ``r0`` at least 0.01 times
-    the occupied extent, and ``P`` at least 4, the least perimeter of a
-    rectilinear set of unit measure, which gives ``p >= 17``.  So the
-    search's merge gap ``2 p delta``, ``delta = 4 r0 + l0``, is at least
-    1.36 times the extent, while every gap of an active region lies inside
-    the occupied span: ``detect_active_region`` widens each hot column,
-    which lies at most ``2 r0`` outside the span, by ``2 r0``.
+
+class TestSlideSearch:
+    """The slide search absorbs every gap and slides only the two tails.
+
+    That is the rule; on a 2-D unit-measure raster it is also the lemma
+    that the search's merge of the gaps shorter than ``2 p delta``,
+    ``delta = 4 r0 + l0``, absorbs every gap.  On the unit-measure copy,
+    ``_setup`` takes ``r0`` at least 0.01 times the occupied extent, and
+    ``P`` at least 4, the least perimeter of a rectilinear set of unit
+    measure, which gives ``p >= 17``.  So ``2 p delta`` is at least 1.36
+    times the extent, while every gap of an active region lies inside the
+    occupied span: ``detect_active_region`` widens each hot column, which
+    lies at most ``2 r0`` outside the span, by ``2 r0``.
     """
 
     @given(
@@ -585,21 +600,47 @@ class TestSlideSearch:
         assume(mask.any())
         d0, _, const = surgery._setup(from_mask(mask, 1 / 16), K, 1, None, mode)
         lo, hi = surgery._occupied_span(d0)
-        delta = 4 * const.r0 + const.l0
         assert const.P >= 4 and const.p >= 17
-        assert 2 * const.p * delta >= 1.36 * (hi - lo + d0.h)
+        assert 2 * const.p * const.delta >= 1.36 * (hi - lo + d0.h)
         # gaps anywhere in the occupied span, between intervals that reach
         # 4 r0 past it, as the widest the active region can be
         cuts = sorted(lo + e * (hi - lo) for e in ends)[: 2 * (len(ends) // 2)]
         edges = [lo - 4 * const.r0, *cuts, hi + 4 * const.r0]
         X = list(zip(edges[0::2], edges[1::2]))
-        merged = surgery._merge_intervals(X, gap=2 * const.p * delta, strict=True)
-        assert merged == [(X[0][0], X[-1][1])]
+        # the lemma: every gap is shorter than 2 p delta
+        assert all(b[0] - a[1] < 2 * const.p * const.delta for a, b in zip(X, X[1:]))
         # with a mass threshold no collar meets, the search always runs
         for constants in (const, with_cut(const, 1e-300, const.l0, const.p)):
             plan = plan_cuts(d0, X, constants)
             if "slide_search" in plan.flags:
+                assert plan.active_region == ((X[0][0], X[-1][1]),)
                 assert plan.segments == ()
+
+    def test_hand_built_constants_absorb_a_long_gap(self):
+        # a 200-column bar with p = 2 and a gap of 5 delta: the merge of the
+        # gaps shorter than 2 p delta would keep it, but the search absorbs
+        # every gap and slides the two tails, here to slide 1, where both
+        # tail collars lie past the bar
+        h = 1 / 64
+        mask = np.zeros((202, 10), dtype=bool)
+        mask[1:201, 1:9] = True
+        d = from_mask(mask, h)
+        const = with_cut(
+            SurgeryConstants(N=2, K=1.0, k=1, P=10.0, volume=1.0, c=1.0, r0=4 * h),
+            m_hat=1e-300, l0=4 * h, p=2,
+        )  # fmt: skip
+        delta, r0 = const.delta, const.r0
+        xs = d.centers(0)
+        X = ((xs[11], xs[41]), (xs[41] + 5 * delta, xs[191]))
+        assert X[1][0] - X[0][1] >= 2 * const.p * delta
+        plan = plan_cuts(d, X, const)
+        assert plan.flags == ("slide_search",)
+        assert plan.active_region == ((X[0][0], X[1][1]),)
+        assert plan.segments == () and plan.slide_index == 1
+        assert plan.anchors == (
+            (X[0][0] - delta - 2 * r0, -1.0),
+            (X[1][1] + delta + 2 * r0, 1.0),
+        )
 
     def test_dumbbell_at_1_128_ends_a_noop(self):
         # its neck's collar mass at slide 0 exceeds m_hat, so the search
@@ -612,23 +653,34 @@ class TestSlideSearch:
         assert report.verdict == "no-op"
 
     def test_a_tail_is_cut_at_slide_one(self):
-        # at h = 1/64, a disc of radius 0.4 (25.6 cells), a stick 0.1 wide
-        # along +x that ends 0.5 past the disc, and a one-cell line on the
-        # centre row that ends 1.0 further on; the active region ends on the
-        # line, whose collar holds more than m_hat at slide 0, and at slide
-        # 1 the collar runs past the line's end: the tail is cut there
-        i, j = np.indices((151, 55))
-        cx, cy, r = 27.6, 27, 25.6
-        end = cx + r + 0.5 * 64
-        occ = (i - cx) ** 2 + (j - cy) ** 2 <= r**2
-        occ |= (abs(j - cy) <= 0.05 * 64) & (i >= cx) & (i <= end)
-        occ |= (j == cy) & (i >= cx) & (i <= end + 64)
-        f, s = solve_raster(from_mask(occ, 1 / 64), k=3)
+        # the active region ends on the line, whose collar holds more than
+        # m_hat at slide 0, and at slide 1 the collar runs past the line's
+        # end: the tail is cut there
+        f, s = solve_raster(disc_with_tail(1.0, 151), k=3)
         _, report = strip_surgery(f, s, K=200.0, k=3, mode="practical:1e12")
         assert report.flags == report.plan.flags == ("slide_search",)
         assert report.plan.slide_index == 1 and report.plan.segments == ()
         assert report.plan.mass_removed > 0
+        assert report.diameter_bound["slide_allowance"] == 2 * report.constants.delta
         assert report.verdict == "pass"
+        assert [c.name for c in report.checks if not c.passed] == []
+
+    @pytest.mark.parametrize(
+        "line, slide, verdict", [(4.0, 9, "pass"), (5.0, 13, "no-op")]
+    )
+    def test_a_slid_tail_keeps_its_diameter_bound(self, line, slide, verdict):
+        # each tail anchor moves slide * delta outwards, and the diameter
+        # bound counts it: diam_e1 exceeds the plan's base, 6.635 > 5.930
+        # on the cut raster (4.0) and 7.917 > 5.883 on the unchanged one
+        d = disc_with_tail(line, int(151 + 64 * line))
+        f, s = solve_raster(d, k=3)
+        _, report = strip_surgery(f, s, K=200.0, k=3, mode="practical:1e12")
+        assert report.flags == report.plan.flags == ("slide_search",)
+        assert report.plan.slide_index == slide and report.plan.segments == ()
+        allowance = report.diameter_bound["slide_allowance"]
+        assert allowance == 2 * slide * report.constants.delta
+        assert report.after["diam_e1"] > report.diameter_bound["base"]
+        assert report.verdict == verdict
         assert [c.name for c in report.checks if not c.passed] == []
 
 
